@@ -6,8 +6,8 @@ Subcommands cover the library surface: ``volume``, ``density``, ``mode``,
 for a fixed request apart from the version header.
 
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature or
-optimizer, with the achieved error estimate on stderr), 2 usage error
-(nothing is written).
+optimizer, with the achieved error estimate on stderr, or any other
+arithmetic error), 2 usage error (nothing is written).
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def run(req: CliRequest) -> int:
     except (DomainError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NonFiniteVolumeError, QuadratureConvergenceError) as e:
+    except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1
     return 0

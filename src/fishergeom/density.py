@@ -12,8 +12,10 @@ sample arrays; grids appear only at the emit layer. Every density holds two
 evaluators: the public single-argument ``value`` defined on the domain
 closure (endpoint evaluation returns the one-sided limit, ``math.inf`` when
 the density diverges there), and ``value_offset(x, xc)`` following the
-quadrature module's exact-offset convention. All Beta arithmetic runs
-through log-gamma and ``exp`` so large shape parameters cannot overflow.
+quadrature module's exact-offset convention; it checks the caller's offset
+once, then calls a trusted core. Conversions call their source's core and
+check an offset only where it moves to another interval. All Beta arithmetic
+runs through log-gamma and ``exp`` so large shape parameters cannot overflow.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .manifold import (
     DomainError,
     Interval,
     ManifoldModel,
+    _canonical_offset,
+    _d_canonical_offset,
+    _from_canonical_offset,
     bernoulli_model,
-    chart_canonical_offset,
-    chart_d_canonical_offset,
     chart_from_canonical_offset,
     identity_chart,
     model_fisher_metric_offset,
@@ -103,28 +106,34 @@ class IntrinsicDensity:
             object.__setattr__(self, "value_offset", lambda x, xc: fn(x))
 
 
-def _split_offsets(x: float, co: float, interval: Interval) -> tuple[float, float]:
-    """Distances of ``x`` to both interval endpoints given its signed offset.
+def _checked(core, interval: Interval):
+    """Public ``value_offset``: checks the caller's offset against ``interval``
+    once, then calls the trusted ``core``, kept as its ``core`` attribute."""
 
-    The near side comes from ``co`` exactly; the far side is the naive
-    subtraction, which is well conditioned there.
-    """
-    co = verify_offset(interval, x, co)
-    lo_off = co if co > 0 else (x - interval.lo if math.isfinite(interval.lo) else math.inf)
-    hi_off = -co if co < 0 else (interval.hi - x if math.isfinite(interval.hi) else math.inf)
-    return lo_off, hi_off
+    def value_offset(x: float, xc: float) -> float:
+        return core(x, verify_offset(interval, x, xc))
+
+    value_offset.core = core
+    return value_offset
+
+
+def _core(d):
+    """Trusted evaluator of ``d``; a ``value_offset`` supplied or swapped in
+    from outside has none and is called as given."""
+    return getattr(d.value_offset, "core", d.value_offset)
 
 
 def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
     """Evaluator for ``lo**a * hi**b / exp(log_norm)`` on the unit interval.
 
-    ``lo`` and ``hi`` are the distances to 0 and 1. Exact zeros are endpoint
-    evaluations and return the one-sided limit (0, the finite value, or inf).
+    ``lo`` and ``hi`` are the distances to 0 and 1, the near one taken
+    exactly from the trusted offset. Exact zeros are endpoint evaluations
+    and return the one-sided limit (0, the finite value, or inf).
     """
-    unit = Interval(0.0, 1.0)
 
     def core(theta: float, co: float) -> float:
-        lo_off, hi_off = _split_offsets(theta, co, unit)
+        lo_off = co if co > 0 else theta
+        hi_off = -co if co < 0 else 1.0 - theta
         if lo_off <= 0.0:
             if a_exp > 0.0:
                 return 0.0
@@ -160,7 +169,7 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
         chart=chart,
         value=value,
         label=f"Beta({params.alpha:g},{params.beta:g})",
-        value_offset=core,
+        value_offset=_checked(core, chart.domain),
     )
 
 
@@ -181,7 +190,7 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
         model=model,
         value=value,
         label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
-        value_offset=core,
+        value_offset=_checked(core, model.canonical_domain),
     )
 
 
@@ -254,21 +263,21 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     The result is the same whichever chart ``rho`` was expressed in; that is
     the point of the construction.
     """
-    model, chart = rho.model, rho.chart
+    model, chart, source = rho.model, rho.chart, _core(rho)
 
     @_guard
     def core(theta: float, co: float) -> float:
-        co = verify_offset(model.canonical_domain, theta, co)
-        x, xc = chart_from_canonical_offset(chart, theta, co)
-        d = chart_d_canonical_offset(chart, x, xc)
+        x, xc = _from_canonical_offset(chart, theta, co)
+        xc = verify_offset(chart.domain, x, xc)
+        d = _d_canonical_offset(chart, x, xc)
         g = model_fisher_metric_offset(model, theta, co) * d * d
-        return rho.value_offset(x, xc) / math.sqrt(g)
+        return source(x, xc) / math.sqrt(g)
 
     return IntrinsicDensity(
         model=model,
         value=_closure_value(core, model.canonical_domain),
         label=rho.label,
-        value_offset=core,
+        value_offset=_checked(core, model.canonical_domain),
     )
 
 
@@ -279,22 +288,22 @@ def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
         raise ChartModelMismatchError(
             f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{p.model.name}'"
         )
-    model = p.model
+    model, source = p.model, _core(p)
 
     @_guard
     def core(x: float, xc: float) -> float:
-        xc = verify_offset(chart.domain, x, xc)
-        theta, co = chart_canonical_offset(chart, x, xc)
-        d = chart_d_canonical_offset(chart, x, xc)
+        theta, co = _canonical_offset(chart, x, xc)
+        co = verify_offset(model.canonical_domain, theta, co)
+        d = _d_canonical_offset(chart, x, xc)
         g = model_fisher_metric_offset(model, theta, co) * d * d
-        return p.value_offset(theta, co) * math.sqrt(g)
+        return source(theta, co) * math.sqrt(g)
 
     return ChartDensity(
         model=model,
         chart=chart,
         value=_closure_value(core, chart.domain),
         label=p.label,
-        value_offset=core,
+        value_offset=_checked(core, chart.domain),
     )
 
 
@@ -312,22 +321,22 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
         )
     if target.name == rho.chart.name:
         return rho
-    source = rho.chart
+    source, source_core = rho.chart, _core(rho)
 
     @_guard
     def core(y: float, yc: float) -> float:
-        yc = verify_offset(target.domain, y, yc)
-        theta, co = chart_canonical_offset(target, y, yc)
+        theta, co = _canonical_offset(target, y, yc)
         x, xc = chart_from_canonical_offset(source, theta, co)
-        jac = chart_d_canonical_offset(target, y, yc) / chart_d_canonical_offset(source, x, xc)
-        return rho.value_offset(x, xc) * abs(jac)
+        xc = verify_offset(source.domain, x, xc)
+        jac = _d_canonical_offset(target, y, yc) / _d_canonical_offset(source, x, xc)
+        return source_core(x, xc) * abs(jac)
 
     return ChartDensity(
         model=rho.model,
         chart=target,
         value=_closure_value(core, target.domain),
         label=rho.label,
-        value_offset=core,
+        value_offset=_checked(core, target.domain),
     )
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .density import ChartDensity, IntrinsicDensity, chart_from_intrinsic, intrinsic_from_chart, pushforward
-from .manifold import Chart, DomainError, chart_canonical_offset, interior_grid, naive_offset
+from .manifold import Chart, DomainError, _canonical_offset, interior_grid, naive_offset
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     rows = []
     for x in interior_grid(chart.domain, n):
         xc = naive_offset(chart.domain, x)
-        theta, co = chart_canonical_offset(chart, x, xc)
+        theta, co = _canonical_offset(chart, x, xc)
         if embeddable:
             pt = embed_bernoulli(theta)
             ex, ey = pt.x, pt.y

@@ -15,6 +15,11 @@ pairs, where a positive offset measures from the interval's lower endpoint
 and a negative one from the upper. Everything downstream (density
 conversions, quadrature, mode search) composes these to keep endpoint
 distances exact; the plain maps remain the public face.
+
+An offset is checked (:func:`verify_offset`) once, where it enters an
+interval: the public ``chart_*_offset`` maps check the caller's offset, then
+call private forms that trust it. Code that built an offset itself or has
+checked it calls those directly; a map's output is checked in its new interval.
 """
 
 from __future__ import annotations
@@ -172,31 +177,41 @@ class Chart:
             )
 
 
-def chart_canonical_offset(chart: Chart, x: float, xc: float) -> tuple[float, float]:
-    """Map a chart point plus signed offset to ``(theta, canonical offset)``."""
-    xc = verify_offset(chart.domain, x, xc)
+def _canonical_offset(chart: Chart, x: float, xc: float) -> tuple[float, float]:
     if chart.canonical_offset is not None and math.isfinite(xc):
         return chart.canonical_offset(x, xc)
     theta = chart.to_canonical(x)
     return theta, naive_offset(chart.canonical_domain, theta)
 
 
-def chart_from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[float, float]:
-    """Inverse of :func:`chart_canonical_offset`."""
-    co = verify_offset(chart.canonical_domain, theta, co)
+def _from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[float, float]:
     if chart.from_canonical_offset is not None and math.isfinite(co):
         return chart.from_canonical_offset(theta, co)
     x = chart.from_canonical(theta)
     return x, naive_offset(chart.domain, x)
 
 
+def _d_canonical_offset(chart: Chart, x: float, xc: float) -> float:
+    if chart.d_canonical_offset is not None and math.isfinite(xc):
+        return chart.d_canonical_offset(x, xc)
+    return chart.d_canonical(x)
+
+
+def chart_canonical_offset(chart: Chart, x: float, xc: float) -> tuple[float, float]:
+    """Map a chart point plus signed offset to ``(theta, canonical offset)``."""
+    return _canonical_offset(chart, x, verify_offset(chart.domain, x, xc))
+
+
+def chart_from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[float, float]:
+    """Inverse of :func:`chart_canonical_offset`."""
+    return _from_canonical_offset(chart, theta, verify_offset(chart.canonical_domain, theta, co))
+
+
 def chart_d_canonical_offset(chart: Chart, x: float, xc: float) -> float:
     """``d theta / dx`` evaluated with offset accuracy where available."""
-    if chart.d_canonical_offset is not None:
-        xc = verify_offset(chart.domain, x, xc)
-        if math.isfinite(xc):
-            return chart.d_canonical_offset(x, xc)
-    return chart.d_canonical(x)
+    if chart.d_canonical_offset is None:
+        return chart.d_canonical(x)
+    return _d_canonical_offset(chart, x, verify_offset(chart.domain, x, xc))
 
 
 @dataclass(frozen=True)

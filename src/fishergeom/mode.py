@@ -30,8 +30,9 @@ from .density import (
 from .manifold import (
     Chart,
     ManifoldModel,
+    _canonical_offset,
+    _from_canonical_offset,
     arclength_chart,
-    chart_canonical_offset,
     chart_from_canonical_offset,
     interior_grid,
     naive_offset,
@@ -114,7 +115,7 @@ def _boundary_candidate(eval_canonical, model: ManifoldModel, s_chart: Chart,
     vals = []
     for k in (1.0, 2.0, 4.0):
         sc = k * _BOUNDARY_EPS if at_lo else -k * _BOUNDARY_EPS
-        theta, co = chart_canonical_offset(s_chart, s_end + sc, sc)
+        theta, co = _canonical_offset(s_chart, s_end + sc, sc)
         vals.append(eval_canonical(theta, co))
     v1, v2, v4 = vals
     if any(math.isinf(v) for v in vals):
@@ -131,7 +132,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
     sdom = search_chart.domain
 
     def obj(x: float) -> float:
-        theta, co = chart_canonical_offset(search_chart, x, naive_offset(sdom, x))
+        theta, co = _canonical_offset(search_chart, x, naive_offset(sdom, x))
         return eval_canonical(theta, co)
 
     grid = interior_grid(sdom, _SCAN_POINTS)
@@ -172,7 +173,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
         tol = _GOLDEN_TOL * max(1.0, abs(lo), abs(hi))
         x_star = _golden_max(obj, lo, hi, tol)
         x_star = _parabolic_polish(obj, x_star, sdom.lo, sdom.hi)
-        theta_star, _ = chart_canonical_offset(search_chart, x_star, naive_offset(sdom, x_star))
+        theta_star, _ = _canonical_offset(search_chart, x_star, naive_offset(sdom, x_star))
         candidates.append((theta_star, obj(x_star)))
 
     if not candidates:
@@ -200,7 +201,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
     all_modes = tuple(sorted(theta for theta, _ in modes))
     canonical_point = all_modes[0]
     try:
-        chart_point, _ = chart_from_canonical_offset(
+        chart_point, _ = _from_canonical_offset(
             report_chart, canonical_point,
             naive_offset(report_chart.canonical_domain, canonical_point))
     except (ZeroDivisionError, OverflowError, ValueError):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +181,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "error estimate" in err
+
+    def test_arithmetic_error_is_numerical_failure(self):
+        # E[1/theta] under the flat prior diverges; nodes rounding onto
+        # theta = 0 raise ZeroDivisionError inside the integrand
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fishergeom.cli", "expect", "--alpha", "0.5", "--beta", "0.5",
+             "--power", "-1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("numerical failure:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_mode_search_failure_is_numerical_failure(self, monkeypatch, capsys):
+        import fishergeom.cli as cli
+
+        def no_values(*args, **kwargs):
+            raise ArithmeticError("mode search found no usable density values on the scan grid")
+
+        monkeypatch.setattr(cli, "mapi_estimate", no_values)
+        assert main(["mode", "--alpha", "2", "--beta", "2"]) == 1
+        assert capsys.readouterr().err.startswith("numerical failure: mode search")
 
     def test_nothing_written_on_usage_error(self, tmp_path):
         out = tmp_path / "never.csv"
