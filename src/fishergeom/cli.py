@@ -24,11 +24,10 @@ from .embed import DensityCurve, sample_curve
 from .manifold import (
     DomainError,
     Interval,
-    NonFiniteVolumeError,
     charts_for,
+    finite_volume_result,
     fisher_rao_distance,
     get_model,
-    volume_result,
 )
 from .mode import map_estimate, mapi_estimate
 from .quadrature import QuadratureConvergenceError, expectation, interval_probability
@@ -287,12 +286,7 @@ def run(req: CliRequest) -> int:
             raise UsageError(f"unknown model '{req.model}'; available: {', '.join(_MODELS)}")
 
         if req.subcommand == "volume":
-            res = volume_result(model)
-            if not res.converged or not math.isfinite(res.value):
-                raise NonFiniteVolumeError(
-                    f"volume of '{model.name}' diverges "
-                    f"(best estimate {res.value!r}, error estimate {res.error_estimate!r})",
-                    res.error_estimate)
+            res = finite_volume_result(model)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
 
         elif req.subcommand == "distance":

@@ -545,6 +545,11 @@ def volume(model: ManifoldModel, region: Interval | None = None, cfg=None) -> fl
     integral raises :class:`NonFiniteVolumeError` with the achieved error
     estimate attached.
     """
+    return finite_volume_result(model, region, cfg).value
+
+
+def finite_volume_result(model: ManifoldModel, region: Interval | None = None, cfg=None):
+    """Like :func:`volume_result`, but raising where :func:`volume` raises."""
     res = volume_result(model, region, cfg)
     if not res.converged or not math.isfinite(res.value):
         raise NonFiniteVolumeError(
@@ -552,7 +557,7 @@ def volume(model: ManifoldModel, region: Interval | None = None, cfg=None) -> fl
             f"(best estimate {res.value!r}, error estimate {res.error_estimate!r})",
             error_estimate=res.error_estimate,
         )
-    return res.value
+    return res
 
 
 def volume_result(model: ManifoldModel, region: Interval | None = None, cfg=None):

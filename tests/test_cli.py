@@ -183,8 +183,7 @@ class TestExitCodes:
         assert "error estimate" in err
 
     def test_arithmetic_error_is_numerical_failure(self):
-        # E[1/theta] under the flat prior diverges; nodes rounding onto
-        # theta = 0 raise ZeroDivisionError inside the integrand
+        # E[1/theta] under the flat prior diverges; the quadrature flags it
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(

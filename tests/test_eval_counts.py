@@ -8,6 +8,7 @@ of these numbers.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -18,6 +19,7 @@ from fishergeom import (
     bernoulli_model,
     charts_for,
     expectation,
+    get_model,
     integrate_chart,
     integrate_manifold,
     interval_probability,
@@ -49,6 +51,12 @@ MAP = {
 }
 
 
+# divergent integrals stop at refinement level 2, where the tail is seen to grow
+DIVERGENT_VOLUME = {"poisson": 41, "exponential": 41}
+DIVERGENT_RECIPROCAL = 37
+DIVERGENT_EXPECT_RECIPROCAL = 45
+
+
 def counted(d):
     """Copy of ``d`` counting its evaluations. Two arguments, so quadrature
     and mode search take the same offset-aware path as for ``d`` itself."""
@@ -69,6 +77,30 @@ def densities(a, b):
 
 def test_bernoulli_volume():
     assert volume_result(MODEL).evaluations == 71
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGENT_VOLUME))
+def test_divergent_volume(name):
+    res = volume_result(get_model(name))
+    assert not res.converged
+    assert res.error_estimate == math.inf
+    assert res.evaluations == DIVERGENT_VOLUME[name]
+
+
+def test_divergent_reciprocal():
+    res = integrate_chart(lambda x: 1.0 / x, Interval(0.0, 1.0))
+    assert not res.converged
+    assert res.error_estimate == math.inf
+    assert res.evaluations == DIVERGENT_RECIPROCAL
+
+
+def test_divergent_expectation_of_reciprocal():
+    # E[1/theta] under the flat prior Beta(1/2, 1/2); the tail grows at theta = 0
+    _, p = densities(0.5, 0.5)
+    res = expectation(p, lambda t: t ** -1)
+    assert not res.converged
+    assert res.error_estimate == math.inf
+    assert res.evaluations == DIVERGENT_EXPECT_RECIPROCAL
 
 
 @pytest.mark.parametrize("a,b", SHAPES)

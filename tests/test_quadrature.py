@@ -114,6 +114,42 @@ class TestIntegrateChart:
             QuadratureConfig(max_refinement_levels=0)
 
 
+class TestDivergenceVerdict:
+    """From refinement level 2, a tail that still grows ends the integral as divergent."""
+
+    def test_divergent_integrals_flagged(self):
+        # 1/x on (0, 1) is pinned with its count in test_eval_counts.py
+        for res in (integrate_chart(lambda x: 1.0, Interval(0.0, math.inf), CFG),
+                    integrate_chart(lambda x: 1.0, Interval(-math.inf, math.inf), CFG)):
+            assert not res.converged
+            assert res.error_estimate == math.inf
+            assert res.evaluations < 100
+
+    def test_far_out_decay_is_not_divergent(self):
+        # still grows at the outermost node of level 0, |t| = 6 (x near 1e138)
+        res = integrate_chart(lambda x: math.exp(-x / 1e200), Interval(0.0, math.inf), CFG)
+        assert res.converged
+        assert res.value == pytest.approx(1e200, rel=1e-10)
+
+    def test_slow_algebraic_decay_is_not_divergent(self):
+        res = integrate_chart(lambda x: (1.0 + x) ** -1.05, Interval(0.0, math.inf), CFG)
+        assert res.converged
+        assert res.value == pytest.approx(20.0, rel=1e-10)
+
+    def test_reciprocal_chart_heavy_tail_is_not_divergent(self):
+        # Beta(0.1, 4.26) in xi = 1/theta decays only like xi**-1.1
+        d = pushforward(beta_chart_density(BetaParams(0.1, 4.26)), CHARTS["reciprocal"])
+        res = integrate_chart(d.value_offset, d.chart.domain, CFG)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_overflowing_integrand_is_zero_weighted(self):
+        # x ** -0.99 raises OverflowError at subnormal x; the node is skipped
+        res = integrate_chart(lambda x: x ** -0.99, Interval(0.0, 1.0), CFG)
+        assert res.evaluations > 0
+        assert not res.converged or res.value == pytest.approx(100.0, rel=1e-10)
+
+
 class TestIntegrateManifold:
     def test_unit_function_gives_total_arc(self):
         res = integrate_manifold(lambda t: 1.0, BERNOULLI, None, CFG)
@@ -154,6 +190,32 @@ class TestExpectation:
         p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
         res = expectation(p, lambda t: 1.0, CFG)
         assert res.value == pytest.approx(1.0, abs=1e-10)
+
+    def test_reciprocal_moment_converges(self):
+        for a, b in ((2.0, 3.0), (1.5, 0.7), (1.0319, 11.795)):
+            p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
+            res = expectation(p, lambda t: t ** -1, CFG)
+            assert res.converged
+            assert res.value == pytest.approx((a + b - 1.0) / (a - 1.0), rel=1e-9)
+
+    def test_reciprocal_moment_divergence_flagged(self):
+        for a, b in ((0.9, 2.0), (1.0, 1.0)):
+            p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
+            res = expectation(p, lambda t: t ** -1, CFG)
+            assert not res.converged
+            assert res.error_estimate == math.inf
+
+    def test_f_never_called_at_theta_zero(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return t ** -1
+
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
+        expectation(p, f, CFG)
+        assert seen
+        assert min(seen) > 0.0
 
     def test_agrees_through_every_chart(self):
         # E[f] computed as the chart-coordinate integral of f(theta(x)) rho(x)
