@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushforward
@@ -36,35 +35,8 @@ _FORMATS = ("csv", "json", "svg")
 _MODELS = ("bernoulli", "poisson", "exponential")
 
 
-@dataclass(frozen=True)
-class CliRequest:
-    subcommand: str
-    model: str = "bernoulli"
-    chart: str = "theta"
-    alpha: float | None = None
-    beta: float | None = None
-    lo: float | None = None
-    hi: float | None = None
-    p1: float | None = None
-    p2: float | None = None
-    power: int = 1
-    kind: str = "mapi"
-    samples: int = 1001
-    fmt: str = "csv"
-    output: str = "-"
-
-
 class UsageError(ValueError):
     pass
-
-
-def _fmt(v: float) -> str:
-    """17 significant digits; divergence as the literal token ``inf``."""
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.17g}"
 
 
 def _jsonable(v):
@@ -76,7 +48,7 @@ def _jsonable(v):
     return v
 
 
-def _require_beta(req: CliRequest) -> BetaParams:
+def _require_beta(req: argparse.Namespace) -> BetaParams:
     if req.model != "bernoulli":
         raise UsageError(f"'{req.subcommand}' needs a Beta density and therefore --model bernoulli")
     if req.alpha is None or req.beta is None:
@@ -95,7 +67,7 @@ def _get_chart(model, name: str):
     return charts[name]
 
 
-def _request_meta(req: CliRequest) -> dict:
+def _request_meta(req: argparse.Namespace) -> dict:
     meta = {"subcommand": req.subcommand, "model": req.model}
     if req.subcommand in ("density", "mode", "embed"):
         meta["chart"] = req.chart
@@ -118,7 +90,7 @@ def _request_meta(req: CliRequest) -> dict:
     return meta
 
 
-def _emit(req: CliRequest, text: str) -> None:
+def _emit(req: argparse.Namespace, text: str) -> None:
     if req.output == "-":
         sys.stdout.write(text)
     else:
@@ -126,24 +98,24 @@ def _emit(req: CliRequest, text: str) -> None:
             fh.write(text)
 
 
-def _scalar_csv(req: CliRequest, fields: dict, error_estimate: float | None) -> str:
+def _scalar_csv(req: argparse.Namespace, fields: dict, error_estimate: float | None) -> str:
     lines = [f"# fishergeom {req.subcommand}", f"# version: {__version__}"]
     for k, v in _request_meta(req).items():
         lines.append(f"# {k}: {v}")
     lines.append("field,value")
     for k, v in fields.items():
         if isinstance(v, float):
-            lines.append(f"{k},{_fmt(v)}")
+            lines.append(f"{k},{v:.17g}")
         elif isinstance(v, (tuple, list)):
-            lines.append(f"{k},\"{' '.join(_fmt(x) for x in v)}\"")
+            lines.append(f"{k},\"{' '.join(f'{x:.17g}' for x in v)}\"")
         else:
             lines.append(f"{k},{v}")
     if error_estimate is not None:
-        lines.append(f"error_estimate,{_fmt(error_estimate)}")
+        lines.append(f"error_estimate,{error_estimate:.17g}")
     return "\n".join(lines) + "\n"
 
 
-def _curve_csv(req: CliRequest, curve: DensityCurve) -> str:
+def _curve_csv(req: argparse.Namespace, curve: DensityCurve) -> str:
     lines = [
         f"# fishergeom {req.subcommand}",
         f"# version: {__version__}",
@@ -154,12 +126,12 @@ def _curve_csv(req: CliRequest, curve: DensityCurve) -> str:
         "chart_coord,canonical_coord,rho,p,embed_x,embed_y",
     ]
     for r in curve.rows:
-        lines.append(",".join(_fmt(v) for v in
+        lines.append(",".join(f"{v:.17g}" for v in
                               (r.chart_coord, r.canonical_coord, r.rho, r.p, r.embed_x, r.embed_y)))
     return "\n".join(lines) + "\n"
 
 
-def _json_doc(req: CliRequest, result, error_estimate: float | None) -> str:
+def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> str:
     doc = {
         "request": _request_meta(req),
         "result": result,
@@ -247,7 +219,7 @@ def _svg_plot(series: list[tuple[str, str, list[tuple[float, float]]]],
     return "\n".join(out) + "\n"
 
 
-def _emit_scalar(req: CliRequest, fields: dict, error_estimate: float | None) -> None:
+def _emit_scalar(req: argparse.Namespace, fields: dict, error_estimate: float | None) -> None:
     if req.fmt == "svg":
         raise UsageError(f"SVG output is only available for curve subcommands, not '{req.subcommand}'")
     if req.fmt == "json":
@@ -259,7 +231,7 @@ def _emit_scalar(req: CliRequest, fields: dict, error_estimate: float | None) ->
         _emit(req, _scalar_csv(req, fields, error_estimate))
 
 
-def _emit_curve(req: CliRequest, curve: DensityCurve) -> None:
+def _emit_curve(req: argparse.Namespace, curve: DensityCurve) -> None:
     if req.fmt == "json":
         _emit(req, _json_doc(req, _curve_json(curve), None))
     elif req.fmt == "csv":
@@ -278,7 +250,7 @@ def _emit_curve(req: CliRequest, curve: DensityCurve) -> None:
         _emit(req, svg)
 
 
-def run(req: CliRequest) -> int:
+def run(req: argparse.Namespace) -> int:
     """Execute a validated request; returns the process exit status."""
     try:
         model = get_model(req.model) if req.model in _MODELS else None
@@ -370,6 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fishergeom {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # fields that only some subcommands take
+    parser.set_defaults(chart="theta", alpha=None, beta=None, lo=None, hi=None,
+                        p1=None, p2=None, power=1, kind="mapi", samples=1001)
 
     def common(p, chart=False, beta=False, samples=False):
         p.add_argument("--model", default="bernoulli", help="model id (default: bernoulli)")
@@ -417,28 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def request_from_args(args: argparse.Namespace) -> CliRequest:
-    return CliRequest(
-        subcommand=args.subcommand,
-        model=getattr(args, "model", "bernoulli"),
-        chart=getattr(args, "chart", "theta"),
-        alpha=getattr(args, "alpha", None),
-        beta=getattr(args, "beta", None),
-        lo=getattr(args, "lo", None),
-        hi=getattr(args, "hi", None),
-        p1=getattr(args, "p1", None),
-        p2=getattr(args, "p2", None),
-        power=getattr(args, "power", 1),
-        kind=getattr(args, "kind", "mapi"),
-        samples=getattr(args, "samples", 1001),
-        fmt=getattr(args, "fmt", "csv"),
-        output=getattr(args, "output", "-"),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return run(request_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

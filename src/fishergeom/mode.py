@@ -13,17 +13,27 @@ boundary mode (its value is ``math.inf``), growth with ratio tending to 1 a
 finite boundary maximum. A density that is constant to within the tie
 tolerance everywhere is reported as flat — a distinguished result, since
 returning one arbitrary argmax would be misleading.
+
+The scan's points and their exact canonical offsets depend only on the
+search chart, so they are built once per chart (a few charts are kept,
+matched by equality) and reused. The search trusts the offsets it builds
+itself and calls the density's trusted core on them; a ``value_offset``
+swapped in from outside is called as given. A scan value of 0 (a tail that
+underflowed) is never refined, and a scan that is 0 everywhere raises
+``ArithmeticError`` rather than reporting ``flat``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .density import (
     BetaParams,
     ChartDensity,
     IntrinsicDensity,
+    _core,
     beta_chart_density,
     beta_intrinsic_density,
 )
@@ -33,12 +43,12 @@ from .manifold import (
     _canonical_offset,
     _from_canonical_offset,
     arclength_chart,
-    chart_from_canonical_offset,
     interior_grid,
     naive_offset,
 )
 
 _SCAN_POINTS = 1024
+_SCAN_CACHE_CHARTS = 4      # search charts whose scan points are kept
 _BOUNDARY_EPS = 1e-6        # arc-length offset of the innermost boundary probe
 _GOLDEN_TOL = 1e-10
 _POLISH_H = 1e-5
@@ -127,6 +137,21 @@ def _boundary_candidate(eval_canonical, model: ManifoldModel, s_chart: Chart,
     return theta_b, 2.0 * v1 - v2
 
 
+def _scan_points(search_chart: Chart) -> tuple[tuple[float, ...], ...]:
+    """The scan grid of ``search_chart`` and its ``(theta, co)`` points."""
+    sdom = search_chart.domain
+    grid = interior_grid(sdom, _SCAN_POINTS)
+    thetas, cos = zip(*(_canonical_offset(search_chart, x, naive_offset(sdom, x))
+                        for x in grid))
+    return tuple(grid), thetas, cos
+
+
+# Keyed by chart equality: charts holding the same maps share a scan. A
+# chart made anew (a fresh default arc-length chart) misses, and the bound
+# keeps such charts from piling up.
+_cached_scan_points = lru_cache(maxsize=_SCAN_CACHE_CHARTS)(_scan_points)
+
+
 def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
                   report_chart: Chart) -> ModeResult:
     sdom = search_chart.domain
@@ -135,8 +160,11 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
         theta, co = _canonical_offset(search_chart, x, naive_offset(sdom, x))
         return eval_canonical(theta, co)
 
-    grid = interior_grid(sdom, _SCAN_POINTS)
-    vals = [obj(x) for x in grid]
+    try:
+        grid, thetas, cos = _cached_scan_points(search_chart)
+    except TypeError:   # a field of the chart cannot be hashed
+        grid, thetas, cos = _scan_points(search_chart)
+    vals = list(map(eval_canonical, thetas, cos))
 
     s_chart = arclength_chart(model)
     boundary = [c for c in (_boundary_candidate(eval_canonical, model, s_chart, True),
@@ -145,7 +173,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
 
     if not boundary and all(map(math.isfinite, vals)):
         vmax, vmin = max(vals), min(vals)
-        if vmax - vmin <= _FLAT_REL * max(abs(vmax), 1e-300):
+        if vmax > 0.0 and vmax - vmin <= _FLAT_REL * max(abs(vmax), 1e-300):
             return ModeResult(
                 canonical_point=math.nan,
                 chart_point=math.nan,
@@ -155,12 +183,13 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
                 flat=True,
             )
 
-    # refine every interior local maximum of the scan
+    # refine every interior local maximum of the scan; a zero (an underflowed
+    # tail) is never the maximum of a density
     candidates: list[tuple[float, float]] = list(boundary)
     n = len(grid)
     for i in range(n):
         v = vals[i]
-        if not math.isfinite(v):
+        if not math.isfinite(v) or v <= 0.0:
             continue
         left = vals[i - 1] if i > 0 else -math.inf
         right = vals[i + 1] if i < n - 1 else -math.inf
@@ -178,7 +207,8 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
 
     if not candidates:
         raise ArithmeticError(
-            "mode search found no usable density values on the scan grid")
+            "mode search found no positive finite density value: the density "
+            "underflowed to 0 (or is not finite) on the whole scan grid")
 
     # cluster refinements of the same peak
     candidates.sort()
@@ -219,10 +249,10 @@ def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeRe
     """Argmax of the chart density over its own chart: chart-dependent by design."""
     if search_chart is None:
         search_chart = arclength_chart(rho.model)
+    chart, core = rho.chart, _core(rho)
 
     def eval_canonical(theta: float, co: float) -> float:
-        x, xc = chart_from_canonical_offset(rho.chart, theta, co)
-        return rho.value_offset(x, xc)
+        return core(*_from_canonical_offset(chart, theta, co))
 
     return _numeric_mode(eval_canonical, rho.model, search_chart, rho.chart)
 
@@ -233,7 +263,7 @@ def mapi_estimate(p: IntrinsicDensity, report_chart: Chart,
     search runs in, reported in ``report_chart`` coordinates."""
     if search_chart is None:
         search_chart = arclength_chart(p.model)
-    return _numeric_mode(p.value_offset, p.model, search_chart, report_chart)
+    return _numeric_mode(_core(p), p.model, search_chart, report_chart)
 
 
 def beta_mode_analytic(params: BetaParams, intrinsic: bool) -> ModeResult:

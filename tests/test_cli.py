@@ -205,6 +205,15 @@ class TestExitCodes:
         assert main(["mode", "--alpha", "2", "--beta", "2"]) == 1
         assert capsys.readouterr().err.startswith("numerical failure: mode search")
 
+    @pytest.mark.parametrize("kind,chart", [("map", "reciprocal"), ("mapi", "theta")])
+    def test_underflowed_scan_is_numerical_failure(self, kind, chart, capsys):
+        # Beta(1e9, 1e9) underflows to 0 on the whole scan grid: no false `flat`
+        rc = main(["mode", "--alpha", "1e9", "--beta", "1e9", "--kind", kind, "--chart", chart])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("numerical failure:")
+
     def test_nothing_written_on_usage_error(self, tmp_path):
         out = tmp_path / "never.csv"
         rc = main(["density", "--model", "poisson", "--alpha", "1", "--beta", "1",

@@ -50,6 +50,11 @@ MAP = {
     (1.05, 2.05): {"arclength": 1074, "arcsin": 1072, "reciprocal": 1078, "theta": 1071},
 }
 
+# a density concentrated enough that the theta-chart scan underflows to 0
+# over most of the grid; zeros are never refined
+CONCENTRATED = (2000.0, 2000.0)
+CONCENTRATED_SEARCH = 1112
+
 
 # divergent integrals stop at refinement level 2, where the tail is seen to grow
 DIVERGENT_VOLUME = {"poisson": 41, "exponential": 41}
@@ -147,6 +152,20 @@ def test_map_search(a, b, chart):
     rho, n = counted(rho)
     map_estimate(rho, search_chart=CHARTS[chart])
     assert n[0] == MAP[a, b][chart]
+
+
+def test_concentrated_mapi_search():
+    _, p = densities(*CONCENTRATED)
+    p, n = counted(p)
+    mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS["theta"])
+    assert n[0] == CONCENTRATED_SEARCH
+
+
+def test_concentrated_map_search():
+    rho, _ = densities(*CONCENTRATED)
+    rho, n = counted(rho)
+    map_estimate(rho, search_chart=CHARTS["theta"])
+    assert n[0] == CONCENTRATED_SEARCH
 
 
 @pytest.mark.parametrize("a,b", SHAPES)

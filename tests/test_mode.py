@@ -1,5 +1,6 @@
 """Chart-dependent and invariant mode estimates, analytic and numeric."""
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from fishergeom import (
     mapi_estimate,
     pushforward,
 )
+from fishergeom import mode
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -228,3 +230,72 @@ class TestUnimodalityThresholds:
                 num = map_estimate(beta_chart_density(BetaParams(a, a)))
             assert num.all_modes == pytest.approx(ana.all_modes, abs=1e-6)
             assert num.at_boundary == ana.at_boundary
+
+
+class TestUnderflowedScan:
+    def test_map_in_reciprocal_is_not_flat(self):
+        rho = pushforward(beta_chart_density(BetaParams(1e9, 1e9)), CHARTS["reciprocal"])
+        with pytest.raises(ArithmeticError, match="underflowed to 0"):
+            map_estimate(rho)
+
+    def test_mapi_in_theta_is_not_flat(self):
+        with pytest.raises(ArithmeticError, match="underflowed to 0"):
+            mapi_estimate(intrinsic(1e9, 1e9), CHARTS["theta"])
+
+
+class _Unhashable:
+    """A callable that cannot be hashed, as a chart field may be."""
+
+    __hash__ = None
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+def counted_intrinsic(a, b):
+    n = [0]
+    p = intrinsic(a, b)
+    inner = p.value_offset
+
+    def value_offset(x, xc):
+        n[0] += 1
+        return inner(x, xc)
+
+    return dataclasses.replace(p, value_offset=value_offset), n
+
+
+class TestScanCache:
+    @pytest.mark.parametrize("chart", CHART_NAMES)
+    def test_miss_matches_hit(self, chart):
+        p, n = counted_intrinsic(1.05, 2.05)
+        mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
+        hits = mode._cached_scan_points.cache_info().hits
+        n[0] = 0
+        hit = mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
+        assert mode._cached_scan_points.cache_info().hits == hits + 1
+        hit_count, n[0] = n[0], 0
+        # charts from another charts_for() call hold other maps, so they miss
+        fresh = charts_for(BERNOULLI)[chart]
+        misses = mode._cached_scan_points.cache_info().misses
+        miss = mapi_estimate(p, CHARTS["theta"], search_chart=fresh)
+        assert mode._cached_scan_points.cache_info().misses == misses + 1
+        assert repr(miss) == repr(hit)
+        assert n[0] == hit_count
+
+    def test_bounded(self):
+        rho = beta_chart_density(BetaParams(2.0, 3.0))
+        for _ in range(10):
+            map_estimate(rho, search_chart=charts_for(BERNOULLI)["arcsin"])
+        assert mode._cached_scan_points.cache_info().currsize <= mode._SCAN_CACHE_CHARTS
+
+    def test_unhashable_chart_is_searched(self):
+        arcsin = CHARTS["arcsin"]
+        chart = dataclasses.replace(arcsin, canonical_offset=_Unhashable(arcsin.canonical_offset))
+        with pytest.raises(TypeError):
+            hash(chart)
+        p = intrinsic(1.05, 2.05)
+        assert (repr(mapi_estimate(p, CHARTS["theta"], search_chart=chart))
+                == repr(mapi_estimate(p, CHARTS["theta"], search_chart=arcsin)))

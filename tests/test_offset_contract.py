@@ -23,6 +23,8 @@ from fishergeom import (
     charts_for,
     exponential_model,
     intrinsic_from_chart,
+    map_estimate,
+    mapi_estimate,
     poisson_model,
     pushforward,
     sample_curve,
@@ -120,3 +122,21 @@ def test_replaced_value_offset_is_called(shape, chart, data):
         before = n[0]
         assert sample_curve(w, target, 9) == sample_curve(d, target, 9)
         assert n[0] - before == 18
+
+
+@given(shape=SHAPES, chart=CHART_NAMES)
+@settings(max_examples=8, deadline=None)
+def test_replaced_value_offset_is_called_by_mode_searches(shape, chart):
+    search = BERNOULLI_CHARTS[chart]
+    rho = pushforward(beta_chart_density(BetaParams(*shape)), BERNOULLI_CHARTS["arcsin"])
+    p = intrinsic_from_chart(rho)
+    rho_w, n_rho = counted(rho)
+    p_w, n_p = counted(p)
+    theta = BERNOULLI_CHARTS["theta"]
+    assert (repr(map_estimate(rho_w, search_chart=search))
+            == repr(map_estimate(rho, search_chart=search)))
+    assert (repr(mapi_estimate(p_w, theta, search_chart=search))
+            == repr(mapi_estimate(p, theta, search_chart=search)))
+    # the scan alone evaluates the density at every one of its points
+    assert n_rho[0] >= 1024
+    assert n_p[0] >= 1024
