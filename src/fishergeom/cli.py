@@ -21,8 +21,8 @@ from . import __version__
 from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushforward
 from .embed import DensityCurve, sample_curve
 from .manifold import (
-    DomainError,
     Interval,
+    _MODEL_FACTORIES,
     charts_for,
     finite_volume_result,
     fisher_rao_distance,
@@ -32,7 +32,8 @@ from .mode import map_estimate, mapi_estimate
 from .quadrature import QuadratureConvergenceError, expectation, interval_probability
 
 _FORMATS = ("csv", "json", "svg")
-_MODELS = ("bernoulli", "poisson", "exponential")
+_MODELS = tuple(_MODEL_FACTORIES)
+_CURVES = ("density", "embed")
 
 
 class UsageError(ValueError):
@@ -85,7 +86,7 @@ def _request_meta(req: argparse.Namespace) -> dict:
         meta["power"] = req.power
     if req.subcommand == "mode":
         meta["kind"] = req.kind
-    if req.subcommand in ("density", "embed"):
+    if req.subcommand in _CURVES:
         meta["samples"] = req.samples
     return meta
 
@@ -220,8 +221,6 @@ def _svg_plot(series: list[tuple[str, str, list[tuple[float, float]]]],
 
 
 def _emit_scalar(req: argparse.Namespace, fields: dict, error_estimate: float | None) -> None:
-    if req.fmt == "svg":
-        raise UsageError(f"SVG output is only available for curve subcommands, not '{req.subcommand}'")
     if req.fmt == "json":
         result = {k: (_jsonable(v) if isinstance(v, float) else
                       [_jsonable(x) for x in v] if isinstance(v, (tuple, list)) else v)
@@ -256,6 +255,8 @@ def run(req: argparse.Namespace) -> int:
         model = get_model(req.model) if req.model in _MODELS else None
         if model is None:
             raise UsageError(f"unknown model '{req.model}'; available: {', '.join(_MODELS)}")
+        if req.fmt == "svg" and req.subcommand not in _CURVES:
+            raise UsageError(f"SVG output is only available for curve subcommands, not '{req.subcommand}'")
 
         if req.subcommand == "volume":
             res = finite_volume_result(model)
@@ -323,10 +324,7 @@ def run(req: argparse.Namespace) -> int:
         else:
             raise UsageError(f"unknown subcommand '{req.subcommand}'")
 
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DomainError, ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:     # UsageError and DomainError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ArithmeticError as e:

@@ -284,10 +284,6 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
     """Express an intrinsic density for integration in ``chart``:
     ``rho(x) = p(theta(x)) * sqrt(G_chart(x))``."""
-    if chart.model_name != p.model.name:
-        raise ChartModelMismatchError(
-            f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{p.model.name}'"
-        )
     model, source = p.model, _core(p)
 
     @_guard
@@ -348,8 +344,6 @@ def normalization_check(d: ChartDensity | IntrinsicDensity,
     can feed deliberately broken densities through. Non-convergent
     quadrature raises with the achieved error estimate attached.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     if isinstance(d, ChartDensity):
         res = integrate_chart(d.value_offset, d.chart.domain, cfg)
     else:

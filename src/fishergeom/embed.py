@@ -15,8 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .density import ChartDensity, IntrinsicDensity, chart_from_intrinsic, intrinsic_from_chart, pushforward
-from .manifold import Chart, DomainError, _canonical_offset, interior_grid, naive_offset
+from .density import (
+    ChartDensity,
+    IntrinsicDensity,
+    _core,
+    chart_from_intrinsic,
+    intrinsic_from_chart,
+    pushforward,
+)
+from .manifold import Chart, DomainError, _canonical_offset, bernoulli_model, interior_grid, naive_offset
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,7 @@ def embed_bernoulli(theta: float) -> EmbeddedPoint:
     """Embed a coin-family point on the radius-2 quarter circle."""
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
-    return EmbeddedPoint(2.0 * math.sqrt(theta), 2.0 * math.sqrt(1.0 - theta))
+    return EmbeddedPoint(*bernoulli_model().embedding(theta))
 
 
 @dataclass(frozen=True)
@@ -55,34 +62,30 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     """Tabulate a density over ``n`` interior grid points of ``chart``.
 
     Rows are strictly increasing in the chart coordinate and hold the chart
-    density, the intrinsic density, and the embedded point (NaN off the coin
-    family, which is the only embedded model).
+    density, the intrinsic density (both on their trusted cores), and the
+    embedded point (NaN for a model without an embedding).
     """
     if n < 2:
         raise ValueError("a curve needs at least 2 samples")
     if isinstance(d, ChartDensity):
         p = intrinsic_from_chart(d)
-        rho = d if d.chart.name == chart.name else pushforward(d, chart)
+        rho = pushforward(d, chart)
     else:
         p = d
         rho = chart_from_intrinsic(d, chart)
-    model = p.model
-    embeddable = model.name == "bernoulli"
+    model, rho_core, p_core = p.model, _core(rho), _core(p)
+    embed = model.embedding or (lambda theta: (math.nan, math.nan))
 
     rows = []
     for x in interior_grid(chart.domain, n):
         xc = naive_offset(chart.domain, x)
         theta, co = _canonical_offset(chart, x, xc)
-        if embeddable:
-            pt = embed_bernoulli(theta)
-            ex, ey = pt.x, pt.y
-        else:
-            ex, ey = math.nan, math.nan
+        ex, ey = embed(theta)
         rows.append(CurveRow(
             chart_coord=x,
             canonical_coord=theta,
-            rho=rho.value_offset(x, xc),
-            p=p.value_offset(theta, co),
+            rho=rho_core(x, xc),
+            p=p_core(theta, co),
             embed_x=ex,
             embed_y=ey,
         ))

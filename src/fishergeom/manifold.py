@@ -20,12 +20,18 @@ An offset is checked (:func:`verify_offset`) once, where it enters an
 interval: the public ``chart_*_offset`` maps check the caller's offset, then
 call private forms that trust it. Code that built an offset itself or has
 checked it calls those directly; a map's output is checked in its new interval.
+
+A model is data: it also carries its arc-length chart's offset companions,
+its extra charts and its planar embedding (``None`` or empty if it has none).
+Models compare by identity; the shipped ones, and each model's identity and
+arc-length charts, are built once and cached for the life of the process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 
@@ -214,15 +220,17 @@ def chart_d_canonical_offset(chart: Chart, x: float, xc: float) -> float:
     return _d_canonical_offset(chart, x, verify_offset(chart.domain, x, xc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManifoldModel:
     """A one-parameter statistical family with its Fisher metric.
 
     ``fisher_metric`` maps a canonical coordinate to the (positive) metric
     value; ``arc_length_from_origin`` and ``arc_length_inverse`` are the
     closed-form arc-length map and its inverse, extended continuously to the
-    closure of the canonical domain. ``fisher_metric_offset`` is the optional
-    offset-aware companion.
+    closure of the canonical domain. ``fisher_metric_offset`` and the three
+    ``arclength_*`` fields are optional offset-aware companions of the metric
+    and the arc-length chart; ``extra_charts`` join those two charts and
+    ``embedding`` maps theta into the plane.
     """
 
     name: str
@@ -231,6 +239,11 @@ class ManifoldModel:
     arc_length_from_origin: Callable[[float], float]
     arc_length_inverse: Callable[[float], float]
     fisher_metric_offset: Callable[[float, float], float] | None = None
+    arclength_canonical_offset: Callable[[float, float], tuple[float, float]] | None = None
+    arclength_from_canonical_offset: Callable[[float, float], tuple[float, float]] | None = None
+    arclength_d_canonical_offset: Callable[[float, float], float] | None = None
+    extra_charts: tuple[Chart, ...] = ()
+    embedding: Callable[[float], tuple[float, float]] | None = None
 
     def require_in_closure(self, theta: float) -> None:
         if not self.canonical_domain.in_closure(theta):
@@ -247,11 +260,14 @@ def model_fisher_metric_offset(model: ManifoldModel, theta: float, co: float) ->
     return model.fisher_metric(theta)
 
 
+@cache
 def bernoulli_model() -> ManifoldModel:
     """The coin-toss family in its success-probability coordinate.
 
     The metric is ``1/(theta (1 - theta))`` on (0, 1); arc length from the
-    origin is ``2 asin(sqrt(theta))``, so the total length is pi.
+    origin is ``2 asin(sqrt(theta))``, so the total length is pi. The model
+    carries the two reparametrizations used as running examples (arcsin and
+    reciprocal) and its isometric embedding on the radius-2 quarter circle.
     """
 
     def metric(theta: float) -> float:
@@ -268,6 +284,26 @@ def bernoulli_model() -> ManifoldModel:
     def arc_length_inv(s: float) -> float:
         return math.sin(0.5 * s) ** 2
 
+    # theta = sin^2(s/2); at the far end 1 - theta = sin^2((pi - s)/2),
+    # both exact in the respective arc-length offset
+    def arclength_canonical_offset(s: float, sc: float) -> tuple[float, float]:
+        d = math.sin(0.5 * sc) ** 2
+        if sc < 0:
+            return 1.0 - d, -d
+        return d, d
+
+    def arclength_from_canonical_offset(theta: float, co: float) -> tuple[float, float]:
+        if co < 0:
+            u = 2.0 * math.asin(math.sqrt(-co))
+            return math.pi - u, -u
+        s = 2.0 * math.asin(math.sqrt(theta))
+        return s, s
+
+    def arclength_d_canonical_offset(s: float, sc: float) -> float:
+        if sc < 0:
+            return math.sin(0.5 * s) * math.sin(-0.5 * sc)
+        return 0.5 * math.sin(s)
+
     return ManifoldModel(
         name="bernoulli",
         canonical_domain=Interval(0.0, 1.0),
@@ -275,9 +311,15 @@ def bernoulli_model() -> ManifoldModel:
         arc_length_from_origin=arc_length,
         arc_length_inverse=arc_length_inv,
         fisher_metric_offset=metric_offset,
+        arclength_canonical_offset=arclength_canonical_offset,
+        arclength_from_canonical_offset=arclength_from_canonical_offset,
+        arclength_d_canonical_offset=arclength_d_canonical_offset,
+        extra_charts=(arcsin_chart(), reciprocal_chart()),
+        embedding=lambda theta: (2.0 * math.sqrt(theta), 2.0 * math.sqrt(1.0 - theta)),
     )
 
 
+@cache
 def poisson_model() -> ManifoldModel:
     """Poisson rate family: metric ``1/lam`` on (0, inf), arc length ``2 sqrt(lam)``."""
 
@@ -296,6 +338,7 @@ def poisson_model() -> ManifoldModel:
     )
 
 
+@cache
 def exponential_model() -> ManifoldModel:
     """Exponential rate family: metric ``1/lam**2`` on (0, inf), arc length ``log(lam)``.
 
@@ -331,13 +374,14 @@ _MODEL_FACTORIES = {
 
 
 def get_model(name: str) -> ManifoldModel:
-    """Look up a shipped model by its stable string identifier."""
+    """Look up a shipped model (the same object every call) by its identifier."""
     try:
         return _MODEL_FACTORIES[name]()
     except KeyError:
         raise KeyError(f"unknown model '{name}'; available: {sorted(_MODEL_FACTORIES)}") from None
 
 
+@cache
 def identity_chart(model: ManifoldModel, name: str = "theta") -> Chart:
     """The canonical coordinate viewed as a chart."""
     return Chart(
@@ -424,6 +468,7 @@ def reciprocal_chart() -> Chart:
     )
 
 
+@cache
 def arclength_chart(model: ManifoldModel) -> Chart:
     """Arc-length coordinate of ``model``; the metric is identically 1 here.
 
@@ -437,30 +482,6 @@ def arclength_chart(model: ManifoldModel) -> Chart:
         theta = model.arc_length_inverse(s)
         return 1.0 / math.sqrt(model.fisher_metric(theta))
 
-    canonical_offset = None
-    from_canonical_offset = None
-    d_canonical_offset = None
-    if model.name == "bernoulli":
-        # theta = sin^2(s/2); at the far end 1 - theta = sin^2((pi - s)/2),
-        # both exact in the respective arc-length offset
-        def canonical_offset(s: float, sc: float) -> tuple[float, float]:
-            d = math.sin(0.5 * sc) ** 2
-            if sc < 0:
-                return 1.0 - d, -d
-            return d, d
-
-        def from_canonical_offset(theta: float, co: float) -> tuple[float, float]:
-            if co < 0:
-                u = 2.0 * math.asin(math.sqrt(-co))
-                return math.pi - u, -u
-            s = 2.0 * math.asin(math.sqrt(theta))
-            return s, s
-
-        def d_canonical_offset(s: float, sc: float) -> float:
-            if sc < 0:
-                return math.sin(0.5 * s) * math.sin(-0.5 * sc)
-            return 0.5 * math.sin(s)
-
     return Chart(
         name="arclength",
         model_name=model.name,
@@ -469,27 +490,18 @@ def arclength_chart(model: ManifoldModel) -> Chart:
         to_canonical=model.arc_length_inverse,
         from_canonical=model.arc_length_from_origin,
         d_canonical=d_canonical,
-        canonical_offset=canonical_offset,
-        from_canonical_offset=from_canonical_offset,
-        d_canonical_offset=d_canonical_offset,
+        canonical_offset=model.arclength_canonical_offset,
+        from_canonical_offset=model.arclength_from_canonical_offset,
+        d_canonical_offset=model.arclength_d_canonical_offset,
     )
 
 
 def charts_for(model: ManifoldModel) -> dict[str, Chart]:
-    """All shipped charts of a model, keyed by their stable names.
-
-    The coin family carries the two reparametrizations used as running
-    examples (arcsin and reciprocal) on top of the canonical and arc-length
-    charts every model has.
+    """All shipped charts of a model, keyed by their stable names: the
+    identity and arc-length charts every model has, then its extra charts.
     """
-    charts = {
-        "theta": identity_chart(model),
-        "arclength": arclength_chart(model),
-    }
-    if model.name == "bernoulli":
-        charts["arcsin"] = arcsin_chart()
-        charts["reciprocal"] = reciprocal_chart()
-    return charts
+    charts = (identity_chart(model), arclength_chart(model), *model.extra_charts)
+    return {c.name: c for c in charts}
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:
@@ -562,10 +574,6 @@ def finite_volume_result(model: ManifoldModel, region: Interval | None = None, c
 
 def volume_result(model: ManifoldModel, region: Interval | None = None, cfg=None):
     """Like :func:`volume` but returning the full quadrature result."""
-    from .quadrature import QuadratureConfig, integrate_manifold
+    from .quadrature import integrate_manifold
 
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if region is None:
-        region = model.canonical_domain
     return integrate_manifold(lambda theta: 1.0, model, region, cfg)

@@ -16,11 +16,12 @@ returning one arbitrary argmax would be misleading.
 
 The scan's points and their exact canonical offsets depend only on the
 search chart, so they are built once per chart (a few charts are kept,
-matched by equality) and reused. The search trusts the offsets it builds
-itself and calls the density's trusted core on them; a ``value_offset``
-swapped in from outside is called as given. A scan value of 0 (a tail that
-underflowed) is never refined, and a scan that is 0 everywhere raises
-``ArithmeticError`` rather than reporting ``flat``.
+matched by equality) and reused; the default, the model's arc-length
+chart, is the same object on every call. The search trusts the offsets it
+builds itself and calls the density's trusted core on them; a
+``value_offset`` swapped in from outside is called as given. A scan value
+of 0 (a tail that underflowed) is never refined, and a scan that is 0
+everywhere raises ``ArithmeticError`` rather than reporting ``flat``.
 """
 
 from __future__ import annotations
@@ -111,15 +112,13 @@ def _parabolic_polish(f, x: float, lo: float, hi: float) -> float:
     return x + shift
 
 
-def _boundary_candidate(eval_canonical, model: ManifoldModel, s_chart: Chart,
-                        at_lo: bool) -> tuple[float, float] | None:
-    """(canonical point, density value) if the density peaks at this boundary."""
-    dom = model.canonical_domain
+def _boundary_candidate(eval_canonical, s_chart: Chart, at_lo: bool) -> tuple[float, float] | None:
+    """(canonical point, density value) if the density peaks at this boundary
+    of the arc-length chart ``s_chart``."""
+    dom = s_chart.canonical_domain
     theta_b = dom.lo if at_lo else dom.hi
-    if not math.isfinite(theta_b):
-        return None
     s_end = s_chart.domain.lo if at_lo else s_chart.domain.hi
-    if not math.isfinite(s_end):
+    if not (math.isfinite(theta_b) and math.isfinite(s_end)):
         return None
 
     vals = []
@@ -146,14 +145,16 @@ def _scan_points(search_chart: Chart) -> tuple[tuple[float, ...], ...]:
     return tuple(grid), thetas, cos
 
 
-# Keyed by chart equality: charts holding the same maps share a scan. A
-# chart made anew (a fresh default arc-length chart) misses, and the bound
-# keeps such charts from piling up.
+# Keyed by chart equality: charts holding the same maps share a scan. The
+# shipped charts are built once per model, so only a chart a caller makes
+# anew misses, and the bound keeps such charts from piling up.
 _cached_scan_points = lru_cache(maxsize=_SCAN_CACHE_CHARTS)(_scan_points)
 
 
-def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
+def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | None,
                   report_chart: Chart) -> ModeResult:
+    s_chart = arclength_chart(model)    # the boundary probes' chart and the default
+    search_chart = search_chart or s_chart
     sdom = search_chart.domain
 
     def obj(x: float) -> float:
@@ -166,9 +167,8 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
         grid, thetas, cos = _scan_points(search_chart)
     vals = list(map(eval_canonical, thetas, cos))
 
-    s_chart = arclength_chart(model)
-    boundary = [c for c in (_boundary_candidate(eval_canonical, model, s_chart, True),
-                            _boundary_candidate(eval_canonical, model, s_chart, False))
+    boundary = [c for c in (_boundary_candidate(eval_canonical, s_chart, True),
+                            _boundary_candidate(eval_canonical, s_chart, False))
                 if c is not None]
 
     if not boundary and all(map(math.isfinite, vals)):
@@ -247,8 +247,6 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart,
 
 def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeResult:
     """Argmax of the chart density over its own chart: chart-dependent by design."""
-    if search_chart is None:
-        search_chart = arclength_chart(rho.model)
     chart, core = rho.chart, _core(rho)
 
     def eval_canonical(theta: float, co: float) -> float:
@@ -261,8 +259,6 @@ def mapi_estimate(p: IntrinsicDensity, report_chart: Chart,
                   search_chart: Chart | None = None) -> ModeResult:
     """Argmax of the intrinsic density: the same point whatever chart the
     search runs in, reported in ``report_chart`` coordinates."""
-    if search_chart is None:
-        search_chart = arclength_chart(p.model)
     return _numeric_mode(_core(p), p.model, search_chart, report_chart)
 
 

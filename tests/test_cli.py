@@ -147,6 +147,32 @@ class TestSvgOutput:
         rc = main(["volume", "--format", "svg"])
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        ["mode", "--alpha", "1e9", "--beta", "1e9", "--kind", "map", "--chart", "reciprocal"],
+        ["volume", "--model", "poisson"],
+    ])
+    def test_svg_rejected_before_a_numerical_failure(self, args, capsys):
+        rc = main([*args, "--format", "svg"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: SVG output is only available for curve subcommands")
+
+    def test_svg_rejected_before_the_mode_search(self, monkeypatch, capsys):
+        import fishergeom.cli as cli
+
+        def searched(*args, **kwargs):
+            raise AssertionError("the mode search ran")
+
+        monkeypatch.setattr(cli, "map_estimate", searched)
+        monkeypatch.setattr(cli, "mapi_estimate", searched)
+        for kind in ("map", "mapi"):
+            rc = main(["mode", "--alpha", "2", "--beta", "3", "--kind", kind, "--format", "svg"])
+            out, err = capsys.readouterr()
+            assert rc == 2
+            assert out == ""
+            assert "SVG output is only available" in err
+
 
 class TestExitCodes:
     def test_usage_error_unknown_model(self, capsys):

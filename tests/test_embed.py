@@ -7,12 +7,15 @@ import pytest
 
 from fishergeom import (
     BetaParams,
+    ChartModelMismatchError,
     DomainError,
+    IntrinsicDensity,
     beta_chart_density,
     bernoulli_model,
     charts_for,
     embed_bernoulli,
     fisher_rao_distance,
+    get_model,
     intrinsic_from_chart,
     metric_in_chart,
     sample_curve,
@@ -105,6 +108,33 @@ class TestSampleCurve:
     def test_embedded_coordinates_on_circle(self):
         curve = sample_curve(beta_chart_density(BetaParams(2.0, 5.0)), CHARTS["theta"], 101)
         for row in curve.rows:
+            assert row.embed_x ** 2 + row.embed_y ** 2 == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model_name", ["poisson", "exponential"])
+    def test_no_embedding_off_the_coin_family(self, model_name):
+        model = get_model(model_name)
+        p = IntrinsicDensity(model=model, value=lambda lam: math.exp(-lam), label="exp(-lam)")
+        for chart in charts_for(model).values():
+            curve = sample_curve(p, chart, 11)
+            assert curve.model_name == model_name
+            for row in curve.rows:
+                assert math.isnan(row.embed_x) and math.isnan(row.embed_y)
+                assert row.p == pytest.approx(math.exp(-row.canonical_coord), rel=1e-12)
+
+    def test_chart_of_another_model_rejected(self):
+        # both are named "theta": the name alone does not tell them apart
+        rho = beta_chart_density(BetaParams(2.0, 3.0))
+        poisson_theta = charts_for(get_model("poisson"))["theta"]
+        for d in (rho, intrinsic_from_chart(rho)):
+            with pytest.raises(ChartModelMismatchError):
+                sample_curve(d, poisson_theta, 5)
+
+    @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
+    def test_coin_family_rows_on_circle_in_every_chart(self, name):
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
+        for row in sample_curve(p, CHARTS[name], 11).rows:
+            point = embed_bernoulli(row.canonical_coord)
+            assert (row.embed_x, row.embed_y) == (point.x, point.y)
             assert row.embed_x ** 2 + row.embed_y ** 2 == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.05, 2.05), (0.3, 5.0)])

@@ -10,12 +10,14 @@ from fishergeom import (
     DomainError,
     Interval,
     NonFiniteVolumeError,
+    arclength_chart,
     bernoulli_model,
     charts_for,
     exponential_model,
     fisher_rao_distance,
     get_chart,
     get_model,
+    identity_chart,
     interior_grid,
     metric_in_chart,
     poisson_model,
@@ -117,6 +119,42 @@ def moderate_grid(interval, n):
         return interior_grid(interval, n)
     d = (hi - lo) * 1e-3
     return [lo + d + i * (hi - lo - 2 * d) / (n - 1) for i in range(n)]
+
+
+MODEL_NAMES = ("bernoulli", "poisson", "exponential")
+
+
+class TestModelsAsData:
+    """Shipped models and their charts are built once and carry their facts."""
+
+    @pytest.mark.parametrize("name,factory", zip(MODEL_NAMES, (bernoulli_model, poisson_model,
+                                                              exponential_model)))
+    def test_model_built_once(self, name, factory):
+        assert get_model(name) is get_model(name) is factory()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_charts_built_once(self, name):
+        model = get_model(name)
+        charts = charts_for(model)
+        for chart in charts:
+            assert charts_for(model)[chart] is charts[chart]
+        assert arclength_chart(model) is charts["arclength"]
+        assert identity_chart(model) is charts["theta"]
+
+    def test_chart_sets(self):
+        assert list(charts_for(BERNOULLI)) == ["theta", "arclength", "arcsin", "reciprocal"]
+        for name in ("poisson", "exponential"):
+            assert list(charts_for(get_model(name))) == ["theta", "arclength"]
+
+    def test_charts_for_returns_a_copy(self):
+        charts = charts_for(BERNOULLI)
+        del charts["arcsin"]
+        assert "arcsin" in charts_for(BERNOULLI)
+
+    def test_renamed_identity_chart(self):
+        chart = identity_chart(BERNOULLI, name="p")
+        assert chart.name == "p"
+        assert chart.domain == CHARTS["theta"].domain
 
 
 class TestCharts:

@@ -277,19 +277,36 @@ class TestScanCache:
         hit = mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
         assert mode._cached_scan_points.cache_info().hits == hits + 1
         hit_count, n[0] = n[0], 0
-        # charts from another charts_for() call hold other maps, so they miss
-        fresh = charts_for(BERNOULLI)[chart]
+        # the shipped charts are built once, so only an emptied cache misses
+        mode._cached_scan_points.cache_clear()
         misses = mode._cached_scan_points.cache_info().misses
-        miss = mapi_estimate(p, CHARTS["theta"], search_chart=fresh)
+        miss = mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
         assert mode._cached_scan_points.cache_info().misses == misses + 1
         assert repr(miss) == repr(hit)
         assert n[0] == hit_count
 
     def test_bounded(self):
         rho = beta_chart_density(BetaParams(2.0, 3.0))
-        for _ in range(10):
-            map_estimate(rho, search_chart=charts_for(BERNOULLI)["arcsin"])
+        misses = mode._cached_scan_points.cache_info().misses
+        for i in range(10):
+            chart = dataclasses.replace(CHARTS["arcsin"], name=f"arcsin{i}")
+            map_estimate(rho, search_chart=chart)
+        assert mode._cached_scan_points.cache_info().misses == misses + 10
         assert mode._cached_scan_points.cache_info().currsize <= mode._SCAN_CACHE_CHARTS
+
+    def test_default_search_chart_hits_for_map_of_pushforward(self):
+        rho = pushforward(beta_chart_density(BetaParams(1.05, 2.05)), CHARTS["arcsin"])
+        first = map_estimate(rho)
+        hits = mode._cached_scan_points.cache_info().hits
+        assert repr(map_estimate(rho)) == repr(first)
+        assert mode._cached_scan_points.cache_info().hits == hits + 1
+
+    def test_default_search_chart_hits_for_mapi(self):
+        p = intrinsic(1.05, 2.05)
+        first = mapi_estimate(p, CHARTS["theta"])
+        hits = mode._cached_scan_points.cache_info().hits
+        assert repr(mapi_estimate(p, CHARTS["theta"])) == repr(first)
+        assert mode._cached_scan_points.cache_info().hits == hits + 1
 
     def test_unhashable_chart_is_searched(self):
         arcsin = CHARTS["arcsin"]
