@@ -16,6 +16,8 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
+from operator import attrgetter
 
 from . import __version__
 from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushforward
@@ -23,9 +25,9 @@ from .embed import DensityCurve, sample_curve
 from .manifold import (
     Interval,
     _MODEL_FACTORIES,
-    charts_for,
     finite_volume_result,
     fisher_rao_distance,
+    get_chart,
     get_model,
 )
 from .mode import map_estimate, mapi_estimate
@@ -34,6 +36,13 @@ from .quadrature import QuadratureConvergenceError, expectation, interval_probab
 _FORMATS = ("csv", "json", "svg")
 _MODELS = tuple(_MODEL_FACTORIES)
 _CURVES = ("density", "embed")
+_CURVE_COLUMNS = ("chart_coord", "canonical_coord", "rho", "p", "embed_x", "embed_y")
+_row_values = attrgetter(*_CURVE_COLUMNS)
+# One curve row as text, byte for byte what f"{v:.17g}" per value writes.
+_CSV_ROW = ",".join(["%.17g"] * len(_CURVE_COLUMNS))
+# One finite curve row as json.dumps(indent=2) writes it at the depth of
+# doc["result"]["rows"]; %r on a float is float.__repr__, which json emits.
+_JSON_ROW = "[\n        " + ",\n        ".join(["%r"] * len(_CURVE_COLUMNS)) + "\n      ]"
 
 
 class UsageError(ValueError):
@@ -58,14 +67,6 @@ def _require_beta(req: argparse.Namespace) -> BetaParams:
         return BetaParams(req.alpha, req.beta)
     except ValueError as e:
         raise UsageError(str(e)) from None
-
-
-def _get_chart(model, name: str):
-    charts = charts_for(model)
-    if name not in charts:
-        raise UsageError(f"unknown chart '{name}' for model '{model.name}'; "
-                         f"available: {', '.join(sorted(charts))}")
-    return charts[name]
 
 
 def _request_meta(req: argparse.Namespace) -> dict:
@@ -124,11 +125,9 @@ def _curve_csv(req: argparse.Namespace, curve: DensityCurve) -> str:
         f"# chart: {curve.chart_name}",
         f"# label: {curve.label}",
         f"# samples: {curve.samples}",
-        "chart_coord,canonical_coord,rho,p,embed_x,embed_y",
+        ",".join(_CURVE_COLUMNS),
     ]
-    for r in curve.rows:
-        lines.append(",".join(f"{v:.17g}" for v in
-                              (r.chart_coord, r.canonical_coord, r.rho, r.p, r.embed_x, r.embed_y)))
+    lines += map(_CSV_ROW.__mod__, map(_row_values, curve.rows))
     return "\n".join(lines) + "\n"
 
 
@@ -142,20 +141,29 @@ def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _curve_json(curve: DensityCurve) -> dict:
-    return {
+def _json_row(row: tuple) -> str:
+    if math.isfinite(sum(row)):     # no nan or inf among the values (or an overflow)
+        return _JSON_ROW % row
+    return json.dumps([_jsonable(v) for v in row], indent=2).replace("\n", "\n      ")
+
+
+def _curve_json(req: argparse.Namespace, curve: DensityCurve) -> str:
+    """The curve's JSON document, as json.dumps(indent=2) writes it; only
+    the rows, which are nearly all of it, are written without the encoder."""
+    result = {
         "metadata": {
             "model": curve.model_name,
             "chart": curve.chart_name,
             "label": curve.label,
             "samples": curve.samples,
         },
-        "columns": ["chart_coord", "canonical_coord", "rho", "p", "embed_x", "embed_y"],
-        "rows": [
-            [_jsonable(v) for v in (r.chart_coord, r.canonical_coord, r.rho, r.p, r.embed_x, r.embed_y)]
-            for r in curve.rows
-        ],
+        "columns": list(_CURVE_COLUMNS),
+        "rows": [],
     }
+    # an encoded string escapes its quotes, so this is the structural key
+    head, tail = _json_doc(req, result, None).split('"rows": []', 1)
+    rows = ",\n      ".join(map(_json_row, map(_row_values, curve.rows)))
+    return f'{head}"rows": [\n      {rows}\n    ]{tail}'
 
 
 def _svg_plot(series: list[tuple[str, str, list[tuple[float, float]]]],
@@ -232,7 +240,7 @@ def _emit_scalar(req: argparse.Namespace, fields: dict, error_estimate: float | 
 
 def _emit_curve(req: argparse.Namespace, curve: DensityCurve) -> None:
     if req.fmt == "json":
-        _emit(req, _json_doc(req, _curve_json(curve), None))
+        _emit(req, _curve_json(req, curve))
     elif req.fmt == "csv":
         _emit(req, _curve_csv(req, curve))
     else:
@@ -270,7 +278,7 @@ def run(req: argparse.Namespace) -> int:
 
         elif req.subcommand == "density":
             params = _require_beta(req)
-            chart = _get_chart(model, req.chart)
+            chart = get_chart(model, req.chart)
             curve = sample_curve(beta_chart_density(params), chart, req.samples)
             _emit_curve(req, curve)
 
@@ -280,14 +288,14 @@ def run(req: argparse.Namespace) -> int:
             params = BetaParams(alpha, beta)
             if req.model != "bernoulli":
                 raise UsageError("'embed' is defined for --model bernoulli only")
-            chart = _get_chart(model, req.chart)
+            chart = get_chart(model, req.chart)
             curve = sample_curve(intrinsic_from_chart(beta_chart_density(params)),
                                  chart, req.samples)
             _emit_curve(req, curve)
 
         elif req.subcommand == "mode":
             params = _require_beta(req)
-            chart = _get_chart(model, req.chart)
+            chart = get_chart(model, req.chart)
             rho = beta_chart_density(params)
             if req.kind == "map":
                 r = map_estimate(pushforward(rho, chart))
@@ -324,8 +332,9 @@ def run(req: argparse.Namespace) -> int:
         else:
             raise UsageError(f"unknown subcommand '{req.subcommand}'")
 
-    except (ValueError, KeyError) as e:     # UsageError and DomainError among them
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, KeyError) as e:     # UsageError, DomainError, unknown chart
+        # str() of a KeyError quotes its message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 2
     except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
@@ -333,6 +342,7 @@ def run(req: argparse.Namespace) -> int:
     return 0
 
 
+@cache     # parse_args fills a new Namespace on every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fishergeom",

@@ -8,12 +8,18 @@ the Fisher-Rao distance, which the tests verify against fine polylines.
 ``sample_curve`` tabulates a density over a chart grid carrying *both* the
 chart density and the intrinsic density per row (plus the embedded
 coordinates), which is exactly the data needed to plot the two side by side.
+Its points (grid, exact offsets, canonical points, embedding) depend only on
+the model, the chart and ``n``, so they are built once and kept for the
+``mode._SCAN_CACHE_CHARTS`` most recently used keys, matched by model
+identity and chart equality; a chart with an unhashable field is sampled
+uncached. Each row then evaluates each density's trusted core once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .density import (
     ChartDensity,
@@ -23,7 +29,16 @@ from .density import (
     intrinsic_from_chart,
     pushforward,
 )
-from .manifold import Chart, DomainError, _canonical_offset, bernoulli_model, interior_grid, naive_offset
+from .manifold import (
+    Chart,
+    DomainError,
+    ManifoldModel,
+    _canonical_offset,
+    bernoulli_model,
+    interior_grid,
+    naive_offset,
+)
+from .mode import _SCAN_CACHE_CHARTS
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,20 @@ class DensityCurve:
     rows: tuple[CurveRow, ...]
 
 
+def _curve_points(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
+    """The ``n``-point grid of ``chart``, its offsets, its ``(theta, co)``
+    points and their embedding, as columns."""
+    embed = model.embedding or (lambda theta: (math.nan, math.nan))
+    xs = tuple(interior_grid(chart.domain, n))
+    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
+    thetas, cos = zip(*map(partial(_canonical_offset, chart), xs, xcs))
+    exs, eys = zip(*map(embed, thetas))
+    return xs, xcs, thetas, cos, exs, eys
+
+
+_cached_curve_points = lru_cache(maxsize=_SCAN_CACHE_CHARTS)(_curve_points)
+
+
 def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> DensityCurve:
     """Tabulate a density over ``n`` interior grid points of ``chart``.
 
@@ -73,22 +102,12 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     else:
         p = d
         rho = chart_from_intrinsic(d, chart)
-    model, rho_core, p_core = p.model, _core(rho), _core(p)
-    embed = model.embedding or (lambda theta: (math.nan, math.nan))
-
-    rows = []
-    for x in interior_grid(chart.domain, n):
-        xc = naive_offset(chart.domain, x)
-        theta, co = _canonical_offset(chart, x, xc)
-        ex, ey = embed(theta)
-        rows.append(CurveRow(
-            chart_coord=x,
-            canonical_coord=theta,
-            rho=rho_core(x, xc),
-            p=p_core(theta, co),
-            embed_x=ex,
-            embed_y=ey,
-        ))
+    model = p.model
+    try:
+        xs, xcs, thetas, cos, exs, eys = _cached_curve_points(model, chart, n)
+    except TypeError:   # a field of the chart cannot be hashed
+        xs, xcs, thetas, cos, exs, eys = _curve_points(model, chart, n)
+    rows = map(CurveRow, xs, thetas, map(_core(rho), xs, xcs), map(_core(p), thetas, cos), exs, eys)
     return DensityCurve(
         model_name=model.name,
         chart_name=chart.name,

@@ -381,9 +381,13 @@ def get_model(name: str) -> ManifoldModel:
         raise KeyError(f"unknown model '{name}'; available: {sorted(_MODEL_FACTORIES)}") from None
 
 
-@cache
 def identity_chart(model: ManifoldModel, name: str = "theta") -> Chart:
     """The canonical coordinate viewed as a chart."""
+    return _identity_chart(model, name)     # one cache key however name is given
+
+
+@cache
+def _identity_chart(model: ManifoldModel, name: str) -> Chart:
     return Chart(
         name=name,
         model_name=model.name,

@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
+from fishergeom import (
+    BetaParams,
+    IntrinsicDensity,
+    __version__,
+    beta_chart_density,
+    charts_for,
+    get_model,
+    sample_curve,
+)
+from fishergeom import cli
 from fishergeom.cli import main
+from fishergeom.embed import CurveRow, DensityCurve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -190,6 +201,10 @@ class TestExitCodes:
 
     def test_usage_error_bad_chart(self, capsys):
         assert main(["density", "--alpha", "1", "--beta", "1", "--chart", "polar"]) == 2
+        # manifold.get_chart's message, without the quotes str() of a KeyError adds
+        assert capsys.readouterr().err == (
+            "error: unknown chart 'polar' for model 'bernoulli'; "
+            "available: ['arclength', 'arcsin', 'reciprocal', 'theta']\n")
 
     def test_usage_error_embed_non_bernoulli(self, capsys):
         assert main(["embed", "--model", "poisson"]) == 2
@@ -334,3 +349,124 @@ class TestGoldenFigures:
         p_best = max(rows, key=lambda r: r["p"])
         assert rho_best["canonical_coord"] == pytest.approx(1.0 / 22.0, abs=2e-3)
         assert p_best["canonical_coord"] == pytest.approx(11.0 / 42.0, abs=2e-3)
+
+
+COLUMNS = ("chart_coord", "canonical_coord", "rho", "p", "embed_x", "embed_y")
+
+
+def reference_csv(req, curve):
+    """The curve CSV as f-strings joined per value wrote it."""
+    lines = [
+        f"# fishergeom {req.subcommand}",
+        f"# version: {__version__}",
+        f"# model: {curve.model_name}",
+        f"# chart: {curve.chart_name}",
+        f"# label: {curve.label}",
+        f"# samples: {curve.samples}",
+        ",".join(COLUMNS),
+    ]
+    for r in curve.rows:
+        lines.append(",".join(f"{getattr(r, c):.17g}" for c in COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(req, curve):
+    """The curve JSON as json.dumps(indent=2) over _jsonable rows wrote it."""
+    doc = {
+        "request": cli._request_meta(req),
+        "result": {
+            "metadata": {"model": curve.model_name, "chart": curve.chart_name,
+                         "label": curve.label, "samples": curve.samples},
+            "columns": list(COLUMNS),
+            "rows": [[cli._jsonable(getattr(r, c)) for c in COLUMNS] for r in curve.rows],
+        },
+        "error_estimate": None,
+        "version": __version__,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-300,
+           1e308, -1e308, 1.0 / 3.0, 1e16, 1e-5, 123456789.0, 2.0 ** 0.5)
+
+
+def special_curve():
+    """Every special value in every column, and rows whose sum overflows."""
+    values = SPECIAL * 2
+    rows = [CurveRow(*values[i:i + 6]) for i in range(len(SPECIAL))]
+    rows += [CurveRow(*[1e308] * 6), CurveRow(1e-6, 0.25, 1.5, 2.5, 1.0, math.sqrt(3.0))]
+    return DensityCurve(model_name="bernoulli", chart_name="theta",
+                        label='Beta "q" \\ "rows": [] \u00e9', samples=len(rows), rows=tuple(rows))
+
+
+class TestCurveWriters:
+    """Curve rows are written as text; each writer must give the bytes of
+    the construction it replaced."""
+
+    @pytest.mark.parametrize("subcommand", ["density", "embed"])
+    def test_special_values(self, subcommand):
+        curve = special_curve()
+        assert any(not math.isfinite(getattr(r, c)) for r in curve.rows for c in COLUMNS)
+        req = cli._build_parser().parse_args([subcommand, "--alpha", "2", "--beta", "3"])
+        assert cli._curve_csv(req, curve) == reference_csv(req, curve)
+        assert cli._curve_json(req, curve) == reference_json(req, curve)
+
+    @pytest.mark.parametrize("chart", ["theta", "arcsin", "reciprocal", "arclength"])
+    def test_sampled_curves(self, chart):
+        req = cli._build_parser().parse_args(["density", "--alpha", "1.05", "--beta", "2.05",
+                                             "--chart", chart, "--samples", "301"])
+        curve = sample_curve(beta_chart_density(BetaParams(1.05, 2.05)),
+                             charts_for(get_model("bernoulli"))[chart], 301)
+        assert cli._curve_csv(req, curve) == reference_csv(req, curve)
+        assert cli._curve_json(req, curve) == reference_json(req, curve)
+
+    def test_curve_without_embedding(self):
+        # NaN embedding columns: every row takes the non-finite path
+        model = get_model("exponential")
+        p = IntrinsicDensity(model=model, value=lambda lam: math.exp(-lam), label="exp(-lam)")
+        curve = sample_curve(p, charts_for(model)["arclength"], 21)
+        req = cli._build_parser().parse_args(["embed", "--model", "exponential"])
+        assert cli._curve_csv(req, curve) == reference_csv(req, curve)
+        assert cli._curve_json(req, curve) == reference_json(req, curve)
+
+
+def fresh_process(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "fishergeom.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # each subcommand leaves defaults another one reads: no call may see
+        # the fields of the one before
+        sequence = [
+            ["density", "--alpha", "2", "--beta", "3", "--chart", "arcsin", "--samples", "5"],
+            ["embed", "--samples", "5"],
+            ["mode", "--alpha", "2", "--beta", "3"],
+            ["embed", "--samples", "5", "--format", "json", "--alpha", "0.3", "--beta", "4"],
+            ["density", "--alpha", "2", "--beta", "3", "--samples", "5", "--format", "json"],
+            ["mode", "--alpha", "2", "--beta", "3", "--kind", "map", "--chart", "reciprocal"],
+            ["prob", "--alpha", "2", "--beta", "3", "--from", "0.1", "--to", "0.4"],
+            ["density", "--alpha", "2"],
+            ["embed", "--chart", "polar"],
+            ["distance", "--p1", "0.1", "--p2", "0.7", "--format", "json"],
+            ["expect", "--alpha", "2", "--beta", "3"],
+        ]
+        for argv in sequence:
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            assert (rc, out, err) == fresh_process(argv), argv
+
+    def test_argparse_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["density", "--format", "xml"])
+        capsys.readouterr()
+        argv = ["density", "--alpha", "2", "--beta", "3", "--samples", "3"]
+        rc = main(argv)
+        assert (rc, *capsys.readouterr()) == fresh_process(argv)

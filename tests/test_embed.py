@@ -1,5 +1,6 @@
 """Quarter-circle embedding and density-curve sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from fishergeom import (
     metric_in_chart,
     sample_curve,
 )
+from fishergeom import embed
+from fishergeom.mode import _SCAN_CACHE_CHARTS
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -185,3 +188,80 @@ class TestSampleCurve:
         for r1, r2 in zip(via_chart.rows, via_intrinsic.rows):
             assert r1.rho == pytest.approx(r2.rho, rel=1e-10)
             assert r1.p == pytest.approx(r2.p, rel=1e-10)
+
+
+def counted(d):
+    n = [0]
+    inner = d.value_offset
+
+    def value_offset(x, xc):
+        n[0] += 1
+        return inner(x, xc)
+
+    return dataclasses.replace(d, value_offset=value_offset), n
+
+
+class _Unhashable:
+    """A callable that cannot be hashed, as a chart field may be."""
+
+    __hash__ = None
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+class TestCurveCache:
+    @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
+    def test_miss_and_hit_call_each_core_once_per_row(self, name, monkeypatch):
+        core_calls = []
+        trusted_core = embed._core
+
+        def counting_core(d):
+            core, i = trusted_core(d), len(core_calls)
+            core_calls.append(0)
+
+            def counted_core(*args):
+                core_calls[i] += 1
+                return core(*args)
+
+            return counted_core
+
+        monkeypatch.setattr(embed, "_core", counting_core)
+        rho, n = counted(beta_chart_density(BetaParams(1.05, 2.05)))
+        curves = []
+        for hit in (False, True):
+            if not hit:
+                embed._cached_curve_points.cache_clear()
+            before = embed._cached_curve_points.cache_info()
+            core_calls.clear()
+            n[0] = 0
+            curves.append(sample_curve(rho, CHARTS[name], 101))
+            after = embed._cached_curve_points.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
+            # the chart density and the intrinsic one, each once a row, and
+            # both through the replaced function
+            assert core_calls == [101, 101]
+            assert n[0] == 2 * 101
+        assert repr(curves[0]) == repr(curves[1])
+
+    def test_bounded(self):
+        rho = beta_chart_density(BetaParams(2.0, 3.0))
+        misses = embed._cached_curve_points.cache_info().misses
+        for i in range(10):
+            chart = dataclasses.replace(CHARTS["arcsin"], name=f"arcsin{i}")
+            sample_curve(rho, chart, 11)
+        for n in range(12, 17):
+            sample_curve(rho, CHARTS["theta"], n)
+        assert embed._cached_curve_points.cache_info().misses == misses + 15
+        assert embed._cached_curve_points.cache_info().currsize <= _SCAN_CACHE_CHARTS
+
+    def test_unhashable_chart_is_sampled(self):
+        arcsin = CHARTS["arcsin"]
+        chart = dataclasses.replace(arcsin, canonical_offset=_Unhashable(arcsin.canonical_offset))
+        with pytest.raises(TypeError):
+            hash(chart)
+        rho = beta_chart_density(BetaParams(1.05, 2.05))
+        assert sample_curve(rho, chart, 31).rows == sample_curve(rho, arcsin, 31).rows

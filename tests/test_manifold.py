@@ -151,6 +151,12 @@ class TestModelsAsData:
         del charts["arcsin"]
         assert "arcsin" in charts_for(BERNOULLI)
 
+    def test_identity_chart_name_given_or_defaulted(self):
+        # one chart, so a search or curve in it hits the same cache entry
+        for model in (BERNOULLI, get_model("poisson")):
+            assert identity_chart(model, "theta") is identity_chart(model)
+            assert identity_chart(model, name="theta") is charts_for(model)["theta"]
+
     def test_renamed_identity_chart(self):
         chart = identity_chart(BERNOULLI, name="p")
         assert chart.name == "p"
