@@ -17,11 +17,10 @@ import json
 import math
 import sys
 from functools import cache
-from operator import attrgetter
 
 from . import __version__
 from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushforward
-from .embed import DensityCurve, sample_curve
+from .embed import CurveRow, DensityCurve, sample_curve
 from .manifold import (
     Interval,
     _MODEL_FACTORIES,
@@ -36,8 +35,7 @@ from .quadrature import QuadratureConvergenceError, expectation, interval_probab
 _FORMATS = ("csv", "json", "svg")
 _MODELS = tuple(_MODEL_FACTORIES)
 _CURVES = ("density", "embed")
-_CURVE_COLUMNS = ("chart_coord", "canonical_coord", "rho", "p", "embed_x", "embed_y")
-_row_values = attrgetter(*_CURVE_COLUMNS)
+_CURVE_COLUMNS = CurveRow._fields
 # One curve row as text, byte for byte what f"{v:.17g}" per value writes.
 _CSV_ROW = ",".join(["%.17g"] * len(_CURVE_COLUMNS))
 # One finite curve row as json.dumps(indent=2) writes it at the depth of
@@ -127,7 +125,7 @@ def _curve_csv(req: argparse.Namespace, curve: DensityCurve) -> str:
         f"# samples: {curve.samples}",
         ",".join(_CURVE_COLUMNS),
     ]
-    lines += map(_CSV_ROW.__mod__, map(_row_values, curve.rows))
+    lines += map(_CSV_ROW.__mod__, curve.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -162,7 +160,7 @@ def _curve_json(req: argparse.Namespace, curve: DensityCurve) -> str:
     }
     # an encoded string escapes its quotes, so this is the structural key
     head, tail = _json_doc(req, result, None).split('"rows": []', 1)
-    rows = ",\n      ".join(map(_json_row, map(_row_values, curve.rows)))
+    rows = ",\n      ".join(map(_json_row, curve.rows))
     return f'{head}"rows": [\n      {rows}\n    ]{tail}'
 
 

@@ -10,12 +10,15 @@ absolute Jacobian.
 Densities are carried as evaluation functions plus metadata, never as
 sample arrays; grids appear only at the emit layer. Every density holds two
 evaluators: the public single-argument ``value`` defined on the domain
-closure (endpoint evaluation returns the one-sided limit, ``math.inf`` when
-the density diverges there), and ``value_offset(x, xc)`` following the
-quadrature module's exact-offset convention; it checks the caller's offset
-once, then calls a trusted core. Conversions call their source's core and
-check an offset only where it moves to another interval. All Beta arithmetic
-runs through log-gamma and ``exp`` so large shape parameters cannot overflow.
+closure, and ``value_offset(x, xc)`` following the quadrature module's
+exact-offset convention; it checks the caller's offset once, then calls a
+trusted core. At a finite endpoint ``value`` returns the one-sided limit
+(``math.inf`` where the density diverges) from :func:`endpoint_behaviour`,
+which reads the local power-law exponent off the trusted core at two exact
+offsets; the mode search classifies its boundaries with the same function.
+Conversions call their source's core and check an offset only where it
+moves to another interval. All Beta arithmetic runs through log-gamma and
+``exp`` so large shape parameters cannot overflow.
 """
 
 from __future__ import annotations
@@ -45,6 +48,14 @@ from .quadrature import (
     integrate_chart,
     integrate_manifold,
 )
+
+
+# Exact endpoint offsets of endpoint_behaviour's log-slope. Nearer ones
+# fail: a core derived through the reciprocal chart returns inf below
+# theta ~ 1e-108 (its squared Jacobian underflows), and the arcsin chart's
+# theta offset, half the square of its own, underflows below y ~ 1e-154.
+_NEAR, _FAR = 1e-100, 1e-50
+_EXPONENT_TOL = 1e-12
 
 
 class ChartModelMismatchError(ValueError):
@@ -159,15 +170,10 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
     model = bernoulli_model()
     chart = identity_chart(model)
     core = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
-
-    def value(theta: float) -> float:
-        model.require_in_closure(theta)
-        return core(theta, naive_offset(chart.domain, theta))
-
     return ChartDensity(
         model=model,
         chart=chart,
-        value=value,
+        value=_closure_value(core, chart.domain),
         label=f"Beta({params.alpha:g},{params.beta:g})",
         value_offset=_checked(core, chart.domain),
     )
@@ -181,14 +187,9 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
     """
     model = bernoulli_model()
     core = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
-
-    def value(theta: float) -> float:
-        model.require_in_closure(theta)
-        return core(theta, naive_offset(model.canonical_domain, theta))
-
     return IntrinsicDensity(
         model=model,
-        value=value,
+        value=_closure_value(core, model.canonical_domain),
         label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
         value_offset=_checked(core, model.canonical_domain),
     )
@@ -212,32 +213,31 @@ def _guard(core):
     return guarded
 
 
-def _endpoint_limit(fn: Callable[[float], float], interval: Interval, at_lo: bool) -> float:
-    """One-sided limit of ``fn`` at a finite endpoint, by geometric probing.
+def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, float]:
+    """``(exponent, limit)`` of a trusted ``(x, xc)`` core at a finite
+    endpoint of ``interval``.
 
-    Classifies by the ratio of values at offsets shrinking by 4x: persistent
-    growth means divergence (``inf``), persistent decay means 0, otherwise
-    the Richardson-extrapolated value for a linear approach is returned.
+    The core is taken as ``c * h**exponent`` in the endpoint offset ``h``,
+    the exponent read as its log-slope between the exact offsets ``_NEAR``
+    and ``_FAR``. A negative exponent gives the limit inf, a positive one 0,
+    and one within ``_EXPONENT_TOL`` of 0 the core's value at ``_NEAR``; the
+    slope is within 1e-15 of the exact exponent for every shipped chart and
+    view at shapes from 1e-3 to 20. A probe of inf, or of 0 at ``_FAR``
+    alone, diverges; 0 at ``_NEAR`` vanishes; nan gives ``(nan, nan)``.
     """
-    if interval.finite:
-        scale = interval.hi - interval.lo
-    else:
-        scale = max(1.0, abs(interval.lo if at_lo else interval.hi))
-    x0 = interval.lo if at_lo else interval.hi
-    direction = 1.0 if at_lo else -1.0
-    vals = [fn(x0 + direction * scale * 1e-5 * 4.0 ** -j) for j in range(4)]
-    if any(math.isinf(v) for v in vals):
-        return math.inf
-    if all(abs(v) < 1e-300 for v in vals):
-        return 0.0
-    if vals[-2] == 0.0:
-        return vals[-1]
-    r = vals[-1] / vals[-2]
-    if r > 1.0 + 1e-4:
-        return math.inf
-    if 0.0 <= r < 1.0 - 1e-4:
-        return 0.0
-    return (4.0 * vals[-1] - vals[-2]) / 3.0
+    end, sign = (interval.lo, 1.0) if at_lo else (interval.hi, -1.0)
+    near = core(end + sign * _NEAR, sign * _NEAR)
+    far = core(end + sign * _FAR, sign * _FAR)
+    if math.isnan(near) or math.isnan(far):
+        return math.nan, math.nan
+    if near == 0.0 and not math.isinf(far):
+        return math.inf, 0.0
+    if far == 0.0 or math.isinf(near) or math.isinf(far):
+        return -math.inf, math.inf
+    exponent = (math.log(near) - math.log(far)) / math.log(_NEAR / _FAR)
+    if abs(exponent) <= _EXPONENT_TOL:
+        return exponent, near
+    return exponent, math.inf if exponent < 0.0 else 0.0
 
 
 def _closure_value(core, interval: Interval):
@@ -248,10 +248,8 @@ def _closure_value(core, interval: Interval):
             raise DomainError(
                 f"coordinate {x!r} is outside the closure of [{interval.lo}, {interval.hi}]"
             )
-        if x == interval.lo and math.isfinite(interval.lo):
-            return _endpoint_limit(lambda t: core(t, naive_offset(interval, t)), interval, True)
-        if x == interval.hi and math.isfinite(interval.hi):
-            return _endpoint_limit(lambda t: core(t, naive_offset(interval, t)), interval, False)
+        if (x == interval.lo or x == interval.hi) and math.isfinite(x):
+            return endpoint_behaviour(core, interval, x == interval.lo)[1]
         return core(x, naive_offset(interval, x))
 
     return value

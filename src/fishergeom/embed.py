@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .density import (
     ChartDensity,
@@ -54,8 +55,7 @@ def embed_bernoulli(theta: float) -> EmbeddedPoint:
     return EmbeddedPoint(*bernoulli_model().embedding(theta))
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     chart_coord: float
     canonical_coord: float
     rho: float

@@ -7,12 +7,16 @@ coordinate, golden-section refinement of each local maximum, a parabolic
 polish, and explicit probing of the domain boundaries, where the densities
 of interest routinely diverge.
 
-Boundary behaviour is classified from density values at shrinking arc-length
-offsets: growth toward the boundary at a persistent ratio marks a divergent
-boundary mode (its value is ``math.inf``), growth with ratio tending to 1 a
-finite boundary maximum. A density that is constant to within the tie
-tolerance everywhere is reported as flat — a distinguished result, since
-returning one arbitrary argmax would be misleading.
+Each boundary a finite arc length away is classified by
+``density.endpoint_behaviour``, the classifier behind every density's
+endpoint ``value``: the density's local power-law exponent there, read from
+two exact canonical offsets. A negative exponent is a divergent boundary
+mode (its value is ``math.inf``), an exponent of 0 a candidate valued at
+the finite limit, and a positive one a vanishing boundary, which is no
+candidate. A density whose scan and finite boundary limits all agree to
+within the tie tolerance is reported as flat — a distinguished result,
+since returning one arbitrary argmax would be misleading; only a divergent
+boundary rules flatness out.
 
 The scan's points and their exact canonical offsets depend only on the
 search chart, so they are built once per chart (a few charts are kept,
@@ -37,6 +41,7 @@ from .density import (
     _core,
     beta_chart_density,
     beta_intrinsic_density,
+    endpoint_behaviour,
 )
 from .manifold import (
     Chart,
@@ -50,12 +55,10 @@ from .manifold import (
 
 _SCAN_POINTS = 1024
 _SCAN_CACHE_CHARTS = 4      # search charts whose scan points are kept
-_BOUNDARY_EPS = 1e-6        # arc-length offset of the innermost boundary probe
 _GOLDEN_TOL = 1e-10
 _POLISH_H = 1e-5
 _TIE_REL = 1e-9             # relative density window for reporting co-modes
 _FLAT_REL = 1e-9
-_DIVERGENCE_RATIO = 1e-4    # probe growth beyond 1 + this flags divergence
 
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
@@ -112,30 +115,6 @@ def _parabolic_polish(f, x: float, lo: float, hi: float) -> float:
     return x + shift
 
 
-def _boundary_candidate(eval_canonical, s_chart: Chart, at_lo: bool) -> tuple[float, float] | None:
-    """(canonical point, density value) if the density peaks at this boundary
-    of the arc-length chart ``s_chart``."""
-    dom = s_chart.canonical_domain
-    theta_b = dom.lo if at_lo else dom.hi
-    s_end = s_chart.domain.lo if at_lo else s_chart.domain.hi
-    if not (math.isfinite(theta_b) and math.isfinite(s_end)):
-        return None
-
-    vals = []
-    for k in (1.0, 2.0, 4.0):
-        sc = k * _BOUNDARY_EPS if at_lo else -k * _BOUNDARY_EPS
-        theta, co = _canonical_offset(s_chart, s_end + sc, sc)
-        vals.append(eval_canonical(theta, co))
-    v1, v2, v4 = vals
-    if any(math.isinf(v) for v in vals):
-        return theta_b, math.inf
-    if not (v1 > v2 > v4 > 0.0):
-        return None
-    if v1 / v2 > 1.0 + _DIVERGENCE_RATIO and v2 / v4 > 1.0 + _DIVERGENCE_RATIO:
-        return theta_b, math.inf
-    return theta_b, 2.0 * v1 - v2
-
-
 def _scan_points(search_chart: Chart) -> tuple[tuple[float, ...], ...]:
     """The scan grid of ``search_chart`` and its ``(theta, co)`` points."""
     sdom = search_chart.domain
@@ -153,9 +132,9 @@ _cached_scan_points = lru_cache(maxsize=_SCAN_CACHE_CHARTS)(_scan_points)
 
 def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | None,
                   report_chart: Chart) -> ModeResult:
-    s_chart = arclength_chart(model)    # the boundary probes' chart and the default
+    s_chart = arclength_chart(model)    # the default search chart
     search_chart = search_chart or s_chart
-    sdom = search_chart.domain
+    sdom, dom = search_chart.domain, model.canonical_domain
 
     def obj(x: float) -> float:
         theta, co = _canonical_offset(search_chart, x, naive_offset(sdom, x))
@@ -167,17 +146,25 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
         grid, thetas, cos = _scan_points(search_chart)
     vals = list(map(eval_canonical, thetas, cos))
 
-    boundary = [c for c in (_boundary_candidate(eval_canonical, s_chart, True),
-                            _boundary_candidate(eval_canonical, s_chart, False))
-                if c is not None]
+    # the limit at each boundary a finite arc length away; one that vanishes
+    # (or cannot be classified) is no candidate
+    boundary = []
+    for theta_b, s_end in ((dom.lo, s_chart.domain.lo), (dom.hi, s_chart.domain.hi)):
+        if math.isfinite(theta_b) and math.isfinite(s_end):
+            limit = endpoint_behaviour(eval_canonical, dom, theta_b == dom.lo)[1]
+            if limit > 0.0:
+                boundary.append((theta_b, limit))
 
-    if not boundary and all(map(math.isfinite, vals)):
-        vmax, vmin = max(vals), min(vals)
+    levels = vals + [v for _, v in boundary]
+    if all(map(math.isfinite, levels)):
+        vmax, vmin = max(levels), min(levels)
         if vmax > 0.0 and vmax - vmin <= _FLAT_REL * max(abs(vmax), 1e-300):
+            # valued from the scan alone: a limit read at a tiny offset
+            # carries more rounding than an interior value
             return ModeResult(
                 canonical_point=math.nan,
                 chart_point=math.nan,
-                density_value=0.5 * (vmax + vmin),
+                density_value=0.5 * (max(vals) + min(vals)),
                 at_boundary=False,
                 all_modes=(),
                 flat=True,

@@ -24,7 +24,7 @@ from fishergeom import (
     normalization_check,
     pushforward,
 )
-from fishergeom.density import IntrinsicDensity
+from fishergeom.density import IntrinsicDensity, _core, endpoint_behaviour
 from fishergeom.manifold import interior_grid
 
 BERNOULLI = bernoulli_model()
@@ -122,6 +122,37 @@ class TestIntrinsicFromChart:
     def test_boundary_decay_classified(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(2.0, 2.0)))
         assert p.value(0.0) == pytest.approx(0.0, abs=1e-6)
+
+
+class TestEndpointBehaviour:
+    def test_weak_divergence_of_converted_density(self):
+        # exponent alpha - 1/2 = -5e-5 at theta = 0
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(0.49995, 0.7)))
+        assert p.value(0.0) == math.inf
+
+    @pytest.mark.parametrize("chart", sorted(CHARTS))
+    @pytest.mark.parametrize("sign,limit", [(1.0, 0.0), (-1.0, math.inf)])
+    def test_tiny_exponent_is_not_zero(self, chart, sign, limit):
+        # Beta(1 + d, 1) in theta behaves as theta**d at 0, and so does its
+        # intrinsic density converted through any chart, shifted by -1/2
+        rho = beta_chart_density(BetaParams(1.0 + sign * 1e-9, 1.0))
+        exponent, value = endpoint_behaviour(_core(rho), BERNOULLI.canonical_domain, True)
+        assert exponent == pytest.approx(sign * 1e-9, rel=1e-6)
+        assert value == limit
+        view = chart_from_intrinsic(intrinsic_from_chart(pushforward(rho, CHARTS[chart])),
+                                    CHARTS["theta"])
+        exponent, value = endpoint_behaviour(_core(view), BERNOULLI.canonical_domain, True)
+        assert exponent == pytest.approx(sign * 1e-9, rel=1e-6)
+        assert value == limit
+
+    def test_probe_values_classified_without_logarithm(self):
+        unit = Interval(0.0, 1.0)
+        assert endpoint_behaviour(lambda x, xc: 0.0, unit, True) == (math.inf, 0.0)
+        assert endpoint_behaviour(lambda x, xc: math.inf, unit, True) == (-math.inf, math.inf)
+        exponent, value = endpoint_behaviour(lambda x, xc: math.nan, unit, False)
+        assert math.isnan(exponent) and math.isnan(value)
+        # 0 at the farther probe only: growth toward the endpoint
+        assert endpoint_behaviour(lambda x, xc: float(xc < 1e-60), unit, True) == (-math.inf, math.inf)
 
 
 class TestChartFromIntrinsic:

@@ -232,6 +232,43 @@ class TestUnimodalityThresholds:
             assert num.at_boundary == ana.at_boundary
 
 
+class TestBoundaryClassification:
+    """Weak divergences and finite limits at the boundaries, read from the
+    density's power-law exponent there."""
+
+    @pytest.mark.parametrize("a,b", [(0.2227, 0.99994), (0.5, 0.999999999), (0.99999, 0.99999)])
+    def test_weak_divergence_is_a_mode(self, a, b):
+        r = map_estimate(beta_chart_density(BetaParams(a, b)))
+        assert r == beta_mode_analytic(BetaParams(a, b), intrinsic=False)
+        assert r.all_modes == (0.0, 1.0)
+        assert r.density_value == math.inf
+
+    def test_finite_boundary_value_is_the_endpoint_value(self):
+        p = intrinsic(0.5, 1.0)
+        r = mapi_estimate(p, CHARTS["theta"])
+        assert r.all_modes == (0.0,)
+        assert r.density_value == p.value(0.0)
+        rho = beta_chart_density(BetaParams(1.0, 2.0))
+        r = map_estimate(rho)
+        assert r.all_modes == (0.0,)
+        assert r.density_value == rho.value(0.0)
+
+    def test_finite_boundary_maximum_is_at_the_boundary(self):
+        # cos(y) in the arcsin chart: the maximum is the limit 1 at y = 0
+        r = map_estimate(pushforward(beta_chart_density(BetaParams(1.0, 1.0)), CHARTS["arcsin"]))
+        assert r.all_modes == (0.0,)
+        assert r.at_boundary
+        assert r.density_value == 1.0
+
+    def test_flat_through_reciprocal_chart(self):
+        # this core returns inf below theta ~ 1e-108, so the boundary offsets
+        # must stay above that
+        rho = pushforward(beta_chart_density(BetaParams(0.5, 0.5)), CHARTS["reciprocal"])
+        r = mapi_estimate(intrinsic_from_chart(rho), CHARTS["theta"])
+        assert r.flat
+        assert r.density_value == pytest.approx(1.0 / math.pi, rel=1e-9)
+
+
 class TestUnderflowedScan:
     def test_map_in_reciprocal_is_not_flat(self):
         rho = pushforward(beta_chart_density(BetaParams(1e9, 1e9)), CHARTS["reciprocal"])
