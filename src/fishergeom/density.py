@@ -119,12 +119,12 @@ class IntrinsicDensity:
 
 def _checked(core, interval: Interval):
     """Public ``value_offset``: checks the caller's offset against ``interval``
-    once, then calls the trusted ``core``, kept as its ``core`` attribute."""
+    once, then calls the trusted ``core``; both kept as ``domain``, ``core``."""
 
     def value_offset(x: float, xc: float) -> float:
         return core(x, verify_offset(interval, x, xc))
 
-    value_offset.core = core
+    value_offset.core, value_offset.domain = core, interval
     return value_offset
 
 

@@ -20,6 +20,8 @@ An offset is checked (:func:`verify_offset`) once, where it enters an
 interval: the public ``chart_*_offset`` maps check the caller's offset, then
 call private forms that trust it. Code that built an offset itself or has
 checked it calls those directly; a map's output is checked in its new interval.
+A whole-domain integral's node offsets are anchored exactly at the domain's
+endpoints, so it trusts them; a sub-interval integral checks every node.
 
 A model is data: it also carries its arc-length chart's offset companions,
 its extra charts and its planar embedding (``None`` or empty if it has none).

@@ -44,16 +44,28 @@ called divergent, although the full budget would converge on it.
 Manifold integrals are evaluated in the arc-length coordinate, where the
 volume element is identically 1; this removes the metric's own endpoint
 divergence before the integrand is ever seen.
+
+Node tables and trusted offsets
+-------------------------------
+Each node map's t-only parts are cached per map, level and side as far as
+sweeps reach (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 8 are
+not kept); the rest of a node keeps the per-node arithmetic order, so results
+are bit-identical. Node offsets are exact and anchored at the endpoints of
+the interval integrated over: whole-domain integrals call a density's
+trusted ``core`` and the arc-length chart map unchecked, while sub-interval
+ones check every node.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .manifold import DomainError, Interval, ManifoldModel, arclength_chart, chart_canonical_offset
+from .manifold import (DomainError, Interval, ManifoldModel, _canonical_offset, arclength_chart,
+                       chart_canonical_offset)
 
 _PI_2 = 0.5 * math.pi
 # |t| beyond which every transform's weight underflows in double precision
@@ -84,6 +96,7 @@ class QuadratureResult:
     error_estimate: float
     converged: bool
     evaluations: int
+    nonfinite_skipped: int = 0  # evaluations zero-weighted: non-finite or overflowing
 
 
 class QuadratureConvergenceError(ArithmeticError):
@@ -108,100 +121,131 @@ def wants_offset(f) -> bool:
     return len(positional) >= 2
 
 
-def _finite_map(a: float, b: float):
-    """tanh-sinh node map for (a, b): signed t -> (x, xc, weight)."""
-    half = 0.5 * (b - a)
-
-    def node(t: float):
-        z = _PI_2 * math.sinh(t)
-        az = abs(z)
-        if 2.0 * az > 700.0:
-            off = 2.0 * half * math.exp(-2.0 * az)
-        else:
-            off = 2.0 * half / (math.exp(2.0 * az) + 1.0)
-        if az > 300.0:
-            sech2 = 4.0 * math.exp(-2.0 * az)
-        else:
-            c = math.cosh(az)
-            sech2 = 1.0 / (c * c)
-        w = _PI_2 * math.cosh(t) * half * sech2
-        if t < 0:
-            return a + off, off, w
-        return b - off, -off, w
-
-    return node
+def _finite_row(t: float) -> tuple:
+    """tanh-sinh: ``pi/2 cosh t``, ``sech^2 z``, and ``e^{2|z|} + 1`` to divide
+    ``2 half`` by (past 2|z| = 700, ``e^{-2|z|}`` to multiply it by)."""
+    z = _PI_2 * math.sinh(t)
+    az = abs(z)
+    if az > 300.0:
+        sech2 = 4.0 * math.exp(-2.0 * az)
+    else:
+        c = math.cosh(az)
+        sech2 = 1.0 / (c * c)
+    if 2.0 * az > 700.0:
+        return _PI_2 * math.cosh(t), sech2, math.exp(-2.0 * az), False
+    return _PI_2 * math.cosh(t), sech2, math.exp(2.0 * az) + 1.0, True
 
 
-def _half_infinite_map(a: float, positive: bool):
-    """exp-sinh node map for (a, inf) (or mirrored (-inf, a))."""
-
-    def node(t: float):
-        z = _PI_2 * math.sinh(t)
-        if z > 700.0:
-            return None
-        off = math.exp(z)
-        w = _PI_2 * math.cosh(t) * off
-        if positive:
-            return a + off, off, w
-        return a - off, -off, w
-
-    return node
+_NO_NODE = (0.0, 1.0, 1.0, False)  # zero weight: past an infinite map's range
 
 
-def _doubly_infinite_map():
-    """sinh-sinh node map for (-inf, inf)."""
-
-    def node(t: float):
-        z = _PI_2 * math.sinh(t)
-        if abs(z) > 700.0:
-            return None
-        w = _PI_2 * math.cosh(t) * math.cosh(z)
-        return math.sinh(z), math.nan, w
-
-    return node
+def _half_infinite_row(t: float) -> tuple:
+    """exp-sinh: the weight and the distance ``e^z``."""
+    z = _PI_2 * math.sinh(t)
+    if z > 700.0:
+        return _NO_NODE
+    off = math.exp(z)
+    return _PI_2 * math.cosh(t) * off, 1.0, off, False
 
 
-def _sweep_side(node_map, usable, call, h: float, first: int, step: int, sign: int,
-                term_tol: float, counter: list[int]) -> tuple[float, bool]:
-    """Sum weighted integrand values at t = sign*k*h for k = first, first+step, ...
+def _doubly_infinite_row(t: float) -> tuple:
+    """sinh-sinh: the weight and the node ``sinh z``."""
+    z = _PI_2 * math.sinh(t)
+    if abs(z) > 700.0:
+        return _NO_NODE
+    return _PI_2 * math.cosh(t) * math.cosh(z), 1.0, math.sinh(z), False
+
+
+def _node_map(interval: Interval) -> tuple:
+    """``(row, w_scale, off_scale, sides)``: ``row(t) = (p1, p2, m, div)`` gives weight
+    ``p1 * w_scale * p2``, distance ``off = off_scale / m`` (``* m`` unless ``div``), and
+    with ``sides[sign] = (anchor, sx, sxc)`` node ``anchor + sx * off``, offset ``sxc * off``."""
+    lo, hi = interval.lo, interval.hi
+    if interval.finite:
+        half = 0.5 * (hi - lo)
+        return _finite_row, half, 2.0 * half, {-1: (lo, 1.0, 1.0), 1: (hi, -1.0, -1.0)}
+    if math.isfinite(lo):
+        return _half_infinite_row, 1.0, 1.0, dict.fromkeys((-1, 1), (lo, 1.0, 1.0))
+    if math.isfinite(hi):
+        return _half_infinite_row, 1.0, 1.0, dict.fromkeys((-1, 1), (hi, -1.0, -1.0))
+    return _doubly_infinite_row, 1.0, 1.0, dict.fromkeys((-1, 1), (0.0, 1.0, math.nan))
+
+
+# (row, level, sign) -> rows in sweep order, each flagged |t| >= _T_TRUNC_MIN.
+# Deeper levels (<1% of sweeps) are not kept: Beta(0.02369, 0.05) alone would keep 14 MB.
+_TABLES: dict[tuple, list] = {}
+_TABLE_LEVELS = 8
+_TABLE_LOCK = threading.Lock()
+
+
+def _extend(rows: list, row, level: int, sign: int) -> bool:
+    """Append the next row of a table; False past ``_T_CAP``."""
+    first, step = ((0 if sign > 0 else 1), 1) if level == 0 else (1, 2)
+    with _TABLE_LOCK:
+        kh = (first + len(rows) * step) * 0.5 ** level
+        if kh > _T_CAP:
+            return False
+        rows.append(row(sign * kh) + (kh >= _T_TRUNC_MIN,))
+    return True
+
+
+def _sweep_side(node_map, level: int, sign: int, call, offset_aware: bool,
+                interval: Interval, term_tol: float, counts: list[int]) -> tuple[float, bool]:
+    """Sum weighted integrand values at t = sign*k*2**-level, for k = 0, 1, ...
+    at level 0 (from 1 on side -1) and odd k later, from the node tables.
 
     Stops at the hard |t| cap, or once three consecutive contributions past
     |t| = _T_TRUNC_MIN fall below ``term_tol`` (the double-exponential tail
     then contributes less than a couple of ``term_tol``). Returns the sum and
     whether the tail grows: the last finite term exceeds ``term_tol`` and
     the finite term before it. Skipped nodes (no node, a node rounding onto
-    an endpoint, a non-finite or overflowing integrand) are not terms.
+    an endpoint, a non-finite or overflowing integrand, counted in
+    ``counts[1]``; ``counts[0]`` counts evaluations) are not terms. An
+    offset-aware integrand is evaluated where its node rounds onto a finite
+    endpoint, as its exact offset is nonzero; plain ones only see the open
+    interior.
     """
+    row, w_scale, off_scale, sides = node_map
+    anchor, sx, sxc = sides[sign]
+    lo, hi = interval.lo, interval.hi
+    isfinite = math.isfinite
+    rows = _TABLES.setdefault((row, level, sign), []) if level <= _TABLE_LEVELS else []
     total = 0.0
     small = 0
     last = prev = math.inf
-    k = first
-    while k * h <= _T_CAP:
-        r = node_map(sign * k * h)
+    i = 0
+    while i < len(rows) or _extend(rows, row, level, sign):
+        p1, p2, m, div, past_min = rows[i]
+        i += 1
+        w = p1 * w_scale * p2
         term = 0.0
-        if r is not None:
-            x, xc, w = r
-            if w > 0.0 and usable(x, xc):
+        if w > 0.0:
+            off = off_scale / m if div else off_scale * m
+            x = anchor + sx * off
+            xc = sxc * off
+            if isfinite(x) and (xc != 0.0 if offset_aware else lo < x < hi):
                 try:
                     v = call(x, xc)
                 except OverflowError:
                     v = math.inf
-                counter[0] += 1
-                if math.isfinite(v):
+                counts[0] += 1
+                if isfinite(v):
                     term = w * v
                     prev, last = last, abs(term)
+                else:
+                    counts[1] += 1
         total += term
         if abs(term) <= term_tol:
             small += 1
-            if small >= 3 and k * h >= _T_TRUNC_MIN:
+            if small >= 3 and past_min:
                 break
         else:
             small = 0
-        k += step
     return total, term_tol < last and prev < last
 
 
-def _de_integrate(node_map, usable, call, cfg: QuadratureConfig) -> QuadratureResult:
+def _de_integrate(call, offset_aware: bool, interval: Interval,
+                  cfg: QuadratureConfig) -> QuadratureResult:
     """Trapezoid sums of the transformed integrand with step halving.
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
@@ -209,12 +253,13 @@ def _de_integrate(node_map, usable, call, cfg: QuadratureConfig) -> QuadratureRe
     error estimate. From level 2 on, a side whose tail grows ends the
     integration as divergent (see the module docstring).
     """
-    counter = [0]
+    node_map = _node_map(interval)
+    counts = [0, 0]
 
     h = 1.0
     term_tol = 0.05 * cfg.abs_tol / h
-    s = (_sweep_side(node_map, usable, call, h, 0, 1, +1, term_tol, counter)[0]
-         + _sweep_side(node_map, usable, call, h, 1, 1, -1, term_tol, counter)[0])
+    s = (_sweep_side(node_map, 0, +1, call, offset_aware, interval, term_tol, counts)[0]
+         + _sweep_side(node_map, 0, -1, call, offset_aware, interval, term_tol, counts)[0])
     value = h * s
     err = math.inf
 
@@ -223,17 +268,24 @@ def _de_integrate(node_map, usable, call, cfg: QuadratureConfig) -> QuadratureRe
         term_tol = 0.05 * cfg.abs_tol / h
         odd = 0.0
         for sign in (+1, -1):
-            side, grows = _sweep_side(node_map, usable, call, h, 1, 2, sign, term_tol, counter)
+            side, grows = _sweep_side(node_map, level, sign, call, offset_aware, interval,
+                                      term_tol, counts)
             if grows and level >= 2:
-                return QuadratureResult(value, math.inf, False, counter[0])
+                return QuadratureResult(value, math.inf, False, *counts)
             odd += side
         new_value = 0.5 * value + h * odd
         err = abs(new_value - value)
         value = new_value
         if level >= 2 and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            return QuadratureResult(value, err, True, counter[0])
+            return QuadratureResult(value, err, True, *counts)
 
-    return QuadratureResult(value, err, False, counter[0])
+    return QuadratureResult(value, err, False, *counts)
+
+
+def _trusted(f, interval: Interval):
+    """The trusted core of ``f`` if ``f`` checks its offsets against
+    ``interval`` (a density's ``value_offset``), else ``f`` as given."""
+    return f.core if getattr(f, "domain", None) == interval else f
 
 
 def integrate_chart(f: Callable, interval: Interval,
@@ -249,34 +301,13 @@ def integrate_chart(f: Callable, interval: Interval,
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    lo, hi = interval.lo, interval.hi
-    if interval.finite:
-        node_map = _finite_map(lo, hi)
-    elif math.isfinite(lo):
-        node_map = _half_infinite_map(lo, positive=True)
-    elif math.isfinite(hi):
-        node_map = _half_infinite_map(hi, positive=False)
-    else:
-        node_map = _doubly_infinite_map()
-
     offset_aware = wants_offset(f)
     if offset_aware:
-        call = f
+        call = _trusted(f, interval)
     else:
         def call(x, xc, _f=f):
             return _f(x)
-
-    def usable(x: float, xc: float) -> bool:
-        # An offset-aware integrand is evaluated even where the node rounds
-        # onto a finite endpoint: its exact offset is nonzero and that is
-        # what the integrand uses. Plain integrands only see open-interior x.
-        if not math.isfinite(x):
-            return False
-        if offset_aware and not math.isnan(xc):
-            return xc != 0.0
-        return lo < x < hi
-
-    return _de_integrate(node_map, usable, call, cfg)
+    return _de_integrate(call, offset_aware, interval, cfg)
 
 
 def integrate_manifold(f: Callable, model: ManifoldModel,
@@ -305,17 +336,22 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     s_chart = arclength_chart(model)
 
     if wants_offset(f):
-        # chart_canonical_offset only trusts offsets anchored at the chart's
-        # own endpoints; integration offsets anchored at an interior region
-        # boundary fall back to naive ones, which are well conditioned there.
+        # Over the whole domain no check can change an offset. Offsets anchored
+        # at an interior region boundary fail the chart's check and fall back
+        # to naive ones, which are well conditioned there.
+        if region == domain:
+            to_canonical, f = _canonical_offset, _trusted(f, domain)
+        else:
+            to_canonical = chart_canonical_offset
+
         def g(s: float, sc: float) -> float:
-            theta, co = chart_canonical_offset(s_chart, s, sc)
+            theta, co = to_canonical(s_chart, s, sc)
             return f(theta, co)
     else:
         def g(s: float, sc: float) -> float:
             return f(model.arc_length_inverse(s))
 
-    return integrate_chart(g, s_interval, cfg)
+    return _de_integrate(g, True, s_interval, cfg)
 
 
 def expectation(p, f: Callable[[float], float],
@@ -327,9 +363,10 @@ def expectation(p, f: Callable[[float], float],
     evaluated there, once like at every node, but the node is skipped as if
     its value were not finite.
     """
+    density = _trusted(p.value_offset, p.model.canonical_domain)
 
     def integrand(theta: float, co: float) -> float:
-        v = p.value_offset(theta, co)
+        v = density(theta, co)
         if co == 0.0:
             return math.nan
         return f(theta) * v

@@ -17,14 +17,20 @@ from hypothesis import strategies as st
 from fishergeom import (
     BetaParams,
     ChartDensity,
+    Interval,
     beta_chart_density,
     bernoulli_model,
     chart_from_intrinsic,
     charts_for,
+    expectation,
     exponential_model,
+    integrate_chart,
+    integrate_manifold,
+    interval_probability,
     intrinsic_from_chart,
     map_estimate,
     mapi_estimate,
+    normalization_check,
     poisson_model,
     pushforward,
     sample_curve,
@@ -140,3 +146,31 @@ def test_replaced_value_offset_is_called_by_mode_searches(shape, chart):
     # the scan alone evaluates the density at every one of its points
     assert n_rho[0] >= 1024
     assert n_p[0] >= 1024
+
+
+@given(shape=SHAPES, chart=CHART_NAMES)
+@settings(max_examples=16, deadline=None)
+def test_replaced_value_offset_is_called_by_integrals(shape, chart):
+    # whole-domain integrals call a density's trusted core; a replaced
+    # value_offset has none and is called at every node, to the same result
+    rho = pushforward(beta_chart_density(BetaParams(*shape)), BERNOULLI_CHARTS[chart])
+    p = intrinsic_from_chart(rho)
+    rho_w, n_rho = counted(rho)
+    p_w, n_p = counted(p)
+    unit = p.model.canonical_domain
+    integrals = [
+        (rho, rho_w, n_rho, lambda d: integrate_chart(d.value_offset, d.chart.domain)),
+        (p, p_w, n_p, lambda d: integrate_manifold(d.value_offset, d.model)),
+        (p, p_w, n_p, lambda d: expectation(d, lambda t: t * t)),
+        (p, p_w, n_p, lambda d: interval_probability(d, unit)),
+        (p, p_w, n_p, lambda d: interval_probability(d, Interval(0.0, 0.4))),
+    ]
+    for plain, wrapped, n, integral in integrals:
+        before = n[0]
+        res = integral(wrapped)
+        assert n[0] - before == res.evaluations
+        assert res == integral(plain)
+    for plain, wrapped, n, integral in integrals[:2]:
+        before = n[0]
+        assert normalization_check(wrapped) == normalization_check(plain)
+        assert n[0] - before == integral(plain).evaluations

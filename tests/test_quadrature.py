@@ -10,7 +10,9 @@ from fishergeom import (
     BetaParams,
     Interval,
     QuadratureConfig,
+    QuadratureResult,
     beta_chart_density,
+    beta_intrinsic_density,
     bernoulli_model,
     charts_for,
     expectation,
@@ -18,8 +20,13 @@ from fishergeom import (
     integrate_manifold,
     interval_probability,
     intrinsic_from_chart,
+    normalization_check,
     pushforward,
 )
+from fishergeom import density as density_module
+from fishergeom import manifold as manifold_module
+from fishergeom import quadrature
+from fishergeom.manifold import verify_offset
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -280,3 +287,199 @@ class TestChartInvarianceOfMass:
         # quadpack as an independent cross-check of the theta-chart mass
         oracle, _ = quad(rho.value, 0.0, 1.0)
         assert masses[0] == pytest.approx(oracle, abs=1e-8)
+
+
+class TestNonfiniteSkipped:
+    def test_overflowing_nodes_are_counted(self):
+        # 14 of the 24,065 nodes overflow, and the result still reads converged
+        rho = beta_chart_density(BetaParams(0.02369, 0.05))
+        res = integrate_chart(rho.value_offset, rho.chart.domain, CFG)
+        assert res.converged
+        assert res.nonfinite_skipped > 0
+
+    def test_regular_density_skips_nothing(self):
+        rho = beta_chart_density(BetaParams(1.05, 2.05))
+        p = intrinsic_from_chart(rho)
+        assert integrate_chart(rho.value_offset, rho.chart.domain, CFG).nonfinite_skipped == 0
+        assert integrate_manifold(p.value_offset, BERNOULLI, None, CFG).nonfinite_skipped == 0
+
+    def test_positional_construction_unchanged(self):
+        res = QuadratureResult(1.0, 0.0, True, 5)
+        assert res.nonfinite_skipped == 0
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts every ``verify_offset`` call, by density cores and chart maps alike."""
+    calls = [0]
+
+    def counted(interval, x, xc):
+        calls[0] += 1
+        return verify_offset(interval, x, xc)
+
+    monkeypatch.setattr(density_module, "verify_offset", counted)
+    monkeypatch.setattr(manifold_module, "verify_offset", counted)
+    return calls
+
+
+class TestTrustBoundary:
+    """Whole-domain integrals call trusted cores; sub-intervals stay checked."""
+
+    def test_whole_domain_integrals_make_no_checks(self, verify_calls):
+        params = BetaParams(1.05, 2.05)
+        rho = beta_chart_density(params)
+        p = beta_intrinsic_density(params)
+        assert normalization_check(rho) == pytest.approx(1.0, abs=1e-12)
+        assert normalization_check(p) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(p, lambda t: t).value == pytest.approx(1.05 / 3.1, abs=1e-12)
+        assert interval_probability(p, BERNOULLI.canonical_domain).value == pytest.approx(1.0)
+        assert verify_calls[0] == 0
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.3), (0.7, 1.0)])
+    def test_sub_interval_checks_every_node(self, verify_calls, lo, hi):
+        # each node: the arc-length chart map's check, then the density's own
+        p = beta_intrinsic_density(BetaParams(1.05, 2.05))
+        res = interval_probability(p, Interval(lo, hi), CFG)
+        assert verify_calls[0] == 2 * res.evaluations
+
+    def test_chart_sub_interval_checks_every_node(self, verify_calls):
+        # offsets anchored at 0.5 would read as distances from 1 unchecked
+        rho = beta_chart_density(BetaParams(2.0, 2.0))
+        res = integrate_chart(rho.value_offset, Interval(0.0, 0.5), CFG)
+        assert res.value == pytest.approx(0.5, abs=1e-12)
+        assert verify_calls[0] == res.evaluations
+
+    @pytest.mark.parametrize("lo,hi,value,error,evaluations", [
+        (0.0, 0.3, 0.49878807201122644, 0.0, 116),
+        (0.7, 1.0, 0.09025370389206991, 5.551115123125783e-17, 113),
+    ])
+    def test_sub_interval_results_pinned(self, lo, hi, value, error, evaluations):
+        # the results before whole-domain integrals dropped their checks
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
+        res = interval_probability(p, Interval(lo, hi), CFG)
+        assert (res.value, res.error_estimate, res.converged, res.evaluations) == (
+            value, error, True, evaluations)
+
+
+def reference_node_map(interval):
+    """The per-node DE maps the node tables replace: t -> (x, xc, w) or None."""
+    lo, hi = interval.lo, interval.hi
+    pi_2 = 0.5 * math.pi
+    if interval.finite:
+        half = 0.5 * (hi - lo)
+
+        def node(t):
+            z = pi_2 * math.sinh(t)
+            az = abs(z)
+            if 2.0 * az > 700.0:
+                off = 2.0 * half * math.exp(-2.0 * az)
+            else:
+                off = 2.0 * half / (math.exp(2.0 * az) + 1.0)
+            if az > 300.0:
+                sech2 = 4.0 * math.exp(-2.0 * az)
+            else:
+                c = math.cosh(az)
+                sech2 = 1.0 / (c * c)
+            w = pi_2 * math.cosh(t) * half * sech2
+            if t < 0:
+                return lo + off, off, w
+            return hi - off, -off, w
+    elif math.isfinite(lo) or math.isfinite(hi):
+        a, positive = (lo, True) if math.isfinite(lo) else (hi, False)
+
+        def node(t):
+            z = pi_2 * math.sinh(t)
+            if z > 700.0:
+                return None
+            off = math.exp(z)
+            w = pi_2 * math.cosh(t) * off
+            if positive:
+                return a + off, off, w
+            return a - off, -off, w
+    else:
+        def node(t):
+            z = pi_2 * math.sinh(t)
+            if abs(z) > 700.0:
+                return None
+            w = pi_2 * math.cosh(t) * math.cosh(z)
+            return math.sinh(z), math.nan, w
+    return node
+
+
+def side_ks(level, sign):
+    """The k of one side of one level, t = sign * k * 2**-level, up to the cap."""
+    h = 0.5 ** level
+    first, step = ((0 if sign > 0 else 1), 1) if level == 0 else (1, 2)
+    return range(first, int(quadrature._T_CAP / h) + 1, step)
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+NODE_INTERVALS = [Interval(0.0, 1.0), Interval(-2.5, 7.25), Interval(1.0, math.inf),
+                  Interval(-math.inf, 2.0), Interval(-math.inf, math.inf)]
+
+
+class TestNodeTables:
+    @pytest.mark.parametrize("level", range(13))
+    def test_rows_match_per_node_formulas(self, level):
+        for interval in NODE_INTERVALS:
+            row, w_scale, off_scale, sides = quadrature._node_map(interval)
+            ref = reference_node_map(interval)
+            for sign in (+1, -1):
+                anchor, sx, sxc = sides[sign]
+                rows = []
+                while quadrature._extend(rows, row, level, sign):
+                    pass
+                ks = side_ks(level, sign)
+                assert len(rows) == len(ks)
+                for k, (p1, p2, m, div, past_min) in zip(ks, rows):
+                    t = sign * k * 0.5 ** level
+                    assert past_min == (abs(t) >= quadrature._T_TRUNC_MIN)
+                    expected = ref(t)
+                    w = p1 * w_scale * p2
+                    if expected is None:
+                        assert w == 0.0
+                        continue
+                    off = off_scale / m if div else off_scale * m
+                    assert bits(anchor + sx * off, sxc * off, w) == bits(*expected)
+
+    @pytest.mark.parametrize("interval", NODE_INTERVALS)
+    def test_sweep_visits_reference_nodes(self, interval):
+        # with no truncation, a sweep evaluates exactly the usable reference
+        # nodes in order and sums their weights in the same order
+        node_map = quadrature._node_map(interval)
+        ref = reference_node_map(interval)
+        for level in (0, 1, 4):
+            for sign in (+1, -1):
+                seen = []
+
+                def call(x, xc):
+                    seen.append(bits(x, xc))
+                    return 1.0
+
+                counts = [0, 0]
+                total, _ = quadrature._sweep_side(node_map, level, sign, call, True, interval,
+                                                  -1.0, counts)
+                expected, expected_total = [], 0.0
+                for k in side_ks(level, sign):
+                    node = ref(sign * k * 0.5 ** level)
+                    term = 0.0
+                    if node is not None and node[2] > 0.0 and math.isfinite(node[0]) and node[1] != 0.0:
+                        expected.append(bits(*node[:2]))
+                        term = node[2]
+                    expected_total += term
+                assert seen == expected
+                assert counts == [len(expected), 0]
+                assert bits(total) == bits(expected_total)
+
+    def test_slowest_case_table_size(self):
+        # interval_probability of Beta(1e5, 2e5) on [0, 0.6] reaches level 11;
+        # only levels up to _TABLE_LEVELS are kept
+        quadrature._TABLES.clear()
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(1e5, 2e5)))
+        res = interval_probability(p, Interval(0.0, 0.6), CFG)
+        assert res.evaluations == 12311
+        assert max(level for _, level, _ in quadrature._TABLES) == quadrature._TABLE_LEVELS
+        assert sum(map(len, quadrature._TABLES.values())) <= 1553
