@@ -35,6 +35,7 @@ from .manifold import (
     _canonical_offset,
     _d_canonical_offset,
     _from_canonical_offset,
+    _is_identity,
     bernoulli_model,
     chart_from_canonical_offset,
     identity_chart,
@@ -263,14 +264,18 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     """
     model, chart, source = rho.model, rho.chart, _core(rho)
 
-    @_guard
-    def core(theta: float, co: float) -> float:
-        x, xc = _from_canonical_offset(chart, theta, co)
-        xc = verify_offset(chart.domain, x, xc)
-        d = _d_canonical_offset(chart, x, xc)
-        g = model_fisher_metric_offset(model, theta, co) * d * d
-        return source(x, xc) / math.sqrt(g)
+    if _is_identity(model, chart):
+        def core(theta: float, co: float) -> float:
+            return source(theta, co) / math.sqrt(model_fisher_metric_offset(model, theta, co))
+    else:
+        def core(theta: float, co: float) -> float:
+            x, xc = _from_canonical_offset(chart, theta, co)
+            xc = verify_offset(chart.domain, x, xc)
+            d = _d_canonical_offset(chart, x, xc)
+            g = model_fisher_metric_offset(model, theta, co) * d * d
+            return source(x, xc) / math.sqrt(g)
 
+    core = _guard(core)
     return IntrinsicDensity(
         model=model,
         value=_closure_value(core, model.canonical_domain),
@@ -284,14 +289,18 @@ def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
     ``rho(x) = p(theta(x)) * sqrt(G_chart(x))``."""
     model, source = p.model, _core(p)
 
-    @_guard
-    def core(x: float, xc: float) -> float:
-        theta, co = _canonical_offset(chart, x, xc)
-        co = verify_offset(model.canonical_domain, theta, co)
-        d = _d_canonical_offset(chart, x, xc)
-        g = model_fisher_metric_offset(model, theta, co) * d * d
-        return source(theta, co) * math.sqrt(g)
+    if _is_identity(model, chart):
+        def core(x: float, xc: float) -> float:
+            return source(x, xc) * math.sqrt(model_fisher_metric_offset(model, x, xc))
+    else:
+        def core(x: float, xc: float) -> float:
+            theta, co = _canonical_offset(chart, x, xc)
+            co = verify_offset(model.canonical_domain, theta, co)
+            d = _d_canonical_offset(chart, x, xc)
+            g = model_fisher_metric_offset(model, theta, co) * d * d
+            return source(theta, co) * math.sqrt(g)
 
+    core = _guard(core)
     return ChartDensity(
         model=model,
         chart=chart,
@@ -317,14 +326,20 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
         return rho
     source, source_core = rho.chart, _core(rho)
 
-    @_guard
-    def core(y: float, yc: float) -> float:
-        theta, co = _canonical_offset(target, y, yc)
-        x, xc = chart_from_canonical_offset(source, theta, co)
-        xc = verify_offset(source.domain, x, xc)
-        jac = _d_canonical_offset(target, y, yc) / _d_canonical_offset(source, x, xc)
-        return source_core(x, xc) * abs(jac)
+    if _is_identity(rho.model, source):
+        def core(y: float, yc: float) -> float:
+            theta, co = _canonical_offset(target, y, yc)
+            co = verify_offset(source.canonical_domain, theta, co)
+            return source_core(theta, co) * abs(_d_canonical_offset(target, y, yc))
+    else:
+        def core(y: float, yc: float) -> float:
+            theta, co = _canonical_offset(target, y, yc)
+            x, xc = chart_from_canonical_offset(source, theta, co)
+            xc = verify_offset(source.domain, x, xc)
+            jac = _d_canonical_offset(target, y, yc) / _d_canonical_offset(source, x, xc)
+            return source_core(x, xc) * abs(jac)
 
+    core = _guard(core)
     return ChartDensity(
         model=rho.model,
         chart=target,

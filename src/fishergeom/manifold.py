@@ -388,6 +388,11 @@ def identity_chart(model: ManifoldModel, name: str = "theta") -> Chart:
     return _identity_chart(model, name)     # one cache key however name is given
 
 
+def _is_identity(model: ManifoldModel, chart: Chart) -> bool:
+    """Whether ``chart`` is ``model``'s cached identity chart, not an equal copy."""
+    return chart.domain is model.canonical_domain and chart is _identity_chart(model, chart.name)
+
+
 @cache
 def _identity_chart(model: ManifoldModel, name: str) -> Chart:
     return Chart(

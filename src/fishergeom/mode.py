@@ -48,6 +48,7 @@ from .manifold import (
     ManifoldModel,
     _canonical_offset,
     _from_canonical_offset,
+    _is_identity,
     arclength_chart,
     interior_grid,
     naive_offset,
@@ -236,8 +237,11 @@ def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeRe
     """Argmax of the chart density over its own chart: chart-dependent by design."""
     chart, core = rho.chart, _core(rho)
 
-    def eval_canonical(theta: float, co: float) -> float:
-        return core(*_from_canonical_offset(chart, theta, co))
+    if _is_identity(rho.model, chart):
+        eval_canonical = core
+    else:
+        def eval_canonical(theta: float, co: float) -> float:
+            return core(*_from_canonical_offset(chart, theta, co))
 
     return _numeric_mode(eval_canonical, rho.model, search_chart, rho.chart)
 
