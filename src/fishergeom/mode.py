@@ -171,6 +171,14 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
                 flat=True,
             )
 
+    # a maximum at an end of the scan is refined up to that end of the search
+    # chart if it is finite and no candidate: only a boundary the density
+    # vanishes at can hide a maximum nearer to it than the first scan point
+    taken = {theta for theta, _ in boundary}
+    lo_end, hi_end = (dom.lo, dom.hi) if thetas[0] < thetas[-1] else (dom.hi, dom.lo)
+    first = sdom.lo if math.isfinite(sdom.lo) and lo_end not in taken else grid[0]
+    last = sdom.hi if math.isfinite(sdom.hi) and hi_end not in taken else grid[-1]
+
     # refine every interior local maximum of the scan; a zero (an underflowed
     # tail) is never the maximum of a density
     candidates: list[tuple[float, float]] = list(boundary)
@@ -183,8 +191,8 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
         right = vals[i + 1] if i < n - 1 else -math.inf
         if v < left or v < right:
             continue
-        lo = grid[i - 1] if i > 0 else grid[0]
-        hi = grid[i + 1] if i < n - 1 else grid[-1]
+        lo = grid[i - 1] if i > 0 else first
+        hi = grid[i + 1] if i < n - 1 else last
         if hi <= lo:
             continue
         tol = _GOLDEN_TOL * max(1.0, abs(lo), abs(hi))

@@ -269,6 +269,37 @@ class TestBoundaryClassification:
         assert r.density_value == pytest.approx(1.0 / math.pi, rel=1e-9)
 
 
+class TestModeNearBoundary:
+    """An interior mode nearer a boundary than the first scan point (1e-6 of
+    the search chart's width) is refined up to a finite endpoint."""
+
+    NEAR_ZERO = (1.0000000012923262, 1.2607848351562183)    # mode at 4.96e-9
+    NEAR_ONE = NEAR_ZERO[::-1]
+
+    @pytest.mark.parametrize("shape,chart", [
+        (NEAR_ZERO, "theta"), (NEAR_ZERO, "arcsin"), (NEAR_ZERO, "arclength"),
+        (NEAR_ONE, "theta"), (NEAR_ONE, "arcsin"), (NEAR_ONE, "arclength"),
+        (NEAR_ONE, "reciprocal"),
+    ])
+    def test_matches_analytic_within_tie_window(self, shape, chart):
+        rho = beta_chart_density(BetaParams(*shape))
+        ana = beta_mode_analytic(BetaParams(*shape), intrinsic=False)
+        r = map_estimate(rho, search_chart=CHARTS[chart])
+        assert not r.at_boundary
+        assert r.all_modes == pytest.approx(ana.all_modes, abs=1e-9)
+        for value in (r.density_value, rho.value(r.canonical_point)):
+            assert value >= ana.density_value * (1.0 - mode._TIE_REL)
+
+    def test_finite_boundary_limit_keeps_its_end_of_the_scan(self):
+        # refining towards a boundary that is a candidate would reach values
+        # that round above its limit and report an interior point beside it
+        r = mapi_estimate(intrinsic(0.5, 2.0), CHARTS["theta"], search_chart=CHARTS["arclength"])
+        assert (r.all_modes, r.at_boundary) == ((0.0,), True)
+        rho = beta_chart_density(BetaParams(1.2607848351562183, 1.0))
+        r = map_estimate(rho, search_chart=CHARTS["arcsin"])
+        assert (r.all_modes, r.at_boundary) == ((1.0,), True)
+
+
 class TestUnderflowedScan:
     def test_map_in_reciprocal_is_not_flat(self):
         rho = pushforward(beta_chart_density(BetaParams(1e9, 1e9)), CHARTS["reciprocal"])
