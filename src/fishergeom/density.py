@@ -16,9 +16,10 @@ trusted core. At a finite endpoint ``value`` returns the one-sided limit
 (``math.inf`` where the density diverges) from :func:`endpoint_behaviour`,
 which reads the local power-law exponent off the trusted core at two exact
 offsets; the mode search classifies its boundaries with the same function.
-Conversions call their source's core and check an offset only where it
-moves to another interval. All Beta arithmetic runs through log-gamma and
-``exp`` so large shape parameters cannot overflow.
+Conversions call their source's core and check an offset only where a chart
+map moves it to another interval, so from or to the model's identity chart
+they skip its maps. All Beta arithmetic runs through log-gamma and ``exp``
+so large shape parameters cannot overflow.
 """
 
 from __future__ import annotations
@@ -274,7 +275,6 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
             d = _d_canonical_offset(chart, x, xc)
             g = model_fisher_metric_offset(model, theta, co) * d * d
             return source(x, xc) / math.sqrt(g)
-
     core = _guard(core)
     return IntrinsicDensity(
         model=model,
@@ -299,7 +299,6 @@ def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
             d = _d_canonical_offset(chart, x, xc)
             g = model_fisher_metric_offset(model, theta, co) * d * d
             return source(theta, co) * math.sqrt(g)
-
     core = _guard(core)
     return ChartDensity(
         model=model,
@@ -338,7 +337,6 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
             xc = verify_offset(source.domain, x, xc)
             jac = _d_canonical_offset(target, y, yc) / _d_canonical_offset(source, x, xc)
             return source_core(x, xc) * abs(jac)
-
     core = _guard(core)
     return ChartDensity(
         model=rho.model,

@@ -19,7 +19,8 @@ distances exact; the plain maps remain the public face.
 An offset is checked (:func:`verify_offset`) once, where it enters an
 interval: the public ``chart_*_offset`` maps check the caller's offset, then
 call private forms that trust it. Code that built an offset itself or has
-checked it calls those directly; a map's output is checked in its new interval.
+checked it calls those directly; a map's output is checked in its new
+interval, except the cached identity chart's own: it moves no offset there.
 A whole-domain integral's node offsets are anchored exactly at the domain's
 endpoints, so it trusts them; a sub-interval integral checks every node.
 
@@ -389,7 +390,6 @@ def identity_chart(model: ManifoldModel, name: str = "theta") -> Chart:
 
 
 def _is_identity(model: ManifoldModel, chart: Chart) -> bool:
-    """Whether ``chart`` is ``model``'s cached identity chart, not an equal copy."""
     return chart.domain is model.canonical_domain and chart is _identity_chart(model, chart.name)
 
 

@@ -171,9 +171,8 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
                 flat=True,
             )
 
-    # a maximum at an end of the scan is refined up to that end of the search
-    # chart if it is finite and no candidate: only a boundary the density
-    # vanishes at can hide a maximum nearer to it than the first scan point
+    # a maximum at an end of the scan is refined up to a finite chart end whose
+    # boundary is no candidate (a vanishing boundary can hide a mode past the scan)
     taken = {theta for theta, _ in boundary}
     lo_end, hi_end = (dom.lo, dom.hi) if thetas[0] < thetas[-1] else (dom.hi, dom.lo)
     first = sdom.lo if math.isfinite(sdom.lo) and lo_end not in taken else grid[0]

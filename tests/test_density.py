@@ -1,6 +1,8 @@
 """Chart/intrinsic density conversions, pushforwards, and normalization."""
 
+import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,17 @@ from fishergeom import (
     bernoulli_model,
     chart_from_intrinsic,
     charts_for,
+    identity_chart,
     integrate_chart,
     intrinsic_from_chart,
+    map_estimate,
+    mapi_estimate,
     normalization_check,
     pushforward,
 )
+from fishergeom import mode
 from fishergeom.density import IntrinsicDensity, _core, endpoint_behaviour
-from fishergeom.manifold import interior_grid
+from fishergeom.manifold import _from_canonical_offset, _is_identity, interior_grid
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -323,3 +329,99 @@ class TestRowLevelIdentity:
                 t = chart.to_canonical(x)
                 lhs = p.value(t) * math.sqrt(metric_in_chart(BERNOULLI, chart, x))
                 assert lhs == pytest.approx(pushed.value(x), rel=1e-9)
+
+
+class TestIdentityChartFastPath:
+    """Conversions from or to the model's cached identity chart skip its maps;
+    built from an equal but distinct copy of that chart they take the general
+    path. Both must agree bit for bit everywhere a density is evaluated."""
+
+    SHAPES = [(1e-3, 1e-3), (1e-3, 2000.0), (0.02, 60.0), (0.5, 0.5), (1.0, 1.0),
+              (1.05, 2.05), (7.0, 0.3), (2000.0, 2000.0)]
+    SEARCH = ("theta", "arcsin", "reciprocal", "arclength")
+
+    @staticmethod
+    def sloppy_arcsin():
+        # a target map whose canonical offset is not anchored at theta:
+        # the conversion must check it where it enters the canonical domain
+        arcsin = CHARTS["arcsin"]
+
+        def canonical_offset(y, yc):
+            theta, co = arcsin.canonical_offset(y, yc)
+            return theta, co * (1.0 + 1e-6)
+
+        return dataclasses.replace(arcsin, name="sloppy", canonical_offset=canonical_offset)
+
+    @staticmethod
+    def points(chart):
+        """``(x, exact offset)`` in ``chart``: every search chart's scan points,
+        the DE nodes of levels 0-8, and endpoint offsets from 1e-300 to 1e-16."""
+        pts = []
+        for search in TestIdentityChartFastPath.SEARCH:
+            _, thetas, cos = mode._cached_scan_points(CHARTS[search])
+            pts += [_from_canonical_offset(chart, t, c) for t, c in zip(thetas, cos)]
+
+        def record(x, xc):
+            pts.append((x, xc))
+            return 1.0 / (1.0 + x * x)
+
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_refinement_levels=8)
+        integrate_chart(record, chart.domain, cfg)
+        for h in (1e-300, 1e-100, 1e-50, 1e-16):
+            if math.isfinite(chart.domain.lo):
+                pts.append((chart.domain.lo + h, h))
+            if math.isfinite(chart.domain.hi):
+                pts.append((chart.domain.hi - h, -h))
+        return pts
+
+    @staticmethod
+    def assert_same(fast, slow, chart):
+        def bits(v):
+            return struct.pack("<d", v)
+
+        for x, xc in TestIdentityChartFastPath.points(chart):
+            assert bits(fast.value_offset(x, xc)) == bits(slow.value_offset(x, xc)), (x, xc)
+            if chart.domain.in_closure(x):
+                assert bits(fast.value(x)) == bits(slow.value(x)), x
+        for end in (chart.domain.lo, chart.domain.hi):
+            if math.isfinite(end):
+                assert bits(fast.value(end)) == bits(slow.value(end)), end
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_conversions_match_the_general_path(self, a, b):
+        theta = identity_chart(BERNOULLI)
+        copy = dataclasses.replace(theta)
+        assert copy == theta
+        assert _is_identity(BERNOULLI, theta) and not _is_identity(BERNOULLI, copy)
+        rho = beta_chart_density(BetaParams(a, b))
+        rho_slow = dataclasses.replace(rho, chart=copy)
+        p, p_slow = intrinsic_from_chart(rho), intrinsic_from_chart(rho_slow)
+        self.assert_same(p, p_slow, theta)
+        self.assert_same(chart_from_intrinsic(p, theta), chart_from_intrinsic(p, copy), theta)
+        for target in (CHARTS["arcsin"], CHARTS["reciprocal"], CHARTS["arclength"],
+                       self.sloppy_arcsin()):
+            self.assert_same(pushforward(rho, target), pushforward(rho_slow, target), target)
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_mode_results_match_the_general_path(self, a, b):
+        theta = identity_chart(BERNOULLI)
+        copy = dataclasses.replace(theta)
+        rho = beta_chart_density(BetaParams(a, b))
+        rho_slow = dataclasses.replace(rho, chart=copy)
+        p, p_slow = intrinsic_from_chart(rho), intrinsic_from_chart(rho_slow)
+        back, back_slow = chart_from_intrinsic(p, theta), chart_from_intrinsic(p, copy)
+        arcsin = CHARTS["arcsin"]
+        pushed, pushed_slow = pushforward(rho, arcsin), pushforward(rho_slow, arcsin)
+
+        def result(search, fn, *args):
+            try:
+                return repr(fn(*args, search_chart=CHARTS[search]))
+            except ArithmeticError as e:    # a scan that underflowed everywhere
+                return repr(e)
+
+        for search in self.SEARCH:
+            assert result(search, map_estimate, rho) == result(search, map_estimate, rho_slow)
+            assert (result(search, mapi_estimate, p, theta)
+                    == result(search, mapi_estimate, p_slow, theta))
+            assert result(search, map_estimate, back) == result(search, map_estimate, back_slow)
+        assert repr(map_estimate(pushed)) == repr(map_estimate(pushed_slow))

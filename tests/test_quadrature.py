@@ -1,5 +1,6 @@
 """Double-exponential quadrature: known values, singular endpoints, invariance."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,18 +9,22 @@ from scipy.special import betainc
 
 from fishergeom import (
     BetaParams,
+    ChartDensity,
     Interval,
     QuadratureConfig,
     QuadratureResult,
     beta_chart_density,
     beta_intrinsic_density,
     bernoulli_model,
+    chart_from_intrinsic,
     charts_for,
     expectation,
     integrate_chart,
     integrate_manifold,
     interval_probability,
     intrinsic_from_chart,
+    map_estimate,
+    mapi_estimate,
     normalization_check,
     pushforward,
 )
@@ -322,8 +327,54 @@ def verify_calls(monkeypatch):
     return calls
 
 
+def counted_source(d):
+    """Copy of ``d`` whose trusted evaluator counts its calls and checks nothing."""
+    calls = [0]
+    core = density_module._core(d)
+
+    def value_offset(x, xc):
+        calls[0] += 1
+        return core(x, xc)
+
+    return dataclasses.replace(d, value_offset=value_offset), calls
+
+
 class TestTrustBoundary:
-    """Whole-domain integrals call trusted cores; sub-intervals stay checked."""
+    """Whole-domain integrals and mode searches call trusted cores, and
+    conversions check an offset only where a chart map moves it to a new
+    interval; sub-intervals stay checked."""
+
+    def test_mapi_of_a_theta_chart_density_makes_no_checks(self, verify_calls):
+        # the identity chart moves no offset, so its conversion checks none
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
+        for chart in CHARTS.values():
+            assert mapi_estimate(p, CHARTS["theta"], search_chart=chart).all_modes
+        assert verify_calls[0] == 0
+
+    def test_pushforward_from_the_theta_chart_checks_once_per_evaluation(self, verify_calls):
+        # the arcsin map's canonical offset is checked where it enters (0, 1)
+        rho, evaluations = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
+        map_estimate(pushforward(rho, CHARTS["arcsin"]))
+        assert evaluations[0] > 1000
+        assert verify_calls[0] == evaluations[0]
+
+    def test_conversions_from_the_arcsin_chart_keep_every_check(self, verify_calls):
+        # cos(y) is Beta(1, 1) in the arcsin chart, given here without checks
+        src, evaluations = counted_source(ChartDensity(
+            BERNOULLI, CHARTS["arcsin"], math.cos, "cos", lambda y, yc: math.cos(y)))
+        p = intrinsic_from_chart(src)
+        searches = [
+            # the arcsin map's output, checked in the arcsin domain
+            (1, lambda: mapi_estimate(p, CHARTS["theta"])),
+            # that output, and the reciprocal map's output in (0, 1)
+            (2, lambda: map_estimate(pushforward(src, CHARTS["reciprocal"]))),
+            (2, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["reciprocal"]))),
+        ]
+        for per_evaluation, search in searches:
+            verify_calls[0] = evaluations[0] = 0
+            search()
+            assert evaluations[0] > 1000
+            assert verify_calls[0] == per_evaluation * evaluations[0]
 
     def test_whole_domain_integrals_make_no_checks(self, verify_calls):
         params = BetaParams(1.05, 2.05)
