@@ -16,10 +16,12 @@ trusted core. At a finite endpoint ``value`` returns the one-sided limit
 (``math.inf`` where the density diverges) from :func:`endpoint_behaviour`,
 which reads the local power-law exponent off the trusted core at two exact
 offsets; the mode search classifies its boundaries with the same function.
-Conversions call their source's core and check an offset only where a chart
-map moves it to another interval, so from or to the model's identity chart
-they skip its maps. All Beta arithmetic runs through log-gamma and ``exp``
-so large shape parameters cannot overflow.
+Conversions are built from one per-theta core, the density per unit theta
+(``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
+and one chart view of it, ``q(theta(x)) * |dtheta/dx|``. Each checks an
+offset only where a chart map moves it to another interval, and the model's
+identity chart adds no map. All Beta arithmetic runs through log-gamma and
+``exp`` so large shape parameters cannot overflow.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .manifold import (
     _from_canonical_offset,
     _is_identity,
     bernoulli_model,
-    chart_from_canonical_offset,
     identity_chart,
     model_fisher_metric_offset,
     naive_offset,
@@ -53,9 +54,11 @@ from .quadrature import (
 
 
 # Exact endpoint offsets of endpoint_behaviour's log-slope. Nearer ones
-# fail: a core derived through the reciprocal chart returns inf below
-# theta ~ 1e-108 (its squared Jacobian underflows), and the arcsin chart's
-# theta offset, half the square of its own, underflows below y ~ 1e-154.
+# fail: a core derived through the reciprocal chart loses digits where the
+# pushed density goes subnormal (below theta ~ 1e-104 for Beta(2, 3)) and
+# returns inf below theta ~ 1e-154 (its Jacobian 1/y**2 underflows), and the
+# arcsin chart's theta offset, half the square of its own, underflows below
+# y ~ 1e-154.
 _NEAR, _FAR = 1e-100, 1e-50
 _EXPONENT_TOL = 1e-12
 
@@ -119,15 +122,26 @@ class IntrinsicDensity:
             object.__setattr__(self, "value_offset", lambda x, xc: fn(x))
 
 
-def _checked(core, interval: Interval):
-    """Public ``value_offset``: checks the caller's offset against ``interval``
-    once, then calls the trusted ``core``; both kept as ``domain``, ``core``."""
+def _evaluators(core, interval: Interval) -> dict:
+    """Constructor keywords ``value`` and ``value_offset`` for a trusted
+    ``core`` on ``interval``: ``value_offset`` checks the caller's offset
+    once (and keeps ``core`` and ``domain``); ``value`` takes the closure,
+    with the one-sided limit from :func:`endpoint_behaviour` at a finite end."""
 
     def value_offset(x: float, xc: float) -> float:
         return core(x, verify_offset(interval, x, xc))
 
+    def value(x: float) -> float:
+        if not interval.in_closure(x):
+            raise DomainError(
+                f"coordinate {x!r} is outside the closure of [{interval.lo}, {interval.hi}]"
+            )
+        if (x == interval.lo or x == interval.hi) and math.isfinite(x):
+            return endpoint_behaviour(core, interval, x == interval.lo)[1]
+        return core(x, naive_offset(interval, x))
+
     value_offset.core, value_offset.domain = core, interval
-    return value_offset
+    return {"value": value, "value_offset": value_offset}
 
 
 def _core(d):
@@ -172,13 +186,8 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
     model = bernoulli_model()
     chart = identity_chart(model)
     core = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
-    return ChartDensity(
-        model=model,
-        chart=chart,
-        value=_closure_value(core, chart.domain),
-        label=f"Beta({params.alpha:g},{params.beta:g})",
-        value_offset=_checked(core, chart.domain),
-    )
+    return ChartDensity(model=model, chart=chart, label=f"Beta({params.alpha:g},{params.beta:g})",
+                        **_evaluators(core, chart.domain))
 
 
 def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
@@ -189,12 +198,8 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
     """
     model = bernoulli_model()
     core = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
-    return IntrinsicDensity(
-        model=model,
-        value=_closure_value(core, model.canonical_domain),
-        label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
-        value_offset=_checked(core, model.canonical_domain),
-    )
+    return IntrinsicDensity(model=model, label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
+                            **_evaluators(core, model.canonical_domain))
 
 
 def _guard(core):
@@ -242,19 +247,41 @@ def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, fl
     return exponent, math.inf if exponent < 0.0 else 0.0
 
 
-def _closure_value(core, interval: Interval):
-    """Public single-argument evaluator over the closure of ``interval``."""
+def _per_theta(d: ChartDensity | IntrinsicDensity):
+    """Trusted ``(theta, co)`` core of ``d`` per unit theta: ``p * sqrt(G)``,
+    or ``rho(x(theta)) / |dtheta/dx|`` with the chart map's output checked
+    where it enters the chart's domain; in the identity chart, ``rho``'s core."""
+    model, source = d.model, _core(d)
+    if isinstance(d, IntrinsicDensity):
+        def per_theta(theta: float, co: float) -> float:
+            return source(theta, co) * math.sqrt(model_fisher_metric_offset(model, theta, co))
+        return per_theta
+    chart = d.chart
+    if _is_identity(model, chart):
+        return source
 
-    def value(x: float) -> float:
-        if not interval.in_closure(x):
-            raise DomainError(
-                f"coordinate {x!r} is outside the closure of [{interval.lo}, {interval.hi}]"
-            )
-        if (x == interval.lo or x == interval.hi) and math.isfinite(x):
-            return endpoint_behaviour(core, interval, x == interval.lo)[1]
-        return core(x, naive_offset(interval, x))
+    def per_theta(theta: float, co: float) -> float:
+        x, xc = _from_canonical_offset(chart, theta, co)
+        xc = verify_offset(chart.domain, x, xc)
+        return source(x, xc) / abs(_d_canonical_offset(chart, x, xc))
+    return per_theta
 
-    return value
+
+def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
+    """``d`` as a chart density in ``chart``: ``q(theta(x)) * |dtheta/dx|``
+    for its per-theta core ``q``, with the chart map's output checked as it
+    enters the canonical domain. In the model's identity chart it is ``q``.
+    """
+    model, per_theta = d.model, _per_theta(d)
+    if _is_identity(model, chart):
+        core = per_theta
+    else:
+        def core(x: float, xc: float) -> float:
+            theta, co = _canonical_offset(chart, x, xc)
+            co = verify_offset(model.canonical_domain, theta, co)
+            return per_theta(theta, co) * abs(_d_canonical_offset(chart, x, xc))
+    return ChartDensity(model=model, chart=chart, label=d.label,
+                        **_evaluators(_guard(core), chart.domain))
 
 
 def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
@@ -263,50 +290,18 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     The result is the same whichever chart ``rho`` was expressed in; that is
     the point of the construction.
     """
-    model, chart, source = rho.model, rho.chart, _core(rho)
+    model, per_theta = rho.model, _per_theta(rho)
 
-    if _is_identity(model, chart):
-        def core(theta: float, co: float) -> float:
-            return source(theta, co) / math.sqrt(model_fisher_metric_offset(model, theta, co))
-    else:
-        def core(theta: float, co: float) -> float:
-            x, xc = _from_canonical_offset(chart, theta, co)
-            xc = verify_offset(chart.domain, x, xc)
-            d = _d_canonical_offset(chart, x, xc)
-            g = model_fisher_metric_offset(model, theta, co) * d * d
-            return source(x, xc) / math.sqrt(g)
-    core = _guard(core)
-    return IntrinsicDensity(
-        model=model,
-        value=_closure_value(core, model.canonical_domain),
-        label=rho.label,
-        value_offset=_checked(core, model.canonical_domain),
-    )
+    def core(theta: float, co: float) -> float:
+        return per_theta(theta, co) / math.sqrt(model_fisher_metric_offset(model, theta, co))
+    return IntrinsicDensity(model=model, label=rho.label,
+                            **_evaluators(_guard(core), model.canonical_domain))
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
     """Express an intrinsic density for integration in ``chart``:
     ``rho(x) = p(theta(x)) * sqrt(G_chart(x))``."""
-    model, source = p.model, _core(p)
-
-    if _is_identity(model, chart):
-        def core(x: float, xc: float) -> float:
-            return source(x, xc) * math.sqrt(model_fisher_metric_offset(model, x, xc))
-    else:
-        def core(x: float, xc: float) -> float:
-            theta, co = _canonical_offset(chart, x, xc)
-            co = verify_offset(model.canonical_domain, theta, co)
-            d = _d_canonical_offset(chart, x, xc)
-            g = model_fisher_metric_offset(model, theta, co) * d * d
-            return source(theta, co) * math.sqrt(g)
-    core = _guard(core)
-    return ChartDensity(
-        model=model,
-        chart=chart,
-        value=_closure_value(core, chart.domain),
-        label=p.label,
-        value_offset=_checked(core, chart.domain),
-    )
+    return _in_chart(p, chart)
 
 
 def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
@@ -323,28 +318,7 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
         )
     if target.name == rho.chart.name:
         return rho
-    source, source_core = rho.chart, _core(rho)
-
-    if _is_identity(rho.model, source):
-        def core(y: float, yc: float) -> float:
-            theta, co = _canonical_offset(target, y, yc)
-            co = verify_offset(source.canonical_domain, theta, co)
-            return source_core(theta, co) * abs(_d_canonical_offset(target, y, yc))
-    else:
-        def core(y: float, yc: float) -> float:
-            theta, co = _canonical_offset(target, y, yc)
-            x, xc = chart_from_canonical_offset(source, theta, co)
-            xc = verify_offset(source.domain, x, xc)
-            jac = _d_canonical_offset(target, y, yc) / _d_canonical_offset(source, x, xc)
-            return source_core(x, xc) * abs(jac)
-    core = _guard(core)
-    return ChartDensity(
-        model=rho.model,
-        chart=target,
-        value=_closure_value(core, target.domain),
-        label=rho.label,
-        value_offset=_checked(core, target.domain),
-    )
+    return _in_chart(rho, target)
 
 
 def normalization_check(d: ChartDensity | IntrinsicDensity,
