@@ -421,8 +421,9 @@ def arcsin_chart() -> Chart:
 
     def from_canonical_offset(theta: float, co: float) -> tuple[float, float]:
         if co < 0:
-            d = -co
-            yc = -math.asin(math.sqrt(d * (2.0 - d)))
+            # yc = -acos(1 - d) = -2 asin(sqrt(d/2)), well conditioned up to
+            # d = 1, where asin rounds past pi/4: keep y = pi/2 + yc in the domain
+            yc = max(-2.0 * math.asin(math.sqrt(-0.5 * co)), -0.5 * math.pi)
             return 0.5 * math.pi + yc, yc
         y = math.asin(theta)
         return y, y

@@ -1,8 +1,10 @@
 """Chart/intrinsic density conversions, pushforwards, and normalization."""
 
 import dataclasses
+import itertools
 import math
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -242,11 +244,21 @@ class TestPushforward:
             assert mass == pytest.approx(base, abs=1e-9)
 
     def test_composition(self):
-        rho = beta_chart_density(BetaParams(1.05, 2.05))
-        direct = pushforward(rho, CHARTS["reciprocal"])
-        via = pushforward(pushforward(rho, CHARTS["arcsin"]), CHARTS["reciprocal"])
-        for y in interior_grid(CHARTS["reciprocal"].domain, 41)[::4]:
-            assert via.value(y) == pytest.approx(direct.value(y), rel=1e-10)
+        # an offset anchored at theta = 1 for a point near theta = 0 (the
+        # reciprocal chart's) costs up to 4.9e-9 where theta = 1 - d is rebuilt;
+        # compared where the value is a normal double, as subnormals lose digits
+        charts = ("arcsin", "reciprocal", "arclength")
+        for a, b, rel in [(1.05, 2.05, 1e-10), (5.0, 1.0, 1e-8), (60.0, 2000.0, 1e-8)]:
+            rho = beta_chart_density(BetaParams(a, b))
+            for via_name, target_name in itertools.permutations(charts, 2):
+                target = CHARTS[target_name]
+                direct = pushforward(rho, target)
+                via = pushforward(pushforward(rho, CHARTS[via_name]), target)
+                for y in interior_grid(target.domain, 1024):
+                    expected = direct.value(y)
+                    if expected >= sys.float_info.min:
+                        assert via.value(y) == pytest.approx(expected, rel=rel, abs=0.0), (
+                            a, b, via_name, target_name, y)
 
     def test_model_mismatch_rejected(self):
         from fishergeom import poisson_model, identity_chart

@@ -205,6 +205,16 @@ class TestCharts:
                 theta, co = chart.canonical_offset(x, xc)
                 assert theta == pytest.approx(chart.to_canonical(x), rel=1e-12)
 
+    def test_arcsin_inverse_far_from_its_anchor(self):
+        # a point near theta = 0 given by its offset from theta = 1, as the
+        # reciprocal chart produces: yc = -acos(theta) to full precision
+        chart = CHARTS["arcsin"]
+        for k in range(1, 61):
+            theta = 2.0 ** -k
+            y, yc = chart.from_canonical_offset(theta, -(1.0 - theta))
+            assert yc == pytest.approx(-math.acos(theta), rel=1e-15, abs=0.0), k
+            assert chart.domain.in_closure(y), k
+
     def test_get_chart_unknown(self):
         with pytest.raises(KeyError):
             get_chart(BERNOULLI, "polar")

@@ -121,6 +121,16 @@ class TestMapEstimate:
         assert r.all_modes == (0.0,)
         assert r.density_value == pytest.approx(2.0, rel=1e-5)
 
+    @pytest.mark.parametrize("a,b", [(0.5, 160.0), (0.1, 0.01), (0.015, 4.6)])
+    def test_reciprocal_map_of_an_arcsin_chart_density(self, a, b):
+        # the boundary probe at y = 1e100 reaches the arcsin chart as an offset
+        # of exactly -1 from theta = 1, which must map to a point of its domain
+        rho = beta_chart_density(BetaParams(a, b))
+        direct = map_estimate(pushforward(rho, CHARTS["reciprocal"]))
+        via = map_estimate(pushforward(pushforward(rho, CHARTS["arcsin"]), CHARTS["reciprocal"]))
+        assert (via.flat, via.at_boundary) == (direct.flat, direct.at_boundary)
+        assert via.all_modes == pytest.approx(direct.all_modes, abs=1e-8)
+
     @pytest.mark.parametrize("a,b", [(2.0, 2.0), (1.05, 2.05), (3.0, 1.5), (5.0, 5.0)])
     def test_matches_analytic_on_interior_grid(self, a, b):
         num = map_estimate(beta_chart_density(BetaParams(a, b)))
