@@ -113,14 +113,15 @@ class TestIntrinsicFromChart:
         expected = t ** (a - 0.5) * (1 - t) ** (b - 0.5) / math.exp(betaln(a, b))
         assert closed.value(t) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.05, 2.05), (0.3, 5.0)])
+    @pytest.mark.parametrize("a,b", [(a, b) for a in GRID_AB for b in GRID_AB] + [(1.05, 2.05)])
     def test_chart_independent(self, a, b):
         rho = beta_chart_density(BetaParams(a, b))
         reference = intrinsic_from_chart(rho)
         for chart in CHARTS.values():
             p = intrinsic_from_chart(pushforward(rho, chart))
-            for t in THETAS[::10]:
-                assert p.value(t) == pytest.approx(reference.value(t), rel=1e-9)
+            for t in THETAS:
+                assert p.value(t) == pytest.approx(reference.value(t), rel=1e-13, abs=0.0), (
+                    chart.name, t)
 
     def test_boundary_divergence_classified(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(0.3, 0.3)))

@@ -376,6 +376,24 @@ class TestTrustBoundary:
             assert evaluations[0] > 1000
             assert verify_calls[0] == per_evaluation * evaluations[0]
 
+    def test_each_chart_map_output_is_checked_once(self, verify_calls):
+        arcsin_src, arcsin_evals = counted_source(ChartDensity(
+            BERNOULLI, CHARTS["arcsin"], math.cos, "cos", lambda y, yc: math.cos(y)))
+        theta_src, theta_evals = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
+        p = intrinsic_from_chart(theta_src)
+        searches = [
+            # the arcsin map's output in the arcsin domain; theta moves nothing
+            (1, arcsin_evals, lambda: map_estimate(pushforward(arcsin_src, CHARTS["theta"]))),
+            # the arcsin map's output in (0, 1)
+            (1, theta_evals, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["arcsin"]))),
+            (0, theta_evals, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["theta"]))),
+        ]
+        for per_evaluation, evaluations, search in searches:
+            verify_calls[0] = evaluations[0] = 0
+            search()
+            assert evaluations[0] > 1000
+            assert verify_calls[0] == per_evaluation * evaluations[0]
+
     def test_whole_domain_integrals_make_no_checks(self, verify_calls):
         params = BetaParams(1.05, 2.05)
         rho = beta_chart_density(params)
