@@ -35,13 +35,9 @@ from .manifold import (
     DomainError,
     Interval,
     ManifoldModel,
-    _canonical_offset,
-    _d_canonical_offset,
-    _from_canonical_offset,
     _is_identity,
     bernoulli_model,
     identity_chart,
-    model_fisher_metric_offset,
     naive_offset,
     verify_offset,
 )
@@ -254,16 +250,16 @@ def _per_theta(d: ChartDensity | IntrinsicDensity):
     model, source = d.model, _core(d)
     if isinstance(d, IntrinsicDensity):
         def per_theta(theta: float, co: float) -> float:
-            return source(theta, co) * math.sqrt(model_fisher_metric_offset(model, theta, co))
+            return source(theta, co) * math.sqrt(model.fisher_metric_offset(theta, co))
         return per_theta
     chart = d.chart
     if _is_identity(model, chart):
         return source
 
     def per_theta(theta: float, co: float) -> float:
-        x, xc = _from_canonical_offset(chart, theta, co)
+        x, xc = chart.from_canonical_offset(theta, co)
         xc = verify_offset(chart.domain, x, xc)
-        return source(x, xc) / abs(_d_canonical_offset(chart, x, xc))
+        return source(x, xc) / abs(chart.d_canonical_offset(x, xc))
     return per_theta
 
 
@@ -277,9 +273,9 @@ def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
         core = per_theta
     else:
         def core(x: float, xc: float) -> float:
-            theta, co = _canonical_offset(chart, x, xc)
+            theta, co = chart.canonical_offset(x, xc)
             co = verify_offset(model.canonical_domain, theta, co)
-            return per_theta(theta, co) * abs(_d_canonical_offset(chart, x, xc))
+            return per_theta(theta, co) * abs(chart.d_canonical_offset(x, xc))
     return ChartDensity(model=model, chart=chart, label=d.label,
                         **_evaluators(_guard(core), chart.domain))
 
@@ -293,7 +289,7 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     model, per_theta = rho.model, _per_theta(rho)
 
     def core(theta: float, co: float) -> float:
-        return per_theta(theta, co) / math.sqrt(model_fisher_metric_offset(model, theta, co))
+        return per_theta(theta, co) / math.sqrt(model.fisher_metric_offset(theta, co))
     return IntrinsicDensity(model=model, label=rho.label,
                             **_evaluators(_guard(core), model.canonical_domain))
 

@@ -17,9 +17,8 @@ uncached. Each row then evaluates each density's trusted core once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from .density import (
@@ -34,7 +33,6 @@ from .manifold import (
     Chart,
     DomainError,
     ManifoldModel,
-    _canonical_offset,
     bernoulli_model,
     interior_grid,
     naive_offset,
@@ -76,11 +74,10 @@ class DensityCurve:
 def _curve_points(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
     """The ``n``-point grid of ``chart``, its offsets, its ``(theta, co)``
     points and their embedding, as columns."""
-    embed = model.embedding or (lambda theta: (math.nan, math.nan))
     xs = tuple(interior_grid(chart.domain, n))
     xcs = tuple(naive_offset(chart.domain, x) for x in xs)
-    thetas, cos = zip(*map(partial(_canonical_offset, chart), xs, xcs))
-    exs, eys = zip(*map(embed, thetas))
+    thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
+    exs, eys = zip(*map(model.embedding, thetas))
     return xs, xcs, thetas, cos, exs, eys
 
 

@@ -1,33 +1,37 @@
 """One-parameter statistical manifolds, their Fisher metrics, and charts.
 
 A model is described by a canonical coordinate (``theta`` for the coin
-family), the Fisher information metric in that coordinate, and a closed-form
-arc length. Charts are alternative coordinate systems given by bijections
-to/from the canonical coordinate together with their derivative, so metric
-values, densities and distances can be moved between parametrizations
-without ever differentiating numerically in production code.
+family), the Fisher information metric in that coordinate, and its
+arc-length chart in closed form. Charts are alternative coordinate systems
+given by bijections to/from the canonical coordinate together with their
+derivative, so metric values, densities and distances can be moved between
+parametrizations without ever differentiating numerically in production
+code.
 
 Several quantities of interest blow up like ``(1 - theta)**-q`` at a
 *nonzero* endpoint, where a bare double cannot represent its own distance to
-the endpoint. Charts therefore optionally carry offset-aware companions of
-their three maps: these take and return ``(coordinate, signed offset)``
-pairs, where a positive offset measures from the interval's lower endpoint
-and a negative one from the upper. Everything downstream (density
-conversions, quadrature, mode search) composes these to keep endpoint
-distances exact; the plain maps remain the public face.
+the endpoint. Every map of a chart and of a model's metric therefore takes
+``(coordinate, signed offset)`` pairs, where a positive offset measures from
+the interval's lower endpoint and a negative one from the upper (NaN on an
+interval without a finite end, whose maps ignore it). Everything downstream
+(density conversions, quadrature, mode search) composes these to keep
+endpoint distances exact. The plain one-argument maps (``to_canonical``,
+``fisher_metric``, ``arc_length_from_origin``, ...) are the same maps
+evaluated at the lower-end offset ``x - lo``.
 
 An offset is checked (:func:`verify_offset`) once, where it enters an
-interval: the public ``chart_*_offset`` maps check the caller's offset, then
-call private forms that trust it. Code that built an offset itself or has
-checked it calls those directly; a map's output is checked in its new
-interval, except the cached identity chart's own: it moves no offset there.
-A whole-domain integral's node offsets are anchored exactly at the domain's
-endpoints, so it trusts them; a sub-interval integral checks every node.
+interval: the public ``chart_*_offset`` functions check the caller's offset,
+then call the chart's maps, which trust it. Code that built an offset itself
+or has checked it calls the maps directly; a map's output is checked in its
+new interval, except the cached identity chart's own: it moves no offset
+there. A whole-domain integral's node offsets are anchored exactly at the
+domain's endpoints, so it trusts them; a sub-interval integral checks every
+node.
 
-A model is data: it also carries its arc-length chart's offset companions,
-its extra charts and its planar embedding (``None`` or empty if it has none).
-Models compare by identity; the shipped ones, and each model's identity and
-arc-length charts, are built once and cached for the life of the process.
+A model is data: its metric, its arc-length chart, its extra charts and its
+planar embedding (NaN off the coin family). Models compare by identity; the
+shipped ones, and each model's identity chart, are built once and cached for
+the life of the process.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def naive_offset(interval: Interval, x: float) -> float:
 
     Positive means ``x = lo + offset``, negative ``x = hi + offset``; NaN when
     neither endpoint is finite. "Naive" because the subtraction rounds; exact
-    offsets come from the quadrature node maps and the chart companions.
+    offsets come from the quadrature node maps and the chart maps.
     """
     lo_off = x - interval.lo if math.isfinite(interval.lo) else math.inf
     hi_off = interval.hi - x if math.isfinite(interval.hi) else math.inf
@@ -160,23 +164,30 @@ def interior_grid(interval: Interval, n: int) -> list[float]:
 class Chart:
     """A coordinate system on a model, defined relative to its canonical one.
 
-    ``to_canonical`` and ``from_canonical`` are mutual inverses between
-    ``domain`` and ``canonical_domain``; ``d_canonical`` is the signed
-    derivative of ``to_canonical`` and is nonzero on the interior. The three
-    ``*_offset`` fields are optional offset-aware companions (see module
-    docstring); when absent, naive offsets are used.
+    ``canonical_offset`` maps a point of ``domain`` and its offset (see the
+    module docstring) to ``(theta, co)`` in ``canonical_domain``, and
+    ``from_canonical_offset`` is its inverse; ``d_canonical_offset`` is the
+    signed derivative ``d theta / dx``, nonzero on the interior. The plain
+    ``to_canonical``, ``from_canonical`` and ``d_canonical`` evaluate them at
+    the lower-end offset.
     """
 
     name: str
     model_name: str
     domain: Interval
     canonical_domain: Interval
-    to_canonical: Callable[[float], float]
-    from_canonical: Callable[[float], float]
-    d_canonical: Callable[[float], float]
-    canonical_offset: Callable[[float, float], tuple[float, float]] | None = None
-    from_canonical_offset: Callable[[float, float], tuple[float, float]] | None = None
-    d_canonical_offset: Callable[[float, float], float] | None = None
+    canonical_offset: Callable[[float, float], tuple[float, float]]
+    from_canonical_offset: Callable[[float, float], tuple[float, float]]
+    d_canonical_offset: Callable[[float, float], float]
+
+    def to_canonical(self, x: float) -> float:
+        return self.canonical_offset(x, x - self.domain.lo)[0]
+
+    def from_canonical(self, theta: float) -> float:
+        return self.from_canonical_offset(theta, theta - self.canonical_domain.lo)[0]
+
+    def d_canonical(self, x: float) -> float:
+        return self.d_canonical_offset(x, x - self.domain.lo)
 
     def require_interior(self, x: float) -> None:
         if not self.domain.contains_interior(x):
@@ -186,67 +197,53 @@ class Chart:
             )
 
 
-def _canonical_offset(chart: Chart, x: float, xc: float) -> tuple[float, float]:
-    if chart.canonical_offset is not None and math.isfinite(xc):
-        return chart.canonical_offset(x, xc)
-    theta = chart.to_canonical(x)
-    return theta, naive_offset(chart.canonical_domain, theta)
-
-
-def _from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[float, float]:
-    if chart.from_canonical_offset is not None and math.isfinite(co):
-        return chart.from_canonical_offset(theta, co)
-    x = chart.from_canonical(theta)
-    return x, naive_offset(chart.domain, x)
-
-
-def _d_canonical_offset(chart: Chart, x: float, xc: float) -> float:
-    if chart.d_canonical_offset is not None and math.isfinite(xc):
-        return chart.d_canonical_offset(x, xc)
-    return chart.d_canonical(x)
-
-
 def chart_canonical_offset(chart: Chart, x: float, xc: float) -> tuple[float, float]:
     """Map a chart point plus signed offset to ``(theta, canonical offset)``."""
-    return _canonical_offset(chart, x, verify_offset(chart.domain, x, xc))
+    return chart.canonical_offset(x, verify_offset(chart.domain, x, xc))
 
 
 def chart_from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[float, float]:
     """Inverse of :func:`chart_canonical_offset`."""
-    return _from_canonical_offset(chart, theta, verify_offset(chart.canonical_domain, theta, co))
+    return chart.from_canonical_offset(theta, verify_offset(chart.canonical_domain, theta, co))
 
 
 def chart_d_canonical_offset(chart: Chart, x: float, xc: float) -> float:
-    """``d theta / dx`` evaluated with offset accuracy where available."""
-    if chart.d_canonical_offset is None:
-        return chart.d_canonical(x)
-    return _d_canonical_offset(chart, x, verify_offset(chart.domain, x, xc))
+    """``d theta / dx`` evaluated with offset accuracy."""
+    return chart.d_canonical_offset(x, verify_offset(chart.domain, x, xc))
+
+
+def _no_embedding(theta: float) -> tuple[float, float]:
+    return math.nan, math.nan
 
 
 @dataclass(frozen=True, eq=False)
 class ManifoldModel:
     """A one-parameter statistical family with its Fisher metric.
 
-    ``fisher_metric`` maps a canonical coordinate to the (positive) metric
-    value; ``arc_length_from_origin`` and ``arc_length_inverse`` are the
-    closed-form arc-length map and its inverse, extended continuously to the
-    closure of the canonical domain. ``fisher_metric_offset`` and the three
-    ``arclength_*`` fields are optional offset-aware companions of the metric
-    and the arc-length chart; ``extra_charts`` join those two charts and
-    ``embedding`` maps theta into the plane.
+    ``fisher_metric_offset(theta, co)`` is the (positive) metric value at a
+    canonical point and its offset. ``arclength`` is the arc-length chart,
+    in which the metric is identically 1; its maps extend continuously to
+    the closure of the canonical domain. ``extra_charts`` join the identity
+    and arc-length charts, and ``embedding`` maps theta into the plane (to
+    NaN for a model without one). The plain ``fisher_metric`` and
+    ``arc_length_*`` evaluate these maps at the lower-end offset.
     """
 
     name: str
     canonical_domain: Interval
-    fisher_metric: Callable[[float], float]
-    arc_length_from_origin: Callable[[float], float]
-    arc_length_inverse: Callable[[float], float]
-    fisher_metric_offset: Callable[[float, float], float] | None = None
-    arclength_canonical_offset: Callable[[float, float], tuple[float, float]] | None = None
-    arclength_from_canonical_offset: Callable[[float, float], tuple[float, float]] | None = None
-    arclength_d_canonical_offset: Callable[[float, float], float] | None = None
+    fisher_metric_offset: Callable[[float, float], float]
+    arclength: Chart
     extra_charts: tuple[Chart, ...] = ()
-    embedding: Callable[[float], tuple[float, float]] | None = None
+    embedding: Callable[[float], tuple[float, float]] = _no_embedding
+
+    def fisher_metric(self, theta: float) -> float:
+        return self.fisher_metric_offset(theta, theta - self.canonical_domain.lo)
+
+    def arc_length_from_origin(self, theta: float) -> float:
+        return self.arclength.from_canonical(theta)
+
+    def arc_length_inverse(self, s: float) -> float:
+        return self.arclength.to_canonical(s)
 
     def require_in_closure(self, theta: float) -> None:
         if not self.canonical_domain.in_closure(theta):
@@ -255,12 +252,6 @@ class ManifoldModel:
                 f"'{self.name}' canonical domain "
                 f"[{self.canonical_domain.lo}, {self.canonical_domain.hi}]"
             )
-
-
-def model_fisher_metric_offset(model: ManifoldModel, theta: float, co: float) -> float:
-    if model.fisher_metric_offset is not None and math.isfinite(co):
-        return model.fisher_metric_offset(theta, co)
-    return model.fisher_metric(theta)
 
 
 @cache
@@ -273,50 +264,38 @@ def bernoulli_model() -> ManifoldModel:
     reciprocal) and its isometric embedding on the radius-2 quarter circle.
     """
 
-    def metric(theta: float) -> float:
-        return 1.0 / (theta * (1.0 - theta))
-
     def metric_offset(theta: float, co: float) -> float:
         lo_off = co if co > 0 else theta
         hi_off = -co if co < 0 else 1.0 - theta
         return 1.0 / (lo_off * hi_off)
 
-    def arc_length(theta: float) -> float:
-        return 2.0 * math.asin(math.sqrt(theta))
-
-    def arc_length_inv(s: float) -> float:
-        return math.sin(0.5 * s) ** 2
-
     # theta = sin^2(s/2); at the far end 1 - theta = sin^2((pi - s)/2),
     # both exact in the respective arc-length offset
-    def arclength_canonical_offset(s: float, sc: float) -> tuple[float, float]:
+    def canonical_offset(s: float, sc: float) -> tuple[float, float]:
         d = math.sin(0.5 * sc) ** 2
         if sc < 0:
             return 1.0 - d, -d
         return d, d
 
-    def arclength_from_canonical_offset(theta: float, co: float) -> tuple[float, float]:
+    def from_canonical_offset(theta: float, co: float) -> tuple[float, float]:
         if co < 0:
             u = 2.0 * math.asin(math.sqrt(-co))
             return math.pi - u, -u
         s = 2.0 * math.asin(math.sqrt(theta))
         return s, s
 
-    def arclength_d_canonical_offset(s: float, sc: float) -> float:
+    def d_canonical_offset(s: float, sc: float) -> float:
         if sc < 0:
             return math.sin(0.5 * s) * math.sin(-0.5 * sc)
         return 0.5 * math.sin(s)
 
+    domain = Interval(0.0, 1.0)
     return ManifoldModel(
         name="bernoulli",
-        canonical_domain=Interval(0.0, 1.0),
-        fisher_metric=metric,
-        arc_length_from_origin=arc_length,
-        arc_length_inverse=arc_length_inv,
+        canonical_domain=domain,
         fisher_metric_offset=metric_offset,
-        arclength_canonical_offset=arclength_canonical_offset,
-        arclength_from_canonical_offset=arclength_from_canonical_offset,
-        arclength_d_canonical_offset=arclength_d_canonical_offset,
+        arclength=Chart("arclength", "bernoulli", Interval(0.0, math.pi), domain,
+                        canonical_offset, from_canonical_offset, d_canonical_offset),
         extra_charts=(arcsin_chart(), reciprocal_chart()),
         embedding=lambda theta: (2.0 * math.sqrt(theta), 2.0 * math.sqrt(1.0 - theta)),
     )
@@ -324,20 +303,28 @@ def bernoulli_model() -> ManifoldModel:
 
 @cache
 def poisson_model() -> ManifoldModel:
-    """Poisson rate family: metric ``1/lam`` on (0, inf), arc length ``2 sqrt(lam)``."""
+    """Poisson rate family: metric ``1/lam`` on (0, inf), arc length ``s = 2 sqrt(lam)``.
 
-    def arc_length_inv(s: float) -> float:
+    Both coordinates start at 0, so each point is its own offset.
+    """
+
+    def canonical_offset(s: float, sc: float) -> tuple[float, float]:
         half = 0.5 * s
-        if half > 1.3e154:
-            return math.inf
-        return half * half
+        lam = math.inf if half > 1.3e154 else half * half
+        return lam, lam
 
+    def from_canonical_offset(lam: float, co: float) -> tuple[float, float]:
+        s = 2.0 * math.sqrt(lam)
+        return s, s
+
+    domain = Interval(0.0, math.inf)
     return ManifoldModel(
         name="poisson",
-        canonical_domain=Interval(0.0, math.inf),
-        fisher_metric=lambda lam: 1.0 / lam,
-        arc_length_from_origin=lambda lam: 2.0 * math.sqrt(lam),
-        arc_length_inverse=arc_length_inv,
+        canonical_domain=domain,
+        fisher_metric_offset=lambda lam, co: 1.0 / lam,
+        # a domain of its own: the identity chart is recognised by its domain object
+        arclength=Chart("arclength", "poisson", Interval(0.0, math.inf), domain,
+                        canonical_offset, from_canonical_offset, lambda s, sc: 0.5 * s),
     )
 
 
@@ -346,26 +333,27 @@ def exponential_model() -> ManifoldModel:
     """Exponential rate family: metric ``1/lam**2`` on (0, inf), arc length ``log(lam)``.
 
     The arc-length origin is ``lam = 1``; the arc-length coordinate covers
-    the whole real line.
+    the whole real line, so its offsets are NaN and its maps ignore them.
     """
 
-    def arc_length(lam: float) -> float:
-        if lam == 0.0:
-            return -math.inf
-        return math.log(lam)
-
-    def arc_length_inv(s: float) -> float:
+    def canonical_offset(s: float, sc: float) -> tuple[float, float]:
         try:
-            return math.exp(s)
+            lam = math.exp(s)
         except OverflowError:
-            return math.inf
+            lam = math.inf
+        return lam, lam
 
+    def from_canonical_offset(lam: float, co: float) -> tuple[float, float]:
+        return (-math.inf if lam == 0.0 else math.log(lam)), math.nan
+
+    domain = Interval(0.0, math.inf)
     return ManifoldModel(
         name="exponential",
-        canonical_domain=Interval(0.0, math.inf),
-        fisher_metric=lambda lam: 1.0 / (lam * lam),
-        arc_length_from_origin=arc_length,
-        arc_length_inverse=arc_length_inv,
+        canonical_domain=domain,
+        fisher_metric_offset=lambda lam, co: 1.0 / (lam * lam),
+        arclength=Chart("arclength", "exponential", Interval(-math.inf, math.inf), domain,
+                        canonical_offset, from_canonical_offset,
+                        lambda s, sc: canonical_offset(s, sc)[0]),
     )
 
 
@@ -400,11 +388,9 @@ def _identity_chart(model: ManifoldModel, name: str) -> Chart:
         model_name=model.name,
         domain=model.canonical_domain,
         canonical_domain=model.canonical_domain,
-        to_canonical=lambda x: x,
-        from_canonical=lambda theta: theta,
-        d_canonical=lambda x: 1.0,
         canonical_offset=lambda x, xc: (x, xc),
         from_canonical_offset=lambda theta, co: (theta, co),
+        d_canonical_offset=lambda x, xc: 1.0,
     )
 
 
@@ -439,9 +425,6 @@ def arcsin_chart() -> Chart:
         model_name="bernoulli",
         domain=Interval(0.0, 0.5 * math.pi),
         canonical_domain=Interval(0.0, 1.0),
-        to_canonical=math.sin,
-        from_canonical=math.asin,
-        d_canonical=math.cos,
         canonical_offset=canonical_offset,
         from_canonical_offset=from_canonical_offset,
         d_canonical_offset=d_canonical_offset,
@@ -451,14 +434,12 @@ def arcsin_chart() -> Chart:
 def reciprocal_chart() -> Chart:
     """``y = 1/theta`` on the coin family, domain (1, inf)."""
 
-    def to_canonical(y: float) -> float:
-        return 1.0 / y
-
-    def d_canonical(y: float) -> float:
-        return -1.0 / (y * y)
-
     def canonical_offset(y: float, yc: float) -> tuple[float, float]:
-        # 1 - theta = (y - 1)/y, exact in the offset from y = 1
+        # 1 - theta = (y - 1)/y, exact in the offset from y = 1. Far out that
+        # offset rounds towards -1 and loses theta, which is then anchored at
+        # theta = 0 instead; the switch lies past the golden curves' last point
+        if y > 4e6:
+            return 1.0 / y, 1.0 / y
         return 1.0 / y, -yc / y
 
     def from_canonical_offset(theta: float, co: float) -> tuple[float, float]:
@@ -472,47 +453,22 @@ def reciprocal_chart() -> Chart:
         model_name="bernoulli",
         domain=Interval(1.0, math.inf),
         canonical_domain=Interval(0.0, 1.0),
-        to_canonical=to_canonical,
-        from_canonical=lambda theta: 1.0 / theta,
-        d_canonical=d_canonical,
         canonical_offset=canonical_offset,
         from_canonical_offset=from_canonical_offset,
+        d_canonical_offset=lambda y, yc: -1.0 / (y * y),
     )
 
 
-@cache
 def arclength_chart(model: ManifoldModel) -> Chart:
-    """Arc-length coordinate of ``model``; the metric is identically 1 here.
-
-    ``d theta / d s = 1 / sqrt(G(theta(s)))`` follows from the definition of
-    arc length, so no extra closed form is needed per model.
-    """
-    s_lo = model.arc_length_from_origin(model.canonical_domain.lo)
-    s_hi = model.arc_length_from_origin(model.canonical_domain.hi)
-
-    def d_canonical(s: float) -> float:
-        theta = model.arc_length_inverse(s)
-        return 1.0 / math.sqrt(model.fisher_metric(theta))
-
-    return Chart(
-        name="arclength",
-        model_name=model.name,
-        domain=Interval(s_lo, s_hi),
-        canonical_domain=model.canonical_domain,
-        to_canonical=model.arc_length_inverse,
-        from_canonical=model.arc_length_from_origin,
-        d_canonical=d_canonical,
-        canonical_offset=model.arclength_canonical_offset,
-        from_canonical_offset=model.arclength_from_canonical_offset,
-        d_canonical_offset=model.arclength_d_canonical_offset,
-    )
+    """Arc-length coordinate of ``model``; the metric is identically 1 here."""
+    return model.arclength
 
 
 def charts_for(model: ManifoldModel) -> dict[str, Chart]:
     """All shipped charts of a model, keyed by their stable names: the
     identity and arc-length charts every model has, then its extra charts.
     """
-    charts = (identity_chart(model), arclength_chart(model), *model.extra_charts)
+    charts = (identity_chart(model), model.arclength, *model.extra_charts)
     return {c.name: c for c in charts}
 
 
@@ -529,24 +485,29 @@ def get_chart(model: ManifoldModel, name: str) -> Chart:
 def metric_in_chart(model: ManifoldModel, chart: Chart, x: float) -> float:
     """Fisher metric expressed in ``chart`` coordinates at interior ``x``.
 
-    Transforms by the squared Jacobian: ``G_chart(x) = G(theta) * (d theta/dx)**2``.
-    Evaluation at an exact boundary is an error; the metric of the shipped
-    models diverges there while arc length stays finite.
+    Transforms by the squared Jacobian: ``G_chart(x) = G(theta) * (d theta/dx)**2``,
+    each factor taken from the offset maps at the offset of ``x`` from its
+    nearer end. Evaluation at an exact boundary is an error, as the metric
+    of the shipped models diverges there while arc length stays finite; so
+    is a point whose canonical image rounds onto a boundary or whose chart
+    metric is not a finite positive double (far out on an unbounded axis).
     """
     if chart.model_name != model.name:
         raise DomainError(f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{model.name}'")
     chart.require_interior(x)
-    theta = chart.to_canonical(x)
-    if not model.canonical_domain.contains_interior(theta):
-        # extreme chart coordinates can round the canonical image onto a
-        # boundary in floating point (e.g. exp underflow far out on an
-        # unbounded arc-length axis)
+    xc = naive_offset(chart.domain, x)
+    theta, co = chart.canonical_offset(x, xc)
+    try:
+        d = chart.d_canonical_offset(x, xc)
+        g = model.fisher_metric_offset(theta, co) * d * d
+    except (ZeroDivisionError, OverflowError):
+        g = math.nan
+    if not (model.canonical_domain.contains_interior(theta) and 0.0 < g < math.inf):
         raise DomainError(
-            f"canonical image {theta!r} of chart coordinate {x!r} is not "
-            f"interior to the '{model.name}' domain"
+            f"the '{chart.name}' chart metric at {x!r} (canonical image {theta!r}) "
+            f"is not a finite positive double"
         )
-    d = chart.d_canonical(x)
-    return model.fisher_metric(theta) * d * d
+    return g
 
 
 def fisher_rao_distance(model: ManifoldModel, theta1: float, theta2: float) -> float:

@@ -46,10 +46,7 @@ from .density import (
 from .manifold import (
     Chart,
     ManifoldModel,
-    _canonical_offset,
-    _from_canonical_offset,
     _is_identity,
-    arclength_chart,
     interior_grid,
     naive_offset,
 )
@@ -120,8 +117,7 @@ def _scan_points(search_chart: Chart) -> tuple[tuple[float, ...], ...]:
     """The scan grid of ``search_chart`` and its ``(theta, co)`` points."""
     sdom = search_chart.domain
     grid = interior_grid(sdom, _SCAN_POINTS)
-    thetas, cos = zip(*(_canonical_offset(search_chart, x, naive_offset(sdom, x))
-                        for x in grid))
+    thetas, cos = zip(*(search_chart.canonical_offset(x, naive_offset(sdom, x)) for x in grid))
     return tuple(grid), thetas, cos
 
 
@@ -133,13 +129,12 @@ _cached_scan_points = lru_cache(maxsize=_SCAN_CACHE_CHARTS)(_scan_points)
 
 def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | None,
                   report_chart: Chart) -> ModeResult:
-    s_chart = arclength_chart(model)    # the default search chart
+    s_chart = model.arclength    # the default search chart
     search_chart = search_chart or s_chart
     sdom, dom = search_chart.domain, model.canonical_domain
 
     def obj(x: float) -> float:
-        theta, co = _canonical_offset(search_chart, x, naive_offset(sdom, x))
-        return eval_canonical(theta, co)
+        return eval_canonical(*search_chart.canonical_offset(x, naive_offset(sdom, x)))
 
     try:
         grid, thetas, cos = _cached_scan_points(search_chart)
@@ -197,7 +192,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
         tol = _GOLDEN_TOL * max(1.0, abs(lo), abs(hi))
         x_star = _golden_max(obj, lo, hi, tol)
         x_star = _parabolic_polish(obj, x_star, sdom.lo, sdom.hi)
-        theta_star, _ = _canonical_offset(search_chart, x_star, naive_offset(sdom, x_star))
+        theta_star, _ = search_chart.canonical_offset(x_star, naive_offset(sdom, x_star))
         candidates.append((theta_star, obj(x_star)))
 
     if not candidates:
@@ -226,9 +221,8 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
     all_modes = tuple(sorted(theta for theta, _ in modes))
     canonical_point = all_modes[0]
     try:
-        chart_point, _ = _from_canonical_offset(
-            report_chart, canonical_point,
-            naive_offset(report_chart.canonical_domain, canonical_point))
+        chart_point, _ = report_chart.from_canonical_offset(
+            canonical_point, naive_offset(report_chart.canonical_domain, canonical_point))
     except (ZeroDivisionError, OverflowError, ValueError):
         chart_point = math.inf
     return ModeResult(
@@ -248,7 +242,7 @@ def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeRe
         eval_canonical = core
     else:
         def eval_canonical(theta: float, co: float) -> float:
-            return core(*_from_canonical_offset(chart, theta, co))
+            return core(*chart.from_canonical_offset(theta, co))
 
     return _numeric_mode(eval_canonical, rho.model, search_chart, rho.chart)
 

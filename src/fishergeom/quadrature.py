@@ -62,10 +62,10 @@ import inspect
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from .manifold import (DomainError, Interval, ManifoldModel, _canonical_offset, arclength_chart,
-                       chart_canonical_offset)
+from .manifold import DomainError, Interval, ManifoldModel, chart_canonical_offset
 
 _PI_2 = 0.5 * math.pi
 # |t| beyond which every transform's weight underflows in double precision
@@ -333,23 +333,23 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     s_lo = model.arc_length_from_origin(region.lo)
     s_hi = model.arc_length_from_origin(region.hi)
     s_interval = Interval(s_lo, s_hi)
-    s_chart = arclength_chart(model)
+    s_chart = model.arclength
 
     if wants_offset(f):
         # Over the whole domain no check can change an offset. Offsets anchored
         # at an interior region boundary fail the chart's check and fall back
         # to naive ones, which are well conditioned there.
         if region == domain:
-            to_canonical, f = _canonical_offset, _trusted(f, domain)
+            to_canonical, f = s_chart.canonical_offset, _trusted(f, domain)
         else:
-            to_canonical = chart_canonical_offset
+            to_canonical = partial(chart_canonical_offset, s_chart)
 
         def g(s: float, sc: float) -> float:
-            theta, co = to_canonical(s_chart, s, sc)
+            theta, co = to_canonical(s, sc)
             return f(theta, co)
     else:
         def g(s: float, sc: float) -> float:
-            return f(model.arc_length_inverse(s))
+            return f(s_chart.to_canonical(s))
 
     return _de_integrate(g, True, s_interval, cfg)
 

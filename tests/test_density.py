@@ -33,7 +33,7 @@ from fishergeom import (
 )
 from fishergeom import mode
 from fishergeom.density import IntrinsicDensity, _core, endpoint_behaviour
-from fishergeom.manifold import _from_canonical_offset, _is_identity, interior_grid
+from fishergeom.manifold import _is_identity, interior_grid
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -261,6 +261,15 @@ class TestPushforward:
                         assert via.value(y) == pytest.approx(expected, rel=rel, abs=0.0), (
                             a, b, via_name, target_name, y)
 
+    @pytest.mark.parametrize("y", [1e7, 1e12, 1e17, 1e100])
+    def test_composition_far_out_in_reciprocal(self, y):
+        # far out the reciprocal chart anchors theta's offset at 0, so a point
+        # near theta = 0 reaches the arcsin chart with all its digits
+        rho = beta_chart_density(BetaParams(0.5, 160.0))
+        target = CHARTS["reciprocal"]
+        via = pushforward(pushforward(rho, CHARTS["arcsin"]), target)
+        assert via.value(y) == pytest.approx(pushforward(rho, target).value(y), rel=1e-13, abs=0.0)
+
     def test_model_mismatch_rejected(self):
         from fishergeom import poisson_model, identity_chart
 
@@ -372,7 +381,7 @@ class TestIdentityChartFastPath:
         pts = []
         for search in TestIdentityChartFastPath.SEARCH:
             _, thetas, cos = mode._cached_scan_points(CHARTS[search])
-            pts += [_from_canonical_offset(chart, t, c) for t, c in zip(thetas, cos)]
+            pts += [chart.from_canonical_offset(t, c) for t, c in zip(thetas, cos)]
 
         def record(x, xc):
             pts.append((x, xc))

@@ -149,7 +149,6 @@ class TestSampleCurve:
         from fishergeom.manifold import (
             chart_canonical_offset,
             chart_d_canonical_offset,
-            model_fisher_metric_offset,
             naive_offset,
         )
 
@@ -162,7 +161,7 @@ class TestSampleCurve:
             xc = naive_offset(chart.domain, x)
             theta, co = chart_canonical_offset(chart, x, xc)
             d = chart_d_canonical_offset(chart, x, xc)
-            g = model_fisher_metric_offset(BERNOULLI, theta, co) * d * d
+            g = BERNOULLI.fisher_metric_offset(theta, co) * d * d
             if not math.isfinite(g):
                 continue
             assert row.p * math.sqrt(g) == pytest.approx(row.rho, rel=1e-10)

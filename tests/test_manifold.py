@@ -197,13 +197,24 @@ class TestCharts:
             assert chart.d_canonical(x) != 0.0
 
     def test_offset_companions_match_plain_maps(self):
-        for chart in CHARTS.values():
-            if chart.canonical_offset is None:
-                continue
-            for x in interior_grid(chart.domain, 63):
-                xc = x - chart.domain.lo if math.isfinite(chart.domain.lo) else -(chart.domain.hi - x)
-                theta, co = chart.canonical_offset(x, xc)
-                assert theta == pytest.approx(chart.to_canonical(x), rel=1e-12)
+        # every chart of every model, at the offsets from the lower and the
+        # nearer end; the round trip is exact from the nearer end (from the
+        # lower one it is as conditioned as the plain maps, see test_round_trip)
+        from fishergeom.manifold import naive_offset
+
+        for model in map(get_model, MODEL_NAMES):
+            for chart in charts_for(model).values():
+                dom = chart.domain
+                for x in interior_grid(dom, 63):
+                    plain = chart.to_canonical(x)
+                    if not model.canonical_domain.contains_interior(plain):
+                        continue    # exp under- or overflows far out on the real line
+                    near = naive_offset(dom, x)
+                    for xc in (x - dom.lo, near):
+                        theta, _ = chart.canonical_offset(x, xc)
+                        assert theta == pytest.approx(plain, rel=1e-12, abs=0.0), (chart, x, xc)
+                    back, _ = chart.from_canonical_offset(*chart.canonical_offset(x, near))
+                    assert abs(back - x) <= 1e-14 * max(1.0, abs(x)), (chart, x)
 
     def test_arcsin_inverse_far_from_its_anchor(self):
         # a point near theta = 0 given by its offset from theta = 1, as the
@@ -243,6 +254,38 @@ class TestMetricInChart:
         got = metric_in_chart(BERNOULLI, chart, y)
         assert got == pytest.approx(oracle, rel=1e-9)
         assert got == pytest.approx(0.25, rel=1e-14)
+
+    # G_chart without cancellation: (1 + sin y)/sin y in arcsin, 1/(y^2 (y - 1)) in reciprocal
+    CLOSED_FORMS = {
+        "theta": lambda x: 1.0 / (x * (1.0 - x)),
+        "arcsin": lambda y: 1.0 + 1.0 / math.sin(y),
+        "reciprocal": lambda y: 1.0 / (y * y * (y - 1.0)),
+        "arclength": lambda s: 1.0,
+    }
+
+    @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
+    def test_closed_form_on_the_full_grid(self, name):
+        # the grid's ends sit 1e-6 of the width (reciprocal: y ~ 1e6) from the edges
+        chart, closed_form = CHARTS[name], self.CLOSED_FORMS[name]
+        for x in interior_grid(chart.domain, 2001):
+            assert metric_in_chart(BERNOULLI, chart, x) == pytest.approx(
+                closed_form(x), rel=1e-14, abs=0.0), x
+
+    @pytest.mark.parametrize("model_name,s", [("exponential", -380.0), ("exponential", -700.0),
+                                              ("exponential", 400.0), ("exponential", 700.0),
+                                              ("poisson", 1e-160)])
+    def test_unrepresentable_metric_rejected(self, model_name, s):
+        # the canonical image is interior, but its metric or Jacobian over- or
+        # underflows: no raw ZeroDivisionError, 0, inf or nan
+        model = get_model(model_name)
+        with pytest.raises(DomainError):
+            metric_in_chart(model, get_chart(model, "arclength"), s)
+
+    @pytest.mark.parametrize("model_name,s", [("exponential", -300.0), ("poisson", 1e-150)])
+    def test_arclength_metric_far_out(self, model_name, s):
+        model = get_model(model_name)
+        chart = get_chart(model, "arclength")
+        assert metric_in_chart(model, chart, s) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_arclength_chart_metric_is_one(self):
         chart = CHARTS["arclength"]
