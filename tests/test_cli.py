@@ -140,6 +140,51 @@ class TestCsvOutputs:
         assert "value,0" in capsys.readouterr().out
 
 
+# one successful call per subcommand: its CSV header lines (after the
+# version line) and its JSON request object, in order
+REQUESTS = [
+    (["volume"], ["# subcommand: volume", "# model: bernoulli"],
+     {"subcommand": "volume", "model": "bernoulli"}),
+    (["distance", "--p1", "0.1", "--p2", "0.7"],
+     ["# subcommand: distance", "# model: bernoulli", "# p1: 0.1", "# p2: 0.7"],
+     {"subcommand": "distance", "model": "bernoulli", "p1": 0.1, "p2": 0.7}),
+    (["density", "--alpha", "2", "--beta", "3", "--chart", "arcsin", "--samples", "3"],
+     ["# model: bernoulli", "# chart: arcsin", "# label: Beta(2,3)", "# samples: 3"],
+     {"subcommand": "density", "model": "bernoulli", "chart": "arcsin",
+      "alpha": 2.0, "beta": 3.0, "samples": 3}),
+    (["embed", "--alpha", "0.3", "--samples", "3"],
+     ["# model: bernoulli", "# chart: theta", "# label: Beta(0.3,0.5)", "# samples: 3"],
+     {"subcommand": "embed", "model": "bernoulli", "chart": "theta", "alpha": 0.3,
+      "samples": 3}),
+    (["mode", "--alpha", "2", "--beta", "3", "--kind", "map", "--chart", "reciprocal"],
+     ["# subcommand: mode", "# model: bernoulli", "# chart: reciprocal", "# alpha: 2.0",
+      "# beta: 3.0", "# kind: map"],
+     {"subcommand": "mode", "model": "bernoulli", "chart": "reciprocal", "alpha": 2.0,
+      "beta": 3.0, "kind": "map"}),
+    (["expect", "--alpha", "2", "--beta", "3", "--power", "2"],
+     ["# subcommand: expect", "# model: bernoulli", "# alpha: 2.0", "# beta: 3.0",
+      "# power: 2"],
+     {"subcommand": "expect", "model": "bernoulli", "alpha": 2.0, "beta": 3.0, "power": 2}),
+    (["prob", "--alpha", "2", "--beta", "3", "--from", "0.1", "--to", "0.4"],
+     ["# subcommand: prob", "# model: bernoulli", "# alpha: 2.0", "# beta: 3.0",
+      "# from: 0.1", "# to: 0.4"],
+     {"subcommand": "prob", "model": "bernoulli", "alpha": 2.0, "beta": 3.0, "from": 0.1,
+      "to": 0.4}),
+]
+
+
+class TestRequestMetadata:
+    @pytest.mark.parametrize("argv,header,meta", REQUESTS, ids=[r[0][0] for r in REQUESTS])
+    def test_csv_header_and_json_request(self, tmp_path, argv, header, meta):
+        rc, text = run_cli(tmp_path, *argv, name="r.csv")
+        assert rc == 0
+        comments = [line for line in text.splitlines() if line.startswith("#")]
+        assert comments == [f"# fishergeom {argv[0]}", f"# version: {__version__}", *header]
+        rc, text = run_cli(tmp_path, *argv, "--format", "json", name="r.json")
+        assert rc == 0
+        assert list(json.loads(text)["request"].items()) == list(meta.items())
+
+
 class TestSvgOutput:
     def test_density_svg(self, tmp_path):
         rc, text = run_cli(tmp_path, "density", "--alpha", "2", "--beta", "2",
