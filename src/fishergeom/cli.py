@@ -13,6 +13,7 @@ arithmetic error), 2 usage error (nothing is written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,6 +43,42 @@ _CSV_ROW = ",".join(["%.17g"] * len(_CURVE_COLUMNS))
 # doc["result"]["rows"]; %r on a float is float.__repr__, which json emits.
 _JSON_ROW = "[\n        " + ",\n        ".join(["%r"] * len(_CURVE_COLUMNS)) + "\n      ]"
 
+# Each option a subcommand may take: its Namespace field -> (flag, argparse
+# keywords). Every subcommand takes --format and --output; a request's
+# metadata lists the other options of its subcommand that are set.
+_OPTIONS = {
+    "model": ("--model", dict(default="bernoulli", help="model id (default: bernoulli)")),
+    "chart": ("--chart", dict(default="theta", help="chart id (default: theta)")),
+    "alpha": ("--alpha", dict(type=float, default=None, help="Beta shape alpha")),
+    "beta": ("--beta", dict(type=float, default=None, help="Beta shape beta")),
+    "samples": ("--samples", dict(type=int, default=1001, help="grid size (default: 1001)")),
+    "kind": ("--kind", dict(
+        choices=("map", "mapi"), default="mapi",
+        help="map: argmax of the chart density; mapi: argmax of the intrinsic one")),
+    "power": ("--power", dict(type=int, default=1, help="moment order k (default: 1)")),
+    "lo": ("--from", dict(type=float, default=None, help="interval start (canonical coordinate)")),
+    "hi": ("--to", dict(type=float, default=None, help="interval end (canonical coordinate)")),
+    "p1": ("--p1", dict(type=float, default=None, help="first canonical coordinate")),
+    "p2": ("--p2", dict(type=float, default=None, help="second canonical coordinate")),
+    "fmt": ("--format", dict(choices=_FORMATS, default="csv", help="output format (default: csv)")),
+    "output": ("--output", dict(default="-", help="output path, '-' for stdout (default)")),
+}
+_CURVE_OPTIONS = ("model", "chart", "alpha", "beta", "samples")
+# subcommand -> (help, options before --format, options after --output), in
+# the order each usage line lists them
+_SUBCOMMANDS = {
+    "volume": ("Riemannian volume of the model", ("model",), ()),
+    "density": ("tabulate a Beta density (chart and intrinsic) over a chart", _CURVE_OPTIONS, ()),
+    "mode": ("MAP (chart-dependent) or MAPI (invariant) estimate",
+             ("model", "chart", "alpha", "beta"), ("kind",)),
+    "expect": ("expectation of theta**k under a Beta density", ("model", "alpha", "beta"),
+               ("power",)),
+    "prob": ("probability of a canonical-coordinate interval", ("model", "alpha", "beta"),
+             ("lo", "hi")),
+    "distance": ("Fisher-Rao distance between two canonical points", ("model",), ("p1", "p2")),
+    "embed": ("embedded manifold curve with a density as height", _CURVE_OPTIONS, ()),
+}
+
 
 class UsageError(ValueError):
     pass
@@ -68,25 +105,12 @@ def _require_beta(req: argparse.Namespace) -> BetaParams:
 
 
 def _request_meta(req: argparse.Namespace) -> dict:
-    meta = {"subcommand": req.subcommand, "model": req.model}
-    if req.subcommand in ("density", "mode", "embed"):
-        meta["chart"] = req.chart
-    if req.alpha is not None:
-        meta["alpha"] = req.alpha
-    if req.beta is not None:
-        meta["beta"] = req.beta
-    if req.subcommand == "prob":
-        meta["from"] = req.lo
-        meta["to"] = req.hi
-    if req.subcommand == "distance":
-        meta["p1"] = req.p1
-        meta["p2"] = req.p2
-    if req.subcommand == "expect":
-        meta["power"] = req.power
-    if req.subcommand == "mode":
-        meta["kind"] = req.kind
-    if req.subcommand in _CURVES:
-        meta["samples"] = req.samples
+    _, before, after = _SUBCOMMANDS[req.subcommand]
+    meta = {"subcommand": req.subcommand}
+    for key in before + after:
+        value = getattr(req, key)
+        if value is not None:
+            meta[_OPTIONS[key][0].lstrip("-")] = value
     return meta
 
 
@@ -299,14 +323,7 @@ def run(req: argparse.Namespace) -> int:
                 r = map_estimate(pushforward(rho, chart))
             else:
                 r = mapi_estimate(intrinsic_from_chart(rho), chart)
-            _emit_scalar(req, {
-                "canonical_point": r.canonical_point,
-                "chart_point": r.chart_point,
-                "density_value": r.density_value,
-                "at_boundary": r.at_boundary,
-                "all_modes": r.all_modes,
-                "flat": r.flat,
-            }, None)
+            _emit_scalar(req, dataclasses.asdict(r), None)
 
         elif req.subcommand == "expect":
             params = _require_beta(req)
@@ -327,9 +344,6 @@ def run(req: argparse.Namespace) -> int:
                 raise QuadratureConvergenceError("interval probability did not converge", res)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
 
-        else:
-            raise UsageError(f"unknown subcommand '{req.subcommand}'")
-
     except (ValueError, KeyError) as e:     # UsageError, DomainError, unknown chart
         # str() of a KeyError quotes its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
@@ -348,53 +362,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fishergeom {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # fields that only some subcommands take
-    parser.set_defaults(chart="theta", alpha=None, beta=None, lo=None, hi=None,
-                        p1=None, p2=None, power=1, kind="mapi", samples=1001)
-
-    def common(p, chart=False, beta=False, samples=False):
-        p.add_argument("--model", default="bernoulli", help="model id (default: bernoulli)")
-        if chart:
-            p.add_argument("--chart", default="theta", help="chart id (default: theta)")
-        if beta:
-            p.add_argument("--alpha", type=float, default=None, help="Beta shape alpha")
-            p.add_argument("--beta", type=float, default=None, help="Beta shape beta")
-        if samples:
-            p.add_argument("--samples", type=int, default=1001, help="grid size (default: 1001)")
-        p.add_argument("--format", dest="fmt", choices=_FORMATS, default="csv",
-                       help="output format (default: csv)")
-        p.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
-
-    p = sub.add_parser("volume", help="Riemannian volume of the model")
-    common(p)
-
-    p = sub.add_parser("density", help="tabulate a Beta density (chart and intrinsic) over a chart")
-    common(p, chart=True, beta=True, samples=True)
-
-    p = sub.add_parser("mode", help="MAP (chart-dependent) or MAPI (invariant) estimate")
-    common(p, chart=True, beta=True)
-    p.add_argument("--kind", choices=("map", "mapi"), default="mapi",
-                   help="map: argmax of the chart density; mapi: argmax of the intrinsic one")
-
-    p = sub.add_parser("expect", help="expectation of theta**k under a Beta density")
-    common(p, beta=True)
-    p.add_argument("--power", type=int, default=1, help="moment order k (default: 1)")
-
-    p = sub.add_parser("prob", help="probability of a canonical-coordinate interval")
-    common(p, beta=True)
-    p.add_argument("--from", dest="lo", type=float, default=None,
-                   help="interval start (canonical coordinate)")
-    p.add_argument("--to", dest="hi", type=float, default=None,
-                   help="interval end (canonical coordinate)")
-
-    p = sub.add_parser("distance", help="Fisher-Rao distance between two canonical points")
-    common(p)
-    p.add_argument("--p1", type=float, default=None, help="first canonical coordinate")
-    p.add_argument("--p2", type=float, default=None, help="second canonical coordinate")
-
-    p = sub.add_parser("embed", help="embedded manifold curve with a density as height")
-    common(p, chart=True, beta=True, samples=True)
-
+    for name, (help_text, before, after) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in (*before, "fmt", "output", *after):
+            flag, kwargs = _OPTIONS[key]
+            p.add_argument(flag, dest=key, **kwargs)
     return parser
 
 

@@ -63,6 +63,12 @@ class ChartModelMismatchError(ValueError):
     """A chart was combined with a density living on a different model."""
 
 
+def _require_model(chart: Chart, model: ManifoldModel) -> None:
+    if chart.model_name != model.name:
+        raise ChartModelMismatchError(
+            f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{model.name}'")
+
+
 @dataclass(frozen=True)
 class BetaParams:
     """Shape parameters of a Beta density; both must be positive."""
@@ -93,11 +99,7 @@ class ChartDensity:
     value_offset: Callable[[float, float], float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.chart.model_name != self.model.name:
-            raise ChartModelMismatchError(
-                f"chart '{self.chart.name}' belongs to model '{self.chart.model_name}', "
-                f"not '{self.model.name}'"
-            )
+        _require_model(self.chart, self.model)
         if self.value_offset is None:
             fn = self.value
             object.__setattr__(self, "value_offset", lambda x, xc: fn(x))
@@ -307,11 +309,7 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
     ``rho_target(y) = rho_source(x(y)) * |dx/dy|``; the total mass is
     preserved. Pushing a density to its own chart returns it unchanged.
     """
-    if target.model_name != rho.model.name:
-        raise ChartModelMismatchError(
-            f"chart '{target.name}' belongs to model '{target.model_name}', "
-            f"not '{rho.model.name}'"
-        )
+    _require_model(target, rho.model)
     if target.name == rho.chart.name:
         return rho
     return _in_chart(rho, target)

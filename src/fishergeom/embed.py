@@ -9,16 +9,14 @@ the Fisher-Rao distance, which the tests verify against fine polylines.
 chart density and the intrinsic density per row (plus the embedded
 coordinates), which is exactly the data needed to plot the two side by side.
 Its points (grid, exact offsets, canonical points, embedding) depend only on
-the model, the chart and ``n``, so they are built once and kept for the
-``mode._SCAN_CACHE_CHARTS`` most recently used keys, matched by model
-identity and chart equality; a chart with an unhashable field is sampled
-uncached. Each row then evaluates each density's trusted core once.
+the model, the chart and ``n``, so they are read from the sample table the
+mode scan shares (``manifold._chart_samples``). Each row then evaluates each
+density's trusted core once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .density import (
@@ -29,15 +27,7 @@ from .density import (
     intrinsic_from_chart,
     pushforward,
 )
-from .manifold import (
-    Chart,
-    DomainError,
-    ManifoldModel,
-    bernoulli_model,
-    interior_grid,
-    naive_offset,
-)
-from .mode import _SCAN_CACHE_CHARTS
+from .manifold import Chart, DomainError, _chart_samples, bernoulli_model
 
 
 @dataclass(frozen=True)
@@ -71,19 +61,6 @@ class DensityCurve:
     rows: tuple[CurveRow, ...]
 
 
-def _curve_points(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
-    """The ``n``-point grid of ``chart``, its offsets, its ``(theta, co)``
-    points and their embedding, as columns."""
-    xs = tuple(interior_grid(chart.domain, n))
-    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
-    thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
-    exs, eys = zip(*map(model.embedding, thetas))
-    return xs, xcs, thetas, cos, exs, eys
-
-
-_cached_curve_points = lru_cache(maxsize=_SCAN_CACHE_CHARTS)(_curve_points)
-
-
 def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> DensityCurve:
     """Tabulate a density over ``n`` interior grid points of ``chart``.
 
@@ -100,10 +77,7 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
         p = d
         rho = chart_from_intrinsic(d, chart)
     model = p.model
-    try:
-        xs, xcs, thetas, cos, exs, eys = _cached_curve_points(model, chart, n)
-    except TypeError:   # a field of the chart cannot be hashed
-        xs, xcs, thetas, cos, exs, eys = _curve_points(model, chart, n)
+    xs, xcs, thetas, cos, exs, eys = _chart_samples(model, chart, n)
     rows = map(CurveRow, xs, thetas, map(_core(rho), xs, xcs), map(_core(p), thetas, cos), exs, eys)
     return DensityCurve(
         model_name=model.name,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 
@@ -470,6 +470,31 @@ def charts_for(model: ManifoldModel) -> dict[str, Chart]:
     """
     charts = (identity_chart(model), model.arclength, *model.extra_charts)
     return {c.name: c for c in charts}
+
+
+# Keyed by model identity and chart equality: charts holding the same maps
+# share their samples. The shipped charts are built once per model, so only
+# a chart a caller makes anew misses, and the bound keeps such charts from
+# piling up; it holds the mode scan's four search charts and four curves.
+@lru_cache(maxsize=8)
+def _cached_chart_samples(model: ManifoldModel, chart: Chart,
+                          n: int) -> tuple[tuple[float, ...], ...]:
+    """The ``n``-point interior grid of ``chart``, its offsets, its
+    ``(theta, co)`` points and their embedding, as six columns: the points
+    of the mode scan and of every sampled curve."""
+    xs = tuple(interior_grid(chart.domain, n))
+    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
+    thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
+    exs, eys = zip(*map(model.embedding, thetas))
+    return xs, xcs, thetas, cos, exs, eys
+
+
+def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
+    """:func:`_cached_chart_samples`, built anew for a chart that cannot be hashed."""
+    try:
+        return _cached_chart_samples(model, chart, n)
+    except TypeError:   # a field of the chart cannot be hashed
+        return _cached_chart_samples.__wrapped__(model, chart, n)
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:

@@ -18,41 +18,36 @@ within the tie tolerance is reported as flat — a distinguished result,
 since returning one arbitrary argmax would be misleading; only a divergent
 boundary rules flatness out.
 
-The scan's points and their exact canonical offsets depend only on the
-search chart, so they are built once per chart (a few charts are kept,
-matched by equality) and reused; the default, the model's arc-length
-chart, is the same object on every call. The search trusts the offsets it
-builds itself and calls the density's trusted core on them; a
-``value_offset`` swapped in from outside is called as given. A scan value
-of 0 (a tail that underflowed) is never refined, and a scan that is 0
-everywhere raises ``ArithmeticError`` rather than reporting ``flat``.
+A search or report chart of another model raises
+``ChartModelMismatchError``. The scan's points and their exact canonical
+offsets depend only on the model and the search chart, so they are read
+from the sample table that curves share (``manifold._chart_samples``); the
+default search chart, the model's arc-length chart, is the same object on
+every call. The search trusts the offsets it builds itself and calls the
+density's trusted core on them; a ``value_offset`` swapped in from outside
+is called as given. A scan value of 0 (a tail that underflowed) is never
+refined, and a scan that is 0 everywhere raises ``ArithmeticError`` rather
+than reporting ``flat``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .density import (
     BetaParams,
     ChartDensity,
     IntrinsicDensity,
     _core,
+    _require_model,
     beta_chart_density,
     beta_intrinsic_density,
     endpoint_behaviour,
 )
-from .manifold import (
-    Chart,
-    ManifoldModel,
-    _is_identity,
-    interior_grid,
-    naive_offset,
-)
+from .manifold import Chart, ManifoldModel, _chart_samples, _is_identity, naive_offset
 
 _SCAN_POINTS = 1024
-_SCAN_CACHE_CHARTS = 4      # search charts whose scan points are kept
 _GOLDEN_TOL = 1e-10
 _POLISH_H = 1e-5
 _TIE_REL = 1e-9             # relative density window for reporting co-modes
@@ -113,33 +108,18 @@ def _parabolic_polish(f, x: float, lo: float, hi: float) -> float:
     return x + shift
 
 
-def _scan_points(search_chart: Chart) -> tuple[tuple[float, ...], ...]:
-    """The scan grid of ``search_chart`` and its ``(theta, co)`` points."""
-    sdom = search_chart.domain
-    grid = interior_grid(sdom, _SCAN_POINTS)
-    thetas, cos = zip(*(search_chart.canonical_offset(x, naive_offset(sdom, x)) for x in grid))
-    return tuple(grid), thetas, cos
-
-
-# Keyed by chart equality: charts holding the same maps share a scan. The
-# shipped charts are built once per model, so only a chart a caller makes
-# anew misses, and the bound keeps such charts from piling up.
-_cached_scan_points = lru_cache(maxsize=_SCAN_CACHE_CHARTS)(_scan_points)
-
-
 def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | None,
                   report_chart: Chart) -> ModeResult:
     s_chart = model.arclength    # the default search chart
     search_chart = search_chart or s_chart
+    _require_model(search_chart, model)
+    _require_model(report_chart, model)
     sdom, dom = search_chart.domain, model.canonical_domain
 
     def obj(x: float) -> float:
         return eval_canonical(*search_chart.canonical_offset(x, naive_offset(sdom, x)))
 
-    try:
-        grid, thetas, cos = _cached_scan_points(search_chart)
-    except TypeError:   # a field of the chart cannot be hashed
-        grid, thetas, cos = _scan_points(search_chart)
+    grid, _, thetas, cos, _, _ = _chart_samples(model, search_chart, _SCAN_POINTS)
     vals = list(map(eval_canonical, thetas, cos))
 
     # the limit at each boundary a finite arc length away; one that vanishes

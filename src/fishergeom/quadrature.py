@@ -84,8 +84,10 @@ class QuadratureConfig:
     max_refinement_levels: int = 12
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):     # NaN fails too
             raise ValueError("tolerances must be positive")
+        if not isinstance(self.max_refinement_levels, int):
+            raise ValueError("the refinement level count must be an int")
         if self.max_refinement_levels < 1:
             raise ValueError("need at least one refinement level")
 

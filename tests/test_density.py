@@ -33,7 +33,7 @@ from fishergeom import (
 )
 from fishergeom import mode
 from fishergeom.density import IntrinsicDensity, _core, endpoint_behaviour
-from fishergeom.manifold import _is_identity, interior_grid
+from fishergeom.manifold import _chart_samples, _is_identity, interior_grid
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -380,7 +380,7 @@ class TestIdentityChartFastPath:
         the DE nodes of levels 0-8, and endpoint offsets from 1e-300 to 1e-16."""
         pts = []
         for search in TestIdentityChartFastPath.SEARCH:
-            _, thetas, cos = mode._cached_scan_points(CHARTS[search])
+            _, _, thetas, cos, _, _ = _chart_samples(BERNOULLI, CHARTS[search], mode._SCAN_POINTS)
             pts += [chart.from_canonical_offset(t, c) for t, c in zip(thetas, cos)]
 
         def record(x, xc):

@@ -21,8 +21,7 @@ from fishergeom import (
     metric_in_chart,
     sample_curve,
 )
-from fishergeom import embed
-from fishergeom.mode import _SCAN_CACHE_CHARTS
+from fishergeom import embed, manifold
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -233,12 +232,12 @@ class TestCurveCache:
         curves = []
         for hit in (False, True):
             if not hit:
-                embed._cached_curve_points.cache_clear()
-            before = embed._cached_curve_points.cache_info()
+                manifold._cached_chart_samples.cache_clear()
+            before = manifold._cached_chart_samples.cache_info()
             core_calls.clear()
             n[0] = 0
             curves.append(sample_curve(rho, CHARTS[name], 101))
-            after = embed._cached_curve_points.cache_info()
+            after = manifold._cached_chart_samples.cache_info()
             assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
             # the chart density and the intrinsic one, each once a row, and
             # both through the replaced function
@@ -248,14 +247,14 @@ class TestCurveCache:
 
     def test_bounded(self):
         rho = beta_chart_density(BetaParams(2.0, 3.0))
-        misses = embed._cached_curve_points.cache_info().misses
+        misses = manifold._cached_chart_samples.cache_info().misses
         for i in range(10):
             chart = dataclasses.replace(CHARTS["arcsin"], name=f"arcsin{i}")
             sample_curve(rho, chart, 11)
         for n in range(12, 17):
             sample_curve(rho, CHARTS["theta"], n)
-        assert embed._cached_curve_points.cache_info().misses == misses + 15
-        assert embed._cached_curve_points.cache_info().currsize <= _SCAN_CACHE_CHARTS
+        assert manifold._cached_chart_samples.cache_info().misses == misses + 15
+        assert manifold._cached_chart_samples.cache_info().currsize <= 8
 
     def test_unhashable_chart_is_sampled(self):
         arcsin = CHARTS["arcsin"]

@@ -7,6 +7,7 @@ import pytest
 
 from fishergeom import (
     BetaParams,
+    ChartModelMismatchError,
     beta_chart_density,
     beta_mode_analytic,
     bernoulli_model,
@@ -14,9 +15,10 @@ from fishergeom import (
     intrinsic_from_chart,
     map_estimate,
     mapi_estimate,
+    poisson_model,
     pushforward,
 )
-from fishergeom import mode
+from fishergeom import manifold, mode
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -321,6 +323,22 @@ class TestUnderflowedScan:
             mapi_estimate(intrinsic(1e9, 1e9), CHARTS["theta"])
 
 
+class TestChartOfAnotherModel:
+    # a MAP is reported in its density's own chart, which the density
+    # already checks; every other chart role is checked by the search
+    SEARCHES = {
+        "mapi-search": lambda c: mapi_estimate(intrinsic(2.0, 3.0), CHARTS["theta"], search_chart=c),
+        "mapi-report": lambda c: mapi_estimate(intrinsic(2.0, 3.0), c),
+        "map-search": lambda c: map_estimate(beta_chart_density(BetaParams(2.0, 3.0)),
+                                             search_chart=c),
+    }
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_rejected(self, search):
+        with pytest.raises(ChartModelMismatchError, match="belongs to model 'poisson'"):
+            self.SEARCHES[search](poisson_model().arclength)
+
+
 class _Unhashable:
     """A callable that cannot be hashed, as a chart field may be."""
 
@@ -350,41 +368,41 @@ class TestScanCache:
     def test_miss_matches_hit(self, chart):
         p, n = counted_intrinsic(1.05, 2.05)
         mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
-        hits = mode._cached_scan_points.cache_info().hits
+        hits = manifold._cached_chart_samples.cache_info().hits
         n[0] = 0
         hit = mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
-        assert mode._cached_scan_points.cache_info().hits == hits + 1
+        assert manifold._cached_chart_samples.cache_info().hits == hits + 1
         hit_count, n[0] = n[0], 0
         # the shipped charts are built once, so only an emptied cache misses
-        mode._cached_scan_points.cache_clear()
-        misses = mode._cached_scan_points.cache_info().misses
+        manifold._cached_chart_samples.cache_clear()
+        misses = manifold._cached_chart_samples.cache_info().misses
         miss = mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
-        assert mode._cached_scan_points.cache_info().misses == misses + 1
+        assert manifold._cached_chart_samples.cache_info().misses == misses + 1
         assert repr(miss) == repr(hit)
         assert n[0] == hit_count
 
     def test_bounded(self):
         rho = beta_chart_density(BetaParams(2.0, 3.0))
-        misses = mode._cached_scan_points.cache_info().misses
+        misses = manifold._cached_chart_samples.cache_info().misses
         for i in range(10):
             chart = dataclasses.replace(CHARTS["arcsin"], name=f"arcsin{i}")
             map_estimate(rho, search_chart=chart)
-        assert mode._cached_scan_points.cache_info().misses == misses + 10
-        assert mode._cached_scan_points.cache_info().currsize <= mode._SCAN_CACHE_CHARTS
+        assert manifold._cached_chart_samples.cache_info().misses == misses + 10
+        assert manifold._cached_chart_samples.cache_info().currsize <= 8
 
     def test_default_search_chart_hits_for_map_of_pushforward(self):
         rho = pushforward(beta_chart_density(BetaParams(1.05, 2.05)), CHARTS["arcsin"])
         first = map_estimate(rho)
-        hits = mode._cached_scan_points.cache_info().hits
+        hits = manifold._cached_chart_samples.cache_info().hits
         assert repr(map_estimate(rho)) == repr(first)
-        assert mode._cached_scan_points.cache_info().hits == hits + 1
+        assert manifold._cached_chart_samples.cache_info().hits == hits + 1
 
     def test_default_search_chart_hits_for_mapi(self):
         p = intrinsic(1.05, 2.05)
         first = mapi_estimate(p, CHARTS["theta"])
-        hits = mode._cached_scan_points.cache_info().hits
+        hits = manifold._cached_chart_samples.cache_info().hits
         assert repr(mapi_estimate(p, CHARTS["theta"])) == repr(first)
-        assert mode._cached_scan_points.cache_info().hits == hits + 1
+        assert manifold._cached_chart_samples.cache_info().hits == hits + 1
 
     def test_unhashable_chart_is_searched(self):
         arcsin = CHARTS["arcsin"]

@@ -124,6 +124,12 @@ class TestIntegrateChart:
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_refinement_levels=0)
+        # a NaN tolerance never converges; a fractional level count fails
+        # as a TypeError inside the first integral
+        for bad in ({"abs_tol": math.nan}, {"rel_tol": math.nan}, {"abs_tol": -1e-10},
+                    {"max_refinement_levels": 2.5}):
+            with pytest.raises(ValueError):
+                QuadratureConfig(**bad)
 
 
 class TestDivergenceVerdict:
