@@ -24,7 +24,6 @@ from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushf
 from .embed import CurveRow, DensityCurve, sample_curve
 from .manifold import (
     Interval,
-    _MODEL_FACTORIES,
     finite_volume_result,
     fisher_rao_distance,
     get_chart,
@@ -34,7 +33,6 @@ from .mode import map_estimate, mapi_estimate
 from .quadrature import QuadratureConvergenceError, expectation, interval_probability
 
 _FORMATS = ("csv", "json", "svg")
-_MODELS = tuple(_MODEL_FACTORIES)
 _CURVES = ("density", "embed")
 _CURVE_COLUMNS = CurveRow._fields
 # One curve row as text, byte for byte what f"{v:.17g}" per value writes.
@@ -282,9 +280,7 @@ def _emit_curve(req: argparse.Namespace, curve: DensityCurve) -> None:
 def run(req: argparse.Namespace) -> int:
     """Execute a validated request; returns the process exit status."""
     try:
-        model = get_model(req.model) if req.model in _MODELS else None
-        if model is None:
-            raise UsageError(f"unknown model '{req.model}'; available: {', '.join(_MODELS)}")
+        model = get_model(req.model)
         if req.fmt == "svg" and req.subcommand not in _CURVES:
             raise UsageError(f"SVG output is only available for curve subcommands, not '{req.subcommand}'")
 
@@ -344,7 +340,7 @@ def run(req: argparse.Namespace) -> int:
                 raise QuadratureConvergenceError("interval probability did not converge", res)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
 
-    except (ValueError, KeyError) as e:     # UsageError, DomainError, unknown chart
+    except (ValueError, KeyError) as e:     # UsageError, DomainError, unknown model or chart
         # str() of a KeyError quotes its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 2

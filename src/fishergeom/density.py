@@ -35,7 +35,6 @@ from .manifold import (
     DomainError,
     Interval,
     ManifoldModel,
-    _is_identity,
     bernoulli_model,
     identity_chart,
     naive_offset,
@@ -255,7 +254,7 @@ def _per_theta(d: ChartDensity | IntrinsicDensity):
             return source(theta, co) * math.sqrt(model.fisher_metric_offset(theta, co))
         return per_theta
     chart = d.chart
-    if _is_identity(model, chart):
+    if chart is identity_chart(model):
         return source
 
     def per_theta(theta: float, co: float) -> float:
@@ -271,7 +270,7 @@ def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
     enters the canonical domain. In the model's identity chart it is ``q``.
     """
     model, per_theta = d.model, _per_theta(d)
-    if _is_identity(model, chart):
+    if chart is identity_chart(model):
         core = per_theta
     else:
         def core(x: float, xc: float) -> float:

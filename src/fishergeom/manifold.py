@@ -29,9 +29,9 @@ domain's endpoints, so it trusts them; a sub-interval integral checks every
 node.
 
 A model is data: its metric, its arc-length chart, its extra charts and its
-planar embedding (NaN off the coin family). Models compare by identity; the
-shipped ones, and each model's identity chart, are built once and cached for
-the life of the process.
+planar embedding (NaN off the coin family). Every interval is open. Models
+compare by identity; the shipped ones and all their charts are built once
+and cached for the life of the process.
 """
 
 from __future__ import annotations
@@ -56,42 +56,24 @@ class NonFiniteVolumeError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval; infinite endpoints are always open.
+    """An open real interval.
 
     Attributes
     ----------
     lo, hi : float
         Endpoints, ``lo < hi``; either may be infinite.
-    open_lo, open_hi : bool
-        Whether the corresponding endpoint is excluded.
     """
 
     lo: float
     hi: float
-    open_lo: bool = True
-    open_hi: bool = True
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"interval endpoints must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if math.isinf(self.lo) and not self.open_lo:
-            raise ValueError("an infinite lower endpoint must be open")
-        if math.isinf(self.hi) and not self.open_hi:
-            raise ValueError("an infinite upper endpoint must be open")
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    def contains(self, x: float) -> bool:
-        """Membership test honouring open/closed endpoints."""
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.open_lo:
-            return False
-        if x == self.hi and self.open_hi:
-            return False
-        return True
 
     def contains_interior(self, x: float) -> bool:
         return self.lo < x < self.hi
@@ -207,11 +189,6 @@ def chart_from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[
     return chart.from_canonical_offset(theta, verify_offset(chart.canonical_domain, theta, co))
 
 
-def chart_d_canonical_offset(chart: Chart, x: float, xc: float) -> float:
-    """``d theta / dx`` evaluated with offset accuracy."""
-    return chart.d_canonical_offset(x, verify_offset(chart.domain, x, xc))
-
-
 def _no_embedding(theta: float) -> tuple[float, float]:
     return math.nan, math.nan
 
@@ -226,7 +203,7 @@ class ManifoldModel:
     the closure of the canonical domain. ``extra_charts`` join the identity
     and arc-length charts, and ``embedding`` maps theta into the plane (to
     NaN for a model without one). The plain ``fisher_metric`` and
-    ``arc_length_*`` evaluate these maps at the lower-end offset.
+    ``arc_length_from_origin`` evaluate these maps at the lower-end offset.
     """
 
     name: str
@@ -241,9 +218,6 @@ class ManifoldModel:
 
     def arc_length_from_origin(self, theta: float) -> float:
         return self.arclength.from_canonical(theta)
-
-    def arc_length_inverse(self, s: float) -> float:
-        return self.arclength.to_canonical(s)
 
     def require_in_closure(self, theta: float) -> None:
         if not self.canonical_domain.in_closure(theta):
@@ -322,7 +296,6 @@ def poisson_model() -> ManifoldModel:
         name="poisson",
         canonical_domain=domain,
         fisher_metric_offset=lambda lam, co: 1.0 / lam,
-        # a domain of its own: the identity chart is recognised by its domain object
         arclength=Chart("arclength", "poisson", Interval(0.0, math.inf), domain,
                         canonical_offset, from_canonical_offset, lambda s, sc: 0.5 * s),
     )
@@ -372,19 +345,11 @@ def get_model(name: str) -> ManifoldModel:
         raise KeyError(f"unknown model '{name}'; available: {sorted(_MODEL_FACTORIES)}") from None
 
 
-def identity_chart(model: ManifoldModel, name: str = "theta") -> Chart:
-    """The canonical coordinate viewed as a chart."""
-    return _identity_chart(model, name)     # one cache key however name is given
-
-
-def _is_identity(model: ManifoldModel, chart: Chart) -> bool:
-    return chart.domain is model.canonical_domain and chart is _identity_chart(model, chart.name)
-
-
 @cache
-def _identity_chart(model: ManifoldModel, name: str) -> Chart:
+def identity_chart(model: ManifoldModel) -> Chart:
+    """The canonical coordinate viewed as a chart named ``theta``."""
     return Chart(
-        name=name,
+        name="theta",
         model_name=model.name,
         domain=model.canonical_domain,
         canonical_domain=model.canonical_domain,
@@ -394,6 +359,7 @@ def _identity_chart(model: ManifoldModel, name: str) -> Chart:
     )
 
 
+@cache
 def arcsin_chart() -> Chart:
     """``y = asin(theta)`` on the coin family, domain (0, pi/2)."""
 
@@ -431,6 +397,7 @@ def arcsin_chart() -> Chart:
     )
 
 
+@cache
 def reciprocal_chart() -> Chart:
     """``y = 1/theta`` on the coin family, domain (1, inf)."""
 

@@ -45,7 +45,7 @@ from .density import (
     beta_intrinsic_density,
     endpoint_behaviour,
 )
-from .manifold import Chart, ManifoldModel, _chart_samples, _is_identity, naive_offset
+from .manifold import Chart, ManifoldModel, _chart_samples, identity_chart, naive_offset
 
 _SCAN_POINTS = 1024
 _GOLDEN_TOL = 1e-10
@@ -197,7 +197,6 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
         cut = best - _TIE_REL * abs(best)
         modes = [(theta, v) for theta, v in merged if v >= cut]
 
-    boundary_points = {theta for theta, _ in boundary}
     all_modes = tuple(sorted(theta for theta, _ in modes))
     canonical_point = all_modes[0]
     try:
@@ -209,7 +208,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
         canonical_point=canonical_point,
         chart_point=chart_point,
         density_value=best,
-        at_boundary=any(theta in boundary_points for theta, _ in modes),
+        at_boundary=any(theta in taken for theta, _ in modes),
         all_modes=all_modes,
     )
 
@@ -218,7 +217,7 @@ def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeRe
     """Argmax of the chart density over its own chart: chart-dependent by design."""
     chart, core = rho.chart, _core(rho)
 
-    if _is_identity(rho.model, chart):
+    if chart is identity_chart(rho.model):
         eval_canonical = core
     else:
         def eval_canonical(theta: float, co: float) -> float:

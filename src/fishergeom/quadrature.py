@@ -28,10 +28,10 @@ completed level. A convergent transformed integrand decays
 double-exponentially in |t| (Mori & Sugihara, J. Comput. Appl. Math. 127,
 2001), so one still growing at the end of the representable range cannot
 converge at any step size. Skipped nodes (rounded onto an endpoint, past the
-map's range, or with a non-finite or overflowing integrand) are not terms,
-so divergence at a finite endpoint, such as ``1/x`` on (0, 1), is caught as
-well. A divergent volume stops at about 40 evaluations rather than after the
-whole 12-level budget (over 40,000).
+map's range, or where the integrand is not finite, overflows or divides by
+zero) are not terms, so divergence at a finite endpoint, such as ``1/x`` on
+(0, 1), is caught as well. A divergent volume stops at about 40 evaluations
+rather than after the whole 12-level budget (over 40,000).
 
 The verdict waits for level 2 because the last nodes of levels 0 and 1,
 |t| = 6 and 6.5 (x near 1e138 and 1e227 on a half line), can still lie
@@ -98,7 +98,7 @@ class QuadratureResult:
     error_estimate: float
     converged: bool
     evaluations: int
-    nonfinite_skipped: int = 0  # evaluations zero-weighted: non-finite or overflowing
+    nonfinite_skipped: int = 0  # evaluations zero-weighted: non-finite, overflow, division by 0
 
 
 class QuadratureConvergenceError(ArithmeticError):
@@ -201,11 +201,11 @@ def _sweep_side(node_map, level: int, sign: int, call, offset_aware: bool,
     then contributes less than a couple of ``term_tol``). Returns the sum and
     whether the tail grows: the last finite term exceeds ``term_tol`` and
     the finite term before it. Skipped nodes (no node, a node rounding onto
-    an endpoint, a non-finite or overflowing integrand, counted in
-    ``counts[1]``; ``counts[0]`` counts evaluations) are not terms. An
-    offset-aware integrand is evaluated where its node rounds onto a finite
-    endpoint, as its exact offset is nonzero; plain ones only see the open
-    interior.
+    an endpoint, an integrand that is not finite, overflows or divides by
+    zero, counted in ``counts[1]``; ``counts[0]`` counts evaluations) are
+    not terms. An offset-aware integrand is evaluated where its node rounds
+    onto a finite endpoint, as its exact offset is nonzero; plain ones only
+    see the open interior.
     """
     row, w_scale, off_scale, sides = node_map
     anchor, sx, sxc = sides[sign]
@@ -228,7 +228,7 @@ def _sweep_side(node_map, level: int, sign: int, call, offset_aware: bool,
             if isfinite(x) and (xc != 0.0 if offset_aware else lo < x < hi):
                 try:
                     v = call(x, xc)
-                except OverflowError:
+                except (OverflowError, ZeroDivisionError):
                     v = math.inf
                 counts[0] += 1
                 if isfinite(v):
@@ -251,21 +251,15 @@ def _de_integrate(call, offset_aware: bool, interval: Interval,
     """Trapezoid sums of the transformed integrand with step halving.
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
-    only odd multiples of h are new. The level-to-level difference is the
-    error estimate. From level 2 on, a side whose tail grows ends the
-    integration as divergent (see the module docstring).
+    past level 0 only odd multiples of h are new. The level-to-level
+    difference is the error estimate. From level 2 on, a side whose tail
+    grows ends the integration as divergent (see the module docstring).
     """
     node_map = _node_map(interval)
     counts = [0, 0]
 
-    h = 1.0
-    term_tol = 0.05 * cfg.abs_tol / h
-    s = (_sweep_side(node_map, 0, +1, call, offset_aware, interval, term_tol, counts)[0]
-         + _sweep_side(node_map, 0, -1, call, offset_aware, interval, term_tol, counts)[0])
-    value = h * s
-    err = math.inf
-
-    for level in range(1, cfg.max_refinement_levels + 1):
+    h, value = 2.0, 0.0     # level 0's value is then 0.0 + odd == odd: no side sums to -0.0
+    for level in range(cfg.max_refinement_levels + 1):
         h *= 0.5
         term_tol = 0.05 * cfg.abs_tol / h
         odd = 0.0
@@ -360,10 +354,12 @@ def expectation(p, f: Callable[[float], float],
                 cfg: QuadratureConfig | None = None) -> QuadratureResult:
     """Expectation of ``f`` under an intrinsic density: ``integral f p dmu``.
 
-    ``f`` is only called in the open interior. A node whose canonical offset
-    underflows to 0.0 sits on an endpoint in theta: the density is still
-    evaluated there, once like at every node, but the node is skipped as if
-    its value were not finite.
+    ``f`` is called off the endpoints, at a theta that may round to 1.0: a
+    node where ``f`` overflows or divides by zero is skipped, while any
+    other error (``ValueError`` from ``log(1 - t)``) is raised. A node whose
+    canonical offset underflows to 0.0 sits on an endpoint in theta: the
+    density is still evaluated there, once like at every node, but the node
+    is skipped as if its value were not finite.
     """
     density = _trusted(p.value_offset, p.model.canonical_domain)
 

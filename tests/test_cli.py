@@ -12,6 +12,7 @@ import pytest
 from fishergeom import (
     BetaParams,
     IntrinsicDensity,
+    QuadratureResult,
     __version__,
     beta_chart_density,
     charts_for,
@@ -233,7 +234,9 @@ class TestSvgOutput:
 class TestExitCodes:
     def test_usage_error_unknown_model(self, capsys):
         assert main(["volume", "--model", "gamma"]) == 2
-        assert "error:" in capsys.readouterr().err
+        # manifold.get_model's message, in the format of the unknown-chart one
+        assert capsys.readouterr().err == (
+            "error: unknown model 'gamma'; available: ['bernoulli', 'exponential', 'poisson']\n")
 
     def test_usage_error_missing_beta(self, capsys):
         assert main(["density"]) == 2
@@ -250,6 +253,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: unknown chart 'polar' for model 'bernoulli'; "
             "available: ['arclength', 'arcsin', 'reciprocal', 'theta']\n")
+
+    def test_usage_error_prob_without_to(self, capsys):
+        assert main(["prob", "--alpha", "1", "--beta", "1", "--from", "0"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: 'prob' requires --from and --to (canonical coordinates)\n")
+
+    def test_usage_error_distance_without_p2(self, capsys):
+        assert main(["distance", "--p1", "0.2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: 'distance' requires --p1 and --p2 (canonical coordinates)\n")
 
     def test_usage_error_embed_non_bernoulli(self, capsys):
         assert main(["embed", "--model", "poisson"]) == 2
@@ -280,6 +293,25 @@ class TestExitCodes:
         assert proc.stderr.startswith("numerical failure:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_divergent_expectation_is_numerical_failure(self, capsys):
+        # E[1/theta] under the flat prior diverges: in-process, nothing written
+        assert main(["expect", "--alpha", "0.5", "--beta", "0.5", "--power", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: expectation did not converge")
+        assert "error estimate inf" in err
+
+    def test_prob_nonconvergence_is_numerical_failure(self, monkeypatch, capsys):
+        def unconverged(*args, **kwargs):
+            return QuadratureResult(0.25, 1e-3, False, 45)
+
+        monkeypatch.setattr(cli, "interval_probability", unconverged)
+        assert main(["prob", "--alpha", "2", "--beta", "2", "--from", "0", "--to", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure: interval probability did not converge "
+                       "(best estimate 0.25, error estimate 0.001)\n")
 
     def test_mode_search_failure_is_numerical_failure(self, monkeypatch, capsys):
         import fishergeom.cli as cli

@@ -14,10 +14,12 @@ from scipy.special import betainc, betaln
 
 from fishergeom import (
     BetaParams,
+    ChartDensity,
     ChartModelMismatchError,
     DomainError,
     Interval,
     QuadratureConfig,
+    QuadratureConvergenceError,
     beta_chart_density,
     beta_intrinsic_density,
     bernoulli_model,
@@ -33,7 +35,7 @@ from fishergeom import (
 )
 from fishergeom import mode
 from fishergeom.density import IntrinsicDensity, _core, endpoint_behaviour
-from fishergeom.manifold import _chart_samples, _is_identity, interior_grid
+from fishergeom.manifold import _chart_samples, interior_grid
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -310,6 +312,19 @@ class TestNormalization:
         p = IntrinsicDensity(model=BERNOULLI, value=lambda t: 2.0 / math.pi, label="double")
         assert normalization_check(p) == pytest.approx(2.0, abs=1e-9)
 
+    def test_divergent_value_only_chart_density_raises(self):
+        # built from its plain value alone; 1/theta has no finite mass on (0, 1)
+        rho = ChartDensity(model=BERNOULLI, chart=CHARTS["theta"], value=lambda t: 1.0 / t,
+                           label="1/theta")
+        assert rho.value_offset(0.25, 0.25) == 4.0
+        with pytest.raises(QuadratureConvergenceError) as exc:
+            normalization_check(rho)
+        res = exc.value.result
+        assert res.converged is False
+        assert res.error_estimate == math.inf
+        assert res.evaluations == 45
+        assert str(exc.value).startswith("normalization integral for '1/theta' did not converge")
+
     @pytest.mark.parametrize("a", GRID_AB)
     @pytest.mark.parametrize("b", GRID_AB)
     def test_grid_all_charts(self, a, b):
@@ -414,7 +429,7 @@ class TestIdentityChartFastPath:
         theta = identity_chart(BERNOULLI)
         copy = dataclasses.replace(theta)
         assert copy == theta
-        assert _is_identity(BERNOULLI, theta) and not _is_identity(BERNOULLI, copy)
+        assert theta is identity_chart(BERNOULLI) and copy is not identity_chart(BERNOULLI)
         rho = beta_chart_density(BetaParams(a, b))
         rho_slow = dataclasses.replace(rho, chart=copy)
         p, p_slow = intrinsic_from_chart(rho), intrinsic_from_chart(rho_slow)

@@ -147,7 +147,6 @@ class TestSampleCurve:
         # density pipeline uses
         from fishergeom.manifold import (
             chart_canonical_offset,
-            chart_d_canonical_offset,
             naive_offset,
         )
 
@@ -159,7 +158,7 @@ class TestSampleCurve:
             x = row.chart_coord
             xc = naive_offset(chart.domain, x)
             theta, co = chart_canonical_offset(chart, x, xc)
-            d = chart_d_canonical_offset(chart, x, xc)
+            d = chart.d_canonical_offset(x, xc)
             g = BERNOULLI.fisher_metric_offset(theta, co) * d * d
             if not math.isfinite(g):
                 continue

@@ -11,6 +11,7 @@ from fishergeom import (
     Interval,
     NonFiniteVolumeError,
     arclength_chart,
+    arcsin_chart,
     bernoulli_model,
     charts_for,
     exponential_model,
@@ -21,6 +22,7 @@ from fishergeom import (
     interior_grid,
     metric_in_chart,
     poisson_model,
+    reciprocal_chart,
     volume,
 )
 
@@ -37,14 +39,10 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)
 
-    def test_infinite_endpoint_must_be_open(self):
-        with pytest.raises(ValueError):
-            Interval(0.0, math.inf, open_hi=False)
-
     def test_membership(self):
         iv = Interval(0.0, 1.0)
-        assert not iv.contains(0.0)
-        assert iv.contains(0.5)
+        assert not iv.contains_interior(0.0)
+        assert iv.contains_interior(0.5)
         assert iv.in_closure(0.0) and iv.in_closure(1.0)
 
 
@@ -141,6 +139,11 @@ class TestModelsAsData:
         assert arclength_chart(model) is charts["arclength"]
         assert identity_chart(model) is charts["theta"]
 
+    def test_chart_factories_return_the_models_charts(self):
+        # a chart built anew would compare unequal and miss the sample table
+        assert arcsin_chart() is charts_for(BERNOULLI)["arcsin"]
+        assert reciprocal_chart() is charts_for(BERNOULLI)["reciprocal"]
+
     def test_chart_sets(self):
         assert list(charts_for(BERNOULLI)) == ["theta", "arclength", "arcsin", "reciprocal"]
         for name in ("poisson", "exponential"):
@@ -152,15 +155,11 @@ class TestModelsAsData:
         assert "arcsin" in charts_for(BERNOULLI)
 
     def test_identity_chart_name_given_or_defaulted(self):
-        # one chart, so a search or curve in it hits the same cache entry
+        # one chart, named theta, so a search or curve in it hits the same cache entry
         for model in (BERNOULLI, get_model("poisson")):
-            assert identity_chart(model, "theta") is identity_chart(model)
-            assert identity_chart(model, name="theta") is charts_for(model)["theta"]
-
-    def test_renamed_identity_chart(self):
-        chart = identity_chart(BERNOULLI, name="p")
-        assert chart.name == "p"
-        assert chart.domain == CHARTS["theta"].domain
+            assert identity_chart(model) is identity_chart(model)
+            assert identity_chart(model) is charts_for(model)["theta"]
+            assert identity_chart(model).name == "theta"
 
 
 class TestCharts:

@@ -223,6 +223,26 @@ class TestExpectation:
             assert not res.converged
             assert res.error_estimate == math.inf
 
+    def test_f_dividing_by_zero_at_rounded_end_is_skipped(self):
+        # theta rounds to 1.0 at nodes whose exact offset is not 0, and
+        # 1/(1 - theta) divides by zero there: skipped as an overflow is
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(2.0, 3.0)))
+        res = expectation(p, lambda t: 1.0 / (1.0 - t), CFG)
+        assert res.converged
+        assert res.value == pytest.approx(2.0, rel=1e-14)   # (a + b - 1)/(b - 1)
+        assert (res.evaluations, res.nonfinite_skipped) == (109, 14)
+        for a, b in ((0.5, 0.5), (3.0, 0.7)):   # E[1/(1 - theta)] diverges for b <= 1
+            p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
+            res = expectation(p, lambda t: 1.0 / (1.0 - t), CFG)
+            assert not res.converged
+            assert res.error_estimate == math.inf
+
+    def test_f_domain_error_at_rounded_end_raises(self):
+        # only arithmetic blow-ups are skipped; log(0) is a ValueError
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(2.0, 3.0)))
+        with pytest.raises(ValueError):
+            expectation(p, lambda t: math.log(1.0 - t), CFG)
+
     def test_f_never_called_at_theta_zero(self):
         seen = []
 
