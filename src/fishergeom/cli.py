@@ -91,13 +91,16 @@ def _jsonable(v):
     return v
 
 
-def _require_beta(req: argparse.Namespace) -> BetaParams:
+def _require_beta(req: argparse.Namespace, default: float | None = None) -> BetaParams:
+    """The request's Beta shapes on the coin family, each ``default`` if not given."""
     if req.model != "bernoulli":
         raise UsageError(f"'{req.subcommand}' needs a Beta density and therefore --model bernoulli")
-    if req.alpha is None or req.beta is None:
+    alpha = default if req.alpha is None else req.alpha
+    beta = default if req.beta is None else req.beta
+    if alpha is None or beta is None:
         raise UsageError(f"'{req.subcommand}' requires --alpha and --beta")
     try:
-        return BetaParams(req.alpha, req.beta)
+        return BetaParams(alpha, beta)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -284,6 +287,11 @@ def run(req: argparse.Namespace) -> int:
         if req.fmt == "svg" and req.subcommand not in _CURVES:
             raise UsageError(f"SVG output is only available for curve subcommands, not '{req.subcommand}'")
 
+        # every subcommand but these two reads a Beta density, which lives on
+        # the coin family; embed draws Beta(1/2, 1/2) unless told otherwise
+        if req.subcommand not in ("volume", "distance"):
+            rho = beta_chart_density(_require_beta(req, 0.5 if req.subcommand == "embed" else None))
+
         if req.subcommand == "volume":
             res = finite_volume_result(model)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
@@ -294,27 +302,12 @@ def run(req: argparse.Namespace) -> int:
             d = fisher_rao_distance(model, req.p1, req.p2)
             _emit_scalar(req, {"value": d}, 0.0)
 
-        elif req.subcommand == "density":
-            params = _require_beta(req)
-            chart = get_chart(model, req.chart)
-            curve = sample_curve(beta_chart_density(params), chart, req.samples)
-            _emit_curve(req, curve)
-
-        elif req.subcommand == "embed":
-            alpha = 0.5 if req.alpha is None else req.alpha
-            beta = 0.5 if req.beta is None else req.beta
-            params = BetaParams(alpha, beta)
-            if req.model != "bernoulli":
-                raise UsageError("'embed' is defined for --model bernoulli only")
-            chart = get_chart(model, req.chart)
-            curve = sample_curve(intrinsic_from_chart(beta_chart_density(params)),
-                                 chart, req.samples)
-            _emit_curve(req, curve)
+        elif req.subcommand in _CURVES:     # embed draws the intrinsic density
+            d = intrinsic_from_chart(rho) if req.subcommand == "embed" else rho
+            _emit_curve(req, sample_curve(d, get_chart(model, req.chart), req.samples))
 
         elif req.subcommand == "mode":
-            params = _require_beta(req)
             chart = get_chart(model, req.chart)
-            rho = beta_chart_density(params)
             if req.kind == "map":
                 r = map_estimate(pushforward(rho, chart))
             else:
@@ -322,20 +315,16 @@ def run(req: argparse.Namespace) -> int:
             _emit_scalar(req, dataclasses.asdict(r), None)
 
         elif req.subcommand == "expect":
-            params = _require_beta(req)
-            p = intrinsic_from_chart(beta_chart_density(params))
             k = req.power
-            res = expectation(p, lambda t: t ** k)
+            res = expectation(intrinsic_from_chart(rho), lambda t: t ** k)
             if not res.converged:
                 raise QuadratureConvergenceError("expectation did not converge", res)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
 
         elif req.subcommand == "prob":
-            params = _require_beta(req)
             if req.lo is None or req.hi is None:
                 raise UsageError("'prob' requires --from and --to (canonical coordinates)")
-            p = intrinsic_from_chart(beta_chart_density(params))
-            res = interval_probability(p, Interval(req.lo, req.hi))
+            res = interval_probability(intrinsic_from_chart(rho), Interval(req.lo, req.hi))
             if not res.converged:
                 raise QuadratureConvergenceError("interval probability did not converge", res)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)

@@ -20,8 +20,10 @@ Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
 and one chart view of it, ``q(theta(x)) * |dtheta/dx|``. Each checks an
 offset only where a chart map moves it to another interval, and the model's
-identity chart adds no map. All Beta arithmetic runs through log-gamma and
-``exp`` so large shape parameters cannot overflow.
+identity chart adds no map. Charts are told apart by identity; a density
+built on a chart of another model raises ``ChartModelMismatchError``. All
+Beta arithmetic runs through log-gamma and ``exp`` so large shape parameters
+cannot overflow; a closed-form value above the largest double is ``inf``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from typing import Callable
 
 from .manifold import (
     Chart,
+    ChartModelMismatchError,  # noqa: F401  (re-exported)
     DomainError,
     Interval,
     ManifoldModel,
+    _require_model,
     bernoulli_model,
     identity_chart,
     naive_offset,
@@ -56,16 +60,6 @@ from .quadrature import (
 # y ~ 1e-154.
 _NEAR, _FAR = 1e-100, 1e-50
 _EXPONENT_TOL = 1e-12
-
-
-class ChartModelMismatchError(ValueError):
-    """A chart was combined with a density living on a different model."""
-
-
-def _require_model(chart: Chart, model: ManifoldModel) -> None:
-    if chart.model_name != model.name:
-        raise ChartModelMismatchError(
-            f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{model.name}'")
 
 
 @dataclass(frozen=True)
@@ -152,25 +146,27 @@ def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
 
     ``lo`` and ``hi`` are the distances to 0 and 1, the near one taken
     exactly from the trusted offset. Exact zeros are endpoint evaluations
-    and return the one-sided limit (0, the finite value, or inf).
+    and return the one-sided limit (0, the finite value, or inf); a value
+    above the largest double is inf.
     """
 
     def core(theta: float, co: float) -> float:
         lo_off = co if co > 0 else theta
         hi_off = -co if co < 0 else 1.0 - theta
         if lo_off <= 0.0:
-            if a_exp > 0.0:
-                return 0.0
-            if a_exp == 0.0:
-                return math.exp(b_exp * math.log(hi_off) - log_norm)
+            if a_exp != 0.0:
+                return 0.0 if a_exp > 0.0 else math.inf
+            log_v = b_exp * math.log(hi_off)
+        elif hi_off <= 0.0:
+            if b_exp != 0.0:
+                return 0.0 if b_exp > 0.0 else math.inf
+            log_v = a_exp * math.log(lo_off)
+        else:
+            log_v = a_exp * math.log(lo_off) + b_exp * math.log(hi_off)
+        try:
+            return math.exp(log_v - log_norm)
+        except OverflowError:   # above the largest double
             return math.inf
-        if hi_off <= 0.0:
-            if b_exp > 0.0:
-                return 0.0
-            if b_exp == 0.0:
-                return math.exp(a_exp * math.log(lo_off) - log_norm)
-            return math.inf
-        return math.exp(a_exp * math.log(lo_off) + b_exp * math.log(hi_off) - log_norm)
 
     return core
 
@@ -306,10 +302,10 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
 
     Change of variables with the absolute Jacobian:
     ``rho_target(y) = rho_source(x(y)) * |dx/dy|``; the total mass is
-    preserved. Pushing a density to its own chart returns it unchanged.
+    preserved. Pushing a density to its own chart (the same object) returns
+    it unchanged; a chart of another model raises ``ChartModelMismatchError``.
     """
-    _require_model(target, rho.model)
-    if target.name == rho.chart.name:
+    if target is rho.chart:
         return rho
     return _in_chart(rho, target)
 

@@ -30,8 +30,8 @@ node.
 
 A model is data: its metric, its arc-length chart, its extra charts and its
 planar embedding (NaN off the coin family). Every interval is open. Models
-compare by identity; the shipped ones and all their charts are built once
-and cached for the life of the process.
+and charts compare by identity; the shipped ones are built once and cached
+for the life of the process.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from typing import Callable
 
 class DomainError(ValueError):
     """A coordinate lies outside the interval it must belong to."""
+
+
+class ChartModelMismatchError(DomainError):
+    """A chart was combined with a model (or a density on one) it does not belong to."""
 
 
 class NonFiniteVolumeError(ArithmeticError):
@@ -142,7 +146,7 @@ def interior_grid(interval: Interval, n: int) -> list[float]:
     return [math.tan(math.pi * (u - 0.5)) for u in us]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chart:
     """A coordinate system on a model, defined relative to its canonical one.
 
@@ -187,6 +191,12 @@ def chart_canonical_offset(chart: Chart, x: float, xc: float) -> tuple[float, fl
 def chart_from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[float, float]:
     """Inverse of :func:`chart_canonical_offset`."""
     return chart.from_canonical_offset(theta, verify_offset(chart.canonical_domain, theta, co))
+
+
+def _require_model(chart: Chart, model: ManifoldModel) -> None:
+    if chart.model_name != model.name:
+        raise ChartModelMismatchError(
+            f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{model.name}'")
 
 
 def _no_embedding(theta: float) -> tuple[float, float]:
@@ -439,13 +449,11 @@ def charts_for(model: ManifoldModel) -> dict[str, Chart]:
     return {c.name: c for c in charts}
 
 
-# Keyed by model identity and chart equality: charts holding the same maps
-# share their samples. The shipped charts are built once per model, so only
-# a chart a caller makes anew misses, and the bound keeps such charts from
-# piling up; it holds the mode scan's four search charts and four curves.
+# Keyed by model and chart identity: the shipped charts are built once, so
+# only a chart a caller makes anew misses, and the bound keeps such charts
+# from piling up; it holds the mode scan's four search charts and four curves.
 @lru_cache(maxsize=8)
-def _cached_chart_samples(model: ManifoldModel, chart: Chart,
-                          n: int) -> tuple[tuple[float, ...], ...]:
+def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
     """The ``n``-point interior grid of ``chart``, its offsets, its
     ``(theta, co)`` points and their embedding, as six columns: the points
     of the mode scan and of every sampled curve."""
@@ -454,14 +462,6 @@ def _cached_chart_samples(model: ManifoldModel, chart: Chart,
     thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
     exs, eys = zip(*map(model.embedding, thetas))
     return xs, xcs, thetas, cos, exs, eys
-
-
-def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
-    """:func:`_cached_chart_samples`, built anew for a chart that cannot be hashed."""
-    try:
-        return _cached_chart_samples(model, chart, n)
-    except TypeError:   # a field of the chart cannot be hashed
-        return _cached_chart_samples.__wrapped__(model, chart, n)
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:
@@ -483,9 +483,9 @@ def metric_in_chart(model: ManifoldModel, chart: Chart, x: float) -> float:
     of the shipped models diverges there while arc length stays finite; so
     is a point whose canonical image rounds onto a boundary or whose chart
     metric is not a finite positive double (far out on an unbounded axis).
+    A chart of another model raises :class:`ChartModelMismatchError`.
     """
-    if chart.model_name != model.name:
-        raise DomainError(f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{model.name}'")
+    _require_model(chart, model)
     chart.require_interior(x)
     xc = naive_offset(chart.domain, x)
     theta, co = chart.canonical_offset(x, xc)

@@ -40,12 +40,12 @@ from .density import (
     ChartDensity,
     IntrinsicDensity,
     _core,
-    _require_model,
     beta_chart_density,
     beta_intrinsic_density,
     endpoint_behaviour,
 )
-from .manifold import Chart, ManifoldModel, _chart_samples, identity_chart, naive_offset
+from .manifold import (Chart, ManifoldModel, _chart_samples, _require_model, identity_chart,
+                       naive_offset)
 
 _SCAN_POINTS = 1024
 _GOLDEN_TOL = 1e-10

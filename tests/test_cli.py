@@ -69,6 +69,13 @@ class TestJsonOutputs:
         doc = json.loads(text)
         assert doc["result"]["canonical_point"] == pytest.approx(1.0 / 22.0, abs=1e-6)
 
+    def test_mode_at_an_infinite_chart_end(self, tmp_path):
+        # the MAPI of Beta(0.3, 2) is theta = 0, the reciprocal chart's y = inf
+        rc, text = run_cli(tmp_path, "mode", "--alpha", "0.3", "--beta", "2",
+                           "--chart", "reciprocal")
+        assert rc == 0
+        assert "canonical_point,0\nchart_point,inf\n" in text
+
     def test_divergent_mode_serializes_inf_token(self, tmp_path):
         rc, text = run_cli(tmp_path, "mode", "--alpha", "0.5", "--beta", "0.5",
                            "--kind", "map", "--format", "json")
@@ -266,6 +273,14 @@ class TestExitCodes:
 
     def test_usage_error_embed_non_bernoulli(self, capsys):
         assert main(["embed", "--model", "poisson"]) == 2
+
+    @pytest.mark.parametrize("model", ["poisson", "exponential"])
+    @pytest.mark.parametrize("shape", [[], ["--alpha", "-1"]])
+    def test_embed_non_bernoulli_message(self, model, shape, capsys):
+        # the one check every Beta subcommand makes, before the shapes are read
+        assert main(["embed", "--model", model, *shape]) == 2
+        assert capsys.readouterr() == (
+            "", "error: 'embed' needs a Beta density and therefore --model bernoulli\n")
 
     def test_usage_error_inverted_prob_range(self, capsys):
         assert main(["prob", "--alpha", "1", "--beta", "1", "--from", "0.7", "--to", "0.2"]) == 2

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fishergeom
+from fishergeom import density, manifold
 from fishergeom import (
+    ChartModelMismatchError,
     DomainError,
     Interval,
     NonFiniteVolumeError,
@@ -44,6 +47,16 @@ class TestInterval:
         assert not iv.contains_interior(0.0)
         assert iv.contains_interior(0.5)
         assert iv.in_closure(0.0) and iv.in_closure(1.0)
+
+
+class TestInteriorGrid:
+    @pytest.mark.parametrize("n", [2, 3, 64, 1001])
+    def test_unbounded_below(self, n):
+        xs = interior_grid(Interval(-math.inf, 2.0), n)
+        assert len(xs) == n
+        assert all(map(math.isfinite, xs))
+        assert all(u < v for u, v in zip(xs, xs[1:]))
+        assert xs[-1] < 2.0
 
 
 class TestModels:
@@ -319,6 +332,15 @@ class TestMetricInChart:
     def test_chart_model_mismatch_rejected(self):
         with pytest.raises(DomainError):
             metric_in_chart(poisson_model(), CHARTS["arcsin"], 0.3)
+
+    def test_chart_model_mismatch_is_the_one_mismatch_error(self):
+        # the check densities and the mode search make, in the module that owns charts
+        with pytest.raises(ChartModelMismatchError,
+                           match="chart 'arcsin' belongs to model 'bernoulli', not 'poisson'"):
+            metric_in_chart(poisson_model(), CHARTS["arcsin"], 0.3)
+        assert issubclass(ChartModelMismatchError, DomainError)
+        assert (fishergeom.ChartModelMismatchError is density.ChartModelMismatchError
+                is manifold.ChartModelMismatchError)
 
     def test_transformation_consistency_between_charts(self):
         # invariant line element: G_A dx_A^2 == G_B dx_B^2, chained through
