@@ -28,7 +28,6 @@ from .manifold import (
     DomainError,
     Interval,
     ManifoldModel,
-    NonFiniteVolumeError,
     arclength_chart,
     arcsin_chart,
     bernoulli_model,
@@ -42,11 +41,10 @@ from .manifold import (
     metric_in_chart,
     poisson_model,
     reciprocal_chart,
-    volume,
-    volume_result,
 )
 from .mode import ModeResult, beta_mode_analytic, map_estimate, mapi_estimate
 from .quadrature import (
+    NonFiniteVolumeError,
     QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureResult,
@@ -54,6 +52,8 @@ from .quadrature import (
     integrate_chart,
     integrate_manifold,
     interval_probability,
+    volume,
+    volume_result,
 )
 
 __all__ = [

@@ -22,15 +22,10 @@ from functools import cache
 from . import __version__
 from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushforward
 from .embed import CurveRow, DensityCurve, sample_curve
-from .manifold import (
-    Interval,
-    finite_volume_result,
-    fisher_rao_distance,
-    get_chart,
-    get_model,
-)
+from .manifold import Interval, fisher_rao_distance, get_chart, get_model
 from .mode import map_estimate, mapi_estimate
-from .quadrature import QuadratureConvergenceError, expectation, interval_probability
+from .quadrature import (NonFiniteVolumeError, _require_converged, expectation,
+                         interval_probability, volume_result)
 
 _FORMATS = ("csv", "json", "svg")
 _CURVES = ("density", "embed")
@@ -293,7 +288,8 @@ def run(req: argparse.Namespace) -> int:
             rho = beta_chart_density(_require_beta(req, 0.5 if req.subcommand == "embed" else None))
 
         if req.subcommand == "volume":
-            res = finite_volume_result(model)
+            res = _require_converged(volume_result(model), f"volume integral for '{model.name}'",
+                                     NonFiniteVolumeError)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
 
         elif req.subcommand == "distance":
@@ -316,17 +312,16 @@ def run(req: argparse.Namespace) -> int:
 
         elif req.subcommand == "expect":
             k = req.power
-            res = expectation(intrinsic_from_chart(rho), lambda t: t ** k)
-            if not res.converged:
-                raise QuadratureConvergenceError("expectation did not converge", res)
+            res = _require_converged(expectation(intrinsic_from_chart(rho), lambda t: t ** k),
+                                     "expectation")
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
 
         elif req.subcommand == "prob":
             if req.lo is None or req.hi is None:
                 raise UsageError("'prob' requires --from and --to (canonical coordinates)")
-            res = interval_probability(intrinsic_from_chart(rho), Interval(req.lo, req.hi))
-            if not res.converged:
-                raise QuadratureConvergenceError("interval probability did not converge", res)
+            res = _require_converged(
+                interval_probability(intrinsic_from_chart(rho), Interval(req.lo, req.hi)),
+                "interval probability")
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
 
     except (ValueError, KeyError) as e:     # UsageError, DomainError, unknown model or chart

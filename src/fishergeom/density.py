@@ -44,12 +44,7 @@ from .manifold import (
     naive_offset,
     verify_offset,
 )
-from .quadrature import (
-    QuadratureConfig,
-    QuadratureConvergenceError,
-    integrate_chart,
-    integrate_manifold,
-)
+from .quadrature import QuadratureConfig, _require_converged, integrate_chart, integrate_manifold
 
 
 # Exact endpoint offsets of endpoint_behaviour's log-slope. Nearer ones
@@ -316,14 +311,10 @@ def normalization_check(d: ChartDensity | IntrinsicDensity,
 
     The caller compares against 1; nothing is renormalized here, so tests
     can feed deliberately broken densities through. Non-convergent
-    quadrature raises with the achieved error estimate attached.
+    quadrature raises :class:`QuadratureConvergenceError` with its result.
     """
     if isinstance(d, ChartDensity):
         res = integrate_chart(d.value_offset, d.chart.domain, cfg)
     else:
         res = integrate_manifold(d.value_offset, d.model, None, cfg)
-    if not res.converged:
-        raise QuadratureConvergenceError(
-            f"normalization integral for '{d.label}' did not converge", res
-        )
-    return res.value
+    return _require_converged(res, f"normalization integral for '{d.label}'").value

@@ -24,14 +24,15 @@ interval: the public ``chart_*_offset`` functions check the caller's offset,
 then call the chart's maps, which trust it. Code that built an offset itself
 or has checked it calls the maps directly; a map's output is checked in its
 new interval, except the cached identity chart's own: it moves no offset
-there. A whole-domain integral's node offsets are anchored exactly at the
-domain's endpoints, so it trusts them; a sub-interval integral checks every
-node.
+there.
 
 A model is data: its metric, its arc-length chart, its extra charts and its
 planar embedding (NaN off the coin family). Every interval is open. Models
 and charts compare by identity; the shipped ones are built once and cached
-for the life of the process.
+for the life of the process. A chart belongs to the model whose canonical
+domain it maps into, the very ``Interval`` object: the coin family and all
+its charts share one. Integrals against the Riemannian measure, the volume
+among them, live in :mod:`fishergeom.quadrature`.
 """
 
 from __future__ import annotations
@@ -48,14 +49,6 @@ class DomainError(ValueError):
 
 class ChartModelMismatchError(DomainError):
     """A chart was combined with a model (or a density on one) it does not belong to."""
-
-
-class NonFiniteVolumeError(ArithmeticError):
-    """The volume integral of a model diverges (or failed to converge)."""
-
-    def __init__(self, message: str, error_estimate: float = math.inf):
-        super().__init__(message)
-        self.error_estimate = error_estimate
 
 
 @dataclass(frozen=True)
@@ -155,11 +148,11 @@ class Chart:
     ``from_canonical_offset`` is its inverse; ``d_canonical_offset`` is the
     signed derivative ``d theta / dx``, nonzero on the interior. The plain
     ``to_canonical``, ``from_canonical`` and ``d_canonical`` evaluate them at
-    the lower-end offset.
+    the lower-end offset. The chart belongs to the model whose
+    ``canonical_domain`` is this very object.
     """
 
     name: str
-    model_name: str
     domain: Interval
     canonical_domain: Interval
     canonical_offset: Callable[[float, float], tuple[float, float]]
@@ -194,9 +187,8 @@ def chart_from_canonical_offset(chart: Chart, theta: float, co: float) -> tuple[
 
 
 def _require_model(chart: Chart, model: ManifoldModel) -> None:
-    if chart.model_name != model.name:
-        raise ChartModelMismatchError(
-            f"chart '{chart.name}' belongs to model '{chart.model_name}', not '{model.name}'")
+    if chart.canonical_domain is not model.canonical_domain:
+        raise ChartModelMismatchError(f"chart '{chart.name}' is not a chart of model '{model.name}'")
 
 
 def _no_embedding(theta: float) -> tuple[float, float]:
@@ -238,6 +230,10 @@ class ManifoldModel:
             )
 
 
+# the canonical domain of the coin family and of each of its charts
+_COIN_DOMAIN = Interval(0.0, 1.0)
+
+
 @cache
 def bernoulli_model() -> ManifoldModel:
     """The coin-toss family in its success-probability coordinate.
@@ -273,12 +269,11 @@ def bernoulli_model() -> ManifoldModel:
             return math.sin(0.5 * s) * math.sin(-0.5 * sc)
         return 0.5 * math.sin(s)
 
-    domain = Interval(0.0, 1.0)
     return ManifoldModel(
         name="bernoulli",
-        canonical_domain=domain,
+        canonical_domain=_COIN_DOMAIN,
         fisher_metric_offset=metric_offset,
-        arclength=Chart("arclength", "bernoulli", Interval(0.0, math.pi), domain,
+        arclength=Chart("arclength", Interval(0.0, math.pi), _COIN_DOMAIN,
                         canonical_offset, from_canonical_offset, d_canonical_offset),
         extra_charts=(arcsin_chart(), reciprocal_chart()),
         embedding=lambda theta: (2.0 * math.sqrt(theta), 2.0 * math.sqrt(1.0 - theta)),
@@ -306,7 +301,7 @@ def poisson_model() -> ManifoldModel:
         name="poisson",
         canonical_domain=domain,
         fisher_metric_offset=lambda lam, co: 1.0 / lam,
-        arclength=Chart("arclength", "poisson", Interval(0.0, math.inf), domain,
+        arclength=Chart("arclength", Interval(0.0, math.inf), domain,
                         canonical_offset, from_canonical_offset, lambda s, sc: 0.5 * s),
     )
 
@@ -334,7 +329,7 @@ def exponential_model() -> ManifoldModel:
         name="exponential",
         canonical_domain=domain,
         fisher_metric_offset=lambda lam, co: 1.0 / (lam * lam),
-        arclength=Chart("arclength", "exponential", Interval(-math.inf, math.inf), domain,
+        arclength=Chart("arclength", Interval(-math.inf, math.inf), domain,
                         canonical_offset, from_canonical_offset,
                         lambda s, sc: canonical_offset(s, sc)[0]),
     )
@@ -360,7 +355,6 @@ def identity_chart(model: ManifoldModel) -> Chart:
     """The canonical coordinate viewed as a chart named ``theta``."""
     return Chart(
         name="theta",
-        model_name=model.name,
         domain=model.canonical_domain,
         canonical_domain=model.canonical_domain,
         canonical_offset=lambda x, xc: (x, xc),
@@ -398,9 +392,8 @@ def arcsin_chart() -> Chart:
 
     return Chart(
         name="arcsin",
-        model_name="bernoulli",
         domain=Interval(0.0, 0.5 * math.pi),
-        canonical_domain=Interval(0.0, 1.0),
+        canonical_domain=_COIN_DOMAIN,
         canonical_offset=canonical_offset,
         from_canonical_offset=from_canonical_offset,
         d_canonical_offset=d_canonical_offset,
@@ -427,9 +420,8 @@ def reciprocal_chart() -> Chart:
 
     return Chart(
         name="reciprocal",
-        model_name="bernoulli",
         domain=Interval(1.0, math.inf),
-        canonical_domain=Interval(0.0, 1.0),
+        canonical_domain=_COIN_DOMAIN,
         canonical_offset=canonical_offset,
         from_canonical_offset=from_canonical_offset,
         d_canonical_offset=lambda y, yc: -1.0 / (y * y),
@@ -513,32 +505,3 @@ def fisher_rao_distance(model: ManifoldModel, theta1: float, theta2: float) -> f
     s1 = model.arc_length_from_origin(theta1)
     s2 = model.arc_length_from_origin(theta2)
     return abs(s2 - s1)
-
-
-def volume(model: ManifoldModel, region: Interval | None = None, cfg=None) -> float:
-    """Riemannian volume ``integral of sqrt(G) d theta`` over ``region``.
-
-    Defaults to the full canonical domain. A divergent or non-convergent
-    integral raises :class:`NonFiniteVolumeError` with the achieved error
-    estimate attached.
-    """
-    return finite_volume_result(model, region, cfg).value
-
-
-def finite_volume_result(model: ManifoldModel, region: Interval | None = None, cfg=None):
-    """Like :func:`volume_result`, but raising where :func:`volume` raises."""
-    res = volume_result(model, region, cfg)
-    if not res.converged or not math.isfinite(res.value):
-        raise NonFiniteVolumeError(
-            f"volume integral for '{model.name}' did not converge "
-            f"(best estimate {res.value!r}, error estimate {res.error_estimate!r})",
-            error_estimate=res.error_estimate,
-        )
-    return res
-
-
-def volume_result(model: ManifoldModel, region: Interval | None = None, cfg=None):
-    """Like :func:`volume` but returning the full quadrature result."""
-    from .quadrature import integrate_manifold
-
-    return integrate_manifold(lambda theta: 1.0, model, region, cfg)

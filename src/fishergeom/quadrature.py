@@ -41,9 +41,11 @@ inside the support of an integrand that only decays far out:
 beyond x of about 1e255 still grows at the last node of level 2 or 3 and is
 called divergent, although the full budget would converge on it.
 
-Manifold integrals are evaluated in the arc-length coordinate, where the
-volume element is identically 1; this removes the metric's own endpoint
-divergence before the integrand is ever seen.
+Manifold integrals, the volume among them, are evaluated in the arc-length
+coordinate, where the volume element is identically 1; this removes the
+metric's own endpoint divergence before the integrand is ever seen. Results
+are flagged, not raised; where a converged finite value is needed, one check
+raises :class:`QuadratureConvergenceError` with the whole result attached.
 
 Node tables and trusted offsets
 -------------------------------
@@ -51,9 +53,11 @@ Each node map's t-only parts are cached per map, level and side as far as
 sweeps reach (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 8 are
 not kept); the rest of a node keeps the per-node arithmetic order, so results
 are bit-identical. Node offsets are exact and anchored at the endpoints of
-the interval integrated over: whole-domain integrals call a density's
-trusted ``core`` and the arc-length chart map unchecked, while sub-interval
-ones check every node.
+the interval integrated over, so an integral over a density's own domain
+calls its trusted ``core``. A manifold integral checks each offset once,
+where it enters: a sub-region's arc-length offset as it enters the chart's
+domain. The chart map's canonical offsets are anchored at the canonical
+domain's ends, so the density's trusted core takes them as given.
 """
 
 from __future__ import annotations
@@ -108,6 +112,18 @@ class QuadratureConvergenceError(ArithmeticError):
         super().__init__(f"{message} (best estimate {result.value!r}, "
                          f"error estimate {result.error_estimate!r})")
         self.result = result
+
+
+class NonFiniteVolumeError(QuadratureConvergenceError):
+    """The volume integral of a model diverges (or failed to converge)."""
+
+
+def _require_converged(res: QuadratureResult, what: str,
+                       error=QuadratureConvergenceError) -> QuadratureResult:
+    """``res`` if it converged to a finite value; else raise ``error`` with it."""
+    if res.converged and math.isfinite(res.value):
+        return res
+    raise error(f"{what} did not converge", res)
 
 
 def wants_offset(f) -> bool:
@@ -334,9 +350,11 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     if wants_offset(f):
         # Over the whole domain no check can change an offset. Offsets anchored
         # at an interior region boundary fail the chart's check and fall back
-        # to naive ones, which are well conditioned there.
+        # to naive ones, which are well conditioned there. Either way the map's
+        # canonical offsets are anchored at the canonical domain's ends.
+        f = _trusted(f, domain)
         if region == domain:
-            to_canonical, f = s_chart.canonical_offset, _trusted(f, domain)
+            to_canonical = s_chart.canonical_offset
         else:
             to_canonical = partial(chart_canonical_offset, s_chart)
 
@@ -376,3 +394,19 @@ def interval_probability(p, region: Interval,
                          cfg: QuadratureConfig | None = None) -> QuadratureResult:
     """Probability mass an intrinsic density assigns to a canonical region."""
     return integrate_manifold(p.value_offset, p.model, region, cfg)
+
+
+def volume_result(model: ManifoldModel, region: Interval | None = None,
+                  cfg: QuadratureConfig | None = None) -> QuadratureResult:
+    """Riemannian volume ``integral of sqrt(G) d theta`` over ``region``
+    (default the whole canonical domain), flagged if it does not converge."""
+    return integrate_manifold(lambda theta: 1.0, model, region, cfg)
+
+
+def volume(model: ManifoldModel, region: Interval | None = None,
+           cfg: QuadratureConfig | None = None) -> float:
+    """Like :func:`volume_result`, but only the value; a divergent or
+    non-convergent integral raises :class:`NonFiniteVolumeError` with the
+    whole result attached."""
+    return _require_converged(volume_result(model, region, cfg),
+                              f"volume integral for '{model.name}'", NonFiniteVolumeError).value

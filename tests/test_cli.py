@@ -296,6 +296,13 @@ class TestExitCodes:
         assert "numerical failure" in err
         assert "error estimate" in err
 
+    def test_divergent_volume_stderr_pinned(self, capsys):
+        assert main(["volume", "--model", "poisson"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure: volume integral for 'poisson' did not converge "
+                       "(best estimate 1.960384255398833e+229, error estimate inf)\n")
+
     def test_arithmetic_error_is_numerical_failure(self):
         # E[1/theta] under the flat prior diverges; the quadrature flags it
         src = Path(__file__).resolve().parents[1] / "src"

@@ -1,5 +1,6 @@
 """Models, charts, metric transformation, arc length, distance, volume."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from fishergeom import (
     DomainError,
     Interval,
     NonFiniteVolumeError,
+    QuadratureConvergenceError,
     arclength_chart,
     arcsin_chart,
     bernoulli_model,
@@ -27,6 +29,7 @@ from fishergeom import (
     poisson_model,
     reciprocal_chart,
     volume,
+    volume_result,
 )
 
 BERNOULLI = bernoulli_model()
@@ -336,11 +339,19 @@ class TestMetricInChart:
     def test_chart_model_mismatch_is_the_one_mismatch_error(self):
         # the check densities and the mode search make, in the module that owns charts
         with pytest.raises(ChartModelMismatchError,
-                           match="chart 'arcsin' belongs to model 'bernoulli', not 'poisson'"):
+                           match="^chart 'arcsin' is not a chart of model 'poisson'$"):
             metric_in_chart(poisson_model(), CHARTS["arcsin"], 0.3)
         assert issubclass(ChartModelMismatchError, DomainError)
         assert (fishergeom.ChartModelMismatchError is density.ChartModelMismatchError
                 is manifold.ChartModelMismatchError)
+
+    def test_a_model_of_the_same_name_is_another_model(self):
+        # a chart belongs to the model whose canonical domain it maps into,
+        # so a Poisson model named 'bernoulli' does not take the arcsin chart
+        impostor = dataclasses.replace(poisson_model(), name="bernoulli")
+        with pytest.raises(ChartModelMismatchError,
+                           match="^chart 'arcsin' is not a chart of model 'bernoulli'$"):
+            metric_in_chart(impostor, arcsin_chart(), 0.3)
 
     def test_transformation_consistency_between_charts(self):
         # invariant line element: G_A dx_A^2 == G_B dx_B^2, chained through
@@ -415,6 +426,15 @@ class TestVolume:
     def test_exponential_volume_diverges(self):
         with pytest.raises(NonFiniteVolumeError):
             volume(exponential_model())
+
+    @pytest.mark.parametrize("model", [poisson_model(), exponential_model()], ids=lambda m: m.name)
+    def test_divergent_volume_error_carries_the_result(self, model):
+        with pytest.raises(NonFiniteVolumeError) as info:
+            volume(model)
+        assert isinstance(info.value, QuadratureConvergenceError)
+        assert info.value.result.converged is False
+        assert info.value.result.evaluations == 41
+        assert info.value.result == volume_result(model)
 
     def test_poisson_restricted_volume_finite(self):
         # integral of lam**-0.5 over (0, 4] = 2 sqrt(4) = 4

@@ -344,7 +344,8 @@ class TestChartOfAnotherModel:
 
     @pytest.mark.parametrize("search", SEARCHES)
     def test_rejected(self, search):
-        with pytest.raises(ChartModelMismatchError, match="belongs to model 'poisson'"):
+        with pytest.raises(ChartModelMismatchError,
+                           match="^chart 'arclength' is not a chart of model 'bernoulli'$"):
             self.SEARCHES[search](poisson_model().arclength)
 
 

@@ -432,10 +432,11 @@ class TestTrustBoundary:
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 0.3), (0.7, 1.0)])
     def test_sub_interval_checks_every_node(self, verify_calls, lo, hi):
-        # each node: the arc-length chart map's check, then the density's own
+        # each node: the arc-length chart map's check; the canonical offset it
+        # makes is anchored at an end of (0, 1), so the density trusts it
         p = beta_intrinsic_density(BetaParams(1.05, 2.05))
         res = interval_probability(p, Interval(lo, hi), CFG)
-        assert verify_calls[0] == 2 * res.evaluations
+        assert verify_calls[0] == res.evaluations
 
     def test_chart_sub_interval_checks_every_node(self, verify_calls):
         # offsets anchored at 0.5 would read as distances from 1 unchecked
