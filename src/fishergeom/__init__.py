@@ -45,7 +45,6 @@ from .manifold import (
 from .mode import ModeResult, beta_mode_analytic, map_estimate, mapi_estimate
 from .quadrature import (
     NonFiniteVolumeError,
-    QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureResult,
     expectation,
@@ -70,7 +69,6 @@ __all__ = [
     "ManifoldModel",
     "ModeResult",
     "NonFiniteVolumeError",
-    "QuadratureConfig",
     "QuadratureConvergenceError",
     "QuadratureResult",
     "arclength_chart",

@@ -44,7 +44,7 @@ from .manifold import (
     naive_offset,
     verify_offset,
 )
-from .quadrature import QuadratureConfig, _require_converged, integrate_chart, integrate_manifold
+from .quadrature import _require_converged, integrate_chart, integrate_manifold
 
 
 # Exact endpoint offsets of endpoint_behaviour's log-slope. Nearer ones
@@ -76,6 +76,14 @@ class BetaParams:
         return math.lgamma(self.alpha) + math.lgamma(self.beta) - math.lgamma(self.alpha + self.beta)
 
 
+def _value_only(d) -> None:
+    """A value-only density's ``value_offset``: one positional parameter, so integrals
+    skip endpoints; conversions call it with ``(x, xc)`` and may reach theta = 1.0."""
+    if d.value_offset is None:
+        fn = d.value
+        object.__setattr__(d, "value_offset", lambda x, *_: fn(x))
+
+
 @dataclass(frozen=True)
 class ChartDensity:
     """A density over one chart coordinate (the integration form)."""
@@ -88,9 +96,7 @@ class ChartDensity:
 
     def __post_init__(self):
         _require_model(self.chart, self.model)
-        if self.value_offset is None:
-            fn = self.value
-            object.__setattr__(self, "value_offset", lambda x, xc: fn(x))
+        _value_only(self)
 
 
 @dataclass(frozen=True)
@@ -103,9 +109,7 @@ class IntrinsicDensity:
     value_offset: Callable[[float, float], float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.value_offset is None:
-            fn = self.value
-            object.__setattr__(self, "value_offset", lambda x, xc: fn(x))
+        _value_only(self)
 
 
 def _evaluators(core, interval: Interval) -> dict:
@@ -305,8 +309,7 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
     return _in_chart(rho, target)
 
 
-def normalization_check(d: ChartDensity | IntrinsicDensity,
-                        cfg: QuadratureConfig | None = None) -> float:
+def normalization_check(d: ChartDensity | IntrinsicDensity) -> float:
     """Numerically computed total mass of a density.
 
     The caller compares against 1; nothing is renormalized here, so tests
@@ -314,7 +317,7 @@ def normalization_check(d: ChartDensity | IntrinsicDensity,
     quadrature raises :class:`QuadratureConvergenceError` with its result.
     """
     if isinstance(d, ChartDensity):
-        res = integrate_chart(d.value_offset, d.chart.domain, cfg)
+        res = integrate_chart(d.value_offset, d.chart.domain)
     else:
-        res = integrate_manifold(d.value_offset, d.model, None, cfg)
+        res = integrate_manifold(d.value_offset, d.model)
     return _require_converged(res, f"normalization integral for '{d.label}'").value

@@ -68,8 +68,6 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     density, the intrinsic density (both on their trusted cores), and the
     embedded point (NaN for a model without an embedding).
     """
-    if n < 2:
-        raise ValueError("a curve needs at least 2 samples")
     if isinstance(d, ChartDensity):
         p = intrinsic_from_chart(d)
         rho = pushforward(d, chart)

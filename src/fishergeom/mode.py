@@ -167,8 +167,6 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
             continue
         lo = grid[i - 1] if i > 0 else first
         hi = grid[i + 1] if i < n - 1 else last
-        if hi <= lo:
-            continue
         tol = _GOLDEN_TOL * max(1.0, abs(lo), abs(hi))
         x_star = _golden_max(obj, lo, hi, tol)
         x_star = _parabolic_polish(obj, x_star, sdom.lo, sdom.hi)

@@ -17,7 +17,6 @@ from scipy.special import betainc
 from fishergeom import (
     BetaParams,
     Interval,
-    QuadratureConfig,
     beta_chart_density,
     beta_intrinsic_density,
     beta_mode_analytic,
@@ -152,7 +151,7 @@ def test_09_singular_quadrature():
         hi = -tc if tc < 0 else 1.0 - t
         return lo ** -0.5 * hi ** -0.5
 
-    res = integrate_chart(integrand, Interval(0.0, 1.0), QuadratureConfig())
+    res = integrate_chart(integrand, Interval(0.0, 1.0))
     err = abs(res.value - math.pi)
     report(res.converged and err <= 1e-9,
            "09 doubly singular integrand integrates to pi",

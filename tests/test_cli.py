@@ -282,6 +282,10 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "error: 'embed' needs a Beta density and therefore --model bernoulli\n")
 
+    def test_usage_error_too_few_samples(self, capsys):
+        assert main(["density", "--alpha", "1", "--beta", "1", "--samples", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: grid needs at least 2 points\n")
+
     def test_usage_error_inverted_prob_range(self, capsys):
         assert main(["prob", "--alpha", "1", "--beta", "1", "--from", "0.7", "--to", "0.2"]) == 2
 

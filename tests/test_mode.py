@@ -65,9 +65,11 @@ class TestAnalyticModes:
         assert math.isinf(r.density_value)
 
     def test_single_divergent_boundary(self):
-        r = beta_mode_analytic(BetaParams(0.4, 2.0), intrinsic=True)
-        assert r.all_modes == (0.0,)
-        assert math.isinf(r.density_value)
+        for a, b, modes in ((0.4, 2.0, (0.0,)), (2.0, 0.4, (1.0,))):
+            r = beta_mode_analytic(BetaParams(a, b), intrinsic=True)
+            assert r.all_modes == modes
+            assert math.isinf(r.density_value)
+            assert r == mapi_estimate(intrinsic(a, b), CHARTS["theta"])
 
     def test_finite_boundary_mode(self):
         # a == 0 exactly: density decreasing from a finite value at 0

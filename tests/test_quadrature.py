@@ -11,7 +11,6 @@ from fishergeom import (
     BetaParams,
     ChartDensity,
     Interval,
-    QuadratureConfig,
     QuadratureResult,
     beta_chart_density,
     beta_intrinsic_density,
@@ -35,7 +34,6 @@ from fishergeom.manifold import verify_offset
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
-CFG = QuadratureConfig()
 
 
 def eq2_integrand(t, tc):
@@ -47,22 +45,22 @@ def eq2_integrand(t, tc):
 
 class TestIntegrateChart:
     def test_constant(self):
-        res = integrate_chart(lambda x: 1.0, Interval(0.0, 1.0), CFG)
+        res = integrate_chart(lambda x: 1.0, Interval(0.0, 1.0))
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-13)
 
     def test_polynomial(self):
-        res = integrate_chart(lambda x: 3.0 * x * x, Interval(0.0, 2.0), CFG)
+        res = integrate_chart(lambda x: 3.0 * x * x, Interval(0.0, 2.0))
         assert res.value == pytest.approx(8.0, rel=1e-12)
 
     def test_doubly_singular_arc_integrand(self):
-        res = integrate_chart(eq2_integrand, Interval(0.0, 1.0), CFG)
+        res = integrate_chart(eq2_integrand, Interval(0.0, 1.0))
         assert res.converged
         assert res.value == pytest.approx(math.pi, abs=1e-9)
 
     def test_plain_integrand_single_zero_side_singularity(self):
         # singular only at the zero endpoint: plain f(x) is already exact there
-        res = integrate_chart(lambda x: x ** -0.5, Interval(0.0, 1.0), CFG)
+        res = integrate_chart(lambda x: x ** -0.5, Interval(0.0, 1.0))
         assert res.converged
         assert res.value == pytest.approx(2.0, abs=1e-12)
 
@@ -70,66 +68,54 @@ class TestIntegrateChart:
         def f(y, yc):
             return 1.0 / (math.pi * y * math.sqrt(yc))
 
-        res = integrate_chart(f, Interval(1.0, math.inf), CFG)
+        res = integrate_chart(f, Interval(1.0, math.inf))
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-8)
         # oracle: substitute theta = 1/y back to the finite interval
-        back = integrate_chart(eq2_integrand, Interval(0.0, 1.0), CFG)
+        back = integrate_chart(eq2_integrand, Interval(0.0, 1.0))
         assert res.value == pytest.approx(back.value / math.pi, abs=1e-9)
 
     def test_half_infinite_exponential(self):
-        res = integrate_chart(lambda x: math.exp(-x), Interval(0.0, math.inf), CFG)
+        res = integrate_chart(lambda x: math.exp(-x), Interval(0.0, math.inf))
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_doubly_infinite_gaussian(self):
-        res = integrate_chart(lambda x: math.exp(-x * x), Interval(-math.inf, math.inf), CFG)
+        res = integrate_chart(lambda x: math.exp(-x * x), Interval(-math.inf, math.inf))
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_nonconvergence_is_flagged(self):
-        res = integrate_chart(lambda x: 1.0 / x, Interval(0.0, 1.0), CFG)
+        res = integrate_chart(lambda x: 1.0 / x, Interval(0.0, 1.0))
         assert not res.converged
         assert res.error_estimate > 0.0
 
     def test_converged_error_estimate_within_tolerance(self):
-        res = integrate_chart(eq2_integrand, Interval(0.0, 1.0), CFG)
+        res = integrate_chart(eq2_integrand, Interval(0.0, 1.0))
         assert res.converged
-        assert res.error_estimate <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value))
+        assert res.error_estimate <= max(quadrature._ABS_TOL, quadrature._REL_TOL * abs(res.value))
 
-    def test_error_estimate_decreases_with_budget(self):
+    def test_error_estimate_decreases_with_budget(self, monkeypatch):
         errs = []
         for levels in (1, 2, 3, 5, 8):
-            cfg = QuadratureConfig(max_refinement_levels=levels)
-            res = integrate_chart(eq2_integrand, Interval(0.0, 1.0), cfg)
+            monkeypatch.setattr(quadrature, "_MAX_LEVEL", levels)
+            res = integrate_chart(eq2_integrand, Interval(0.0, 1.0))
             errs.append((res.error_estimate, res.converged))
         estimates = [e for e, _ in errs]
         assert all(b <= a for a, b in zip(estimates, estimates[1:]))
         assert errs[-1][1]
 
     def test_evaluation_count_reported(self):
-        res = integrate_chart(lambda x: x, Interval(0.0, 1.0), CFG)
+        res = integrate_chart(lambda x: x, Interval(0.0, 1.0))
         assert res.evaluations > 0
 
     def test_mirrored_half_infinite(self):
-        res = integrate_chart(lambda x: math.exp(x), Interval(-math.inf, 0.0), CFG)
+        res = integrate_chart(lambda x: math.exp(x), Interval(-math.inf, 0.0))
         assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_builtin_integrand(self):
         # builtins have no introspectable signature; must fall back to f(x)
-        res = integrate_chart(math.sin, Interval(0.0, math.pi), CFG)
+        res = integrate_chart(math.sin, Interval(0.0, math.pi))
         assert res.value == pytest.approx(2.0, rel=1e-12)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_refinement_levels=0)
-        # a NaN tolerance never converges; a fractional level count fails
-        # as a TypeError inside the first integral
-        for bad in ({"abs_tol": math.nan}, {"rel_tol": math.nan}, {"abs_tol": -1e-10},
-                    {"max_refinement_levels": 2.5}):
-            with pytest.raises(ValueError):
-                QuadratureConfig(**bad)
 
 
 class TestDivergenceVerdict:
@@ -137,89 +123,89 @@ class TestDivergenceVerdict:
 
     def test_divergent_integrals_flagged(self):
         # 1/x on (0, 1) is pinned with its count in test_eval_counts.py
-        for res in (integrate_chart(lambda x: 1.0, Interval(0.0, math.inf), CFG),
-                    integrate_chart(lambda x: 1.0, Interval(-math.inf, math.inf), CFG)):
+        for res in (integrate_chart(lambda x: 1.0, Interval(0.0, math.inf)),
+                    integrate_chart(lambda x: 1.0, Interval(-math.inf, math.inf))):
             assert not res.converged
             assert res.error_estimate == math.inf
             assert res.evaluations < 100
 
     def test_far_out_decay_is_not_divergent(self):
         # still grows at the outermost node of level 0, |t| = 6 (x near 1e138)
-        res = integrate_chart(lambda x: math.exp(-x / 1e200), Interval(0.0, math.inf), CFG)
+        res = integrate_chart(lambda x: math.exp(-x / 1e200), Interval(0.0, math.inf))
         assert res.converged
         assert res.value == pytest.approx(1e200, rel=1e-10)
 
     def test_slow_algebraic_decay_is_not_divergent(self):
-        res = integrate_chart(lambda x: (1.0 + x) ** -1.05, Interval(0.0, math.inf), CFG)
+        res = integrate_chart(lambda x: (1.0 + x) ** -1.05, Interval(0.0, math.inf))
         assert res.converged
         assert res.value == pytest.approx(20.0, rel=1e-10)
 
     def test_reciprocal_chart_heavy_tail_is_not_divergent(self):
         # Beta(0.1, 4.26) in xi = 1/theta decays only like xi**-1.1
         d = pushforward(beta_chart_density(BetaParams(0.1, 4.26)), CHARTS["reciprocal"])
-        res = integrate_chart(d.value_offset, d.chart.domain, CFG)
+        res = integrate_chart(d.value_offset, d.chart.domain)
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_overflowing_integrand_is_zero_weighted(self):
         # x ** -0.99 raises OverflowError at subnormal x; the node is skipped
-        res = integrate_chart(lambda x: x ** -0.99, Interval(0.0, 1.0), CFG)
+        res = integrate_chart(lambda x: x ** -0.99, Interval(0.0, 1.0))
         assert res.evaluations > 0
         assert not res.converged or res.value == pytest.approx(100.0, rel=1e-10)
 
 
 class TestIntegrateManifold:
     def test_unit_function_gives_total_arc(self):
-        res = integrate_manifold(lambda t: 1.0, BERNOULLI, None, CFG)
+        res = integrate_manifold(lambda t: 1.0, BERNOULLI)
         assert res.value == pytest.approx(math.pi, abs=1e-9)
 
     def test_uniform_density_over_left_region(self):
         # constant height times region length, against the incomplete-beta oracle
-        res = integrate_manifold(lambda t: 1.0 / math.pi, BERNOULLI, Interval(0.0, 0.1), CFG)
+        res = integrate_manifold(lambda t: 1.0 / math.pi, BERNOULLI, Interval(0.0, 0.1))
         oracle = betainc(0.5, 0.5, 0.1)
         assert res.value == pytest.approx(oracle, abs=1e-10)
         assert res.value == pytest.approx(2.0 * math.asin(math.sqrt(0.1)) / math.pi, abs=1e-12)
 
     def test_normalized_density_integrates_to_one(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(2.0, 2.0)))
-        res = integrate_manifold(p.value_offset, BERNOULLI, None, CFG)
+        res = integrate_manifold(p.value_offset, BERNOULLI)
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_region_outside_domain_rejected(self):
         from fishergeom import DomainError
 
         with pytest.raises(DomainError):
-            integrate_manifold(lambda t: 1.0, BERNOULLI, Interval(-0.5, 0.5), CFG)
+            integrate_manifold(lambda t: 1.0, BERNOULLI, Interval(-0.5, 0.5))
 
 
 class TestExpectation:
     def test_symmetric_mean(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
-        res = expectation(p, lambda t: t, CFG)
+        res = expectation(p, lambda t: t)
         assert res.value == pytest.approx(0.5, abs=1e-10)
 
     def test_mean_against_moment_formula(self):
         a, b = 1.05, 2.05
         p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
-        res = expectation(p, lambda t: t, CFG)
+        res = expectation(p, lambda t: t)
         assert res.value == pytest.approx(a / (a + b), abs=1e-10)
 
     def test_unit_function_has_unit_expectation(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
-        res = expectation(p, lambda t: 1.0, CFG)
+        res = expectation(p, lambda t: 1.0)
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_reciprocal_moment_converges(self):
         for a, b in ((2.0, 3.0), (1.5, 0.7), (1.0319, 11.795)):
             p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
-            res = expectation(p, lambda t: t ** -1, CFG)
+            res = expectation(p, lambda t: t ** -1)
             assert res.converged
             assert res.value == pytest.approx((a + b - 1.0) / (a - 1.0), rel=1e-9)
 
     def test_reciprocal_moment_divergence_flagged(self):
         for a, b in ((0.9, 2.0), (1.0, 1.0)):
             p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
-            res = expectation(p, lambda t: t ** -1, CFG)
+            res = expectation(p, lambda t: t ** -1)
             assert not res.converged
             assert res.error_estimate == math.inf
 
@@ -227,13 +213,13 @@ class TestExpectation:
         # theta rounds to 1.0 at nodes whose exact offset is not 0, and
         # 1/(1 - theta) divides by zero there: skipped as an overflow is
         p = intrinsic_from_chart(beta_chart_density(BetaParams(2.0, 3.0)))
-        res = expectation(p, lambda t: 1.0 / (1.0 - t), CFG)
+        res = expectation(p, lambda t: 1.0 / (1.0 - t))
         assert res.converged
         assert res.value == pytest.approx(2.0, rel=1e-14)   # (a + b - 1)/(b - 1)
         assert (res.evaluations, res.nonfinite_skipped) == (109, 14)
         for a, b in ((0.5, 0.5), (3.0, 0.7)):   # E[1/(1 - theta)] diverges for b <= 1
             p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
-            res = expectation(p, lambda t: 1.0 / (1.0 - t), CFG)
+            res = expectation(p, lambda t: 1.0 / (1.0 - t))
             assert not res.converged
             assert res.error_estimate == math.inf
 
@@ -241,7 +227,7 @@ class TestExpectation:
         # only arithmetic blow-ups are skipped; log(0) is a ValueError
         p = intrinsic_from_chart(beta_chart_density(BetaParams(2.0, 3.0)))
         with pytest.raises(ValueError):
-            expectation(p, lambda t: math.log(1.0 - t), CFG)
+            expectation(p, lambda t: math.log(1.0 - t))
 
     def test_f_never_called_at_theta_zero(self):
         seen = []
@@ -251,7 +237,7 @@ class TestExpectation:
             return t ** -1
 
         p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
-        expectation(p, f, CFG)
+        expectation(p, f)
         assert seen
         assert min(seen) > 0.0
 
@@ -270,7 +256,7 @@ class TestExpectation:
             def integrand(x, xc, _rho=rho, _chart=chart):
                 return f(_chart.to_canonical(x)) * _rho.value_offset(x, xc)
 
-            res = integrate_chart(integrand, chart.domain, CFG)
+            res = integrate_chart(integrand, chart.domain)
             assert res.converged, name
             values.append(res.value)
         moment = a * (a + 1) / ((a + b) * (a + b + 1))
@@ -282,25 +268,25 @@ class TestExpectation:
 class TestIntervalProbability:
     def test_flat_prior_left_tail(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
-        res = interval_probability(p, Interval(0.0, 0.1), CFG)
+        res = interval_probability(p, Interval(0.0, 0.1))
         assert res.value == pytest.approx(betainc(0.5, 0.5, 0.1), abs=1e-8)
 
     def test_full_interval_and_symmetry(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
-        assert interval_probability(p, Interval(0.0, 1.0), CFG).value == pytest.approx(1.0, abs=1e-9)
-        assert interval_probability(p, Interval(0.0, 0.5), CFG).value == pytest.approx(0.5, abs=1e-10)
+        assert interval_probability(p, Interval(0.0, 1.0)).value == pytest.approx(1.0, abs=1e-9)
+        assert interval_probability(p, Interval(0.0, 0.5)).value == pytest.approx(0.5, abs=1e-10)
 
     def test_additivity(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
-        ab = interval_probability(p, Interval(0.0, 0.3), CFG).value
-        bc = interval_probability(p, Interval(0.3, 0.8), CFG).value
-        ac = interval_probability(p, Interval(0.0, 0.8), CFG).value
+        ab = interval_probability(p, Interval(0.0, 0.3)).value
+        bc = interval_probability(p, Interval(0.3, 0.8)).value
+        ac = interval_probability(p, Interval(0.0, 0.8)).value
         assert ab + bc == pytest.approx(ac, abs=1e-10)
 
     @pytest.mark.parametrize("a,b,hi", [(0.5, 0.5, 0.25), (2.0, 2.0, 0.6), (0.3, 5.0, 0.04)])
     def test_against_incomplete_beta(self, a, b, hi):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
-        res = interval_probability(p, Interval(0.0, hi), CFG)
+        res = interval_probability(p, Interval(0.0, hi))
         assert res.value == pytest.approx(betainc(a, b, hi), abs=1e-8)
 
 
@@ -311,7 +297,7 @@ class TestChartInvarianceOfMass:
         rho = beta_chart_density(BetaParams(a, b))
         masses = []
         for chart in CHARTS.values():
-            res = integrate_chart(pushforward(rho, chart).value_offset, chart.domain, CFG)
+            res = integrate_chart(pushforward(rho, chart).value_offset, chart.domain)
             assert res.converged
             masses.append(res.value)
         assert max(masses) - min(masses) <= 1e-8
@@ -324,15 +310,15 @@ class TestNonfiniteSkipped:
     def test_overflowing_nodes_are_counted(self):
         # 14 of the 24,065 nodes overflow, and the result still reads converged
         rho = beta_chart_density(BetaParams(0.02369, 0.05))
-        res = integrate_chart(rho.value_offset, rho.chart.domain, CFG)
+        res = integrate_chart(rho.value_offset, rho.chart.domain)
         assert res.converged
         assert res.nonfinite_skipped > 0
 
     def test_regular_density_skips_nothing(self):
         rho = beta_chart_density(BetaParams(1.05, 2.05))
         p = intrinsic_from_chart(rho)
-        assert integrate_chart(rho.value_offset, rho.chart.domain, CFG).nonfinite_skipped == 0
-        assert integrate_manifold(p.value_offset, BERNOULLI, None, CFG).nonfinite_skipped == 0
+        assert integrate_chart(rho.value_offset, rho.chart.domain).nonfinite_skipped == 0
+        assert integrate_manifold(p.value_offset, BERNOULLI).nonfinite_skipped == 0
 
     def test_positional_construction_unchanged(self):
         res = QuadratureResult(1.0, 0.0, True, 5)
@@ -435,13 +421,13 @@ class TestTrustBoundary:
         # each node: the arc-length chart map's check; the canonical offset it
         # makes is anchored at an end of (0, 1), so the density trusts it
         p = beta_intrinsic_density(BetaParams(1.05, 2.05))
-        res = interval_probability(p, Interval(lo, hi), CFG)
+        res = interval_probability(p, Interval(lo, hi))
         assert verify_calls[0] == res.evaluations
 
     def test_chart_sub_interval_checks_every_node(self, verify_calls):
         # offsets anchored at 0.5 would read as distances from 1 unchecked
         rho = beta_chart_density(BetaParams(2.0, 2.0))
-        res = integrate_chart(rho.value_offset, Interval(0.0, 0.5), CFG)
+        res = integrate_chart(rho.value_offset, Interval(0.0, 0.5))
         assert res.value == pytest.approx(0.5, abs=1e-12)
         assert verify_calls[0] == res.evaluations
 
@@ -452,7 +438,7 @@ class TestTrustBoundary:
     def test_sub_interval_results_pinned(self, lo, hi, value, error, evaluations):
         # the results before whole-domain integrals dropped their checks
         p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
-        res = interval_probability(p, Interval(lo, hi), CFG)
+        res = interval_probability(p, Interval(lo, hi))
         assert (res.value, res.error_estimate, res.converged, res.evaluations) == (
             value, error, True, evaluations)
 
@@ -575,7 +561,7 @@ class TestNodeTables:
         # only levels up to _TABLE_LEVELS are kept
         quadrature._TABLES.clear()
         p = intrinsic_from_chart(beta_chart_density(BetaParams(1e5, 2e5)))
-        res = interval_probability(p, Interval(0.0, 0.6), CFG)
+        res = interval_probability(p, Interval(0.0, 0.6))
         assert res.evaluations == 12311
         assert max(level for _, level, _ in quadrature._TABLES) == quadrature._TABLE_LEVELS
         assert sum(map(len, quadrature._TABLES.values())) <= 1553
