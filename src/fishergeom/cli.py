@@ -78,6 +78,8 @@ class UsageError(ValueError):
 
 
 def _jsonable(v):
+    if isinstance(v, (tuple, list)):
+        return [_jsonable(x) for x in v]
     if isinstance(v, float):
         if math.isnan(v):
             return None
@@ -153,7 +155,7 @@ def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> 
     doc = {
         "request": _request_meta(req),
         "result": result,
-        "error_estimate": _jsonable(error_estimate) if error_estimate is not None else None,
+        "error_estimate": _jsonable(error_estimate),
         "version": __version__,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -162,7 +164,7 @@ def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> 
 def _json_row(row: tuple) -> str:
     if math.isfinite(sum(row)):     # no nan or inf among the values (or an overflow)
         return _JSON_ROW % row
-    return json.dumps([_jsonable(v) for v in row], indent=2).replace("\n", "\n      ")
+    return json.dumps(_jsonable(row), indent=2).replace("\n", "\n      ")
 
 
 def _curve_json(req: argparse.Namespace, curve: DensityCurve) -> str:
@@ -248,10 +250,7 @@ def _svg_plot(series: list[tuple[str, str, list[tuple[float, float]]]],
 
 def _emit_scalar(req: argparse.Namespace, fields: dict, error_estimate: float | None) -> None:
     if req.fmt == "json":
-        result = {k: (_jsonable(v) if isinstance(v, float) else
-                      [_jsonable(x) for x in v] if isinstance(v, (tuple, list)) else v)
-                  for k, v in fields.items()}
-        _emit(req, _json_doc(req, result, error_estimate))
+        _emit(req, _json_doc(req, {k: _jsonable(v) for k, v in fields.items()}, error_estimate))
     else:
         _emit(req, _scalar_csv(req, fields, error_estimate))
 

@@ -20,10 +20,14 @@ Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
 and one chart view of it, ``q(theta(x)) * |dtheta/dx|``. Each checks an
 offset only where a chart map moves it to another interval, and the model's
-identity chart adds no map. Charts are told apart by identity; a density
-built on a chart of another model raises ``ChartModelMismatchError``. All
-Beta arithmetic runs through log-gamma and ``exp`` so large shape parameters
-cannot overflow; a closed-form value above the largest double is ``inf``.
+identity chart adds no map. Conversions catch nothing: the maps return their
+limits, and a quotient by a zero Jacobian or ``sqrt(G)`` is ``inf``; below
+endpoint offsets of about 1e-200 a converted value may read ``inf`` or
+``nan`` (``inf/inf``), and neither is right there. Charts are told apart by
+identity; a density built on a chart of another model raises
+``ChartModelMismatchError``. All Beta arithmetic runs through log-gamma and
+``exp`` so large shape parameters cannot overflow; a closed-form value above
+the largest double is ``inf``.
 """
 
 from __future__ import annotations
@@ -194,24 +198,6 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
                             **_evaluators(core, model.canonical_domain))
 
 
-def _guard(core):
-    """Map arithmetic blow-ups at sub-ulp limit-region points to ``inf``.
-
-    Composed evaluators can be driven closer to a boundary than their
-    intermediate quantities can represent (underflowed offsets, divergent
-    metric); the quadrature zero-weights non-finite values there, and the
-    public closure evaluators never reach this path.
-    """
-
-    def guarded(x: float, xc: float) -> float:
-        try:
-            return core(x, xc)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return math.inf
-
-    return guarded
-
-
 def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, float]:
     """``(exponent, limit)`` of a trusted ``(x, xc)`` core at a finite
     endpoint of ``interval``.
@@ -255,7 +241,8 @@ def _per_theta(d: ChartDensity | IntrinsicDensity):
     def per_theta(theta: float, co: float) -> float:
         x, xc = chart.from_canonical_offset(theta, co)
         xc = verify_offset(chart.domain, x, xc)
-        return source(x, xc) / abs(chart.d_canonical_offset(x, xc))
+        jacobian = abs(chart.d_canonical_offset(x, xc))
+        return source(x, xc) / jacobian if jacobian else math.inf
     return per_theta
 
 
@@ -273,7 +260,7 @@ def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
             co = verify_offset(model.canonical_domain, theta, co)
             return per_theta(theta, co) * abs(chart.d_canonical_offset(x, xc))
     return ChartDensity(model=model, chart=chart, label=d.label,
-                        **_evaluators(_guard(core), chart.domain))
+                        **_evaluators(core, chart.domain))
 
 
 def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
@@ -285,9 +272,10 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     model, per_theta = rho.model, _per_theta(rho)
 
     def core(theta: float, co: float) -> float:
-        return per_theta(theta, co) / math.sqrt(model.fisher_metric_offset(theta, co))
+        root_g = math.sqrt(model.fisher_metric_offset(theta, co))
+        return per_theta(theta, co) / root_g if root_g else math.inf
     return IntrinsicDensity(model=model, label=rho.label,
-                            **_evaluators(_guard(core), model.canonical_domain))
+                            **_evaluators(core, model.canonical_domain))
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:

@@ -27,12 +27,13 @@ new interval, except the cached identity chart's own: it moves no offset
 there.
 
 A model is data: its metric, its arc-length chart, its extra charts and its
-planar embedding (NaN off the coin family). Every interval is open. Models
-and charts compare by identity; the shipped ones are built once and cached
-for the life of the process. A chart belongs to the model whose canonical
-domain it maps into, the very ``Interval`` object: the coin family and all
-its charts share one. Integrals against the Riemannian measure, the volume
-among them, live in :mod:`fishergeom.quadrature`.
+planar embedding (NaN off the coin family). Each shipped map is total: at a
+limit it returns the limit (``inf`` for ``1/0``) instead of raising. Every
+interval is open. Models and charts compare by identity; the shipped ones are
+built once and cached for the life of the process. A chart belongs to the
+model whose canonical domain it maps into, the very ``Interval`` object: the
+coin family and all its charts share one. Integrals against the Riemannian
+measure, the volume among them, live in :mod:`fishergeom.quadrature`.
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ def bernoulli_model() -> ManifoldModel:
     def metric_offset(theta: float, co: float) -> float:
         lo_off = co if co > 0 else theta
         hi_off = -co if co < 0 else 1.0 - theta
-        return 1.0 / (lo_off * hi_off)
+        d = lo_off * hi_off
+        return 1.0 / d if d else math.inf
 
     # theta = sin^2(s/2); at the far end 1 - theta = sin^2((pi - s)/2),
     # both exact in the respective arc-length offset
@@ -300,7 +302,7 @@ def poisson_model() -> ManifoldModel:
     return ManifoldModel(
         name="poisson",
         canonical_domain=domain,
-        fisher_metric_offset=lambda lam, co: 1.0 / lam,
+        fisher_metric_offset=lambda lam, co: 1.0 / lam if lam else math.inf,
         arclength=Chart("arclength", Interval(0.0, math.inf), domain,
                         canonical_offset, from_canonical_offset, lambda s, sc: 0.5 * s),
     )
@@ -328,7 +330,7 @@ def exponential_model() -> ManifoldModel:
     return ManifoldModel(
         name="exponential",
         canonical_domain=domain,
-        fisher_metric_offset=lambda lam, co: 1.0 / (lam * lam),
+        fisher_metric_offset=lambda lam, co: 1.0 / (lam * lam) if lam * lam else math.inf,
         arclength=Chart("arclength", Interval(-math.inf, math.inf), domain,
                         canonical_offset, from_canonical_offset,
                         lambda s, sc: canonical_offset(s, sc)[0]),
@@ -413,8 +415,8 @@ def reciprocal_chart() -> Chart:
         return 1.0 / y, -yc / y
 
     def from_canonical_offset(theta: float, co: float) -> tuple[float, float]:
-        y = 1.0 / theta
-        if co < 0:
+        y = 1.0 / theta if theta else math.inf
+        if co < 0 and theta:
             return y, -co / theta
         return y, y - 1.0
 
@@ -481,11 +483,8 @@ def metric_in_chart(model: ManifoldModel, chart: Chart, x: float) -> float:
     chart.require_interior(x)
     xc = naive_offset(chart.domain, x)
     theta, co = chart.canonical_offset(x, xc)
-    try:
-        d = chart.d_canonical_offset(x, xc)
-        g = model.fisher_metric_offset(theta, co) * d * d
-    except (ZeroDivisionError, OverflowError):
-        g = math.nan
+    d = chart.d_canonical_offset(x, xc)
+    g = model.fisher_metric_offset(theta, co) * d * d
     if not (model.canonical_domain.contains_interior(theta) and 0.0 < g < math.inf):
         raise DomainError(
             f"the '{chart.name}' chart metric at {x!r} (canonical image {theta!r}) "

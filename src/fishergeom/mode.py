@@ -197,11 +197,8 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
 
     all_modes = tuple(sorted(theta for theta, _ in modes))
     canonical_point = all_modes[0]
-    try:
-        chart_point, _ = report_chart.from_canonical_offset(
-            canonical_point, naive_offset(report_chart.canonical_domain, canonical_point))
-    except (ZeroDivisionError, OverflowError, ValueError):
-        chart_point = math.inf
+    chart_point, _ = report_chart.from_canonical_offset(
+        canonical_point, naive_offset(report_chart.canonical_domain, canonical_point))
     return ModeResult(
         canonical_point=canonical_point,
         chart_point=chart_point,

@@ -114,16 +114,14 @@ def _require_converged(res: QuadratureResult, what: str,
 
 
 def wants_offset(f) -> bool:
-    """Whether ``f`` follows the two-argument ``f(x, xc)`` convention."""
+    """Whether ``f`` is ``f(x, xc)``: two positional parameters without a default."""
     try:
         params = inspect.signature(f).parameters.values()
     except (TypeError, ValueError):
         return False
-    positional = [
-        p for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(positional) >= 2
+    required = [p for p in params if p.default is p.empty
+                and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return len(required) >= 2
 
 
 def _finite_row(t: float) -> tuple:

@@ -316,8 +316,8 @@ class TestModeNearBoundary:
 
 class TestReportedAtAnInfiniteChartEnd:
     def test_mapi_at_theta_zero_in_reciprocal(self):
-        # theta = 0 is y = inf in the reciprocal chart: 1/0 raises, and the
-        # reported chart point is the chart's infinite end
+        # theta = 0 is y = inf in the reciprocal chart: its map returns that
+        # limit, the chart's infinite end, as the reported chart point
         r = mapi_estimate(intrinsic(0.3, 2.0), CHARTS["reciprocal"])
         assert (r.canonical_point, r.chart_point) == (0.0, math.inf)
         assert (r.all_modes, r.at_boundary, r.density_value) == ((0.0,), True, math.inf)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy
 import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
@@ -113,8 +114,23 @@ class TestIntegrateChart:
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_builtin_integrand(self):
-        # builtins have no introspectable signature; must fall back to f(x)
+        # math.sin takes one positional parameter, so it is called as f(x)
         res = integrate_chart(math.sin, Interval(0.0, math.pi))
+        assert res.value == pytest.approx(2.0, rel=1e-12)
+
+    def test_defaulted_second_parameter_is_no_offset(self):
+        # only parameters without a default count: k keeps its default
+        res = integrate_chart(lambda x, k=2: x ** k, Interval(0.0, 1.0))
+        assert res.converged
+        assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
+        res = integrate_manifold(lambda t, k=1: t ** k, bernoulli_model())
+        assert res.converged
+        assert res.value == pytest.approx(math.pi / 2, rel=1e-12)
+
+    def test_ufunc_integrand(self):
+        # numpy.sin's out=None must not receive the offset
+        res = integrate_chart(numpy.sin, Interval(0.0, math.pi))
+        assert res.converged
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
 
