@@ -7,7 +7,8 @@ for a fixed request apart from the version header.
 
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature or
 optimizer, with the achieved error estimate on stderr, or any other
-arithmetic error), 2 usage error (nothing is written).
+arithmetic error), 2 usage error, an unwritable ``--output`` included
+(nothing is written).
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import dataclasses
 import json
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
+from operator import itemgetter
 
 from . import __version__
 from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushforward
 from .embed import CurveRow, DensityCurve, sample_curve
-from .manifold import Interval, fisher_rao_distance, get_chart, get_model
+from .manifold import Interval, _chart_samples, fisher_rao_distance, get_chart, get_model
 from .mode import map_estimate, mapi_estimate
 from .quadrature import (NonFiniteVolumeError, _require_converged, expectation,
                          interval_probability, volume_result)
@@ -30,11 +32,14 @@ from .quadrature import (NonFiniteVolumeError, _require_converged, expectation,
 _FORMATS = ("csv", "json", "svg")
 _CURVES = ("density", "embed")
 _CURVE_COLUMNS = CurveRow._fields
-# One curve row as text, byte for byte what f"{v:.17g}" per value writes.
-_CSV_ROW = ",".join(["%.17g"] * len(_CURVE_COLUMNS))
-# One finite curve row as json.dumps(indent=2) writes it at the depth of
-# doc["result"]["rows"]; %r on a float is float.__repr__, which json emits.
-_JSON_ROW = "[\n        " + ",\n        ".join(["%r"] * len(_CURVE_COLUMNS)) + "\n      ]"
+_RHO_P = itemgetter(2, 3)   # the two columns that depend on the density
+# One curve row as text, rho and p escaped to fill per call: CSV as f"{v:.17g}"
+# per value writes it; JSON as json.dumps(indent=2) writes a finite row at the
+# depth of doc["result"]["rows"] (%r on a float is float.__repr__, as json's).
+_ROW_FORMS = {
+    "csv": ",".join(["%.17g"] * 2 + ["%%.17g"] * 2 + ["%.17g"] * 2),
+    "json": "[\n        " + ",\n        ".join(["%r"] * 2 + ["%%r"] * 2 + ["%r"] * 2) + "\n      ]",
+}
 
 # Each option a subcommand may take: its Namespace field -> (flag, argparse
 # keywords). Every subcommand takes --format and --output; a request's
@@ -115,9 +120,12 @@ def _request_meta(req: argparse.Namespace) -> dict:
 def _emit(req: argparse.Namespace, text: str) -> None:
     if req.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(req.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write '{req.output}': {e.strerror}") from None
 
 
 def _scalar_csv(req: argparse.Namespace, fields: dict, error_estimate: float | None) -> str:
@@ -137,7 +145,27 @@ def _scalar_csv(req: argparse.Namespace, fields: dict, error_estimate: float | N
     return "\n".join(lines) + "\n"
 
 
-def _curve_csv(req: argparse.Namespace, curve: DensityCurve) -> str:
+def _row_templates(fmt: str, xs, thetas, exs, eys) -> tuple[str | None, ...]:
+    """One template per curve row with its chart-only columns (chart and
+    canonical coordinate, embedding) written in, so that a writer formats
+    only rho and p; a formatted float holds no %. A JSON row with a
+    non-finite fixed value has no template (None)."""
+    form = _ROW_FORMS[fmt]
+    fixed = zip(xs, thetas, exs, eys)
+    if fmt == "csv":
+        return tuple(map(form.__mod__, fixed))
+    return tuple(form % f if math.isfinite(sum(f)) else None for f in fixed)
+
+
+# Keyed by identity, as the sample table the columns come from.
+@lru_cache(maxsize=8)
+def _chart_row_templates(model, chart, n: int, fmt: str) -> tuple[str | None, ...]:
+    """The row templates of every curve ``sample_curve(d, chart, n)`` draws."""
+    xs, _, thetas, _, exs, eys = _chart_samples(model, chart, n)
+    return _row_templates(fmt, xs, thetas, exs, eys)
+
+
+def _curve_csv(req: argparse.Namespace, curve: DensityCurve, templates: tuple[str, ...]) -> str:
     lines = [
         f"# fishergeom {req.subcommand}",
         f"# version: {__version__}",
@@ -147,7 +175,7 @@ def _curve_csv(req: argparse.Namespace, curve: DensityCurve) -> str:
         f"# samples: {curve.samples}",
         ",".join(_CURVE_COLUMNS),
     ]
-    lines += map(_CSV_ROW.__mod__, curve.rows)
+    lines += map(str.__mod__, templates, map(_RHO_P, curve.rows))
     return "\n".join(lines) + "\n"
 
 
@@ -161,13 +189,15 @@ def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _json_row(row: tuple) -> str:
-    if math.isfinite(sum(row)):     # no nan or inf among the values (or an overflow)
-        return _JSON_ROW % row
+def _json_row(template: str | None, row: tuple) -> str:
+    rho, p = _RHO_P(row)
+    if template is not None and math.isfinite(rho + p):     # no nan or inf (or an overflow)
+        return template % (rho, p)
     return json.dumps(_jsonable(row), indent=2).replace("\n", "\n      ")
 
 
-def _curve_json(req: argparse.Namespace, curve: DensityCurve) -> str:
+def _curve_json(req: argparse.Namespace, curve: DensityCurve,
+                templates: tuple[str | None, ...]) -> str:
     """The curve's JSON document, as json.dumps(indent=2) writes it; only
     the rows, which are nearly all of it, are written without the encoder."""
     result = {
@@ -182,7 +212,7 @@ def _curve_json(req: argparse.Namespace, curve: DensityCurve) -> str:
     }
     # an encoded string escapes its quotes, so this is the structural key
     head, tail = _json_doc(req, result, None).split('"rows": []', 1)
-    rows = ",\n      ".join(map(_json_row, curve.rows))
+    rows = ",\n      ".join(map(_json_row, templates, curve.rows))
     return f'{head}"rows": [\n      {rows}\n    ]{tail}'
 
 
@@ -255,11 +285,11 @@ def _emit_scalar(req: argparse.Namespace, fields: dict, error_estimate: float | 
         _emit(req, _scalar_csv(req, fields, error_estimate))
 
 
-def _emit_curve(req: argparse.Namespace, curve: DensityCurve) -> None:
-    if req.fmt == "json":
-        _emit(req, _curve_json(req, curve))
-    elif req.fmt == "csv":
-        _emit(req, _curve_csv(req, curve))
+def _emit_curve(req: argparse.Namespace, curve: DensityCurve, model, chart) -> None:
+    if req.fmt != "svg":
+        templates = _chart_row_templates(model, chart, curve.samples, req.fmt)
+        writer = _curve_json if req.fmt == "json" else _curve_csv
+        _emit(req, writer(req, curve, templates))
     else:
         if req.subcommand == "embed":
             pts = [(r.embed_x, r.embed_y) for r in curve.rows]
@@ -299,7 +329,8 @@ def run(req: argparse.Namespace) -> int:
 
         elif req.subcommand in _CURVES:     # embed draws the intrinsic density
             d = intrinsic_from_chart(rho) if req.subcommand == "embed" else rho
-            _emit_curve(req, sample_curve(d, get_chart(model, req.chart), req.samples))
+            chart = get_chart(model, req.chart)
+            _emit_curve(req, sample_curve(d, chart, req.samples), model, chart)
 
         elif req.subcommand == "mode":
             chart = get_chart(model, req.chart)

@@ -1,5 +1,7 @@
 """CLI surface: formats, exit codes, determinism, golden figure data."""
 
+import dataclasses
+import errno
 import json
 import math
 import os
@@ -286,6 +288,16 @@ class TestExitCodes:
         assert main(["density", "--alpha", "1", "--beta", "1", "--samples", "1"]) == 2
         assert capsys.readouterr() == ("", "error: grid needs at least 2 points\n")
 
+    @pytest.mark.parametrize("argv", [["density", "--alpha", "1", "--beta", "1"], ["volume"]])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output(self, argv, where, tmp_path, capsys):
+        # a curve and a scalar subcommand: one error line, no traceback, nothing on stdout
+        path, code = {"missing_dir": (tmp_path / "missing" / "x.csv", errno.ENOENT),
+                      "directory": (tmp_path, errno.EISDIR)}[where]
+        assert main([*argv, "--output", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write '{path}': {os.strerror(code)}\n")
+
     def test_usage_error_inverted_prob_range(self, capsys):
         assert main(["prob", "--alpha", "1", "--beta", "1", "--from", "0.7", "--to", "0.2"]) == 2
 
@@ -494,43 +506,90 @@ SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-300,
 
 
 def special_curve():
-    """Every special value in every column, and rows whose sum overflows."""
+    """Every special value in every column, rows whose sum overflows, and
+    non-finite densities beside finite chart-only columns."""
     values = SPECIAL * 2
     rows = [CurveRow(*values[i:i + 6]) for i in range(len(SPECIAL))]
     rows += [CurveRow(*[1e308] * 6), CurveRow(1e-6, 0.25, 1.5, 2.5, 1.0, math.sqrt(3.0))]
+    rows += [CurveRow(0.5, 0.5, v, 1.0, 1.0, 1.0) for v in (math.nan, math.inf, -math.inf, 1e308)]
+    rows += [CurveRow(0.5, 0.5, 1.0, v, 1.0, 1.0) for v in (math.nan, math.inf, -math.inf, 1e308)]
     return DensityCurve(model_name="bernoulli", chart_name="theta",
                         label='Beta "q" \\ "rows": [] \u00e9', samples=len(rows), rows=tuple(rows))
 
 
+FIXED = ("chart_coord", "canonical_coord", "embed_x", "embed_y")
+
+
+def own_templates(curve):
+    """Per format, the row templates built over the curve's own chart-only
+    columns, as for a curve that no chart produced."""
+    columns = [[getattr(r, c) for r in curve.rows] for c in FIXED]
+    return lambda fmt: cli._row_templates(fmt, *columns)
+
+
+def chart_templates(model, chart, n):
+    """Per format, the cached row templates of ``chart`` at ``n`` samples."""
+    return lambda fmt: cli._chart_row_templates(model, chart, n, fmt)
+
+
+def assert_writers_match(req, curve, templates):
+    assert cli._curve_csv(req, curve, templates("csv")) == reference_csv(req, curve)
+    assert cli._curve_json(req, curve, templates("json")) == reference_json(req, curve)
+
+
 class TestCurveWriters:
-    """Curve rows are written as text; each writer must give the bytes of
-    the construction it replaced."""
+    """Curve rows are written as text from per-chart row templates; each
+    writer must give the bytes of the construction it replaced."""
 
     @pytest.mark.parametrize("subcommand", ["density", "embed"])
     def test_special_values(self, subcommand):
         curve = special_curve()
         assert any(not math.isfinite(getattr(r, c)) for r in curve.rows for c in COLUMNS)
         req = cli._build_parser().parse_args([subcommand, "--alpha", "2", "--beta", "3"])
-        assert cli._curve_csv(req, curve) == reference_csv(req, curve)
-        assert cli._curve_json(req, curve) == reference_json(req, curve)
+        assert_writers_match(req, curve, own_templates(curve))
 
     @pytest.mark.parametrize("chart", ["theta", "arcsin", "reciprocal", "arclength"])
     def test_sampled_curves(self, chart):
         req = cli._build_parser().parse_args(["density", "--alpha", "1.05", "--beta", "2.05",
                                              "--chart", chart, "--samples", "301"])
-        curve = sample_curve(beta_chart_density(BetaParams(1.05, 2.05)),
-                             charts_for(get_model("bernoulli"))[chart], 301)
-        assert cli._curve_csv(req, curve) == reference_csv(req, curve)
-        assert cli._curve_json(req, curve) == reference_json(req, curve)
+        model = get_model("bernoulli")
+        c = charts_for(model)[chart]
+        curve = sample_curve(beta_chart_density(BetaParams(1.05, 2.05)), c, 301)
+        assert_writers_match(req, curve, chart_templates(model, c, 301))
 
     def test_curve_without_embedding(self):
-        # NaN embedding columns: every row takes the non-finite path
+        # NaN embedding columns: no row has a JSON template
         model = get_model("exponential")
         p = IntrinsicDensity(model=model, value=lambda lam: math.exp(-lam), label="exp(-lam)")
-        curve = sample_curve(p, charts_for(model)["arclength"], 21)
+        chart = charts_for(model)["arclength"]
+        curve = sample_curve(p, chart, 21)
+        assert set(cli._chart_row_templates(model, chart, 21, "json")) == {None}
         req = cli._build_parser().parse_args(["embed", "--model", "exponential"])
-        assert cli._curve_csv(req, curve) == reference_csv(req, curve)
-        assert cli._curve_json(req, curve) == reference_json(req, curve)
+        assert_writers_match(req, curve, chart_templates(model, chart, 21))
+
+    def test_chart_made_anew_writes_the_shipped_bytes(self):
+        model = get_model("bernoulli")
+        shipped = charts_for(model)["arcsin"]
+        anew = dataclasses.replace(shipped)
+        rho = beta_chart_density(BetaParams(0.7, 3.5))
+        req = cli._build_parser().parse_args(["density", "--alpha", "0.7", "--beta", "3.5",
+                                             "--chart", "arcsin", "--samples", "101"])
+        for fmt, writer in (("csv", cli._curve_csv), ("json", cli._curve_json)):
+            texts = [writer(req, sample_curve(rho, c, 101),
+                            cli._chart_row_templates(model, c, 101, fmt)) for c in (shipped, anew)]
+            assert texts[0] == texts[1]
+        assert (cli._chart_row_templates(model, anew, 101, "csv")
+                is not cli._chart_row_templates(model, shipped, 101, "csv"))
+
+    def test_sample_counts_do_not_share_text(self):
+        model = get_model("bernoulli")
+        chart = charts_for(model)["reciprocal"]
+        rho = beta_chart_density(BetaParams(2.0, 5.0))
+        for n in (51, 101):
+            req = cli._build_parser().parse_args(["density", "--alpha", "2", "--beta", "5",
+                                                 "--chart", "reciprocal", "--samples", str(n)])
+            assert len(cli._chart_row_templates(model, chart, n, "json")) == n
+            assert_writers_match(req, sample_curve(rho, chart, n), chart_templates(model, chart, n))
 
 
 def fresh_process(argv):
