@@ -7,9 +7,9 @@ They are related pointwise by ``rho = p * sqrt(G_chart)``, and chart
 densities move between charts by the usual change-of-variables rule with the
 absolute Jacobian.
 
-Densities are carried as evaluation functions plus metadata, never as
-sample arrays; grids appear only at the emit layer. Every density holds two
-evaluators: the public single-argument ``value`` defined on the domain
+Densities are carried as evaluation functions plus metadata, never as sample
+arrays; only a sampled curve holds columns of values. Every density holds
+two evaluators: the public single-argument ``value`` defined on the domain
 closure, and ``value_offset(x, xc)`` following the quadrature module's
 exact-offset convention; it checks the caller's offset once, then calls a
 trusted core. At a finite endpoint ``value`` returns the one-sided limit
@@ -20,19 +20,21 @@ Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
 and one chart view of it, ``q(theta(x)) * |dtheta/dx|``. Each checks an
 offset only where a chart map moves it to another interval, and the model's
-identity chart adds no map. Conversions catch nothing: the maps return their
-limits, and a quotient by a zero Jacobian or ``sqrt(G)`` is ``inf``; below
-endpoint offsets of about 1e-200 a converted value may read ``inf`` or
-``nan`` (``inf/inf``), and neither is right there. Charts are told apart by
-identity; a density built on a chart of another model raises
-``ChartModelMismatchError``. All Beta arithmetic runs through log-gamma and
-``exp`` so large shape parameters cannot overflow; a closed-form value above
-the largest double is ``inf``.
+identity chart adds no map. A curve applies the same rules column-wise to
+one value of ``q`` a point, bit for bit (:func:`_curve_columns`).
+Conversions catch nothing: the maps return their limits, and a quotient by a
+zero Jacobian or ``sqrt(G)`` is ``inf``; below endpoint offsets of about
+1e-200 a converted value may read ``inf`` or ``nan`` (``inf/inf``), and
+neither is right there. Charts are told apart by identity; a density built
+on a chart of another model raises ``ChartModelMismatchError``. All Beta
+arithmetic runs through log-gamma and ``exp`` so large shape parameters
+cannot overflow; a closed-form value above the largest double is ``inf``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +44,7 @@ from .manifold import (
     DomainError,
     Interval,
     ManifoldModel,
+    _curve_factors,
     _require_model,
     bernoulli_model,
     identity_chart,
@@ -295,6 +298,31 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
     if target is rho.chart:
         return rho
     return _in_chart(rho, target)
+
+
+def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart, xs, xcs, thetas):
+    """Columns ``(rho, p)`` of ``d`` at the grid points of ``chart``: one
+    evaluation of ``d`` a point, with the factors of the curve table
+    (``manifold._curve_factors``) in the scalar conversions' operand order.
+    The per-theta value ``q`` gives ``rho = q * |dtheta/dx|`` (``q`` in the
+    identity chart) and ``p = q / sqrt(G)`` (inf where ``sqrt(G)`` is 0); an
+    intrinsic ``p`` gives ``q = p * sqrt(G)``. In its own non-identity chart
+    a chart density gives ``rho`` from its core, and ``q`` where ``sqrt(G)``
+    is not 0."""
+    model = d.model
+    cos, root_gs, jacobians = _curve_factors(model, chart, len(xs))
+    identity = chart is identity_chart(model)
+    if isinstance(d, IntrinsicDensity):
+        ps = tuple(map(_core(d), thetas, cos))
+        qs = tuple(map(operator.mul, ps, root_gs))
+    else:
+        per_theta = _per_theta(d)
+        if chart is d.chart and not identity:
+            ps = [per_theta(t, c) / g if g else math.inf for t, c, g in zip(thetas, cos, root_gs)]
+            return tuple(map(_core(d), xs, xcs)), ps
+        qs = tuple(map(per_theta, thetas, cos))
+        ps = [q / g if g else math.inf for q, g in zip(qs, root_gs)]
+    return (qs if identity else tuple(map(operator.mul, qs, jacobians))), ps
 
 
 def normalization_check(d: ChartDensity | IntrinsicDensity) -> float:

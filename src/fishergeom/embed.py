@@ -5,29 +5,23 @@ radius 2: ``e(theta) = (2 sqrt(theta), 2 sqrt(1 - theta))``, with theta = 0
 at (0, 2) and theta = 1 at (2, 0). Curve length along the embedding equals
 the Fisher-Rao distance, which the tests verify against fine polylines.
 
-``sample_curve`` tabulates a density over a chart grid carrying *both* the
-chart density and the intrinsic density per row (plus the embedded
-coordinates), which is exactly the data needed to plot the two side by side.
-Its points (grid, exact offsets, canonical points, embedding) depend only on
-the model, the chart and ``n``, so they are read from the sample table the
-mode scan shares (``manifold._chart_samples``). Each row then evaluates each
-density's trusted core once.
+``sample_curve`` tabulates a density over a chart grid, carrying *both* the
+chart density and the intrinsic density per row (plus the embedded point):
+the data needed to plot the two side by side. Its points come from the
+sample table the mode scan shares (``manifold._chart_samples``) and the
+conversion factors ``sqrt(G)`` and ``|dtheta/dx|`` at them from the curve
+table (``manifold._curve_factors``); both depend only on the model, the chart
+and ``n``. Each row evaluates the density once (``density._curve_columns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
-from .density import (
-    ChartDensity,
-    IntrinsicDensity,
-    _core,
-    chart_from_intrinsic,
-    intrinsic_from_chart,
-    pushforward,
-)
-from .manifold import Chart, DomainError, _chart_samples, bernoulli_model
+from .density import ChartDensity, IntrinsicDensity, _curve_columns
+from .manifold import Chart, DomainError, _chart_samples, _require_model, bernoulli_model
 
 
 @dataclass(frozen=True)
@@ -65,22 +59,14 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     """Tabulate a density over ``n`` interior grid points of ``chart``.
 
     Rows are strictly increasing in the chart coordinate and hold the chart
-    density, the intrinsic density (both on their trusted cores), and the
-    embedded point (NaN for a model without an embedding).
+    density, the intrinsic density (both from one evaluation of ``d``; two in
+    a chart density's own non-identity chart), and the embedded point (NaN
+    for a model without an embedding).
     """
-    if isinstance(d, ChartDensity):
-        p = intrinsic_from_chart(d)
-        rho = pushforward(d, chart)
-    else:
-        p = d
-        rho = chart_from_intrinsic(d, chart)
-    model = p.model
-    xs, xcs, thetas, cos, exs, eys = _chart_samples(model, chart, n)
-    rows = map(CurveRow, xs, thetas, map(_core(rho), xs, xcs), map(_core(p), thetas, cos), exs, eys)
-    return DensityCurve(
-        model_name=model.name,
-        chart_name=chart.name,
-        label=d.label,
-        samples=n,
-        rows=tuple(rows),
-    )
+    model = d.model
+    _require_model(chart, model)
+    xs, xcs, thetas, _, exs, eys = _chart_samples(model, chart, n)
+    rhos, ps = _curve_columns(d, chart, xs, xcs, thetas)
+    rows = map(tuple.__new__, repeat(CurveRow), zip(xs, thetas, rhos, ps, exs, eys))
+    return DensityCurve(model_name=model.name, chart_name=chart.name, label=d.label,
+                        samples=n, rows=tuple(rows))

@@ -169,13 +169,6 @@ class Chart:
     def d_canonical(self, x: float) -> float:
         return self.d_canonical_offset(x, x - self.domain.lo)
 
-    def require_interior(self, x: float) -> None:
-        if not self.domain.contains_interior(x):
-            raise DomainError(
-                f"coordinate {x!r} is not interior to chart '{self.name}' "
-                f"domain ({self.domain.lo}, {self.domain.hi})"
-            )
-
 
 def chart_canonical_offset(chart: Chart, x: float, xc: float) -> tuple[float, float]:
     """Map a chart point plus signed offset to ``(theta, canonical offset)``."""
@@ -221,14 +214,6 @@ class ManifoldModel:
 
     def arc_length_from_origin(self, theta: float) -> float:
         return self.arclength.from_canonical(theta)
-
-    def require_in_closure(self, theta: float) -> None:
-        if not self.canonical_domain.in_closure(theta):
-            raise DomainError(
-                f"coordinate {theta!r} is outside the closure of the "
-                f"'{self.name}' canonical domain "
-                f"[{self.canonical_domain.lo}, {self.canonical_domain.hi}]"
-            )
 
 
 # the canonical domain of the coin family and of each of its charts
@@ -443,19 +428,35 @@ def charts_for(model: ManifoldModel) -> dict[str, Chart]:
     return {c.name: c for c in charts}
 
 
+def _grid_points(chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
+    """The ``n``-point interior grid of ``chart``, its offsets and its ``(theta, co)`` points."""
+    xs = tuple(interior_grid(chart.domain, n))
+    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
+    return (xs, xcs, *zip(*map(chart.canonical_offset, xs, xcs)))
+
+
 # Keyed by model and chart identity: the shipped charts are built once, so
 # only a chart a caller makes anew misses, and the bound keeps such charts
 # from piling up; it holds the mode scan's four search charts and four curves.
 @lru_cache(maxsize=8)
 def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
-    """The ``n``-point interior grid of ``chart``, its offsets, its
-    ``(theta, co)`` points and their embedding, as six columns: the points
-    of the mode scan and of every sampled curve."""
-    xs = tuple(interior_grid(chart.domain, n))
-    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
-    thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
-    exs, eys = zip(*map(model.embedding, thetas))
-    return xs, xcs, thetas, cos, exs, eys
+    """The grid points of ``chart`` and their embedding, as six columns
+    ``xs, xcs, thetas, cos, exs, eys``: the points of the mode scan and of
+    every sampled curve."""
+    xs, xcs, thetas, cos = _grid_points(chart, n)
+    return xs, xcs, thetas, cos, *zip(*map(model.embedding, thetas))
+
+
+# Keyed and bounded as the sample table; only curves read it.
+@lru_cache(maxsize=8)
+def _curve_factors(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
+    """The conversion factors at the grid points of ``chart``, as three
+    columns: the canonical offsets checked where they enter the canonical
+    domain, ``sqrt(G)`` there and ``|dtheta/dx|`` at the chart point."""
+    xs, xcs, thetas, cos = _grid_points(chart, n)
+    cos = tuple(map(verify_offset, [model.canonical_domain] * n, thetas, cos))
+    root_gs = tuple(map(math.sqrt, map(model.fisher_metric_offset, thetas, cos)))
+    return cos, root_gs, tuple(map(abs, map(chart.d_canonical_offset, xs, xcs)))
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:
@@ -480,7 +481,9 @@ def metric_in_chart(model: ManifoldModel, chart: Chart, x: float) -> float:
     A chart of another model raises :class:`ChartModelMismatchError`.
     """
     _require_model(chart, model)
-    chart.require_interior(x)
+    if not chart.domain.contains_interior(x):
+        raise DomainError(f"coordinate {x!r} is not interior to chart '{chart.name}' "
+                          f"domain ({chart.domain.lo}, {chart.domain.hi})")
     xc = naive_offset(chart.domain, x)
     theta, co = chart.canonical_offset(x, xc)
     d = chart.d_canonical_offset(x, xc)
@@ -499,8 +502,11 @@ def fisher_rao_distance(model: ManifoldModel, theta1: float, theta2: float) -> f
     On a one-parameter manifold this is the absolute arc-length difference;
     endpoints of the closure are allowed.
     """
-    model.require_in_closure(theta1)
-    model.require_in_closure(theta2)
+    dom = model.canonical_domain
+    for theta in (theta1, theta2):
+        if not dom.in_closure(theta):
+            raise DomainError(f"coordinate {theta!r} is outside the closure of the '{model.name}' "
+                              f"canonical domain [{dom.lo}, {dom.hi}]")
     s1 = model.arc_length_from_origin(theta1)
     s2 = model.arc_length_from_origin(theta2)
     return abs(s2 - s1)

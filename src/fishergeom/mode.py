@@ -73,6 +73,11 @@ class ModeResult:
     flat: bool = False
 
 
+def _flat(value: float) -> ModeResult:
+    """The verdict for a density without a mode, valued ``value``."""
+    return ModeResult(math.nan, math.nan, value, False, (), flat=True)
+
+
 def _golden_max(f, a: float, b: float, tol: float) -> float:
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
@@ -137,14 +142,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
         if vmax > 0.0 and vmax - vmin <= _FLAT_REL * max(abs(vmax), 1e-300):
             # valued from the scan alone: a limit read at a tiny offset
             # carries more rounding than an interior value
-            return ModeResult(
-                canonical_point=math.nan,
-                chart_point=math.nan,
-                density_value=0.5 * (max(vals) + min(vals)),
-                at_boundary=False,
-                all_modes=(),
-                flat=True,
-            )
+            return _flat(0.5 * (max(vals) + min(vals)))
 
     # a maximum at an end of the scan is refined up to a finite chart end whose
     # boundary is no candidate (a vanishing boundary can hide a mode past the scan)
@@ -199,13 +197,8 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
     canonical_point = all_modes[0]
     chart_point, _ = report_chart.from_canonical_offset(
         canonical_point, naive_offset(report_chart.canonical_domain, canonical_point))
-    return ModeResult(
-        canonical_point=canonical_point,
-        chart_point=chart_point,
-        density_value=best,
-        at_boundary=any(theta in taken for theta, _ in modes),
-        all_modes=all_modes,
-    )
+    at_boundary = any(theta in taken for theta, _ in modes)
+    return ModeResult(canonical_point, chart_point, best, at_boundary, all_modes)
 
 
 def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeResult:
@@ -242,29 +235,13 @@ def beta_mode_analytic(params: BetaParams, intrinsic: bool) -> ModeResult:
     density = beta_intrinsic_density(params) if intrinsic else beta_chart_density(params)
 
     if a == 0.0 and b == 0.0:
-        return ModeResult(
-            canonical_point=math.nan,
-            chart_point=math.nan,
-            density_value=math.exp(-params.log_norm),
-            at_boundary=False,
-            all_modes=(),
-            flat=True,
-        )
+        return _flat(math.exp(-params.log_norm))
     if a > 0.0 and b > 0.0:
         theta = a / (a + b)
-        return ModeResult(
-            canonical_point=theta,
-            chart_point=theta,
-            density_value=density.value(theta),
-            at_boundary=False,
-            all_modes=(theta,),
-        )
-    if a < 0.0 and b < 0.0:
-        return ModeResult(0.0, 0.0, math.inf, True, (0.0, 1.0))
-    if a < 0.0:
-        return ModeResult(0.0, 0.0, math.inf, True, (0.0,))
-    if b < 0.0:
-        return ModeResult(1.0, 1.0, math.inf, True, (1.0,))
+        return ModeResult(theta, theta, density.value(theta), False, (theta,))
+    if a < 0.0 or b < 0.0:     # a divergent boundary mode at each negative exponent's end
+        ends = tuple(end for end, e in ((0.0, a), (1.0, b)) if e < 0.0)
+        return ModeResult(ends[0], ends[0], math.inf, True, ends)
     # one exponent is exactly zero, the other positive: finite boundary mode
     theta = 0.0 if a == 0.0 else 1.0
     return ModeResult(theta, theta, math.exp(-params.log_norm), True, (theta,))

@@ -8,20 +8,24 @@ import pytest
 
 from fishergeom import (
     BetaParams,
+    ChartDensity,
     ChartModelMismatchError,
     DomainError,
     IntrinsicDensity,
     beta_chart_density,
+    beta_intrinsic_density,
     bernoulli_model,
+    chart_from_intrinsic,
     charts_for,
     embed_bernoulli,
     fisher_rao_distance,
     get_model,
     intrinsic_from_chart,
     metric_in_chart,
+    pushforward,
     sample_curve,
 )
-from fishergeom import embed, manifold
+from fishergeom import density, manifold
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -214,7 +218,7 @@ class TestCurveCache:
     @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
     def test_miss_and_hit_call_each_core_once_per_row(self, name, monkeypatch):
         core_calls = []
-        trusted_core = embed._core
+        trusted_core = density._core
 
         def counting_core(d):
             core, i = trusted_core(d), len(core_calls)
@@ -226,7 +230,7 @@ class TestCurveCache:
 
             return counted_core
 
-        monkeypatch.setattr(embed, "_core", counting_core)
+        monkeypatch.setattr(density, "_core", counting_core)
         rho, n = counted(beta_chart_density(BetaParams(1.05, 2.05)))
         curves = []
         for hit in (False, True):
@@ -238,10 +242,10 @@ class TestCurveCache:
             curves.append(sample_curve(rho, CHARTS[name], 101))
             after = manifold._chart_samples.cache_info()
             assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
-            # the chart density and the intrinsic one, each once a row, and
-            # both through the replaced function
-            assert core_calls == [101, 101]
-            assert n[0] == 2 * 101
+            # one per-theta value a row gives both the chart density and
+            # the intrinsic one, through the replaced function
+            assert core_calls == [101]
+            assert n[0] == 101
         assert repr(curves[0]) == repr(curves[1])
 
     def test_bounded(self):
@@ -260,3 +264,77 @@ class TestCurveCache:
         chart = dataclasses.replace(arcsin, canonical_offset=_Unhashable(arcsin.canonical_offset))
         rho = beta_chart_density(BetaParams(1.05, 2.05))
         assert sample_curve(rho, chart, 31).rows == sample_curve(rho, arcsin, 31).rows
+
+
+def _reference_rows(d, chart, n):
+    """The rows of ``sample_curve(d, chart, n)`` from the scalar conversions:
+    ``rho`` from the core of ``pushforward``/``chart_from_intrinsic`` at
+    ``(x, xc)``, ``p`` from the core of ``intrinsic_from_chart`` (or the
+    intrinsic density's own) at ``(theta, co)``."""
+    if isinstance(d, IntrinsicDensity):
+        rho, p = chart_from_intrinsic(d, chart), d
+    else:
+        rho, p = pushforward(d, chart), intrinsic_from_chart(d)
+    rho_core, p_core = density._core(rho), density._core(p)
+    xs, xcs, thetas, cos, exs, eys = manifold._chart_samples(d.model, chart, n)
+    return [(x, theta, rho_core(x, xc), p_core(theta, co), ex, ey)
+            for x, xc, theta, co, ex, ey in zip(xs, xcs, thetas, cos, exs, eys)]
+
+
+def _without_core(d):
+    """``d`` with a replaced ``value_offset``, which has no trusted core."""
+    inner = d.value_offset
+    return dataclasses.replace(d, value_offset=lambda x, xc: inner(x, xc))
+
+
+class TestCurveReference:
+    """Each row's ``rho`` and ``p`` come from one evaluation of the density,
+    bit for bit the scalar conversions' values at the row's points."""
+
+    SHAPES = [(1e-3, 1e-3), (1e-3, 1.0), (0.5, 0.5), (1.05, 2.05), (0.49, 7.0), (30.0, 1e-3),
+              (60.0, 2000.0), (1e5, 2e5), (3e7, 1e7), (1e9, 1e9)]
+
+    @staticmethod
+    def coin_inputs(a, b):
+        rho = beta_chart_density(BetaParams(a, b))
+        return {
+            "theta": rho,
+            "arcsin": pushforward(rho, CHARTS["arcsin"]),
+            "reciprocal": pushforward(rho, CHARTS["reciprocal"]),
+            "intrinsic": intrinsic_from_chart(rho),
+            "closed-form intrinsic": beta_intrinsic_density(BetaParams(a, b)),
+            "intrinsic of reciprocal": intrinsic_from_chart(pushforward(rho, CHARTS["reciprocal"])),
+            "replaced theta": _without_core(rho),
+            "replaced arcsin": _without_core(pushforward(rho, CHARTS["arcsin"])),
+            "replaced intrinsic": _without_core(intrinsic_from_chart(rho)),
+        }
+
+    @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
+    def test_coin_family(self, name):
+        chart = CHARTS[name]
+        for a, b in self.SHAPES:
+            for kind, d in self.coin_inputs(a, b).items():
+                for n in (5, 257):
+                    rows = list(map(tuple, sample_curve(d, chart, n).rows))
+                    assert repr(rows) == repr(_reference_rows(d, chart, n)), (a, b, kind)
+
+    @pytest.mark.parametrize("model_name", ["poisson", "exponential"])
+    def test_rate_families(self, model_name):
+        # every shipped chart, including the exponential arc-length chart,
+        # whose last grid point maps to lam = inf
+        model = get_model(model_name)
+        theta, arclength = charts_for(model)["theta"], model.arclength
+        rho = ChartDensity(model, theta, lambda lam: 1.0 / (1.0 + lam * lam), "cauchy")
+        inputs = [
+            rho,
+            pushforward(rho, arclength),
+            ChartDensity(model, arclength, lambda s: math.exp(-abs(s)), "laplace"),
+            intrinsic_from_chart(rho),
+            IntrinsicDensity(model, lambda lam: lam * math.exp(-lam), "gamma"),
+            _without_core(pushforward(rho, arclength)),
+        ]
+        for chart in charts_for(model).values():
+            for d in inputs:
+                for n in (5, 257, 1001):
+                    rows = list(map(tuple, sample_curve(d, chart, n).rows))
+                    assert repr(rows) == repr(_reference_rows(d, chart, n)), (chart.name, d.label)
