@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from functools import cache, lru_cache
 from operator import itemgetter
@@ -40,6 +41,11 @@ _ROW_FORMS = {
     "csv": ",".join(["%.17g"] * 2 + ["%%.17g"] * 2 + ["%.17g"] * 2),
     "json": "[\n        " + ",\n        ".join(["%r"] * 2 + ["%%r"] * 2 + ["%r"] * 2) + "\n      ]",
 }
+# A JSON row's non-finite reprs, as _jsonable and json.dumps write them. The
+# rows' text holds only float reprs and punctuation, and a finite float's repr
+# has no letter n, so each match is one of these values.
+_JSON_TOKENS = {"nan": "null", "inf": '"inf"', "-inf": '"-inf"'}
+_NON_FINITE = re.compile("-?inf|nan")
 
 # Each option a subcommand may take: its Namespace field -> (flag, argparse
 # keywords). Every subcommand takes --format and --output; a request's
@@ -145,38 +151,19 @@ def _scalar_csv(req: argparse.Namespace, fields: dict, error_estimate: float | N
     return "\n".join(lines) + "\n"
 
 
-def _row_templates(fmt: str, xs, thetas, exs, eys) -> tuple[str | None, ...]:
+def _row_templates(fmt: str, xs, thetas, exs, eys) -> tuple[str, ...]:
     """One template per curve row with its chart-only columns (chart and
-    canonical coordinate, embedding) written in, so that a writer formats
-    only rho and p; a formatted float holds no %. A JSON row with a
-    non-finite fixed value has no template (None)."""
-    form = _ROW_FORMS[fmt]
-    fixed = zip(xs, thetas, exs, eys)
-    if fmt == "csv":
-        return tuple(map(form.__mod__, fixed))
-    return tuple(form % f if math.isfinite(sum(f)) else None for f in fixed)
+    canonical coordinate, embedding) written in, so that the writer formats
+    only rho and p; a formatted float holds no %."""
+    return tuple(map(_ROW_FORMS[fmt].__mod__, zip(xs, thetas, exs, eys)))
 
 
 # Keyed by identity, as the sample table the columns come from.
 @lru_cache(maxsize=8)
-def _chart_row_templates(model, chart, n: int, fmt: str) -> tuple[str | None, ...]:
+def _chart_row_templates(model, chart, n: int, fmt: str) -> tuple[str, ...]:
     """The row templates of every curve ``sample_curve(d, chart, n)`` draws."""
-    xs, _, thetas, _, exs, eys = _chart_samples(model, chart, n)
+    xs, _, thetas, _, exs, eys, _, _ = _chart_samples(model, chart, n)
     return _row_templates(fmt, xs, thetas, exs, eys)
-
-
-def _curve_csv(req: argparse.Namespace, curve: DensityCurve, templates: tuple[str, ...]) -> str:
-    lines = [
-        f"# fishergeom {req.subcommand}",
-        f"# version: {__version__}",
-        f"# model: {curve.model_name}",
-        f"# chart: {curve.chart_name}",
-        f"# label: {curve.label}",
-        f"# samples: {curve.samples}",
-        ",".join(_CURVE_COLUMNS),
-    ]
-    lines += map(str.__mod__, templates, map(_RHO_P, curve.rows))
-    return "\n".join(lines) + "\n"
 
 
 def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> str:
@@ -189,17 +176,25 @@ def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _json_row(template: str | None, row: tuple) -> str:
-    rho, p = _RHO_P(row)
-    if template is not None and math.isfinite(rho + p):     # no nan or inf (or an overflow)
-        return template % (rho, p)
-    return json.dumps(_jsonable(row), indent=2).replace("\n", "\n      ")
-
-
-def _curve_json(req: argparse.Namespace, curve: DensityCurve,
-                templates: tuple[str | None, ...]) -> str:
-    """The curve's JSON document, as json.dumps(indent=2) writes it; only
-    the rows, which are nearly all of it, are written without the encoder."""
+def _curve_text(req: argparse.Namespace, curve: DensityCurve, fmt: str,
+                templates: tuple[str, ...]) -> str:
+    """The curve as CSV, or as the JSON document json.dumps(indent=2) writes;
+    the rows, which are nearly all of it, are written from their templates."""
+    rows = map(str.__mod__, templates, map(_RHO_P, curve.rows))
+    if fmt == "csv":
+        return "\n".join([
+            f"# fishergeom {req.subcommand}",
+            f"# version: {__version__}",
+            f"# model: {curve.model_name}",
+            f"# chart: {curve.chart_name}",
+            f"# label: {curve.label}",
+            f"# samples: {curve.samples}",
+            ",".join(_CURVE_COLUMNS),
+            *rows,
+        ]) + "\n"
+    rows = ",\n      ".join(rows)
+    if "n" in rows:     # a non-finite value; the scan is far cheaper than the pass
+        rows = _NON_FINITE.sub(lambda m: _JSON_TOKENS[m[0]], rows)
     result = {
         "metadata": {
             "model": curve.model_name,
@@ -212,7 +207,6 @@ def _curve_json(req: argparse.Namespace, curve: DensityCurve,
     }
     # an encoded string escapes its quotes, so this is the structural key
     head, tail = _json_doc(req, result, None).split('"rows": []', 1)
-    rows = ",\n      ".join(map(_json_row, templates, curve.rows))
     return f'{head}"rows": [\n      {rows}\n    ]{tail}'
 
 
@@ -288,8 +282,7 @@ def _emit_scalar(req: argparse.Namespace, fields: dict, error_estimate: float | 
 def _emit_curve(req: argparse.Namespace, curve: DensityCurve, model, chart) -> None:
     if req.fmt != "svg":
         templates = _chart_row_templates(model, chart, curve.samples, req.fmt)
-        writer = _curve_json if req.fmt == "json" else _curve_csv
-        _emit(req, writer(req, curve, templates))
+        _emit(req, _curve_text(req, curve, req.fmt, templates))
     else:
         if req.subcommand == "embed":
             pts = [(r.embed_x, r.embed_y) for r in curve.rows]

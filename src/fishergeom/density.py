@@ -44,7 +44,6 @@ from .manifold import (
     DomainError,
     Interval,
     ManifoldModel,
-    _curve_factors,
     _require_model,
     bernoulli_model,
     identity_chart,
@@ -300,17 +299,17 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
     return _in_chart(rho, target)
 
 
-def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart, xs, xcs, thetas):
-    """Columns ``(rho, p)`` of ``d`` at the grid points of ``chart``: one
-    evaluation of ``d`` a point, with the factors of the curve table
-    (``manifold._curve_factors``) in the scalar conversions' operand order.
-    The per-theta value ``q`` gives ``rho = q * |dtheta/dx|`` (``q`` in the
-    identity chart) and ``p = q / sqrt(G)`` (inf where ``sqrt(G)`` is 0); an
-    intrinsic ``p`` gives ``q = p * sqrt(G)``. In its own non-identity chart
-    a chart density gives ``rho`` from its core, and ``q`` where ``sqrt(G)``
-    is not 0."""
+def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart, samples):
+    """Columns ``(rho, p)`` of ``d`` over ``samples``, the sample table of
+    ``chart`` (``manifold._chart_samples``): one evaluation of ``d`` a point,
+    with the table's checked offsets and factors in the scalar conversions'
+    operand order. The per-theta value ``q`` gives ``rho = q * |dtheta/dx|``
+    (``q`` in the identity chart) and ``p = q / sqrt(G)`` (inf where
+    ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p * sqrt(G)``. In its
+    own non-identity chart a chart density gives ``rho`` from its core, and
+    ``q`` where ``sqrt(G)`` is not 0."""
     model = d.model
-    cos, root_gs, jacobians = _curve_factors(model, chart, len(xs))
+    xs, xcs, thetas, cos, _, _, root_gs, jacobians = samples
     identity = chart is identity_chart(model)
     if isinstance(d, IntrinsicDensity):
         ps = tuple(map(_core(d), thetas, cos))

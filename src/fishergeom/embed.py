@@ -7,11 +7,11 @@ the Fisher-Rao distance, which the tests verify against fine polylines.
 
 ``sample_curve`` tabulates a density over a chart grid, carrying *both* the
 chart density and the intrinsic density per row (plus the embedded point):
-the data needed to plot the two side by side. Its points come from the
-sample table the mode scan shares (``manifold._chart_samples``) and the
-conversion factors ``sqrt(G)`` and ``|dtheta/dx|`` at them from the curve
-table (``manifold._curve_factors``); both depend only on the model, the chart
-and ``n``. Each row evaluates the density once (``density._curve_columns``).
+the data needed to plot the two side by side. Its points, their embedding
+and the conversion factors ``sqrt(G)`` and ``|dtheta/dx|`` at them come from
+the sample table the mode scan shares (``manifold._chart_samples``), which
+depends only on the model, the chart and ``n``; a curve looks it up once.
+Each row evaluates the density once (``density._curve_columns``).
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     """
     model = d.model
     _require_model(chart, model)
-    xs, xcs, thetas, _, exs, eys = _chart_samples(model, chart, n)
-    rhos, ps = _curve_columns(d, chart, xs, xcs, thetas)
+    samples = _chart_samples(model, chart, n)
+    xs, _, thetas, _, exs, eys, _, _ = samples
+    rhos, ps = _curve_columns(d, chart, samples)
     rows = map(tuple.__new__, repeat(CurveRow), zip(xs, thetas, rhos, ps, exs, eys))
     return DensityCurve(model_name=model.name, chart_name=chart.name, label=d.label,
                         samples=n, rows=tuple(rows))

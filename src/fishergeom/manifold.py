@@ -428,35 +428,23 @@ def charts_for(model: ManifoldModel) -> dict[str, Chart]:
     return {c.name: c for c in charts}
 
 
-def _grid_points(chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
-    """The ``n``-point interior grid of ``chart``, its offsets and its ``(theta, co)`` points."""
-    xs = tuple(interior_grid(chart.domain, n))
-    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
-    return (xs, xcs, *zip(*map(chart.canonical_offset, xs, xcs)))
-
-
 # Keyed by model and chart identity: the shipped charts are built once, so
 # only a chart a caller makes anew misses, and the bound keeps such charts
 # from piling up; it holds the mode scan's four search charts and four curves.
 @lru_cache(maxsize=8)
 def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
-    """The grid points of ``chart`` and their embedding, as six columns
-    ``xs, xcs, thetas, cos, exs, eys``: the points of the mode scan and of
-    every sampled curve."""
-    xs, xcs, thetas, cos = _grid_points(chart, n)
-    return xs, xcs, thetas, cos, *zip(*map(model.embedding, thetas))
-
-
-# Keyed and bounded as the sample table; only curves read it.
-@lru_cache(maxsize=8)
-def _curve_factors(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
-    """The conversion factors at the grid points of ``chart``, as three
-    columns: the canonical offsets checked where they enter the canonical
-    domain, ``sqrt(G)`` there and ``|dtheta/dx|`` at the chart point."""
-    xs, xcs, thetas, cos = _grid_points(chart, n)
+    """The ``n``-point interior grid of ``chart`` as eight columns ``xs, xcs,
+    thetas, cos, exs, eys, sqrt(G), |dtheta/dx|``: the chart points and
+    their offsets, their canonical points with the offsets checked where they
+    enter the canonical domain, the embedding, and the conversion factors
+    there. The points of the mode scan and of every sampled curve."""
+    xs = tuple(interior_grid(chart.domain, n))
+    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
+    thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
     cos = tuple(map(verify_offset, [model.canonical_domain] * n, thetas, cos))
     root_gs = tuple(map(math.sqrt, map(model.fisher_metric_offset, thetas, cos)))
-    return cos, root_gs, tuple(map(abs, map(chart.d_canonical_offset, xs, xcs)))
+    jacobians = tuple(map(abs, map(chart.d_canonical_offset, xs, xcs)))
+    return xs, xcs, thetas, cos, *zip(*map(model.embedding, thetas)), root_gs, jacobians
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:
@@ -500,7 +488,8 @@ def fisher_rao_distance(model: ManifoldModel, theta1: float, theta2: float) -> f
     """Geodesic distance between two points given in canonical coordinates.
 
     On a one-parameter manifold this is the absolute arc-length difference;
-    endpoints of the closure are allowed.
+    endpoints of the closure are allowed, and coincident points are 0 apart
+    even at an infinite arc length.
     """
     dom = model.canonical_domain
     for theta in (theta1, theta2):
@@ -509,4 +498,4 @@ def fisher_rao_distance(model: ManifoldModel, theta1: float, theta2: float) -> f
                               f"canonical domain [{dom.lo}, {dom.hi}]")
     s1 = model.arc_length_from_origin(theta1)
     s2 = model.arc_length_from_origin(theta2)
-    return abs(s2 - s1)
+    return 0.0 if s1 == s2 else abs(s2 - s1)

@@ -20,14 +20,14 @@ boundary rules flatness out.
 
 A search or report chart of another model raises
 ``ChartModelMismatchError``. The scan's points and their exact canonical
-offsets depend only on the model and the search chart, so they are read
-from the sample table that curves share (``manifold._chart_samples``); the
-default search chart, the model's arc-length chart, is the same object on
-every call. The search trusts the offsets it builds itself and calls the
-density's trusted core on them; a ``value_offset`` swapped in from outside
-is called as given. A scan value of 0 (a tail that underflowed) is never
-refined, and a scan that is 0 everywhere raises ``ArithmeticError`` rather
-than reporting ``flat``.
+offsets, checked once when the table is built, depend only on the model and
+the search chart, so they are read from the sample table that curves share
+(``manifold._chart_samples``); the default search chart, the model's
+arc-length chart, is the same object on every call. The search trusts the
+offsets it builds itself and calls the density's trusted core on them; a
+``value_offset`` swapped in from outside is called as given. A scan value of
+0 (a tail that underflowed) is never refined, and a scan that is 0
+everywhere raises ``ArithmeticError`` rather than reporting ``flat``.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
     def obj(x: float) -> float:
         return eval_canonical(*search_chart.canonical_offset(x, naive_offset(sdom, x)))
 
-    grid, _, thetas, cos, _, _ = _chart_samples(model, search_chart, _SCAN_POINTS)
+    grid, _, thetas, cos, *_ = _chart_samples(model, search_chart, _SCAN_POINTS)
     vals = list(map(eval_canonical, thetas, cos))
 
     # the limit at each boundary a finite arc length away; one that vanishes

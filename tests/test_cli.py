@@ -533,8 +533,8 @@ def chart_templates(model, chart, n):
 
 
 def assert_writers_match(req, curve, templates):
-    assert cli._curve_csv(req, curve, templates("csv")) == reference_csv(req, curve)
-    assert cli._curve_json(req, curve, templates("json")) == reference_json(req, curve)
+    assert cli._curve_text(req, curve, "csv", templates("csv")) == reference_csv(req, curve)
+    assert cli._curve_text(req, curve, "json", templates("json")) == reference_json(req, curve)
 
 
 class TestCurveWriters:
@@ -558,12 +558,11 @@ class TestCurveWriters:
         assert_writers_match(req, curve, chart_templates(model, c, 301))
 
     def test_curve_without_embedding(self):
-        # NaN embedding columns: no row has a JSON template
+        # NaN embedding columns
         model = get_model("exponential")
         p = IntrinsicDensity(model=model, value=lambda lam: math.exp(-lam), label="exp(-lam)")
         chart = charts_for(model)["arclength"]
         curve = sample_curve(p, chart, 21)
-        assert set(cli._chart_row_templates(model, chart, 21, "json")) == {None}
         req = cli._build_parser().parse_args(["embed", "--model", "exponential"])
         assert_writers_match(req, curve, chart_templates(model, chart, 21))
 
@@ -574,9 +573,10 @@ class TestCurveWriters:
         rho = beta_chart_density(BetaParams(0.7, 3.5))
         req = cli._build_parser().parse_args(["density", "--alpha", "0.7", "--beta", "3.5",
                                              "--chart", "arcsin", "--samples", "101"])
-        for fmt, writer in (("csv", cli._curve_csv), ("json", cli._curve_json)):
-            texts = [writer(req, sample_curve(rho, c, 101),
-                            cli._chart_row_templates(model, c, 101, fmt)) for c in (shipped, anew)]
+        for fmt in ("csv", "json"):
+            texts = [cli._curve_text(req, sample_curve(rho, c, 101), fmt,
+                                     cli._chart_row_templates(model, c, 101, fmt))
+                     for c in (shipped, anew)]
             assert texts[0] == texts[1]
         assert (cli._chart_row_templates(model, anew, 101, "csv")
                 is not cli._chart_row_templates(model, shipped, 101, "csv"))

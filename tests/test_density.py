@@ -430,7 +430,7 @@ class TestIdentityChartFastPath:
         the DE nodes of levels 0-8, and endpoint offsets from 1e-300 to 1e-16."""
         pts = []
         for search in TestIdentityChartFastPath.SEARCH:
-            _, _, thetas, cos, _, _ = _chart_samples(BERNOULLI, CHARTS[search], mode._SCAN_POINTS)
+            _, _, thetas, cos, *_ = _chart_samples(BERNOULLI, CHARTS[search], mode._SCAN_POINTS)
             pts += [chart.from_canonical_offset(t, c) for t, c in zip(thetas, cos)]
 
         def record(x, xc):

@@ -276,7 +276,7 @@ def _reference_rows(d, chart, n):
     else:
         rho, p = pushforward(d, chart), intrinsic_from_chart(d)
     rho_core, p_core = density._core(rho), density._core(p)
-    xs, xcs, thetas, cos, exs, eys = manifold._chart_samples(d.model, chart, n)
+    xs, xcs, thetas, cos, exs, eys, _, _ = manifold._chart_samples(d.model, chart, n)
     return [(x, theta, rho_core(x, xc), p_core(theta, co), ex, ey)
             for x, xc, theta, co, ex, ey in zip(xs, xcs, thetas, cos, exs, eys)]
 
@@ -314,7 +314,7 @@ class TestCurveReference:
         chart = CHARTS[name]
         for a, b in self.SHAPES:
             for kind, d in self.coin_inputs(a, b).items():
-                for n in (5, 257):
+                for n in (5, 257, 1024):
                     rows = list(map(tuple, sample_curve(d, chart, n).rows))
                     assert repr(rows) == repr(_reference_rows(d, chart, n)), (a, b, kind)
 
@@ -335,6 +335,6 @@ class TestCurveReference:
         ]
         for chart in charts_for(model).values():
             for d in inputs:
-                for n in (5, 257, 1001):
+                for n in (5, 257, 1001, 1024):
                     rows = list(map(tuple, sample_curve(d, chart, n).rows))
                     assert repr(rows) == repr(_reference_rows(d, chart, n)), (chart.name, d.label)

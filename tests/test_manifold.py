@@ -375,6 +375,12 @@ class TestFisherRaoDistance:
 
     def test_identity_of_indiscernibles(self):
         assert fisher_rao_distance(BERNOULLI, 0.3, 0.3) == 0.0
+        # coincident ends an infinite arc length away are 0 apart, not inf - inf
+        assert fisher_rao_distance(poisson_model(), math.inf, math.inf) == 0.0
+        assert fisher_rao_distance(exponential_model(), 0.0, 0.0) == 0.0
+        assert fisher_rao_distance(exponential_model(), math.inf, math.inf) == 0.0
+        assert fisher_rao_distance(poisson_model(), 1.0, math.inf) == math.inf
+        assert fisher_rao_distance(exponential_model(), 1.0, math.inf) == math.inf
 
     def test_center_pairs_closer_than_edge_pairs(self):
         d_mid = fisher_rao_distance(BERNOULLI, 0.5, 0.6)

@@ -17,6 +17,7 @@ from fishergeom import (
     mapi_estimate,
     poisson_model,
     pushforward,
+    sample_curve,
 )
 from fishergeom import manifold, mode
 
@@ -415,6 +416,17 @@ class TestScanCache:
         hits = manifold._chart_samples.cache_info().hits
         assert repr(mapi_estimate(p, CHARTS["theta"])) == repr(first)
         assert manifold._chart_samples.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("chart", CHART_NAMES)
+    def test_curve_of_scan_size_reads_the_scan_table(self, chart):
+        # one table per (model, chart, n): a search builds it, a curve of
+        # the scan's size reads it
+        p = intrinsic(1.05, 2.05)
+        manifold._chart_samples.cache_clear()
+        mapi_estimate(p, CHARTS["theta"], search_chart=CHARTS[chart])
+        assert manifold._chart_samples.cache_info()[:2] == (0, 1)
+        sample_curve(p, CHARTS[chart], mode._SCAN_POINTS)
+        assert manifold._chart_samples.cache_info()[:2] == (1, 1)
 
     def test_unhashable_chart_is_searched(self):
         arcsin = CHARTS["arcsin"]
