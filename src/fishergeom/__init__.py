@@ -19,7 +19,6 @@ from .density import (
     beta_intrinsic_density,
     chart_from_intrinsic,
     intrinsic_from_chart,
-    normalization_check,
     pushforward,
 )
 from .embed import CurveRow, DensityCurve, EmbeddedPoint, embed_bernoulli, sample_curve
@@ -51,6 +50,7 @@ from .quadrature import (
     integrate_chart,
     integrate_manifold,
     interval_probability,
+    normalization_check,
     volume,
     volume_result,
 )

@@ -8,27 +8,29 @@ densities move between charts by the usual change-of-variables rule with the
 absolute Jacobian.
 
 Densities are carried as evaluation functions plus metadata, never as sample
-arrays; only a sampled curve holds columns of values. Every density holds
-two evaluators: the public single-argument ``value`` defined on the domain
-closure, and ``value_offset(x, xc)`` following the quadrature module's
-exact-offset convention; it checks the caller's offset once, then calls a
-trusted core. At a finite endpoint ``value`` returns the one-sided limit
-(``math.inf`` where the density diverges) from :func:`endpoint_behaviour`,
-which reads the local power-law exponent off the trusted core at two exact
-offsets; the mode search classifies its boundaries with the same function.
+arrays; only a sampled curve holds columns of values. A built density's
+``value_offset`` is an :class:`Evaluator` ``(core, domain)``: called as
+``(x, xc)`` (the quadrature module's exact-offset convention) it checks the
+offset once and calls the trusted core, and its ``value`` method, the
+density's ``value``, returns at a finite endpoint the one-sided limit
+(``math.inf`` where the density diverges) from :func:`endpoint_behaviour`.
+One rule, :func:`_trusted`, lets conversions, integrals, mode searches and
+curves call the core: ``value_offset`` is exactly an ``Evaluator``, one on
+the interval integrated for a whole-domain integral. Any other
+``value_offset``, a wrapper of an ``Evaluator`` included, is called as given.
+
 Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
 and one chart view of it, ``q(theta(x)) * |dtheta/dx|``. Each checks an
-offset only where a chart map moves it to another interval, and the model's
-identity chart adds no map. A curve applies the same rules column-wise to
-one value of ``q`` a point, bit for bit (:func:`_curve_columns`).
-Conversions catch nothing: the maps return their limits, and a quotient by a
-zero Jacobian or ``sqrt(G)`` is ``inf``; below endpoint offsets of about
-1e-200 a converted value may read ``inf`` or ``nan`` (``inf/inf``), and
-neither is right there. Charts are told apart by identity; a density built
-on a chart of another model raises ``ChartModelMismatchError``. All Beta
-arithmetic runs through log-gamma and ``exp`` so large shape parameters
-cannot overflow; a closed-form value above the largest double is ``inf``.
+offset only where a chart map moves it to another interval; the identity
+chart adds no map. A curve applies the same rules column-wise, one value of
+``q`` a point, bit for bit (:func:`_curve_columns`). Conversions catch
+nothing: the maps return their limits, a quotient by a zero Jacobian or
+``sqrt(G)`` is ``inf``, and below endpoint offsets of about 1e-200 a
+converted value may read ``inf`` or ``nan``, neither right. Charts are told
+apart by identity; a density on a chart of another model raises
+``ChartModelMismatchError``. Beta arithmetic runs through log-gamma and
+``exp``; a closed-form value above the largest double is ``inf``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .manifold import (
     Chart,
@@ -50,7 +52,6 @@ from .manifold import (
     naive_offset,
     verify_offset,
 )
-from .quadrature import _require_converged, integrate_chart, integrate_manifold
 
 
 # Exact endpoint offsets of endpoint_behaviour's log-slope. Nearer ones
@@ -80,6 +81,43 @@ class BetaParams:
     def log_norm(self) -> float:
         """``log B(alpha, beta)`` via log-gamma."""
         return math.lgamma(self.alpha) + math.lgamma(self.beta) - math.lgamma(self.alpha + self.beta)
+
+
+class Evaluator(NamedTuple):
+    """A built density's ``value_offset``: its trusted ``core`` and the ``domain``
+    whose endpoint offsets the core takes as given. A call ``(x, xc)`` checks the
+    offset once, then calls ``core``; ``value`` is the density's ``value``."""
+
+    core: Callable[[float, float], float]
+    domain: Interval
+
+    def __call__(self, x: float, xc: float) -> float:
+        return self.core(x, verify_offset(self.domain, x, xc))
+
+    def value(self, x: float) -> float:
+        lo, hi = self.domain.lo, self.domain.hi
+        if not self.domain.in_closure(x):
+            raise DomainError(f"coordinate {x!r} is outside the closure of [{lo}, {hi}]")
+        if (x == lo or x == hi) and math.isfinite(x):
+            return endpoint_behaviour(self.core, self.domain, x == lo)[1]
+        return self.core(x, naive_offset(self.domain, x))
+
+
+def _trusted(f, interval: Interval | None = None):
+    """The one rule for trusting a core: ``f.core`` if ``f`` is exactly an
+    :class:`Evaluator` (on ``interval``, if given), else ``f`` as given."""
+    return f.core if type(f) is Evaluator and (interval is None or f.domain == interval) else f
+
+
+def _core(d):
+    """Trusted evaluator of ``d``, by :func:`_trusted`."""
+    return _trusted(d.value_offset)
+
+
+def _evaluators(core, interval: Interval) -> dict:
+    """Constructor keywords ``value`` and ``value_offset`` of a trusted ``core`` on ``interval``."""
+    evaluator = Evaluator(core, interval)
+    return {"value": evaluator.value, "value_offset": evaluator}
 
 
 def _value_only(d) -> None:
@@ -118,36 +156,8 @@ class IntrinsicDensity:
         _value_only(self)
 
 
-def _evaluators(core, interval: Interval) -> dict:
-    """Constructor keywords ``value`` and ``value_offset`` for a trusted
-    ``core`` on ``interval``: ``value_offset`` checks the caller's offset
-    once (and keeps ``core`` and ``domain``); ``value`` takes the closure,
-    with the one-sided limit from :func:`endpoint_behaviour` at a finite end."""
-
-    def value_offset(x: float, xc: float) -> float:
-        return core(x, verify_offset(interval, x, xc))
-
-    def value(x: float) -> float:
-        if not interval.in_closure(x):
-            raise DomainError(
-                f"coordinate {x!r} is outside the closure of [{interval.lo}, {interval.hi}]"
-            )
-        if (x == interval.lo or x == interval.hi) and math.isfinite(x):
-            return endpoint_behaviour(core, interval, x == interval.lo)[1]
-        return core(x, naive_offset(interval, x))
-
-    value_offset.core, value_offset.domain = core, interval
-    return {"value": value, "value_offset": value_offset}
-
-
-def _core(d):
-    """Trusted evaluator of ``d``; a ``value_offset`` supplied or swapped in
-    from outside has none and is called as given."""
-    return getattr(d.value_offset, "core", d.value_offset)
-
-
 def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
-    """Evaluator for ``lo**a * hi**b / exp(log_norm)`` on the unit interval.
+    """Trusted core of ``lo**a * hi**b / exp(log_norm)`` on the unit interval.
 
     ``lo`` and ``hi`` are the distances to 0 and 1, the near one taken
     exactly from the trusted offset. Exact zeros are endpoint evaluations
@@ -322,17 +332,3 @@ def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart, samples):
         qs = tuple(map(per_theta, thetas, cos))
         ps = [q / g if g else math.inf for q, g in zip(qs, root_gs)]
     return (qs if identity else tuple(map(operator.mul, qs, jacobians))), ps
-
-
-def normalization_check(d: ChartDensity | IntrinsicDensity) -> float:
-    """Numerically computed total mass of a density.
-
-    The caller compares against 1; nothing is renormalized here, so tests
-    can feed deliberately broken densities through. Non-convergent
-    quadrature raises :class:`QuadratureConvergenceError` with its result.
-    """
-    if isinstance(d, ChartDensity):
-        res = integrate_chart(d.value_offset, d.chart.domain)
-    else:
-        res = integrate_manifold(d.value_offset, d.model)
-    return _require_converged(res, f"normalization integral for '{d.label}'").value

@@ -23,11 +23,12 @@ A search or report chart of another model raises
 offsets, checked once when the table is built, depend only on the model and
 the search chart, so they are read from the sample table that curves share
 (``manifold._chart_samples``); the default search chart, the model's
-arc-length chart, is the same object on every call. The search trusts the
-offsets it builds itself and calls the density's trusted core on them; a
-``value_offset`` swapped in from outside is called as given. A scan value of
-0 (a tail that underflowed) is never refined, and a scan that is 0
-everywhere raises ``ArithmeticError`` rather than reporting ``flat``.
+arc-length chart, is the same object on every call. The search builds every
+offset it evaluates, so it calls the core that ``density._core`` finds: an
+``Evaluator``'s trusted core, and any other ``value_offset``, a wrapper
+included, as given. A scan value of 0 (a tail that underflowed) is never
+refined, and a scan that is 0 everywhere raises ``ArithmeticError`` rather
+than reporting ``flat``.
 """
 
 from __future__ import annotations
@@ -204,13 +205,11 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
 def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeResult:
     """Argmax of the chart density over its own chart: chart-dependent by design."""
     chart, core = rho.chart, _core(rho)
-
     if chart is identity_chart(rho.model):
         eval_canonical = core
     else:
         def eval_canonical(theta: float, co: float) -> float:
             return core(*chart.from_canonical_offset(theta, co))
-
     return _numeric_mode(eval_canonical, rho.model, search_chart, rho.chart)
 
 

@@ -55,11 +55,13 @@ Each node map's t-only parts are cached per map, level and side as far as
 sweeps reach (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 8 are
 not kept); the rest of a node keeps the per-node arithmetic order, so results
 are bit-identical. Node offsets are exact and anchored at the endpoints of
-the interval integrated over, so an integral over a density's own domain
-calls its trusted ``core``. A manifold integral checks each offset once,
+the interval integrated over, so where the integrand is a density's
+:class:`~fishergeom.density.Evaluator` on that interval (``density._trusted``,
+the one rule) its trusted ``core`` is called; any other integrand, a wrapper
+included, is called as given. A manifold integral checks each offset once,
 where it enters: a sub-region's arc-length offset as it enters the chart's
 domain. The chart map's canonical offsets are anchored at the canonical
-domain's ends, so the density's trusted core takes them as given.
+domain's ends, so a density's core takes them as given.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from .density import ChartDensity, Evaluator, _trusted
 from .manifold import DomainError, Interval, ManifoldModel, chart_canonical_offset
 
 _PI_2 = 0.5 * math.pi
@@ -114,7 +117,10 @@ def _require_converged(res: QuadratureResult, what: str,
 
 
 def wants_offset(f) -> bool:
-    """Whether ``f`` is ``f(x, xc)``: two positional parameters without a default."""
+    """Whether ``f`` is ``f(x, xc)``: a density's :class:`Evaluator`, or two
+    positional parameters without a default."""
+    if type(f) is Evaluator:
+        return True
     try:
         params = inspect.signature(f).parameters.values()
     except (TypeError, ValueError):
@@ -278,12 +284,6 @@ def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureRes
     return QuadratureResult(value, err, False, *counts)
 
 
-def _trusted(f, interval: Interval):
-    """The trusted core of ``f`` if ``f`` checks its offsets against
-    ``interval`` (a density's ``value_offset``), else ``f`` as given."""
-    return f.core if getattr(f, "domain", None) == interval else f
-
-
 def integrate_chart(f: Callable, interval: Interval) -> QuadratureResult:
     """Integrate ``f`` over a chart interval with respect to the coordinate.
 
@@ -294,13 +294,9 @@ def integrate_chart(f: Callable, interval: Interval) -> QuadratureResult:
     precision. On non-convergence the best estimate is returned with
     ``converged=False``.
     """
-    offset_aware = wants_offset(f)
-    if offset_aware:
-        call = _trusted(f, interval)
-    else:
-        def call(x, xc, _f=f):
-            return _f(x)
-    return _de_integrate(call, offset_aware, interval)
+    if wants_offset(f):
+        return _de_integrate(_trusted(f, interval), True, interval)
+    return _de_integrate(lambda x, xc: f(x), False, interval)
 
 
 def integrate_manifold(f: Callable, model: ManifoldModel,
@@ -331,14 +327,11 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
         # to naive ones, which are well conditioned there. Either way the map's
         # canonical offsets are anchored at the canonical domain's ends.
         f = _trusted(f, domain)
-        if region == domain:
-            to_canonical = s_chart.canonical_offset
-        else:
-            to_canonical = partial(chart_canonical_offset, s_chart)
+        to_canonical = (s_chart.canonical_offset if region == domain
+                        else partial(chart_canonical_offset, s_chart))
 
         def g(s: float, sc: float) -> float:
-            theta, co = to_canonical(s, sc)
-            return f(theta, co)
+            return f(*to_canonical(s, sc))
     else:
         def g(s: float, sc: float) -> float:
             return f(s_chart.to_canonical(s))
@@ -370,6 +363,16 @@ def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
 def interval_probability(p, region: Interval) -> QuadratureResult:
     """Probability mass an intrinsic density assigns to a canonical region."""
     return integrate_manifold(p.value_offset, p.model, region)
+
+
+def normalization_check(d) -> float:
+    """Total mass of a chart or intrinsic density, not compared against 1;
+    a non-convergent integral raises :class:`QuadratureConvergenceError`."""
+    if isinstance(d, ChartDensity):
+        res = integrate_chart(d.value_offset, d.chart.domain)
+    else:
+        res = integrate_manifold(d.value_offset, d.model)
+    return _require_converged(res, f"normalization integral for '{d.label}'").value
 
 
 def volume_result(model: ManifoldModel, region: Interval | None = None) -> QuadratureResult:

@@ -1,6 +1,8 @@
 """Double-exponential quadrature: known values, singular endpoints, invariance."""
 
 import dataclasses
+import functools
+import inspect
 import math
 
 import numpy
@@ -27,10 +29,13 @@ from fishergeom import (
     mapi_estimate,
     normalization_check,
     pushforward,
+    sample_curve,
 )
 from fishergeom import density as density_module
 from fishergeom import manifold as manifold_module
+from fishergeom import mode as mode_module
 from fishergeom import quadrature
+from fishergeom.density import Evaluator
 from fishergeom.manifold import verify_offset
 
 BERNOULLI = bernoulli_model()
@@ -373,8 +378,15 @@ class TestTrustBoundary:
     interval; sub-intervals stay checked."""
 
     def test_mapi_of_a_theta_chart_density_makes_no_checks(self, verify_calls):
-        # the identity chart moves no offset, so its conversion checks none
+        # the identity chart moves no offset, so its conversion checks none;
+        # a cold scan table checks each of its canonical offsets once, when built
         p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
+        manifold_module._chart_samples.cache_clear()
+        for chart in CHARTS.values():
+            verify_calls[0] = 0
+            manifold_module._chart_samples(BERNOULLI, chart, mode_module._SCAN_POINTS)
+            assert verify_calls[0] == 1024
+        verify_calls[0] = 0
         for chart in CHARTS.values():
             assert mapi_estimate(p, CHARTS["theta"], search_chart=chart).all_modes
         assert verify_calls[0] == 0
@@ -457,6 +469,88 @@ class TestTrustBoundary:
         res = interval_probability(p, Interval(lo, hi))
         assert (res.value, res.error_estimate, res.converged, res.evaluations) == (
             value, error, True, evaluations)
+
+
+def _counting(inner, calls):
+    def value_offset(x, xc):
+        calls[0] += 1
+        return inner(x, xc)
+    return value_offset
+
+
+class TestTrustRule:
+    """A core is trusted only where ``value_offset`` is exactly an
+    ``Evaluator``; anything else, however it looks, is called as given."""
+
+    RHO = beta_chart_density(BetaParams(2.0, 3.0))
+
+    def check_called_as_given(self, replaced, calls):
+        """Four callers evaluate ``replaced`` only through its ``value_offset``,
+        to the results of the density it replaces."""
+        rho = self.RHO
+        res = integrate_chart(replaced.value_offset, rho.chart.domain)
+        assert res == integrate_chart(rho.value_offset, rho.chart.domain)
+        assert calls[0] == res.evaluations
+        calls[0] = 0
+        assert normalization_check(replaced) == normalization_check(rho)
+        assert calls[0] == res.evaluations
+        calls[0] = 0
+        assert repr(map_estimate(replaced)) == repr(map_estimate(rho))
+        assert calls[0] >= 1024
+        for chart in (CHARTS["theta"], CHARTS["arcsin"]):
+            calls[0] = 0
+            assert sample_curve(replaced, chart, 9) == sample_curve(rho, chart, 9)
+            assert calls[0] == 9
+
+    def test_wraps_wrapper_is_called_at_every_evaluation(self):
+        # functools.wraps copies an instance's attributes, not its type
+        calls = [0]
+        inner = self.RHO.value_offset
+        wrapper = functools.wraps(inner)(_counting(inner, calls))
+        self.check_called_as_given(dataclasses.replace(self.RHO, value_offset=wrapper), calls)
+
+    def test_core_and_domain_attributes_are_not_trusted(self):
+        calls = [0]
+        inner = self.RHO.value_offset
+        look_alike = _counting(inner, calls)
+        look_alike.core, look_alike.domain = inner.core, inner.domain
+        self.check_called_as_given(dataclasses.replace(self.RHO, value_offset=look_alike), calls)
+
+    def test_replaced_evaluator_keeps_the_trusted_path(self, verify_calls):
+        # the route to count a density's evaluations without leaving its fast path
+        params = BetaParams(2.0, 3.0)
+        for plain in (self.RHO, beta_intrinsic_density(params), intrinsic_from_chart(self.RHO)):
+            calls = [0]
+            domain = plain.value_offset.domain
+            d = dataclasses.replace(plain, value_offset=Evaluator(
+                _counting(plain.value_offset.core, calls), domain))
+            if isinstance(d, ChartDensity):
+                integrals = [lambda d: integrate_chart(d.value_offset, domain)]
+            else:
+                integrals = [lambda d: integrate_manifold(d.value_offset, d.model),
+                             lambda d: expectation(d, lambda t: t * t),
+                             lambda d: interval_probability(d, domain)]
+            for integral in integrals:
+                calls[0] = verify_calls[0] = 0
+                res = integral(d)
+                assert res == integral(plain)
+                assert calls[0] == res.evaluations
+                assert verify_calls[0] == 0
+            calls[0] = 0
+            assert normalization_check(d) == normalization_check(plain)
+            assert calls[0] == integrals[0](plain).evaluations
+
+    def test_evaluator_is_offset_aware_without_its_signature(self, monkeypatch):
+        p = intrinsic_from_chart(self.RHO)
+        want = [integrate_chart(self.RHO.value_offset, self.RHO.chart.domain),
+                integrate_manifold(p.value_offset, p.model)]
+
+        def no_signature(f, *args, **kwargs):
+            raise AssertionError(f"signature of {f!r} read")
+
+        monkeypatch.setattr(inspect, "signature", no_signature)
+        assert [integrate_chart(self.RHO.value_offset, self.RHO.chart.domain),
+                integrate_manifold(p.value_offset, p.model)] == want
 
 
 def reference_node_map(interval):
