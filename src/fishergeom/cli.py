@@ -162,8 +162,8 @@ def _row_templates(fmt: str, xs, thetas, exs, eys) -> tuple[str, ...]:
 @lru_cache(maxsize=8)
 def _chart_row_templates(model, chart, n: int, fmt: str) -> tuple[str, ...]:
     """The row templates of every curve ``sample_curve(d, chart, n)`` draws."""
-    xs, _, thetas, _, exs, eys, _, _ = _chart_samples(model, chart, n)
-    return _row_templates(fmt, xs, thetas, exs, eys)
+    s = _chart_samples(model, chart, n)
+    return _row_templates(fmt, s.xs, s.thetas, s.exs, s.eys)
 
 
 def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> str:

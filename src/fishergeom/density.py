@@ -18,6 +18,14 @@ One rule, :func:`_trusted`, lets conversions, integrals, mode searches and
 curves call the core: ``value_offset`` is exactly an ``Evaluator``, one on
 the interval integrated for a whole-domain integral. Any other
 ``value_offset``, a wrapper of an ``Evaluator`` included, is called as given.
+An ``Evaluator`` may carry a ``column``, its core over a whole sample table
+(``manifold._chart_samples``), bit for bit the core mapped over the table's
+canonical points. One rule beside it, :func:`_column`, lets mode scans and
+curves read the column only of exactly an ``Evaluator`` that has one, and
+maps the core :func:`_trusted` finds otherwise. The Beta densities' column
+reads the logs of each point's distances to both ends, cached in the table;
+``intrinsic_from_chart`` of a theta-chart density divides its column by the
+table's ``sqrt(G)``.
 
 Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
@@ -43,6 +51,7 @@ from typing import Callable, NamedTuple
 from .manifold import (
     Chart,
     ChartModelMismatchError,  # noqa: F401  (re-exported)
+    ChartSamples,
     DomainError,
     Interval,
     ManifoldModel,
@@ -86,10 +95,13 @@ class BetaParams:
 class Evaluator(NamedTuple):
     """A built density's ``value_offset``: its trusted ``core`` and the ``domain``
     whose endpoint offsets the core takes as given. A call ``(x, xc)`` checks the
-    offset once, then calls ``core``; ``value`` is the density's ``value``."""
+    offset once, then calls ``core``; ``value`` is the density's ``value``. An
+    optional ``column`` is ``core`` applied to a whole sample table
+    (``manifold._chart_samples``), bit for bit ``map(core, thetas, cos)``."""
 
     core: Callable[[float, float], float]
     domain: Interval
+    column: Callable[[ChartSamples], list[float]] | None = None
 
     def __call__(self, x: float, xc: float) -> float:
         return self.core(x, verify_offset(self.domain, x, xc))
@@ -114,9 +126,22 @@ def _core(d):
     return _trusted(d.value_offset)
 
 
-def _evaluators(core, interval: Interval) -> dict:
-    """Constructor keywords ``value`` and ``value_offset`` of a trusted ``core`` on ``interval``."""
-    evaluator = Evaluator(core, interval)
+def _column(d):
+    """The one rule for evaluating ``d``, an intrinsic or theta-chart density,
+    over a whole sample table: its ``Evaluator``'s ``column`` where
+    :func:`_trusted` trusts it and one is set, else :func:`_core` mapped over
+    the table's canonical points, one call a point."""
+    f = d.value_offset
+    if type(f) is Evaluator and f.column is not None:
+        return f.column
+    core = _trusted(f)
+    return lambda samples: list(map(core, samples.thetas, samples.cos))
+
+
+def _evaluators(core, interval: Interval, column=None) -> dict:
+    """Constructor keywords ``value`` and ``value_offset`` of a trusted ``core`` on
+    ``interval``, with its ``column``, if any."""
+    evaluator = Evaluator(core, interval, column)
     return {"value": evaluator.value, "value_offset": evaluator}
 
 
@@ -157,12 +182,16 @@ class IntrinsicDensity:
 
 
 def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
-    """Trusted core of ``lo**a * hi**b / exp(log_norm)`` on the unit interval.
+    """Trusted core of ``lo**a * hi**b / exp(log_norm)`` on the unit interval,
+    and its column.
 
     ``lo`` and ``hi`` are the distances to 0 and 1, the near one taken
     exactly from the trusted offset. Exact zeros are endpoint evaluations
     and return the one-sided limit (0, the finite value, or inf); a value
-    above the largest double is inf.
+    above the largest double is inf. The column reads the logs of both
+    distances from the sample table, in the core's operand order; a table
+    with a distance that is not positive, or a value that overflows, is
+    evaluated by the core, one call a point.
     """
 
     def core(theta: float, co: float) -> float:
@@ -183,7 +212,19 @@ def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
         except OverflowError:   # above the largest double
             return math.inf
 
-    return core
+    exp = math.exp
+
+    def column(samples: ChartSamples) -> list[float]:
+        log_los, log_his = samples.log_los, samples.log_his
+        # each finite log lies in [-745, 710], so the sums are finite iff every log is
+        if math.isfinite(sum(log_los) + sum(log_his)):
+            try:
+                return [exp(a_exp * lo + b_exp * hi - log_norm) for lo, hi in zip(log_los, log_his)]
+            except OverflowError:
+                pass
+        return list(map(core, samples.thetas, samples.cos))
+
+    return core, column
 
 
 def beta_chart_density(params: BetaParams) -> ChartDensity:
@@ -193,9 +234,9 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
     """
     model = bernoulli_model()
     chart = identity_chart(model)
-    core = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
+    core, column = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
     return ChartDensity(model=model, chart=chart, label=f"Beta({params.alpha:g},{params.beta:g})",
-                        **_evaluators(core, chart.domain))
+                        **_evaluators(core, chart.domain, column))
 
 
 def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
@@ -205,9 +246,9 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
     ``p(theta) = theta**(alpha-0.5) (1-theta)**(beta-0.5) / B(alpha, beta)``.
     """
     model = bernoulli_model()
-    core = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
+    core, column = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
     return IntrinsicDensity(model=model, label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
-                            **_evaluators(core, model.canonical_domain))
+                            **_evaluators(core, model.canonical_domain, column))
 
 
 def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, float]:
@@ -279,15 +320,22 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     """Recover the chart-free density: ``p = rho / sqrt(G_chart)``.
 
     The result is the same whichever chart ``rho`` was expressed in; that is
-    the point of the construction.
+    the point of the construction. A theta-chart ``rho`` whose ``Evaluator``
+    has a column gives a column too: that column over the table's ``sqrt(G)``.
     """
     model, per_theta = rho.model, _per_theta(rho)
 
     def core(theta: float, co: float) -> float:
         root_g = math.sqrt(model.fisher_metric_offset(theta, co))
         return per_theta(theta, co) / root_g if root_g else math.inf
+
+    column, source = None, rho.value_offset
+    if type(source) is Evaluator and source.column and rho.chart is identity_chart(model):
+        def column(samples: ChartSamples) -> list[float]:
+            qs = source.column(samples)
+            return [q / g if g else math.inf for q, g in zip(qs, samples.root_gs)]
     return IntrinsicDensity(model=model, label=rho.label,
-                            **_evaluators(core, model.canonical_domain))
+                            **_evaluators(core, model.canonical_domain, column))
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
@@ -309,26 +357,30 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
     return _in_chart(rho, target)
 
 
-def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart, samples):
+def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart, samples: ChartSamples):
     """Columns ``(rho, p)`` of ``d`` over ``samples``, the sample table of
     ``chart`` (``manifold._chart_samples``): one evaluation of ``d`` a point,
     with the table's checked offsets and factors in the scalar conversions'
     operand order. The per-theta value ``q`` gives ``rho = q * |dtheta/dx|``
     (``q`` in the identity chart) and ``p = q / sqrt(G)`` (inf where
-    ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p * sqrt(G)``. In its
+    ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p * sqrt(G)``. An
+    intrinsic or theta-chart density is evaluated by :func:`_column`. In its
     own non-identity chart a chart density gives ``rho`` from its core, and
     ``q`` where ``sqrt(G)`` is not 0."""
-    model = d.model
-    xs, xcs, thetas, cos, _, _, root_gs, jacobians = samples
+    model, root_gs = d.model, samples.root_gs
     identity = chart is identity_chart(model)
     if isinstance(d, IntrinsicDensity):
-        ps = tuple(map(_core(d), thetas, cos))
-        qs = tuple(map(operator.mul, ps, root_gs))
+        ps = _column(d)(samples)
+        qs = list(map(operator.mul, ps, root_gs))
     else:
-        per_theta = _per_theta(d)
-        if chart is d.chart and not identity:
-            ps = [per_theta(t, c) / g if g else math.inf for t, c, g in zip(thetas, cos, root_gs)]
-            return tuple(map(_core(d), xs, xcs)), ps
-        qs = tuple(map(per_theta, thetas, cos))
+        if d.chart is identity_chart(model):
+            qs = _column(d)(samples)
+        else:
+            per_theta = _per_theta(d)
+            if chart is d.chart:
+                ps = [per_theta(t, c) / g if g else math.inf
+                      for t, c, g in zip(samples.thetas, samples.cos, root_gs)]
+                return list(map(_core(d), samples.xs, samples.xcs)), ps
+            qs = list(map(per_theta, samples.thetas, samples.cos))
         ps = [q / g if g else math.inf for q, g in zip(qs, root_gs)]
-    return (qs if identity else tuple(map(operator.mul, qs, jacobians))), ps
+    return (qs if identity else list(map(operator.mul, qs, samples.jacobians))), ps

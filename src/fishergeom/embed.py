@@ -11,7 +11,10 @@ the data needed to plot the two side by side. Its points, their embedding
 and the conversion factors ``sqrt(G)`` and ``|dtheta/dx|`` at them come from
 the sample table the mode scan shares (``manifold._chart_samples``), which
 depends only on the model, the chart and ``n``; a curve looks it up once.
-Each row evaluates the density once (``density._curve_columns``).
+Each row evaluates the density once (``density._curve_columns``); an
+intrinsic or theta-chart density is evaluated over the whole table at once
+by its column (``density._column``), which for a Beta density reads the
+table's cached log distances to both ends.
 """
 
 from __future__ import annotations
@@ -65,9 +68,8 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     """
     model = d.model
     _require_model(chart, model)
-    samples = _chart_samples(model, chart, n)
-    xs, _, thetas, _, exs, eys, _, _ = samples
-    rhos, ps = _curve_columns(d, chart, samples)
-    rows = map(tuple.__new__, repeat(CurveRow), zip(xs, thetas, rhos, ps, exs, eys))
+    s = _chart_samples(model, chart, n)
+    rhos, ps = _curve_columns(d, chart, s)
+    rows = map(tuple.__new__, repeat(CurveRow), zip(s.xs, s.thetas, rhos, ps, s.exs, s.eys))
     return DensityCurve(model_name=model.name, chart_name=chart.name, label=d.label,
                         samples=n, rows=tuple(rows))

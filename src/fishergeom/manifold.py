@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class DomainError(ValueError):
@@ -428,23 +428,47 @@ def charts_for(model: ManifoldModel) -> dict[str, Chart]:
     return {c.name: c for c in charts}
 
 
+class ChartSamples(NamedTuple):
+    """The columns of a chart's sample table (:func:`_chart_samples`)."""
+
+    xs: tuple[float, ...]           # the chart points
+    xcs: tuple[float, ...]          # and their offsets
+    thetas: tuple[float, ...]       # their canonical points
+    cos: tuple[float, ...]          # and offsets, checked in the canonical domain
+    exs: tuple[float, ...]          # the embedding
+    eys: tuple[float, ...]
+    root_gs: tuple[float, ...]      # sqrt(G)
+    jacobians: tuple[float, ...]    # |dtheta/dx|
+    # log of the exact distance to each canonical end, co or theta - lo and
+    # -co or hi - theta; -inf where it is not positive
+    log_los: tuple[float, ...]
+    log_his: tuple[float, ...]
+
+
+def _log_distance(d: float) -> float:
+    return math.log(d) if d > 0.0 else -math.inf
+
+
 # Keyed by model and chart identity: the shipped charts are built once, so
 # only a chart a caller makes anew misses, and the bound keeps such charts
 # from piling up; it holds the mode scan's four search charts and four curves.
 @lru_cache(maxsize=8)
-def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> tuple[tuple[float, ...], ...]:
-    """The ``n``-point interior grid of ``chart`` as eight columns ``xs, xcs,
-    thetas, cos, exs, eys, sqrt(G), |dtheta/dx|``: the chart points and
-    their offsets, their canonical points with the offsets checked where they
-    enter the canonical domain, the embedding, and the conversion factors
-    there. The points of the mode scan and of every sampled curve."""
+def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> ChartSamples:
+    """The ``n``-point interior grid of ``chart`` as a :class:`ChartSamples`
+    table, each column computed once: the points of the mode scan and of
+    every sampled curve."""
+    dom = model.canonical_domain
     xs = tuple(interior_grid(chart.domain, n))
     xcs = tuple(naive_offset(chart.domain, x) for x in xs)
     thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
-    cos = tuple(map(verify_offset, [model.canonical_domain] * n, thetas, cos))
+    cos = tuple(map(verify_offset, [dom] * n, thetas, cos))
     root_gs = tuple(map(math.sqrt, map(model.fisher_metric_offset, thetas, cos)))
     jacobians = tuple(map(abs, map(chart.d_canonical_offset, xs, xcs)))
-    return xs, xcs, thetas, cos, *zip(*map(model.embedding, thetas)), root_gs, jacobians
+    points = list(zip(thetas, cos))
+    log_los = tuple(_log_distance(co if co > 0 else theta - dom.lo) for theta, co in points)
+    log_his = tuple(_log_distance(-co if co < 0 else dom.hi - theta) for theta, co in points)
+    return ChartSamples(xs, xcs, thetas, cos, *zip(*map(model.embedding, thetas)), root_gs,
+                        jacobians, log_los, log_his)
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:

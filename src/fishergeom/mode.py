@@ -26,9 +26,12 @@ the search chart, so they are read from the sample table that curves share
 arc-length chart, is the same object on every call. The search builds every
 offset it evaluates, so it calls the core that ``density._core`` finds: an
 ``Evaluator``'s trusted core, and any other ``value_offset``, a wrapper
-included, as given. A scan value of 0 (a tail that underflowed) is never
-refined, and a scan that is 0 everywhere raises ``ArithmeticError`` rather
-than reporting ``flat``.
+included, as given. The scan of a theta-chart density's MAP and of every
+MAPI is the density's column over the table (``density._column``): the
+``Evaluator``'s column where it has one, else that core once a point; a MAP
+of a density in another chart maps its core over the scan points. A scan
+value of 0 (a tail that underflowed) is never refined, and a scan that is 0
+everywhere raises ``ArithmeticError`` rather than reporting ``flat``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .density import (
     BetaParams,
     ChartDensity,
     IntrinsicDensity,
+    _column,
     _core,
     beta_chart_density,
     beta_intrinsic_density,
@@ -114,7 +118,7 @@ def _parabolic_polish(f, x: float, lo: float, hi: float) -> float:
     return x + shift
 
 
-def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | None,
+def _numeric_mode(eval_canonical, scan, model: ManifoldModel, search_chart: Chart | None,
                   report_chart: Chart) -> ModeResult:
     s_chart = model.arclength    # the default search chart
     search_chart = search_chart or s_chart
@@ -125,8 +129,9 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
     def obj(x: float) -> float:
         return eval_canonical(*search_chart.canonical_offset(x, naive_offset(sdom, x)))
 
-    grid, _, thetas, cos, *_ = _chart_samples(model, search_chart, _SCAN_POINTS)
-    vals = list(map(eval_canonical, thetas, cos))
+    samples = _chart_samples(model, search_chart, _SCAN_POINTS)
+    grid, thetas = samples.xs, samples.thetas
+    vals = scan(samples) if scan else list(map(eval_canonical, thetas, samples.cos))
 
     # the limit at each boundary a finite arc length away; one that vanishes
     # (or cannot be classified) is no candidate
@@ -152,20 +157,14 @@ def _numeric_mode(eval_canonical, model: ManifoldModel, search_chart: Chart | No
     first = sdom.lo if math.isfinite(sdom.lo) and lo_end not in taken else grid[0]
     last = sdom.hi if math.isfinite(sdom.hi) and hi_end not in taken else grid[-1]
 
-    # refine every interior local maximum of the scan; a zero (an underflowed
-    # tail) is never the maximum of a density
+    # refine every interior local maximum of the scan, bracketed by its
+    # neighbours; a zero (an underflowed tail) is never the maximum of a density
+    inf, ends = math.inf, (first, *grid, last)
+    peaks = [(lo, hi) for lo, left, v, right, hi
+             in zip(ends, [-inf] + vals, vals, vals[1:] + [-inf], ends[2:])
+             if not (v < left or v < right) and 0.0 < v < inf]
     candidates: list[tuple[float, float]] = list(boundary)
-    n = len(grid)
-    for i in range(n):
-        v = vals[i]
-        if not math.isfinite(v) or v <= 0.0:
-            continue
-        left = vals[i - 1] if i > 0 else -math.inf
-        right = vals[i + 1] if i < n - 1 else -math.inf
-        if v < left or v < right:
-            continue
-        lo = grid[i - 1] if i > 0 else first
-        hi = grid[i + 1] if i < n - 1 else last
+    for lo, hi in peaks:
         tol = _GOLDEN_TOL * max(1.0, abs(lo), abs(hi))
         x_star = _golden_max(obj, lo, hi, tol)
         x_star = _parabolic_polish(obj, x_star, sdom.lo, sdom.hi)
@@ -206,18 +205,18 @@ def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeRe
     """Argmax of the chart density over its own chart: chart-dependent by design."""
     chart, core = rho.chart, _core(rho)
     if chart is identity_chart(rho.model):
-        eval_canonical = core
-    else:
-        def eval_canonical(theta: float, co: float) -> float:
-            return core(*chart.from_canonical_offset(theta, co))
-    return _numeric_mode(eval_canonical, rho.model, search_chart, rho.chart)
+        return _numeric_mode(core, _column(rho), rho.model, search_chart, chart)
+
+    def eval_canonical(theta: float, co: float) -> float:
+        return core(*chart.from_canonical_offset(theta, co))
+    return _numeric_mode(eval_canonical, None, rho.model, search_chart, chart)
 
 
 def mapi_estimate(p: IntrinsicDensity, report_chart: Chart,
                   search_chart: Chart | None = None) -> ModeResult:
     """Argmax of the intrinsic density: the same point whatever chart the
     search runs in, reported in ``report_chart`` coordinates."""
-    return _numeric_mode(_core(p), p.model, search_chart, report_chart)
+    return _numeric_mode(_core(p), _column(p), p.model, search_chart, report_chart)
 
 
 def beta_mode_analytic(params: BetaParams, intrinsic: bool) -> ModeResult:

@@ -17,8 +17,9 @@ which is far above the tolerances this package promises. Integrands may
 therefore accept a second argument: ``f(x, xc)`` is called with ``xc`` the
 exact signed offset of the node from the nearest finite endpoint
 (``x = lo + xc`` when ``xc > 0``, ``x = hi + xc`` when ``xc < 0``, NaN when
-no finite endpoint exists). Plain single-argument integrands work too and
-are accurate whenever their singular endpoints sit at zero or nowhere.
+no finite endpoint exists). Plain single-argument integrands work too, are
+only called on the open interior, and are accurate whenever their singular
+endpoints sit at zero or nowhere.
 
 Divergence
 ----------
@@ -306,8 +307,23 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     Internally substitutes the arc-length coordinate, in which the volume
     element is 1, so ``integral f dmu = integral f(theta(s)) ds``. ``f`` may
     be offset-aware (``f(theta, co)``); the canonical offset is then derived
-    exactly from the arc-length one.
+    exactly from the arc-length one. A plain ``f(theta)`` sees only the open
+    interior: at a node whose theta rounds onto an end it is called at the
+    nearest interior double.
     """
+    if wants_offset(f):
+        return _integrate_manifold(f, model, region)
+    dom = model.canonical_domain
+    lo, hi = math.nextafter(dom.lo, dom.hi), math.nextafter(dom.hi, dom.lo)
+
+    def interior(theta: float, co: float) -> float:
+        return f(min(max(theta, lo), hi))
+    return _integrate_manifold(interior, model, region)
+
+
+def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel,
+                        region: Interval | None = None) -> QuadratureResult:
+    """:func:`integrate_manifold` of an offset-aware ``f(theta, co)``."""
     domain = model.canonical_domain
     if region is None:
         region = domain
@@ -321,20 +337,16 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     s_interval = Interval(s_lo, s_hi)
     s_chart = model.arclength
 
-    if wants_offset(f):
-        # Over the whole domain no check can change an offset. Offsets anchored
-        # at an interior region boundary fail the chart's check and fall back
-        # to naive ones, which are well conditioned there. Either way the map's
-        # canonical offsets are anchored at the canonical domain's ends.
-        f = _trusted(f, domain)
-        to_canonical = (s_chart.canonical_offset if region == domain
-                        else partial(chart_canonical_offset, s_chart))
+    # Over the whole domain no check can change an offset. Offsets anchored
+    # at an interior region boundary fail the chart's check and fall back
+    # to naive ones, which are well conditioned there. Either way the map's
+    # canonical offsets are anchored at the canonical domain's ends.
+    f = _trusted(f, domain)
+    to_canonical = (s_chart.canonical_offset if region == domain
+                    else partial(chart_canonical_offset, s_chart))
 
-        def g(s: float, sc: float) -> float:
-            return f(*to_canonical(s, sc))
-    else:
-        def g(s: float, sc: float) -> float:
-            return f(s_chart.to_canonical(s))
+    def g(s: float, sc: float) -> float:
+        return f(*to_canonical(s, sc))
 
     return _de_integrate(g, True, s_interval)
 
@@ -357,7 +369,7 @@ def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
             return math.nan
         return f(theta) * v
 
-    return integrate_manifold(integrand, p.model)
+    return _integrate_manifold(integrand, p.model)
 
 
 def interval_probability(p, region: Interval) -> QuadratureResult:
@@ -378,7 +390,7 @@ def normalization_check(d) -> float:
 def volume_result(model: ManifoldModel, region: Interval | None = None) -> QuadratureResult:
     """Riemannian volume ``integral of sqrt(G) d theta`` over ``region``
     (default the whole canonical domain), flagged if it does not converge."""
-    return integrate_manifold(lambda theta: 1.0, model, region)
+    return _integrate_manifold(lambda theta, co: 1.0, model, region)
 
 
 def volume(model: ManifoldModel, region: Interval | None = None) -> float:

@@ -34,7 +34,7 @@ from fishergeom import (
     pushforward,
 )
 from fishergeom import mode, quadrature
-from fishergeom.density import IntrinsicDensity, _core, endpoint_behaviour
+from fishergeom.density import IntrinsicDensity, _column, _core, endpoint_behaviour
 from fishergeom.manifold import _chart_samples, interior_grid
 
 BERNOULLI = bernoulli_model()
@@ -430,8 +430,8 @@ class TestIdentityChartFastPath:
         the DE nodes of levels 0-8, and endpoint offsets from 1e-300 to 1e-16."""
         pts = []
         for search in TestIdentityChartFastPath.SEARCH:
-            _, _, thetas, cos, *_ = _chart_samples(BERNOULLI, CHARTS[search], mode._SCAN_POINTS)
-            pts += [chart.from_canonical_offset(t, c) for t, c in zip(thetas, cos)]
+            s = _chart_samples(BERNOULLI, CHARTS[search], mode._SCAN_POINTS)
+            pts += [chart.from_canonical_offset(t, c) for t, c in zip(s.thetas, s.cos)]
 
         def record(x, xc):
             pts.append((x, xc))
@@ -496,3 +496,80 @@ class TestIdentityChartFastPath:
                     == result(search, mapi_estimate, p_slow, theta))
             assert result(search, map_estimate, back) == result(search, map_estimate, back_slow)
         assert repr(map_estimate(pushed)) == repr(map_estimate(pushed_slow))
+
+
+class TestColumn:
+    """A density's column over a sample table is, bit for bit, its core mapped
+    over the table's canonical points, on the tables the mode scan and the
+    curves read and on tables where it must fall back to the core."""
+
+    SHAPES = [(1e-3, 1e-3), (1e-3, 1.0), (1e-3, 2000.0), (0.5, 0.5), (1.0, 1.0), (1.05, 2.05),
+              (0.49, 7.0), (30.0, 1e-3), (60.0, 2000.0), (1e5, 2e5), (3e7, 1e7), (1e9, 1e9)]
+
+    @staticmethod
+    def densities(a, b):
+        rho = beta_chart_density(BetaParams(a, b))
+        return {"chart": rho, "intrinsic": beta_intrinsic_density(BetaParams(a, b)),
+                "converted": intrinsic_from_chart(rho)}
+
+    @staticmethod
+    def assert_column_is_core(d, samples):
+        want = list(map(_core(d), samples.thetas, samples.cos))
+        assert repr(_column(d)(samples)) == repr(want)
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    @pytest.mark.parametrize("n", [257, 1001, 1024])
+    def test_shipped_tables(self, name, n):
+        samples = _chart_samples(BERNOULLI, CHARTS[name], n)
+        for a, b in self.SHAPES:
+            for kind, d in self.densities(a, b).items():
+                assert d.value_offset.column is not None, kind
+                self.assert_column_is_core(d, samples)
+
+    @staticmethod
+    def table_with_ends(first, last):
+        """A 257-point theta table whose first canonical point is ``first`` and
+        whose last is ``last``, both ``(theta, co)``, from a user chart."""
+        theta = CHARTS["theta"]
+        xs = interior_grid(theta.domain, 257)
+
+        def canonical_offset(x, xc):
+            return first if x == xs[0] else last if x == xs[-1] else (x, xc)
+
+        user_chart = dataclasses.replace(theta, canonical_offset=canonical_offset)
+        return _chart_samples(BERNOULLI, user_chart, 257)
+
+    @pytest.mark.parametrize("first,last", [((0.0, 0.0), (0.5, 0.5)), ((0.5, 0.5), (1.0, -0.0))])
+    def test_zero_distance_falls_back(self, first, last):
+        samples = self.table_with_ends(first, last)
+        ends = (samples.thetas[0], samples.cos[0], samples.thetas[-1], samples.cos[-1])
+        assert ends == first + last
+        assert -math.inf in (samples.log_los[0], samples.log_his[-1])
+        for a, b in self.SHAPES:
+            for d in self.densities(a, b).values():
+                self.assert_column_is_core(d, samples)
+
+    def test_overflow_falls_back(self):
+        samples = self.table_with_ends((5e-324, 5e-324), (0.5, 0.5))
+        assert _column(beta_chart_density(BetaParams(1e-3, 1.0)))(samples)[0] == math.inf
+        for a, b in self.SHAPES:
+            for d in self.densities(a, b).values():
+                self.assert_column_is_core(d, samples)
+
+    def test_wrappers_and_value_only_densities_are_called_once_a_point(self):
+        rho = beta_chart_density(BetaParams(1.05, 2.05))
+        calls = []
+
+        def value_offset(x, xc):
+            calls.append(x)
+            return rho.value_offset(x, xc)
+
+        wrapped = dataclasses.replace(rho, value_offset=value_offset)
+        converted = intrinsic_from_chart(wrapped)
+        assert converted.value_offset.column is None
+        value_only = IntrinsicDensity(BERNOULLI, lambda t: calls.append(t) or 1.0, "flat")
+        samples = _chart_samples(BERNOULLI, CHARTS["arcsin"], 257)
+        for d in (wrapped, converted, value_only):
+            calls.clear()
+            self.assert_column_is_core(d, samples)
+            assert len(calls) == 2 * 257    # the column's and the reference's

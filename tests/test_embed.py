@@ -217,36 +217,40 @@ class _Unhashable:
 class TestCurveCache:
     @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
     def test_miss_and_hit_call_each_core_once_per_row(self, name, monkeypatch):
-        core_calls = []
-        trusted_core = density._core
+        column_rows = []
+        column_of = density._column
 
-        def counting_core(d):
-            core, i = trusted_core(d), len(core_calls)
-            core_calls.append(0)
+        def counting_column(d):
+            column = column_of(d)
 
-            def counted_core(*args):
-                core_calls[i] += 1
-                return core(*args)
+            def counted_column(samples):
+                values = column(samples)
+                column_rows.append(len(values))
+                return values
 
-            return counted_core
+            return counted_column
 
-        monkeypatch.setattr(density, "_core", counting_core)
-        rho, n = counted(beta_chart_density(BetaParams(1.05, 2.05)))
+        monkeypatch.setattr(density, "_column", counting_column)
+        rho = beta_chart_density(BetaParams(1.05, 2.05))
+        wrapped, n = counted(rho)
+        assert column_of(rho) is rho.value_offset.column
         curves = []
         for hit in (False, True):
             if not hit:
                 manifold._chart_samples.cache_clear()
-            before = manifold._chart_samples.cache_info()
-            core_calls.clear()
-            n[0] = 0
-            curves.append(sample_curve(rho, CHARTS[name], 101))
-            after = manifold._chart_samples.cache_info()
-            assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
-            # one per-theta value a row gives both the chart density and
-            # the intrinsic one, through the replaced function
-            assert core_calls == [101]
-            assert n[0] == 101
-        assert repr(curves[0]) == repr(curves[1])
+            for d in (rho, wrapped):
+                before = manifold._chart_samples.cache_info()
+                column_rows.clear()
+                n[0] = 0
+                curves.append(sample_curve(d, CHARTS[name], 101))
+                after = manifold._chart_samples.cache_info()
+                miss = not hit and d is rho
+                assert (after.hits - before.hits, after.misses - before.misses) == (not miss, miss)
+                # one column of per-theta values gives both the chart density
+                # and the intrinsic one; a replaced function is called once a row
+                assert column_rows == [101]
+                assert n[0] == (101 if d is wrapped else 0)
+        assert len(set(map(repr, curves))) == 1
 
     def test_bounded(self):
         rho = beta_chart_density(BetaParams(2.0, 3.0))
@@ -276,9 +280,9 @@ def _reference_rows(d, chart, n):
     else:
         rho, p = pushforward(d, chart), intrinsic_from_chart(d)
     rho_core, p_core = density._core(rho), density._core(p)
-    xs, xcs, thetas, cos, exs, eys, _, _ = manifold._chart_samples(d.model, chart, n)
+    s = manifold._chart_samples(d.model, chart, n)
     return [(x, theta, rho_core(x, xc), p_core(theta, co), ex, ey)
-            for x, xc, theta, co, ex, ey in zip(xs, xcs, thetas, cos, exs, eys)]
+            for x, xc, theta, co, ex, ey in zip(s.xs, s.xcs, s.thetas, s.cos, s.exs, s.eys)]
 
 
 def _without_core(d):

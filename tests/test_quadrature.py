@@ -14,6 +14,7 @@ from fishergeom import (
     BetaParams,
     ChartDensity,
     Interval,
+    IntrinsicDensity,
     QuadratureResult,
     beta_chart_density,
     beta_intrinsic_density,
@@ -30,6 +31,7 @@ from fishergeom import (
     normalization_check,
     pushforward,
     sample_curve,
+    volume_result,
 )
 from fishergeom import density as density_module
 from fishergeom import manifold as manifold_module
@@ -197,6 +199,37 @@ class TestIntegrateManifold:
 
         with pytest.raises(DomainError):
             integrate_manifold(lambda t: 1.0, BERNOULLI, Interval(-0.5, 0.5))
+
+    def test_plain_integrand_sees_only_the_open_interior(self):
+        # a node whose theta rounds onto 1.0 called log(0) and raised ValueError.
+        # 1 - theta is not resolved below one ulp of 1, so the value holds to
+        # about 1e-8: 2 pi ln 2
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return -math.log(1.0 - t)
+
+        res = integrate_manifold(f, BERNOULLI)
+        assert 0.0 < min(seen) and max(seen) < 1.0
+        assert not res.converged or res.value == pytest.approx(2.0 * math.pi * math.log(2.0),
+                                                               rel=1e-7)
+
+    def test_value_only_density_over_a_region_ending_at_one(self):
+        # pi ln 2 + 2 G, G Catalan's constant
+        p = IntrinsicDensity(BERNOULLI, lambda t: -math.log(1.0 - t), "log")
+        res = interval_probability(p, Interval(0.5, 1.0))
+        exact = math.pi * math.log(2.0) + 2.0 * 0.915965594177219015
+        assert not res.converged or res.value == pytest.approx(exact, rel=1e-7)
+
+    def test_expectation_and_volume_read_no_signature(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quadrature, "wants_offset", lambda f: calls.append(f) or True)
+        p = beta_intrinsic_density(BetaParams(2.0, 3.0))
+        assert expectation(p, lambda t: t).value == pytest.approx(0.4, abs=1e-10)
+        assert volume_result(BERNOULLI).value == math.pi
+        assert volume_result(BERNOULLI, Interval(0.0, 0.5)).value == pytest.approx(0.5 * math.pi)
+        assert calls == []
 
 
 class TestExpectation:
