@@ -14,14 +14,16 @@ from .density import (
     BetaParams,
     ChartDensity,
     ChartModelMismatchError,
+    CurveRow,
+    DensityCurve,
     IntrinsicDensity,
     beta_chart_density,
     beta_intrinsic_density,
     chart_from_intrinsic,
     intrinsic_from_chart,
     pushforward,
+    sample_curve,
 )
-from .embed import CurveRow, DensityCurve, EmbeddedPoint, embed_bernoulli, sample_curve
 from .manifold import (
     Chart,
     DomainError,
@@ -63,7 +65,6 @@ __all__ = [
     "CurveRow",
     "DensityCurve",
     "DomainError",
-    "EmbeddedPoint",
     "Interval",
     "IntrinsicDensity",
     "ManifoldModel",
@@ -79,7 +80,6 @@ __all__ = [
     "bernoulli_model",
     "chart_from_intrinsic",
     "charts_for",
-    "embed_bernoulli",
     "expectation",
     "exponential_model",
     "fisher_rao_distance",

@@ -23,8 +23,8 @@ from functools import cache, lru_cache
 from operator import itemgetter
 
 from . import __version__
-from .density import BetaParams, beta_chart_density, intrinsic_from_chart, pushforward
-from .embed import CurveRow, DensityCurve, sample_curve
+from .density import (BetaParams, CurveRow, DensityCurve, beta_chart_density,
+                      intrinsic_from_chart, pushforward, sample_curve)
 from .manifold import Interval, _chart_samples, fisher_rao_distance, get_chart, get_model
 from .mode import map_estimate, mapi_estimate
 from .quadrature import (NonFiniteVolumeError, _require_converged, expectation,
@@ -168,7 +168,7 @@ def _chart_row_templates(model, chart, n: int, fmt: str) -> tuple[str, ...]:
 
 def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> str:
     doc = {
-        "request": _request_meta(req),
+        "request": {k: _jsonable(v) for k, v in _request_meta(req).items()},
         "result": result,
         "error_estimate": _jsonable(error_estimate),
         "version": __version__,

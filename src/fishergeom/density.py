@@ -1,4 +1,4 @@
-"""Intrinsic densities, chart densities, and the conversions between them.
+"""Intrinsic densities, chart densities, the conversions between them, and curves.
 
 A chart density ``rho`` is a density with respect to the Lebesgue measure of
 one particular coordinate; the intrinsic density ``p`` is the density with
@@ -18,25 +18,28 @@ One rule, :func:`_trusted`, lets conversions, integrals, mode searches and
 curves call the core: ``value_offset`` is exactly an ``Evaluator``, one on
 the interval integrated for a whole-domain integral. Any other
 ``value_offset``, a wrapper of an ``Evaluator`` included, is called as given.
-An ``Evaluator`` may carry a ``column``, its core over a whole sample table
-(``manifold._chart_samples``), bit for bit the core mapped over the table's
-canonical points. One rule beside it, :func:`_column`, lets mode scans and
-curves read the column only of exactly an ``Evaluator`` that has one, and
-maps the core :func:`_trusted` finds otherwise. The Beta densities' column
-reads the logs of each point's distances to both ends, cached in the table;
-``intrinsic_from_chart`` of a theta-chart density divides its column by the
-table's ``sqrt(G)``.
+
+Two rules read a density at canonical points, for mode searches and curves:
+:func:`_canonical` at one point ``(theta, co)``, the trusted core, composed
+with ``chart.from_canonical_offset`` for a chart density in a chart other
+than theta; and :func:`_column` over a whole sample table
+(``manifold._chart_samples``), an ``Evaluator``'s ``column`` (bit for bit
+its core over the table's canonical points) where that core is what
+:func:`_canonical` reads, else :func:`_canonical` once a point. The Beta
+columns read the table's cached logs of each point's distances to both
+ends; ``intrinsic_from_chart`` of a theta-chart density divides its
+source's column by the table's ``sqrt(G)``.
 
 Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
 and one chart view of it, ``q(theta(x)) * |dtheta/dx|``. Each checks an
 offset only where a chart map moves it to another interval; the identity
-chart adds no map. A curve applies the same rules column-wise, one value of
-``q`` a point, bit for bit (:func:`_curve_columns`). Conversions catch
-nothing: the maps return their limits, a quotient by a zero Jacobian or
-``sqrt(G)`` is ``inf``, and below endpoint offsets of about 1e-200 a
-converted value may read ``inf`` or ``nan``, neither right. Charts are told
-apart by identity; a density on a chart of another model raises
+chart adds no map. :func:`sample_curve` applies the same rules column-wise,
+one value of ``q`` a point, bit for bit, over the sample table the mode scan
+shares. Conversions catch nothing: the maps return their limits, a quotient
+by a zero Jacobian or ``sqrt(G)`` is ``inf``, and below endpoint offsets of
+about 1e-200 a converted value may read ``inf`` or ``nan``, neither right.
+Charts are told apart by identity; a density on a chart of another model raises
 ``ChartModelMismatchError``. Beta arithmetic runs through log-gamma and
 ``exp``; a closed-form value above the largest double is ``inf``.
 """
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .manifold import (
@@ -55,6 +59,7 @@ from .manifold import (
     DomainError,
     Interval,
     ManifoldModel,
+    _chart_samples,
     _require_model,
     bernoulli_model,
     identity_chart,
@@ -126,16 +131,26 @@ def _core(d):
     return _trusted(d.value_offset)
 
 
+def _canonical(d):
+    """The one rule for reading ``d`` at a canonical point ``(theta, co)``:
+    :func:`_core` of an intrinsic or theta-chart density; of a chart density
+    in another chart, that core at ``chart.from_canonical_offset(theta, co)``."""
+    core = _core(d)
+    if isinstance(d, IntrinsicDensity) or d.chart is identity_chart(d.model):
+        return core
+    chart = d.chart
+    return lambda theta, co: core(*chart.from_canonical_offset(theta, co))
+
+
 def _column(d):
-    """The one rule for evaluating ``d``, an intrinsic or theta-chart density,
-    over a whole sample table: its ``Evaluator``'s ``column`` where
-    :func:`_trusted` trusts it and one is set, else :func:`_core` mapped over
-    the table's canonical points, one call a point."""
-    f = d.value_offset
-    if type(f) is Evaluator and f.column is not None:
+    """The one rule for reading ``d`` over a whole sample table: its
+    ``Evaluator``'s ``column`` where one is set and :func:`_canonical` reads
+    that ``Evaluator``'s core, else :func:`_canonical` mapped over the table's
+    canonical points, one call a point."""
+    f, read = d.value_offset, _canonical(d)
+    if type(f) is Evaluator and f.column is not None and read is f.core:
         return f.column
-    core = _trusted(f)
-    return lambda samples: list(map(core, samples.thetas, samples.cos))
+    return lambda samples: list(map(read, samples.thetas, samples.cos))
 
 
 def _evaluators(core, interval: Interval, column=None) -> dict:
@@ -320,8 +335,8 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     """Recover the chart-free density: ``p = rho / sqrt(G_chart)``.
 
     The result is the same whichever chart ``rho`` was expressed in; that is
-    the point of the construction. A theta-chart ``rho`` whose ``Evaluator``
-    has a column gives a column too: that column over the table's ``sqrt(G)``.
+    the point of the construction. Of a theta-chart ``rho`` it has a column:
+    ``rho``'s :func:`_column` over the table's ``sqrt(G)``.
     """
     model, per_theta = rho.model, _per_theta(rho)
 
@@ -329,11 +344,12 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
         root_g = math.sqrt(model.fisher_metric_offset(theta, co))
         return per_theta(theta, co) / root_g if root_g else math.inf
 
-    column, source = None, rho.value_offset
-    if type(source) is Evaluator and source.column and rho.chart is identity_chart(model):
+    column = None
+    if rho.chart is identity_chart(model):
+        source = _column(rho)
+
         def column(samples: ChartSamples) -> list[float]:
-            qs = source.column(samples)
-            return [q / g if g else math.inf for q, g in zip(qs, samples.root_gs)]
+            return [q / g if g else math.inf for q, g in zip(source(samples), samples.root_gs)]
     return IntrinsicDensity(model=model, label=rho.label,
                             **_evaluators(core, model.canonical_domain, column))
 
@@ -357,30 +373,52 @@ def pushforward(rho: ChartDensity, target: Chart) -> ChartDensity:
     return _in_chart(rho, target)
 
 
-def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart, samples: ChartSamples):
-    """Columns ``(rho, p)`` of ``d`` over ``samples``, the sample table of
-    ``chart`` (``manifold._chart_samples``): one evaluation of ``d`` a point,
-    with the table's checked offsets and factors in the scalar conversions'
-    operand order. The per-theta value ``q`` gives ``rho = q * |dtheta/dx|``
-    (``q`` in the identity chart) and ``p = q / sqrt(G)`` (inf where
-    ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p * sqrt(G)``. An
-    intrinsic or theta-chart density is evaluated by :func:`_column`. In its
-    own non-identity chart a chart density gives ``rho`` from its core, and
-    ``q`` where ``sqrt(G)`` is not 0."""
-    model, root_gs = d.model, samples.root_gs
-    identity = chart is identity_chart(model)
+class CurveRow(NamedTuple):
+    chart_coord: float
+    canonical_coord: float
+    rho: float
+    p: float
+    embed_x: float
+    embed_y: float
+
+
+@dataclass(frozen=True)
+class DensityCurve:
+    model_name: str
+    chart_name: str
+    label: str
+    samples: int
+    rows: tuple[CurveRow, ...]
+
+
+def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> DensityCurve:
+    """Tabulate a density over ``n`` interior grid points of ``chart``.
+
+    Rows are strictly increasing in the chart coordinate and hold the chart
+    density ``rho``, the intrinsic density ``p`` and the embedded point (NaN
+    for a model without an embedding), bit for bit the scalar conversions'
+    values. One evaluation of ``d`` a row gives its per-theta value ``q``:
+    ``rho = q * |dtheta/dx|`` (``q`` in the identity chart) and ``p = q /
+    sqrt(G)`` (inf where ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p *
+    sqrt(G)``. An intrinsic or theta-chart density is read by :func:`_column`.
+    In its own non-identity chart a chart density gives ``rho`` from its core,
+    and ``q`` where ``sqrt(G)`` is not 0.
+    """
+    model = d.model
+    _require_model(chart, model)
+    s = _chart_samples(model, chart, n)
+    identity, root_gs, rhos = identity_chart(model), s.root_gs, None
     if isinstance(d, IntrinsicDensity):
-        ps = _column(d)(samples)
+        ps = _column(d)(s)
         qs = list(map(operator.mul, ps, root_gs))
+    elif chart is d.chart and chart is not identity:
+        per_theta, rhos = _per_theta(d), list(map(_core(d), s.xs, s.xcs))
+        ps = [per_theta(t, c) / g if g else math.inf for t, c, g in zip(s.thetas, s.cos, root_gs)]
     else:
-        if d.chart is identity_chart(model):
-            qs = _column(d)(samples)
-        else:
-            per_theta = _per_theta(d)
-            if chart is d.chart:
-                ps = [per_theta(t, c) / g if g else math.inf
-                      for t, c, g in zip(samples.thetas, samples.cos, root_gs)]
-                return list(map(_core(d), samples.xs, samples.xcs)), ps
-            qs = list(map(per_theta, samples.thetas, samples.cos))
+        qs = _column(d)(s) if d.chart is identity else list(map(_per_theta(d), s.thetas, s.cos))
         ps = [q / g if g else math.inf for q, g in zip(qs, root_gs)]
-    return (qs if identity else list(map(operator.mul, qs, samples.jacobians))), ps
+    if rhos is None:
+        rhos = qs if chart is identity else list(map(operator.mul, qs, s.jacobians))
+    rows = map(tuple.__new__, repeat(CurveRow), zip(s.xs, s.thetas, rhos, ps, s.exs, s.eys))
+    return DensityCurve(model_name=model.name, chart_name=chart.name, label=d.label,
+                        samples=n, rows=tuple(rows))

@@ -18,18 +18,14 @@ within the tie tolerance is reported as flat — a distinguished result,
 since returning one arbitrary argmax would be misleading; only a divergent
 boundary rules flatness out.
 
-A search or report chart of another model raises
-``ChartModelMismatchError``. The scan's points and their exact canonical
-offsets, checked once when the table is built, depend only on the model and
-the search chart, so they are read from the sample table that curves share
-(``manifold._chart_samples``); the default search chart, the model's
-arc-length chart, is the same object on every call. The search builds every
-offset it evaluates, so it calls the core that ``density._core`` finds: an
-``Evaluator``'s trusted core, and any other ``value_offset``, a wrapper
-included, as given. The scan of a theta-chart density's MAP and of every
-MAPI is the density's column over the table (``density._column``): the
-``Evaluator``'s column where it has one, else that core once a point; a MAP
-of a density in another chart maps its core over the scan points. A scan
+The engine takes the density and reads it by two rules of the density
+module, ``density._canonical`` at one canonical point and ``density._column``
+over the scan table, so MAP and MAPI are one argmax, of a chart density and
+of an intrinsic one. The scan's points and their exact canonical offsets,
+checked once when the table is built, come from the sample table that
+curves share (``manifold._chart_samples``); the default search chart, the
+model's arc-length chart, is the same object on every call. A search or
+report chart of another model raises ``ChartModelMismatchError``. A scan
 value of 0 (a tail that underflowed) is never refined, and a scan that is 0
 everywhere raises ``ArithmeticError`` rather than reporting ``flat``.
 """
@@ -43,14 +39,13 @@ from .density import (
     BetaParams,
     ChartDensity,
     IntrinsicDensity,
+    _canonical,
     _column,
-    _core,
     beta_chart_density,
     beta_intrinsic_density,
     endpoint_behaviour,
 )
-from .manifold import (Chart, ManifoldModel, _chart_samples, _require_model, identity_chart,
-                       naive_offset)
+from .manifold import Chart, _chart_samples, _require_model, naive_offset
 
 _SCAN_POINTS = 1024
 _GOLDEN_TOL = 1e-10
@@ -118,8 +113,9 @@ def _parabolic_polish(f, x: float, lo: float, hi: float) -> float:
     return x + shift
 
 
-def _numeric_mode(eval_canonical, scan, model: ManifoldModel, search_chart: Chart | None,
+def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None,
                   report_chart: Chart) -> ModeResult:
+    model, eval_canonical = d.model, _canonical(d)
     s_chart = model.arclength    # the default search chart
     search_chart = search_chart or s_chart
     _require_model(search_chart, model)
@@ -131,7 +127,7 @@ def _numeric_mode(eval_canonical, scan, model: ManifoldModel, search_chart: Char
 
     samples = _chart_samples(model, search_chart, _SCAN_POINTS)
     grid, thetas = samples.xs, samples.thetas
-    vals = scan(samples) if scan else list(map(eval_canonical, thetas, samples.cos))
+    vals = _column(d)(samples)
 
     # the limit at each boundary a finite arc length away; one that vanishes
     # (or cannot be classified) is no candidate
@@ -203,20 +199,14 @@ def _numeric_mode(eval_canonical, scan, model: ManifoldModel, search_chart: Char
 
 def map_estimate(rho: ChartDensity, search_chart: Chart | None = None) -> ModeResult:
     """Argmax of the chart density over its own chart: chart-dependent by design."""
-    chart, core = rho.chart, _core(rho)
-    if chart is identity_chart(rho.model):
-        return _numeric_mode(core, _column(rho), rho.model, search_chart, chart)
-
-    def eval_canonical(theta: float, co: float) -> float:
-        return core(*chart.from_canonical_offset(theta, co))
-    return _numeric_mode(eval_canonical, None, rho.model, search_chart, chart)
+    return _numeric_mode(rho, search_chart, rho.chart)
 
 
 def mapi_estimate(p: IntrinsicDensity, report_chart: Chart,
                   search_chart: Chart | None = None) -> ModeResult:
     """Argmax of the intrinsic density: the same point whatever chart the
     search runs in, reported in ``report_chart`` coordinates."""
-    return _numeric_mode(_core(p), _column(p), p.model, search_chart, report_chart)
+    return _numeric_mode(p, search_chart, report_chart)
 
 
 def beta_mode_analytic(params: BetaParams, intrinsic: bool) -> ModeResult:

@@ -13,6 +13,8 @@ import pytest
 
 from fishergeom import (
     BetaParams,
+    CurveRow,
+    DensityCurve,
     IntrinsicDensity,
     QuadratureResult,
     __version__,
@@ -23,7 +25,6 @@ from fishergeom import (
 )
 from fishergeom import cli
 from fishergeom.cli import main
-from fishergeom.embed import CurveRow, DensityCurve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -193,6 +194,16 @@ class TestRequestMetadata:
         rc, text = run_cli(tmp_path, *argv, "--format", "json", name="r.json")
         assert rc == 0
         assert list(json.loads(text)["request"].items()) == list(meta.items())
+
+    def test_non_finite_request_values_are_strict_json(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        rc, text = run_cli(tmp_path, "distance", "--model", "poisson", "--p1", "inf", "--p2", "inf",
+                           "--format", "json", name="r.json")
+        assert rc == 0
+        doc = json.loads(text, parse_constant=reject)
+        assert (doc["request"]["p1"], doc["request"]["p2"]) == ("inf", "inf")
 
 
 class TestSvgOutput:

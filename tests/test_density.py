@@ -34,7 +34,7 @@ from fishergeom import (
     pushforward,
 )
 from fishergeom import mode, quadrature
-from fishergeom.density import IntrinsicDensity, _column, _core, endpoint_behaviour
+from fishergeom.density import IntrinsicDensity, _canonical, _column, _core, endpoint_behaviour
 from fishergeom.manifold import _chart_samples, interior_grid
 
 BERNOULLI = bernoulli_model()
@@ -499,22 +499,27 @@ class TestIdentityChartFastPath:
 
 
 class TestColumn:
-    """A density's column over a sample table is, bit for bit, its core mapped
-    over the table's canonical points, on the tables the mode scan and the
-    curves read and on tables where it must fall back to the core."""
+    """A density's column over a sample table is, bit for bit, its value at
+    each of the table's canonical points (its core, or for a chart density in
+    another chart its core at the point's chart image), on the tables the
+    mode scan and the curves read and on tables where it must fall back to
+    the core."""
 
     SHAPES = [(1e-3, 1e-3), (1e-3, 1.0), (1e-3, 2000.0), (0.5, 0.5), (1.0, 1.0), (1.05, 2.05),
               (0.49, 7.0), (30.0, 1e-3), (60.0, 2000.0), (1e5, 2e5), (3e7, 1e7), (1e9, 1e9)]
 
     @staticmethod
     def densities(a, b):
+        """The densities with a column, then ``rho`` pushed to each other chart."""
         rho = beta_chart_density(BetaParams(a, b))
         return {"chart": rho, "intrinsic": beta_intrinsic_density(BetaParams(a, b)),
-                "converted": intrinsic_from_chart(rho)}
+                "converted": intrinsic_from_chart(rho),
+                **{f"pushed to {name}": pushforward(rho, chart)
+                   for name, chart in CHARTS.items() if name != "theta"}}
 
     @staticmethod
     def assert_column_is_core(d, samples):
-        want = list(map(_core(d), samples.thetas, samples.cos))
+        want = list(map(_canonical(d), samples.thetas, samples.cos))
         assert repr(_column(d)(samples)) == repr(want)
 
     @pytest.mark.parametrize("name", sorted(CHARTS))
@@ -523,7 +528,7 @@ class TestColumn:
         samples = _chart_samples(BERNOULLI, CHARTS[name], n)
         for a, b in self.SHAPES:
             for kind, d in self.densities(a, b).items():
-                assert d.value_offset.column is not None, kind
+                assert (d.value_offset.column is None) == kind.startswith("pushed"), kind
                 self.assert_column_is_core(d, samples)
 
     @staticmethod
@@ -565,8 +570,9 @@ class TestColumn:
             return rho.value_offset(x, xc)
 
         wrapped = dataclasses.replace(rho, value_offset=value_offset)
+        # the converted density's column reads the wrapper through _column
         converted = intrinsic_from_chart(wrapped)
-        assert converted.value_offset.column is None
+        assert converted.value_offset.column is not None
         value_only = IntrinsicDensity(BERNOULLI, lambda t: calls.append(t) or 1.0, "flat")
         samples = _chart_samples(BERNOULLI, CHARTS["arcsin"], 257)
         for d in (wrapped, converted, value_only):

@@ -10,14 +10,12 @@ from fishergeom import (
     BetaParams,
     ChartDensity,
     ChartModelMismatchError,
-    DomainError,
     IntrinsicDensity,
     beta_chart_density,
     beta_intrinsic_density,
     bernoulli_model,
     chart_from_intrinsic,
     charts_for,
-    embed_bernoulli,
     fisher_rao_distance,
     get_model,
     intrinsic_from_chart,
@@ -40,25 +38,19 @@ def polyline_length(theta1, theta2, segments):
 
 class TestEmbedding:
     def test_endpoints(self):
-        p0 = embed_bernoulli(0.0)
-        assert (p0.x, p0.y) == (0.0, 2.0)
-        p1 = embed_bernoulli(1.0)
-        assert (p1.x, p1.y) == (2.0, 0.0)
+        assert BERNOULLI.embedding(0.0) == (0.0, 2.0)
+        assert BERNOULLI.embedding(1.0) == (2.0, 0.0)
 
     def test_symmetry_point(self):
-        p = embed_bernoulli(0.5)
-        assert p.x == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert p.y == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        x, y = BERNOULLI.embedding(0.5)
+        assert x == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert y == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_circle_constraint(self):
         for t in np.linspace(0.0, 1.0, 1001):
-            p = embed_bernoulli(float(t))
-            assert p.x * p.x + p.y * p.y == pytest.approx(4.0, abs=1e-12)
-            assert p.x >= 0.0 and p.y >= 0.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            embed_bernoulli(1.2)
+            x, y = BERNOULLI.embedding(float(t))
+            assert x * x + y * y == pytest.approx(4.0, abs=1e-12)
+            assert x >= 0.0 and y >= 0.0
 
     def test_full_arc_length(self):
         assert polyline_length(0.0, 1.0, 100_000) == pytest.approx(math.pi, abs=1e-6)
@@ -139,8 +131,7 @@ class TestSampleCurve:
     def test_coin_family_rows_on_circle_in_every_chart(self, name):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
         for row in sample_curve(p, CHARTS[name], 11).rows:
-            point = embed_bernoulli(row.canonical_coord)
-            assert (row.embed_x, row.embed_y) == (point.x, point.y)
+            assert (row.embed_x, row.embed_y) == BERNOULLI.embedding(row.canonical_coord)
             assert row.embed_x ** 2 + row.embed_y ** 2 == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.05, 2.05), (0.3, 5.0)])
