@@ -34,7 +34,8 @@ converge at any step size. Skipped nodes (rounded onto an endpoint, past the
 map's range, or where the integrand is not finite, overflows or divides by
 zero) are not terms, so divergence at a finite endpoint, such as ``1/x`` on
 (0, 1), is caught as well. A divergent volume stops at about 40 evaluations
-rather than after the whole 12-level budget (over 40,000).
+rather than after the whole 12-level budget (over 40,000). An integral with
+no finite term by level 2, every evaluation skipped or none made, ends so too.
 
 The verdict waits for level 2 because the last nodes of levels 0 and 1,
 |t| = 6 and 6.5 (x near 1e138 and 1e227 on a half line), can still lie
@@ -52,9 +53,10 @@ raises :class:`QuadratureConvergenceError` with the whole result attached.
 
 Node tables and trusted offsets
 -------------------------------
-Each node map's t-only parts are cached per map, level and side as far as
-sweeps reach (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 8 are
-not kept); the rest of a node keeps the per-node arithmetic order, so results
+Each node map's t-only parts are tabulated per map, level and side to the |t|
+cap, built whole once and never changed, so sweeps share them without a lock
+(Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 6 are not kept);
+the rest of a node keeps the per-node arithmetic order, so results
 are bit-identical. Node offsets are exact and anchored at the endpoints of
 the interval integrated over, so where the integrand is a density's
 :class:`~fishergeom.density.Evaluator` on that interval (``density._trusted``,
@@ -69,7 +71,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -181,32 +182,34 @@ def _node_map(interval: Interval) -> tuple:
     return _doubly_infinite_row, 1.0, 1.0, dict.fromkeys((-1, 1), (0.0, 1.0, math.nan))
 
 
-# (row, level, sign) -> rows in sweep order, each flagged |t| >= _T_TRUNC_MIN.
-# Deeper levels (<1% of sweeps) are not kept: Beta(0.02369, 0.05) alone would keep 14 MB.
-_TABLES: dict[tuple, list] = {}
-_TABLE_LEVELS = 8
-_TABLE_LOCK = threading.Lock()
+# (row, level, sign) -> a _table, published once. Over the `integrals` seeds 1-40 no op
+# passed level 6 and 3 reached it; deeper levels are built per sweep (to 8: 4x the rows).
+_TABLES: dict[tuple, tuple] = {}
+_TABLE_LEVELS = 6
 
 
-def _extend(rows: list, row, level: int, sign: int) -> bool:
-    """Append the next row of a table; False past ``_T_CAP``."""
-    first, step = ((0 if sign > 0 else 1), 1) if level == 0 else (1, 2)
-    with _TABLE_LOCK:
-        kh = (first + len(rows) * step) * 0.5 ** level
-        if kh > _T_CAP:
-            return False
-        rows.append(row(sign * kh) + (kh >= _T_TRUNC_MIN,))
-    return True
+def _table(row, level: int, sign: int) -> tuple[tuple, int]:
+    """The rows at t = sign * k * 2**-level up to _T_CAP (k from 1 on side -1 at
+    level 0, odd k later) and the index of the first at |t| >= _T_TRUNC_MIN."""
+    table = _TABLES.get((row, level, sign))
+    if table is None:
+        h = 0.5 ** level
+        first, step = ((0 if sign > 0 else 1), 1) if level == 0 else (1, 2)
+        ts = [k * h for k in range(first, int(_T_CAP / h) + 1, step)]
+        table = tuple(row(sign * t) for t in ts), sum(t < _T_TRUNC_MIN for t in ts)
+        if level <= _TABLE_LEVELS:
+            table = _TABLES.setdefault((row, level, sign), table)
+    return table
 
 
 def _sweep_side(node_map, level: int, sign: int, call, offset_aware: bool,
                 interval: Interval, term_tol: float, counts: list[int]) -> tuple[float, bool]:
-    """Sum weighted integrand values at t = sign*k*2**-level, for k = 0, 1, ...
-    at level 0 (from 1 on side -1) and odd k later, from the node tables.
+    """Sum weighted integrand values over one side of one level's whole table.
 
-    Stops at the hard |t| cap, or once three consecutive contributions past
-    |t| = _T_TRUNC_MIN fall below ``term_tol`` (the double-exponential tail
-    then contributes less than a couple of ``term_tol``). Returns the sum and
+    Stops at the |t| cap, or once three consecutive contributions fall below
+    ``term_tol``, the last at or past the table's stop index (the double-
+    exponential tail then contributes less than a couple of ``term_tol``);
+    the loop index is where the side stopped. Returns the sum and
     whether the tail grows: the last finite term exceeds ``term_tol`` and
     the finite term before it. Skipped nodes (no node, a node rounding onto
     an endpoint, an integrand that is not finite, overflows or divides by
@@ -219,14 +222,11 @@ def _sweep_side(node_map, level: int, sign: int, call, offset_aware: bool,
     anchor, sx, sxc = sides[sign]
     lo, hi = interval.lo, interval.hi
     isfinite = math.isfinite
-    rows = _TABLES.setdefault((row, level, sign), []) if level <= _TABLE_LEVELS else []
+    rows, trunc_from = _table(row, level, sign)
     total = 0.0
     small = 0
     last = prev = math.inf
-    i = 0
-    while i < len(rows) or _extend(rows, row, level, sign):
-        p1, p2, m, div, past_min = rows[i]
-        i += 1
+    for i, (p1, p2, m, div) in enumerate(rows):
         w = p1 * w_scale * p2
         term = 0.0
         if w > 0.0:
@@ -247,7 +247,7 @@ def _sweep_side(node_map, level: int, sign: int, call, offset_aware: bool,
         total += term
         if abs(term) <= term_tol:
             small += 1
-            if small >= 3 and past_min:
+            if small >= 3 and i >= trunc_from:
                 break
         else:
             small = 0
@@ -259,8 +259,8 @@ def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureRes
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
     past level 0 only odd multiples of h are new. The level-to-level
-    difference is the error estimate. From level 2 on, a side whose tail
-    grows ends the integration as divergent (see the module docstring).
+    difference is the error estimate. From level 2 on, a growing tail or no
+    finite term yet ends the integration unconverged (see the module docstring).
     """
     node_map = _node_map(interval)
     counts = [0, 0]
@@ -276,6 +276,8 @@ def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureRes
             if grows and level >= 2:
                 return QuadratureResult(value, math.inf, False, *counts)
             odd += side
+        if level >= 2 and counts[1] == counts[0]:   # no finite term yet
+            return QuadratureResult(value, math.inf, False, *counts)
         new_value = 0.5 * value + h * odd
         err = abs(new_value - value)
         value = new_value

@@ -220,6 +220,17 @@ class TestSvgOutput:
         assert rc == 0
         assert text.startswith("<svg")
 
+    def test_nothing_finite_to_plot(self):
+        with pytest.raises(cli.UsageError, match="^nothing finite to plot$"):
+            cli._svg_plot([("s", "black", [(math.nan, 1.0), (0.5, math.inf)])], "t", "x", "y")
+
+    def test_single_point_gets_unit_ranges(self):
+        # x spans [2, 3] and y [0, 1], so the point sits at the lower left corner
+        svg = cli._svg_plot([("s", "black", [(2.0, 0.0)])], "t", "x", "y")
+        assert 'points="70.00,510.00"' in svg
+        for tick in (">2</text>", ">3</text>", ">0</text>", ">1</text>"):
+            assert tick in svg
+
     def test_svg_rejected_for_scalars(self, tmp_path, capsys):
         rc = main(["volume", "--format", "svg"])
         assert rc == 2
@@ -346,6 +357,14 @@ class TestExitCodes:
     def test_divergent_expectation_is_numerical_failure(self, capsys):
         # E[1/theta] under the flat prior diverges: in-process, nothing written
         assert main(["expect", "--alpha", "0.5", "--beta", "0.5", "--power", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: expectation did not converge")
+        assert "error estimate inf" in err
+
+    def test_moment_with_no_finite_term_is_numerical_failure(self, capsys):
+        # every t ** k overflows at k = -10**400: no node gives a term, so no 0 is printed
+        assert main(["expect", "--alpha", "2", "--beta", "3", "--power", "-1" + "0" * 400]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numerical failure: expectation did not converge")

@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import inspect
 import math
+import sys
+import threading
 
 import numpy
 import pytest
@@ -15,6 +17,7 @@ from fishergeom import (
     ChartDensity,
     Interval,
     IntrinsicDensity,
+    QuadratureConvergenceError,
     QuadratureResult,
     beta_chart_density,
     beta_intrinsic_density,
@@ -22,6 +25,7 @@ from fishergeom import (
     chart_from_intrinsic,
     charts_for,
     expectation,
+    get_model,
     integrate_chart,
     integrate_manifold,
     interval_probability,
@@ -56,6 +60,12 @@ class TestIntegrateChart:
         res = integrate_chart(lambda x: 1.0, Interval(0.0, 1.0))
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-13)
+
+    def test_builtin_without_a_signature_is_plain(self):
+        # inspect.signature raises ValueError on math.hypot, so it is f(x) = |x|
+        res = integrate_chart(math.hypot, Interval(0.0, 1.0))
+        assert res.converged
+        assert res.value == pytest.approx(0.5, abs=1e-12)
 
     def test_polynomial(self):
         res = integrate_chart(lambda x: 3.0 * x * x, Interval(0.0, 2.0))
@@ -374,6 +384,21 @@ class TestNonfiniteSkipped:
         assert integrate_chart(rho.value_offset, rho.chart.domain).nonfinite_skipped == 0
         assert integrate_manifold(p.value_offset, BERNOULLI).nonfinite_skipped == 0
 
+    def test_no_finite_term_is_not_converged(self):
+        # a sum of skipped nodes is 0 at every level, which proves nothing
+        res = integrate_chart(lambda x, xc: math.inf, Interval(0.0, 1.0))
+        assert (res.value, res.error_estimate, res.converged) == (0.0, math.inf, False)
+        assert res.evaluations == res.nonfinite_skipped > 0
+
+    def test_no_evaluation_is_not_converged(self):
+        # no double lies strictly inside, so a plain integrand is never called
+        res = integrate_chart(lambda x: 1.0, Interval(0.3, math.nextafter(0.3, 1.0)))
+        assert (res.error_estimate, res.converged, res.evaluations) == (math.inf, False, 0)
+
+    def test_normalization_with_no_finite_term_raises(self):
+        with pytest.raises(QuadratureConvergenceError):
+            normalization_check(IntrinsicDensity(BERNOULLI, lambda t: math.nan, "nan"))
+
     def test_positional_construction_unchanged(self):
         res = QuadratureResult(1.0, 0.0, True, 5)
         assert res.nonfinite_skipped == 0
@@ -654,14 +679,12 @@ class TestNodeTables:
             ref = reference_node_map(interval)
             for sign in (+1, -1):
                 anchor, sx, sxc = sides[sign]
-                rows = []
-                while quadrature._extend(rows, row, level, sign):
-                    pass
+                rows, trunc_from = quadrature._table(row, level, sign)
                 ks = side_ks(level, sign)
                 assert len(rows) == len(ks)
-                for k, (p1, p2, m, div, past_min) in zip(ks, rows):
+                for i, (k, (p1, p2, m, div)) in enumerate(zip(ks, rows)):
                     t = sign * k * 0.5 ** level
-                    assert past_min == (abs(t) >= quadrature._T_TRUNC_MIN)
+                    assert (i >= trunc_from) == (abs(t) >= quadrature._T_TRUNC_MIN)
                     expected = ref(t)
                     w = p1 * w_scale * p2
                     if expected is None:
@@ -707,4 +730,45 @@ class TestNodeTables:
         res = interval_probability(p, Interval(0.0, 0.6))
         assert res.evaluations == 12311
         assert max(level for _, level, _ in quadrature._TABLES) == quadrature._TABLE_LEVELS
-        assert sum(map(len, quadrature._TABLES.values())) <= 1553
+        assert sum(len(rows) for rows, _ in quadrature._TABLES.values()) <= 1553
+
+    def test_tables_are_shared_by_threads_without_a_lock(self):
+        # 8 threads start together on cleared tables: each gets the sequential
+        # results, and the tables they publish are the sequential ones
+        rho = beta_chart_density(BetaParams(0.7, 2.5))
+        p = intrinsic_from_chart(rho)
+        calls = [functools.partial(integrate_chart, d.value_offset, d.chart.domain)
+                 for d in (pushforward(rho, chart) for chart in CHARTS.values())]
+        calls += [functools.partial(integrate_manifold, p.value_offset, BERNOULLI),
+                  functools.partial(interval_probability, p, Interval(0.0, 0.3)),
+                  functools.partial(expectation, p, lambda t: t * t)]
+        calls += [functools.partial(volume_result, get_model(name))
+                  for name in ("bernoulli", "poisson", "exponential")]
+
+        def run():
+            return [repr(call()) for call in calls]
+
+        quadrature._TABLES.clear()
+        want = run()
+        want_tables = dict(quadrature._TABLES)
+        quadrature._TABLES.clear()
+        start = threading.Barrier(8)
+        got = [None] * 8
+
+        def worker(i):
+            start.wait(timeout=60)
+            got[i] = run()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads often, mid-table too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 8
+        assert quadrature._TABLES == want_tables
