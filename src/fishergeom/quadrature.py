@@ -54,17 +54,17 @@ raises :class:`QuadratureConvergenceError` with the whole result attached.
 Node tables and trusted offsets
 -------------------------------
 Each node map's t-only parts are tabulated per map, level and side to the |t|
-cap, built whole once and never changed, so sweeps share them without a lock
-(Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 6 are not kept);
-the rest of a node keeps the per-node arithmetic order, so results
-are bit-identical. Node offsets are exact and anchored at the endpoints of
-the interval integrated over, so where the integrand is a density's
-:class:`~fishergeom.density.Evaluator` on that interval (``density._trusted``,
-the one rule) its trusted ``core`` is called; any other integrand, a wrapper
-included, is called as given. A manifold integral checks each offset once,
-where it enters: a sub-region's arc-length offset as it enters the chart's
-domain. The chart map's canonical offsets are anchored at the canonical
-domain's ends, so a density's core takes them as given.
+cap, built whole once and never changed, so concurrent integrals share them
+without a lock (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 6 are
+not kept); the one loop of ``_de_integrate`` reads them and finishes each node
+in the per-node arithmetic order, so results are bit-identical. Node offsets
+are exact and anchored at the endpoints of the interval integrated over, so
+where the integrand is a density's :class:`~fishergeom.density.Evaluator` on
+that interval (``density._trusted``, the one rule) its trusted ``core`` is
+called; any other integrand, a wrapper included, is called as given. A manifold
+integral checks each offset once, where it enters: a sub-region's arc-length
+offset as it enters the chart's domain. The chart map's canonical offsets are
+anchored at the canonical domain's ends, so a density's core trusts them.
 """
 
 from __future__ import annotations
@@ -202,68 +202,29 @@ def _table(row, level: int, sign: int) -> tuple[tuple, int]:
     return table
 
 
-def _sweep_side(node_map, level: int, sign: int, call, offset_aware: bool,
-                interval: Interval, term_tol: float, counts: list[int]) -> tuple[float, bool]:
-    """Sum weighted integrand values over one side of one level's whole table.
-
-    Stops at the |t| cap, or once three consecutive contributions fall below
-    ``term_tol``, the last at or past the table's stop index (the double-
-    exponential tail then contributes less than a couple of ``term_tol``);
-    the loop index is where the side stopped. Returns the sum and
-    whether the tail grows: the last finite term exceeds ``term_tol`` and
-    the finite term before it. Skipped nodes (no node, a node rounding onto
-    an endpoint, an integrand that is not finite, overflows or divides by
-    zero, counted in ``counts[1]``; ``counts[0]`` counts evaluations) are
-    not terms. An offset-aware integrand is evaluated where its node rounds
-    onto a finite endpoint, as its exact offset is nonzero; plain ones only
-    see the open interior.
-    """
-    row, w_scale, off_scale, sides = node_map
-    anchor, sx, sxc = sides[sign]
-    lo, hi = interval.lo, interval.hi
-    isfinite = math.isfinite
-    rows, trunc_from = _table(row, level, sign)
-    total = 0.0
-    small = 0
-    last = prev = math.inf
-    for i, (p1, p2, m, div) in enumerate(rows):
-        w = p1 * w_scale * p2
-        term = 0.0
-        if w > 0.0:
-            off = off_scale / m if div else off_scale * m
-            x = anchor + sx * off
-            xc = sxc * off
-            if isfinite(x) and (xc != 0.0 if offset_aware else lo < x < hi):
-                try:
-                    v = call(x, xc)
-                except (OverflowError, ZeroDivisionError):
-                    v = math.inf
-                counts[0] += 1
-                if isfinite(v):
-                    term = w * v
-                    prev, last = last, abs(term)
-                else:
-                    counts[1] += 1
-        total += term
-        if abs(term) <= term_tol:
-            small += 1
-            if small >= 3 and i >= trunc_from:
-                break
-        else:
-            small = 0
-    return total, term_tol < last and prev < last
-
-
 def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureResult:
     """Trapezoid sums of the transformed integrand with step halving.
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
-    past level 0 only odd multiples of h are new. The level-to-level
-    difference is the error estimate. From level 2 on, a growing tail or no
-    finite term yet ends the integration unconverged (see the module docstring).
+    past level 0 only odd multiples of h are new: side +1, then side -1, each
+    over its whole ``_table``. A side stops at the |t| cap, or once three
+    consecutive terms fall below ``term_tol``, the last at or past the
+    table's stop index (the double-exponential tail then contributes less
+    than a couple of ``term_tol``); the row index ``i`` is where it stopped.
+    Skipped nodes (no node, a node rounding onto an endpoint, an integrand
+    that is not finite, overflows or divides by zero) are not terms. An
+    offset-aware integrand is evaluated where its node rounds onto a finite
+    endpoint, as its exact offset is nonzero; plain ones only see the open
+    interior. The level-to-level difference is the error estimate. From
+    level 2 on, a side whose tail grows (its last finite term exceeds
+    ``term_tol`` and the finite term before it) ends the integration
+    unconverged before the other side is swept, and so does no finite term
+    yet after both sides (see the module docstring).
     """
-    node_map = _node_map(interval)
-    counts = [0, 0]
+    row, w_scale, off_scale, sides = _node_map(interval)
+    lo, hi = interval.lo, interval.hi
+    isfinite = math.isfinite
+    evaluations = skipped = 0
 
     h, value = 2.0, 0.0     # level 0's value is then 0.0 + odd == odd: no side sums to -0.0
     for level in range(_MAX_LEVEL + 1):
@@ -271,20 +232,48 @@ def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureRes
         term_tol = 0.05 * _ABS_TOL / h
         odd = 0.0
         for sign in (+1, -1):
-            side, grows = _sweep_side(node_map, level, sign, call, offset_aware, interval,
-                                      term_tol, counts)
-            if grows and level >= 2:
-                return QuadratureResult(value, math.inf, False, *counts)
-            odd += side
-        if level >= 2 and counts[1] == counts[0]:   # no finite term yet
-            return QuadratureResult(value, math.inf, False, *counts)
+            anchor, sx, sxc = sides[sign]
+            rows, trunc_from = _table(row, level, sign)
+            total = 0.0
+            small = 0
+            last = prev = math.inf
+            for i, (p1, p2, m, div) in enumerate(rows):
+                w = p1 * w_scale * p2
+                term = 0.0
+                if w > 0.0:
+                    off = off_scale / m if div else off_scale * m
+                    x = anchor + sx * off
+                    xc = sxc * off
+                    if isfinite(x) and (xc != 0.0 if offset_aware else lo < x < hi):
+                        try:
+                            v = call(x, xc)
+                        except (OverflowError, ZeroDivisionError):
+                            v = math.inf
+                        evaluations += 1
+                        if isfinite(v):
+                            term = w * v
+                            prev, last = last, abs(term)
+                        else:
+                            skipped += 1
+                total += term
+                if abs(term) <= term_tol:
+                    small += 1
+                    if small >= 3 and i >= trunc_from:
+                        break
+                else:
+                    small = 0
+            if level >= 2 and term_tol < last and prev < last:     # the tail grows
+                return QuadratureResult(value, math.inf, False, evaluations, skipped)
+            odd += total
+        if level >= 2 and skipped == evaluations:   # no finite term yet
+            return QuadratureResult(value, math.inf, False, evaluations, skipped)
         new_value = 0.5 * value + h * odd
         err = abs(new_value - value)
         value = new_value
         if level >= 2 and err <= max(_ABS_TOL, _REL_TOL * abs(value)):
-            return QuadratureResult(value, err, True, *counts)
+            return QuadratureResult(value, err, True, evaluations, skipped)
 
-    return QuadratureResult(value, err, False, *counts)
+    return QuadratureResult(value, err, False, evaluations, skipped)
 
 
 def integrate_chart(f: Callable, interval: Interval) -> QuadratureResult:
@@ -313,14 +302,15 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     interior: at a node whose theta rounds onto an end it is called at the
     nearest interior double.
     """
-    if wants_offset(f):
-        return _integrate_manifold(f, model, region)
+    return _integrate_manifold(f if wants_offset(f) else _interior(f, model), model, region)
+
+
+def _interior(f: Callable[[float], float], model: ManifoldModel) -> Callable:
+    """A plain ``f(theta)`` as ``(theta, co)``, called at the nearest interior
+    double where theta rounds onto an end of the canonical domain."""
     dom = model.canonical_domain
     lo, hi = math.nextafter(dom.lo, dom.hi), math.nextafter(dom.hi, dom.lo)
-
-    def interior(theta: float, co: float) -> float:
-        return f(min(max(theta, lo), hi))
-    return _integrate_manifold(interior, model, region)
+    return lambda theta, co: f(min(max(theta, lo), hi))
 
 
 def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel,
@@ -361,9 +351,12 @@ def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
     other error (``ValueError`` from ``log(1 - t)``) is raised. A node whose
     canonical offset underflows to 0.0 sits on an endpoint in theta: the
     density is still evaluated there, once like at every node, but the node
-    is skipped as if its value were not finite.
+    is skipped as if its value were not finite. A value-only density, like a
+    plain integrand of :func:`integrate_manifold`, sees only the open interior.
     """
     density = _trusted(p.value_offset, p.model.canonical_domain)
+    if density is p.value_offset and not wants_offset(density):
+        density = _interior(density, p.model)
 
     def integrand(theta: float, co: float) -> float:
         v = density(theta, co)

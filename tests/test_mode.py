@@ -315,6 +315,11 @@ class TestModeNearBoundary:
         assert (r.all_modes, r.at_boundary) == ((1.0,), True)
 
 
+class TestParabolicPolish:
+    def test_non_finite_probe_keeps_the_point(self):
+        assert mode._parabolic_polish(lambda x: math.inf if x > 0.5 else 1.0, 0.5, 0.0, 1.0) == 0.5
+
+
 class TestReportedAtAnInfiniteChartEnd:
     def test_mapi_at_theta_zero_in_reciprocal(self):
         # theta = 0 is y = inf in the reciprocal chart: its map returns that

@@ -293,6 +293,23 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(p, lambda t: math.log(1.0 - t))
 
+    def test_value_only_density_sees_only_the_open_interior(self):
+        # as in the normalisation and interval_probability, a value-only
+        # density's value is never called at theta = 1.0, where log(1 - t) raises
+        seen = []
+
+        def value(t):
+            seen.append(t)
+            return 0 * math.log(1 - t) + 1 / math.pi
+
+        p = IntrinsicDensity(BERNOULLI, value, "flat")
+        assert normalization_check(p) == pytest.approx(1.0, abs=1e-12)
+        assert interval_probability(p, Interval(0.0, 1.0)).value == pytest.approx(1.0, abs=1e-12)
+        res = expectation(p, lambda t: t)
+        assert res.converged
+        assert res.value == pytest.approx(0.5, abs=1e-12)
+        assert 0.0 < min(seen) and max(seen) < 1.0
+
     def test_f_never_called_at_theta_zero(self):
         seen = []
 
@@ -694,33 +711,46 @@ class TestNodeTables:
                     assert bits(anchor + sx * off, sxc * off, w) == bits(*expected)
 
     @pytest.mark.parametrize("interval", NODE_INTERVALS)
-    def test_sweep_visits_reference_nodes(self, interval):
-        # with no truncation, a sweep evaluates exactly the usable reference
-        # nodes in order and sums their weights in the same order
-        node_map = quadrature._node_map(interval)
+    def test_sweep_visits_reference_nodes(self, interval, monkeypatch):
+        # with no truncation and no convergence, each level evaluates exactly
+        # the usable reference nodes in order, side +1 before side -1, and
+        # folds their terms as value = 0.5 * value + h * (side+ + side-); a
+        # constant 1 would grow on the infinite maps and return at level 2
+        monkeypatch.setattr(quadrature, "_ABS_TOL", -1.0)
+        monkeypatch.setattr(quadrature, "_REL_TOL", -1.0)
         ref = reference_node_map(interval)
-        for level in (0, 1, 4):
-            for sign in (+1, -1):
-                seen = []
 
-                def call(x, xc):
-                    seen.append(bits(x, xc))
-                    return 1.0
+        def f(x):
+            return 1.0 / (1.0 + x * x)
 
-                counts = [0, 0]
-                total, _ = quadrature._sweep_side(node_map, level, sign, call, True, interval,
-                                                  -1.0, counts)
-                expected, expected_total = [], 0.0
-                for k in side_ks(level, sign):
-                    node = ref(sign * k * 0.5 ** level)
-                    term = 0.0
-                    if node is not None and node[2] > 0.0 and math.isfinite(node[0]) and node[1] != 0.0:
-                        expected.append(bits(*node[:2]))
-                        term = node[2]
-                    expected_total += term
-                assert seen == expected
-                assert counts == [len(expected), 0]
-                assert bits(total) == bits(expected_total)
+        for top in (0, 1, 4):
+            monkeypatch.setattr(quadrature, "_MAX_LEVEL", top)
+            seen = []
+
+            def call(x, xc):
+                seen.append(bits(x, xc))
+                return f(x)
+
+            res = quadrature._de_integrate(call, True, interval)
+            expected, value = [], 0.0
+            for level in range(top + 1):
+                odd = 0.0
+                for sign in (+1, -1):
+                    total = 0.0
+                    for k in side_ks(level, sign):
+                        node = ref(sign * k * 0.5 ** level)
+                        term = 0.0
+                        if (node is not None and node[2] > 0.0 and math.isfinite(node[0])
+                                and node[1] != 0.0):
+                            expected.append(bits(*node[:2]))
+                            term = node[2] * f(node[0])
+                        total += term
+                    odd += total
+                value = 0.5 * value + 0.5 ** level * odd
+            assert seen == expected
+            assert res.evaluations == len(expected)
+            assert (res.nonfinite_skipped, res.converged) == (0, False)
+            assert bits(res.value) == bits(value)
 
     def test_slowest_case_table_size(self):
         # interval_probability of Beta(1e5, 2e5) on [0, 0.6] reaches level 11;
