@@ -27,8 +27,10 @@ than theta; and :func:`_column` over a whole sample table
 its core over the table's canonical points) where that core is what
 :func:`_canonical` reads, else :func:`_canonical` once a point. The Beta
 columns read the table's cached logs of each point's distances to both
-ends; ``intrinsic_from_chart`` of a theta-chart density divides its
-source's column by the table's ``sqrt(G)``.
+ends. A conversion's column is its source's per-theta column over the
+table's ``sqrt(G)`` (``intrinsic_from_chart``) or times its ``|dtheta/dx|``
+(a chart view, which reads its own chart's tables); whole-domain integrals
+read it over tables of the quadrature nodes where it makes no call a point.
 
 Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
@@ -101,12 +103,15 @@ class Evaluator(NamedTuple):
     """A built density's ``value_offset``: its trusted ``core`` and the ``domain``
     whose endpoint offsets the core takes as given. A call ``(x, xc)`` checks the
     offset once, then calls ``core``; ``value`` is the density's ``value``. An
-    optional ``column`` is ``core`` applied to a whole sample table
-    (``manifold._chart_samples``), bit for bit ``map(core, thetas, cos)``."""
+    optional ``column`` is ``core`` over a sample table (``manifold.ChartSamples``)
+    of its chart, bit for bit ``map(core, xs, xcs)``, or of any chart's canonical
+    points for a core on them; ``tables``, ``(model, chart)``, names the chart
+    (identity for canonical points) it reads with no call a point, else None."""
 
     core: Callable[[float, float], float]
     domain: Interval
     column: Callable[[ChartSamples], list[float]] | None = None
+    tables: tuple[ManifoldModel, Chart] | None = None
 
     def __call__(self, x: float, xc: float) -> float:
         return self.core(x, verify_offset(self.domain, x, xc))
@@ -153,10 +158,10 @@ def _column(d):
     return lambda samples: list(map(read, samples.thetas, samples.cos))
 
 
-def _evaluators(core, interval: Interval, column=None) -> dict:
+def _evaluators(core, interval: Interval, column=None, tables=None) -> dict:
     """Constructor keywords ``value`` and ``value_offset`` of a trusted ``core`` on
-    ``interval``, with its ``column``, if any."""
-    evaluator = Evaluator(core, interval, column)
+    ``interval``, with its ``column`` and ``tables``, if any."""
+    evaluator = Evaluator(core, interval, column, tables)
     return {"value": evaluator.value, "value_offset": evaluator}
 
 
@@ -204,9 +209,9 @@ def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
     exactly from the trusted offset. Exact zeros are endpoint evaluations
     and return the one-sided limit (0, the finite value, or inf); a value
     above the largest double is inf. The column reads the logs of both
-    distances from the sample table, in the core's operand order; a table
-    with a distance that is not positive, or a value that overflows, is
-    evaluated by the core, one call a point.
+    distances from the sample table, in the core's operand order; a point
+    with a distance that is not positive is evaluated by the core, and so is
+    every point of a table with a value that overflows.
     """
 
     def core(theta: float, co: float) -> float:
@@ -227,17 +232,18 @@ def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
         except OverflowError:   # above the largest double
             return math.inf
 
-    exp = math.exp
+    exp, isfinite = math.exp, math.isfinite
 
     def column(samples: ChartSamples) -> list[float]:
-        log_los, log_his = samples.log_los, samples.log_his
-        # each finite log lies in [-745, 710], so the sums are finite iff every log is
-        if math.isfinite(sum(log_los) + sum(log_his)):
-            try:
-                return [exp(a_exp * lo + b_exp * hi - log_norm) for lo, hi in zip(log_los, log_his)]
-            except OverflowError:
-                pass
-        return list(map(core, samples.thetas, samples.cos))
+        los, his = samples.log_los, samples.log_his
+        try:
+            # each finite log lies in [-745, 710], so a sum is finite iff every log in it is
+            if isfinite(sum(los) + sum(his)):
+                return [exp(a_exp * lo + b_exp * hi - log_norm) for lo, hi in zip(los, his)]
+            return [exp(a_exp * lo + b_exp * hi - log_norm) if isfinite(lo + hi) else core(t, c)
+                    for lo, hi, t, c in zip(los, his, samples.thetas, samples.cos)]
+        except OverflowError:   # above the largest double
+            return list(map(core, samples.thetas, samples.cos))
 
     return core, column
 
@@ -251,7 +257,7 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
     chart = identity_chart(model)
     core, column = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
     return ChartDensity(model=model, chart=chart, label=f"Beta({params.alpha:g},{params.beta:g})",
-                        **_evaluators(core, chart.domain, column))
+                        **_evaluators(core, chart.domain, column, (model, chart)))
 
 
 def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
@@ -263,7 +269,8 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
     model = bernoulli_model()
     core, column = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
     return IntrinsicDensity(model=model, label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
-                            **_evaluators(core, model.canonical_domain, column))
+                            **_evaluators(core, model.canonical_domain, column,
+                                          (model, identity_chart(model))))
 
 
 def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, float]:
@@ -294,64 +301,68 @@ def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, fl
 
 
 def _per_theta(d: ChartDensity | IntrinsicDensity):
-    """Trusted ``(theta, co)`` core of ``d`` per unit theta: ``p * sqrt(G)``,
-    or ``rho(x(theta)) / |dtheta/dx|`` with the chart map's output checked
-    where it enters the chart's domain; in the identity chart, ``rho``'s core."""
-    model, source = d.model, _core(d)
+    """``(q, column, tables)``: the trusted ``(theta, co)`` core ``q`` of ``d``
+    per unit theta, ``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` with
+    the chart map's output checked where it enters the chart's domain (in the
+    identity chart, ``rho``'s core); ``q``'s column over a table's canonical
+    points; and ``d``'s ``tables`` where that column reads ``d``'s own, else None."""
+    model, source, f, own = d.model, _core(d), d.value_offset, _column(d)
+    tables = f.tables if type(f) is Evaluator and own is f.column else None
     if isinstance(d, IntrinsicDensity):
         def per_theta(theta: float, co: float) -> float:
             return source(theta, co) * math.sqrt(model.fisher_metric_offset(theta, co))
-        return per_theta
+        return per_theta, lambda s: list(map(operator.mul, own(s), s.root_gs)), tables
     chart = d.chart
     if chart is identity_chart(model):
-        return source
+        return source, own, tables
 
     def per_theta(theta: float, co: float) -> float:
         x, xc = chart.from_canonical_offset(theta, co)
         xc = verify_offset(chart.domain, x, xc)
         jacobian = abs(chart.d_canonical_offset(x, xc))
         return source(x, xc) / jacobian if jacobian else math.inf
-    return per_theta
+    return per_theta, lambda s: list(map(per_theta, s.thetas, s.cos)), None
 
 
 def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
     """``d`` as a chart density in ``chart``: ``q(theta(x)) * |dtheta/dx|``
     for its per-theta core ``q``, with the chart map's output checked as it
     enters the canonical domain. In the model's identity chart it is ``q``.
+    Its column over ``chart``'s tables is ``q``'s times their ``|dtheta/dx|``.
     """
-    model, per_theta = d.model, _per_theta(d)
+    model, (per_theta, q_column, tables) = d.model, _per_theta(d)
     if chart is identity_chart(model):
-        core = per_theta
+        core, column = per_theta, q_column
     else:
         def core(x: float, xc: float) -> float:
             theta, co = chart.canonical_offset(x, xc)
             co = verify_offset(model.canonical_domain, theta, co)
             return per_theta(theta, co) * abs(chart.d_canonical_offset(x, xc))
+
+        def column(samples: ChartSamples) -> list[float]:
+            return list(map(operator.mul, q_column(samples), samples.jacobians))
+        tables = tables and (model, chart)
     return ChartDensity(model=model, chart=chart, label=d.label,
-                        **_evaluators(core, chart.domain))
+                        **_evaluators(core, chart.domain, column, tables))
 
 
 def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     """Recover the chart-free density: ``p = rho / sqrt(G_chart)``.
 
     The result is the same whichever chart ``rho`` was expressed in; that is
-    the point of the construction. Of a theta-chart ``rho`` it has a column:
-    ``rho``'s :func:`_column` over the table's ``sqrt(G)``.
+    the point of the construction. Its column is its per-theta column over
+    the table's ``sqrt(G)``.
     """
-    model, per_theta = rho.model, _per_theta(rho)
+    model, (per_theta, q_column, tables) = rho.model, _per_theta(rho)
 
     def core(theta: float, co: float) -> float:
         root_g = math.sqrt(model.fisher_metric_offset(theta, co))
         return per_theta(theta, co) / root_g if root_g else math.inf
 
-    column = None
-    if rho.chart is identity_chart(model):
-        source = _column(rho)
-
-        def column(samples: ChartSamples) -> list[float]:
-            return [q / g if g else math.inf for q, g in zip(source(samples), samples.root_gs)]
+    def column(samples: ChartSamples) -> list[float]:
+        return [q / g if g else math.inf for q, g in zip(q_column(samples), samples.root_gs)]
     return IntrinsicDensity(model=model, label=rho.label,
-                            **_evaluators(core, model.canonical_domain, column))
+                            **_evaluators(core, model.canonical_domain, column, tables))
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
@@ -412,10 +423,10 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
         ps = _column(d)(s)
         qs = list(map(operator.mul, ps, root_gs))
     elif chart is d.chart and chart is not identity:
-        per_theta, rhos = _per_theta(d), list(map(_core(d), s.xs, s.xcs))
+        per_theta, rhos = _per_theta(d)[0], list(map(_core(d), s.xs, s.xcs))
         ps = [per_theta(t, c) / g if g else math.inf for t, c, g in zip(s.thetas, s.cos, root_gs)]
     else:
-        qs = _column(d)(s) if d.chart is identity else list(map(_per_theta(d), s.thetas, s.cos))
+        qs = _per_theta(d)[1](s)
         ps = [q / g if g else math.inf for q, g in zip(qs, root_gs)]
     if rhos is None:
         rhos = qs if chart is identity else list(map(operator.mul, qs, s.jacobians))

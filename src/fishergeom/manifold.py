@@ -429,7 +429,7 @@ def charts_for(model: ManifoldModel) -> dict[str, Chart]:
 
 
 class ChartSamples(NamedTuple):
-    """The columns of a chart's sample table (:func:`_chart_samples`)."""
+    """The columns of a chart's sample table (:func:`_sample_table`)."""
 
     xs: tuple[float, ...]           # the chart points
     xcs: tuple[float, ...]          # and their offsets
@@ -449,26 +449,32 @@ def _log_distance(d: float) -> float:
     return math.log(d) if d > 0.0 else -math.inf
 
 
-# Keyed by model and chart identity: the shipped charts are built once, so
-# only a chart a caller makes anew misses, and the bound keeps such charts
-# from piling up; it holds the mode scan's four search charts and four curves.
-@lru_cache(maxsize=8)
-def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> ChartSamples:
-    """The ``n``-point interior grid of ``chart`` as a :class:`ChartSamples`
-    table, each column computed once: the points of the mode scan and of
-    every sampled curve."""
+def _sample_table(model: ManifoldModel, chart: Chart, xs: tuple, xcs: tuple,
+                  embed: bool = False) -> ChartSamples:
+    """The :class:`ChartSamples` table of the chart points ``xs`` with their
+    offsets ``xcs``, each column computed once; the embedding columns are
+    empty unless ``embed``."""
     dom = model.canonical_domain
-    xs = tuple(interior_grid(chart.domain, n))
-    xcs = tuple(naive_offset(chart.domain, x) for x in xs)
     thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
-    cos = tuple(map(verify_offset, [dom] * n, thetas, cos))
+    cos = tuple(map(verify_offset, [dom] * len(xs), thetas, cos))
     root_gs = tuple(map(math.sqrt, map(model.fisher_metric_offset, thetas, cos)))
     jacobians = tuple(map(abs, map(chart.d_canonical_offset, xs, xcs)))
     points = list(zip(thetas, cos))
     log_los = tuple(_log_distance(co if co > 0 else theta - dom.lo) for theta, co in points)
     log_his = tuple(_log_distance(-co if co < 0 else dom.hi - theta) for theta, co in points)
-    return ChartSamples(xs, xcs, thetas, cos, *zip(*map(model.embedding, thetas)), root_gs,
-                        jacobians, log_los, log_his)
+    exs, eys = zip(*map(model.embedding, thetas)) if embed else ((), ())
+    return ChartSamples(xs, xcs, thetas, cos, exs, eys, root_gs, jacobians, log_los, log_his)
+
+
+# Keyed by model and chart identity: the shipped charts are built once, so
+# only a chart a caller makes anew misses, and the bound keeps such charts
+# from piling up; it holds the mode scan's four search charts and four curves.
+@lru_cache(maxsize=8)
+def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> ChartSamples:
+    """The ``n``-point interior grid of ``chart`` as a :func:`_sample_table`:
+    the points of the mode scan and of every sampled curve."""
+    xs = tuple(interior_grid(chart.domain, n))
+    return _sample_table(model, chart, xs, tuple(naive_offset(chart.domain, x) for x in xs), True)
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:

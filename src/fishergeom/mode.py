@@ -138,13 +138,14 @@ def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None
             if limit > 0.0:
                 boundary.append((theta_b, limit))
 
+    # finiteness is tested last: a nan or inf fails the flat test or that one
     levels = vals + [v for _, v in boundary]
-    if all(map(math.isfinite, levels)):
-        vmax, vmin = max(levels), min(levels)
-        if vmax > 0.0 and vmax - vmin <= _FLAT_REL * max(abs(vmax), 1e-300):
-            # valued from the scan alone: a limit read at a tiny offset
-            # carries more rounding than an interior value
-            return _flat(0.5 * (max(vals) + min(vals)))
+    vmax, vmin = max(levels), min(levels)
+    if (vmax > 0.0 and vmax - vmin <= _FLAT_REL * max(abs(vmax), 1e-300)
+            and all(map(math.isfinite, levels))):
+        # valued from the scan alone: a limit read at a tiny offset
+        # carries more rounding than an interior value
+        return _flat(0.5 * (max(vals) + min(vals)))
 
     # a maximum at an end of the scan is refined up to a finite chart end whose
     # boundary is no candidate (a vanishing boundary can hide a mode past the scan)

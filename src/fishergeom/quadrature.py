@@ -65,6 +65,12 @@ called; any other integrand, a wrapper included, is called as given. A manifold
 integral checks each offset once, where it enters: a sub-region's arc-length
 offset as it enters the chart's domain. The chart map's canonical offsets are
 anchored at the canonical domain's ends, so a density's core trusts them.
+Where that ``Evaluator`` has ``tables`` (a column with no call a point), levels
+to 6 read its column over a cached sample table of each side's nodes in its
+chart, checked once a row when built: ``integrate_chart`` over its chart's
+domain, ``integrate_manifold`` and ``expectation`` over the whole domain (in
+the arc-length chart) for a core on canonical points. ``evaluations`` still
+counts the rows the sweep reads, and ``expectation`` calls ``f`` only there.
 """
 
 from __future__ import annotations
@@ -72,11 +78,12 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .density import ChartDensity, Evaluator, _trusted
-from .manifold import DomainError, Interval, ManifoldModel, chart_canonical_offset
+from .manifold import (Chart, ChartSamples, DomainError, Interval, ManifoldModel, _sample_table,
+                       chart_canonical_offset, identity_chart)
 
 _PI_2 = 0.5 * math.pi
 # |t| beyond which every transform's weight underflows in double precision
@@ -202,7 +209,39 @@ def _table(row, level: int, sign: int) -> tuple[tuple, int]:
     return table
 
 
-def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureResult:
+# Keyed by identity like manifold._chart_samples, and bounded to the tables of four charts.
+@lru_cache(maxsize=4 * 2 * (_TABLE_LEVELS + 1))
+def _side_samples(model: ManifoldModel, chart: Chart, level: int, sign: int) -> ChartSamples:
+    """One side's nodes of one level over ``chart.domain`` as a sample table;
+    a row an offset-aware sweep never evaluates (no node, x not finite, or
+    ``xc == 0``) holds the node at t = 0 instead."""
+    row, w_scale, off_scale, sides = _node_map(chart.domain)
+    anchor, sx, sxc = sides[sign]
+
+    def node(p1, p2, m, div):
+        off = off_scale / m if div else off_scale * m
+        x, xc = anchor + sx * off, sxc * off
+        return (x, xc) if p1 * w_scale * p2 > 0.0 and math.isfinite(x) and xc != 0.0 else None
+
+    centre = node(*row(0.0))
+    xs, xcs = zip(*(node(*r) or centre for r in _table(row, level, sign)[0]))
+    return _sample_table(model, chart, xs, xcs)
+
+
+def _columns(column, model: ManifoldModel, chart: Chart, weight=None):
+    """``columns`` of :func:`_de_integrate`: ``column`` over a side's
+    :func:`_side_samples` table of ``chart``, its value ``v`` at row ``i``
+    read as ``weight(theta, co, v)`` where ``weight`` is given."""
+
+    def side(level: int, sign: int):
+        s = _side_samples(model, chart, level, sign)
+        values = column(s)
+        return values.__getitem__ if weight is None else (
+            lambda i: weight(s.thetas[i], s.cos[i], values[i]))
+    return side
+
+
+def _de_integrate(call, offset_aware: bool, interval: Interval, columns=None) -> QuadratureResult:
     """Trapezoid sums of the transformed integrand with step halving.
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
@@ -219,7 +258,9 @@ def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureRes
     level 2 on, a side whose tail grows (its last finite term exceeds
     ``term_tol`` and the finite term before it) ends the integration
     unconverged before the other side is swept, and so does no finite term
-    yet after both sides (see the module docstring).
+    yet after both sides (see the module docstring). Up to ``_TABLE_LEVELS``,
+    ``columns(level, sign)(i)``, where given, is read in place of ``call`` at
+    row ``i``: what ``call`` returns at that row's node.
     """
     row, w_scale, off_scale, sides = _node_map(interval)
     lo, hi = interval.lo, interval.hi
@@ -234,6 +275,7 @@ def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureRes
         for sign in (+1, -1):
             anchor, sx, sxc = sides[sign]
             rows, trunc_from = _table(row, level, sign)
+            read = columns(level, sign) if columns and level <= _TABLE_LEVELS else None
             total = 0.0
             small = 0
             last = prev = math.inf
@@ -246,7 +288,7 @@ def _de_integrate(call, offset_aware: bool, interval: Interval) -> QuadratureRes
                     xc = sxc * off
                     if isfinite(x) and (xc != 0.0 if offset_aware else lo < x < hi):
                         try:
-                            v = call(x, xc)
+                            v = read(i) if read else call(x, xc)
                         except (OverflowError, ZeroDivisionError):
                             v = math.inf
                         evaluations += 1
@@ -287,7 +329,9 @@ def integrate_chart(f: Callable, interval: Interval) -> QuadratureResult:
     ``converged=False``.
     """
     if wants_offset(f):
-        return _de_integrate(_trusted(f, interval), True, interval)
+        core = _trusted(f, interval)
+        columns = _columns(f.column, *f.tables) if core is not f and f.tables else None
+        return _de_integrate(core, True, interval, columns)
     return _de_integrate(lambda x, xc: f(x), False, interval)
 
 
@@ -314,8 +358,9 @@ def _interior(f: Callable[[float], float], model: ManifoldModel) -> Callable:
 
 
 def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel,
-                        region: Interval | None = None) -> QuadratureResult:
-    """:func:`integrate_manifold` of an offset-aware ``f(theta, co)``."""
+                        region: Interval | None = None, weight=None) -> QuadratureResult:
+    """:func:`integrate_manifold` of an offset-aware ``f(theta, co)``, or of
+    ``weight(theta, co, f(theta, co))`` where ``weight`` is given."""
     domain = model.canonical_domain
     if region is None:
         region = domain
@@ -333,14 +378,21 @@ def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel
     # at an interior region boundary fail the chart's check and fall back
     # to naive ones, which are well conditioned there. Either way the map's
     # canonical offsets are anchored at the canonical domain's ends.
-    f = _trusted(f, domain)
+    core = _trusted(f, domain)
     to_canonical = (s_chart.canonical_offset if region == domain
                     else partial(chart_canonical_offset, s_chart))
 
     def g(s: float, sc: float) -> float:
-        return f(*to_canonical(s, sc))
+        if weight is None:
+            return core(*to_canonical(s, sc))
+        theta, co = to_canonical(s, sc)
+        return weight(theta, co, core(theta, co))
 
-    return _de_integrate(g, True, s_interval)
+    # over the whole domain, the column of a core on canonical points
+    columns = None
+    if core is not f and f.tables == (model, identity_chart(model)) and s_interval == s_chart.domain:
+        columns = _columns(f.column, model, s_chart, weight)
+    return _de_integrate(g, True, s_interval, columns)
 
 
 def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
@@ -354,17 +406,14 @@ def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
     is skipped as if its value were not finite. A value-only density, like a
     plain integrand of :func:`integrate_manifold`, sees only the open interior.
     """
-    density = _trusted(p.value_offset, p.model.canonical_domain)
-    if density is p.value_offset and not wants_offset(density):
+    density = p.value_offset
+    if type(density) is not Evaluator and not wants_offset(density):
         density = _interior(density, p.model)
 
-    def integrand(theta: float, co: float) -> float:
-        v = density(theta, co)
-        if co == 0.0:
-            return math.nan
-        return f(theta) * v
+    def weight(theta: float, co: float, v: float) -> float:
+        return math.nan if co == 0.0 else f(theta) * v
 
-    return _integrate_manifold(integrand, p.model)
+    return _integrate_manifold(density, p.model, None, weight)
 
 
 def interval_probability(p, region: Interval) -> QuadratureResult:

@@ -528,7 +528,11 @@ class TestColumn:
         samples = _chart_samples(BERNOULLI, CHARTS[name], n)
         for a, b in self.SHAPES:
             for kind, d in self.densities(a, b).items():
-                assert (d.value_offset.column is None) == kind.startswith("pushed"), kind
+                # each carries a column; a pushed one's reads its own chart's tables, so
+                # _column reads it through _canonical, one call a point
+                pushed, f = kind.startswith("pushed"), d.value_offset
+                assert f.tables == (BERNOULLI, d.chart if pushed else CHARTS["theta"]), kind
+                assert (_column(d) is f.column) != pushed, kind
                 self.assert_column_is_core(d, samples)
 
     @staticmethod
@@ -579,3 +583,26 @@ class TestColumn:
             calls.clear()
             self.assert_column_is_core(d, samples)
             assert len(calls) == 2 * 257    # the column's and the reference's
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_de_side_tables(self, name):
+        """Every column a whole-domain integral reads over ``name``'s DE side
+        tables, levels 0 to 6 and both sides, is its core at each row: at the
+        canonical points for a column on them, else at the chart's points."""
+        chart, theta = CHARTS[name], CHARTS["theta"]
+        tables = [quadrature._side_samples(BERNOULLI, chart, level, sign)
+                  for level in range(quadrature._TABLE_LEVELS + 1) for sign in (1, -1)]
+        for a, b in self.SHAPES:
+            p = beta_intrinsic_density(BetaParams(a, b))
+            densities = {**self.densities(a, b), "from intrinsic": chart_from_intrinsic(p, chart),
+                         "theta from intrinsic": chart_from_intrinsic(p, theta)}
+            read = 0
+            for kind, d in densities.items():
+                f = d.value_offset
+                if f.tables not in ((BERNOULLI, chart), (BERNOULLI, theta)):
+                    continue
+                read += 1
+                for s in tables:
+                    points = (s.thetas, s.cos) if f.tables[1] is theta else (s.xs, s.xcs)
+                    assert repr(f.column(s)) == repr(list(map(f.core, *points))), (kind, a, b)
+            assert read == (5 if chart is theta else 6)

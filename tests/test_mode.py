@@ -8,6 +8,7 @@ import pytest
 from fishergeom import (
     BetaParams,
     ChartModelMismatchError,
+    IntrinsicDensity,
     beta_chart_density,
     beta_mode_analytic,
     bernoulli_model,
@@ -338,6 +339,18 @@ class TestUnderflowedScan:
     def test_mapi_in_theta_is_not_flat(self):
         with pytest.raises(ArithmeticError, match="underflowed to 0"):
             mapi_estimate(intrinsic(1e9, 1e9), CHARTS["theta"])
+
+
+class TestFlatScanWithAnInfiniteValue:
+    def test_one_infinite_scan_value_is_not_flat(self):
+        # every other level is equal, so only the finiteness test rules flat out
+        scan = manifold._chart_samples(BERNOULLI, BERNOULLI.arclength, mode._SCAN_POINTS)
+        spike = scan.thetas[500]
+        p = IntrinsicDensity(BERNOULLI, lambda t: math.inf if t == spike else 1.0, "spike")
+        r = mapi_estimate(p, CHARTS["theta"])
+        assert not r.flat
+        assert (r.density_value, r.at_boundary) == (1.0, True)
+        assert spike not in r.all_modes
 
 
 class TestChartOfAnotherModel:

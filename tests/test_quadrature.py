@@ -510,6 +510,15 @@ class TestTrustBoundary:
             assert verify_calls[0] == per_evaluation * evaluations[0]
 
     def test_whole_domain_integrals_make_no_checks(self, verify_calls):
+        # a cold DE side table checks each of its canonical offsets once, when built
+        quadrature._side_samples.cache_clear()
+        for chart in (CHARTS["theta"], CHARTS["arclength"]):
+            for level in range(quadrature._TABLE_LEVELS + 1):
+                for sign in (1, -1):
+                    verify_calls[0] = 0
+                    rows = len(quadrature._side_samples(BERNOULLI, chart, level, sign).xs)
+                    assert verify_calls[0] == rows
+        verify_calls[0] = 0
         params = BetaParams(1.05, 2.05)
         rho = beta_chart_density(params)
         p = beta_intrinsic_density(params)
@@ -802,3 +811,74 @@ class TestNodeTables:
         assert not any(thread.is_alive() for thread in threads)
         assert got == [want] * 8
         assert quadrature._TABLES == want_tables
+
+
+def side_reads(integral):
+    """``integral()`` and how many DE side tables it read."""
+    before = quadrature._side_samples.cache_info()
+    res = integral()
+    after = quadrature._side_samples.cache_info()
+    return res, after.hits + after.misses - before.hits - before.misses
+
+
+class TestColumnSweep:
+    """A whole-domain integral of a density with a column reads that column
+    over cached DE side tables, to the per-node path's result bit for bit."""
+
+    SHAPES = [(0.5, 0.5), (1.05, 2.05), (2.3, 4.1), (0.1, 20.0), (30.0, 1e-3), (1e-3, 1e-3)]
+
+    @staticmethod
+    def per_node(d):
+        """``d`` with its ``value_offset`` wrapped in a plain function."""
+        f = d.value_offset
+        return dataclasses.replace(d, value_offset=lambda x, xc: f(x, xc))
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_side_tables_hold_the_sweep_nodes(self, name):
+        # a row the sweep evaluates holds its node; any other an interior point
+        domain = CHARTS[name].domain
+        ref = reference_node_map(domain)
+        for level in range(quadrature._TABLE_LEVELS + 1):
+            for sign in (+1, -1):
+                s = quadrature._side_samples(BERNOULLI, CHARTS[name], level, sign)
+                ks = side_ks(level, sign)
+                assert len(s.xs) == len(ks)
+                for k, x, xc in zip(ks, s.xs, s.xcs):
+                    node = ref(sign * k * 0.5 ** level)
+                    if (node is not None and node[2] > 0.0 and math.isfinite(node[0])
+                            and node[1] != 0.0):
+                        assert bits(x, xc) == bits(*node[:2])
+                    else:
+                        assert domain.contains_interior(x)
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_results_are_the_per_node_paths(self, a, b):
+        rho = beta_chart_density(BetaParams(a, b))
+        p = beta_intrinsic_density(BetaParams(a, b))
+        for chart in CHARTS.values():
+            for d in (pushforward(rho, chart), chart_from_intrinsic(p, chart)):
+                res, reads = side_reads(lambda: integrate_chart(d.value_offset, chart.domain))
+                assert reads > 0
+                want = integrate_chart(self.per_node(d).value_offset, chart.domain)
+                assert repr(res) == repr(want)
+        for d in (p, intrinsic_from_chart(rho)):
+            slow = self.per_node(d)
+            integrals = [lambda d: integrate_manifold(d.value_offset, d.model)]
+            integrals += [lambda d, k=k: expectation(d, lambda t: t ** k) for k in (1, 2, -1)]
+            for integral in integrals:
+                res, reads = side_reads(lambda: integral(d))
+                assert reads > 0
+                assert repr(res) == repr(integral(slow))
+
+    @pytest.mark.parametrize("a,b,k", [(2.3, 4.1, 1), (0.5, 0.5, -1)])
+    def test_expectation_calls_f_at_the_same_thetas(self, a, b, k):
+        # E[theta], and E[1/theta], which diverges under Beta(0.5, 0.5)
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))
+        seen, results = [], []
+        for d in (p, self.per_node(p)):
+            thetas = []
+            results.append(repr(expectation(d, lambda t: thetas.append(t) or t ** k)))
+            seen.append(bits(*thetas))
+        assert seen[0] == seen[1]
+        assert results[0] == results[1]
+        assert ("converged=False" in results[0]) == (k < 0)
