@@ -8,97 +8,47 @@ distance, expectations, interval probabilities, and the invariant analogue
 of the maximum a posteriori point estimate.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .density import (
-    BetaParams,
-    ChartDensity,
-    ChartModelMismatchError,
-    CurveRow,
-    DensityCurve,
-    IntrinsicDensity,
-    beta_chart_density,
-    beta_intrinsic_density,
-    chart_from_intrinsic,
-    intrinsic_from_chart,
-    pushforward,
-    sample_curve,
-)
-from .manifold import (
-    Chart,
-    DomainError,
-    Interval,
-    ManifoldModel,
-    arclength_chart,
-    arcsin_chart,
-    bernoulli_model,
-    charts_for,
-    exponential_model,
-    fisher_rao_distance,
-    get_chart,
-    get_model,
-    identity_chart,
-    interior_grid,
-    metric_in_chart,
-    poisson_model,
-    reciprocal_chart,
-)
-from .mode import ModeResult, beta_mode_analytic, map_estimate, mapi_estimate
-from .quadrature import (
-    NonFiniteVolumeError,
-    QuadratureConvergenceError,
-    QuadratureResult,
-    expectation,
-    integrate_chart,
-    integrate_manifold,
-    interval_probability,
-    normalization_check,
-    volume,
-    volume_result,
-)
+# Each public name and the module it lives in. A module is imported when one
+# of its names is first read (PEP 562), so ``import fishergeom.cli`` loads
+# only what the command line needs up front.
+_MODULES = {
+    **dict.fromkeys((
+        "BetaParams", "ChartDensity", "ChartModelMismatchError", "CurveRow",
+        "DensityCurve", "IntrinsicDensity", "beta_chart_density",
+        "beta_intrinsic_density", "chart_from_intrinsic", "intrinsic_from_chart",
+        "pushforward", "sample_curve",
+    ), "density"),
+    **dict.fromkeys((
+        "Chart", "DomainError", "Interval", "ManifoldModel", "arclength_chart",
+        "arcsin_chart", "bernoulli_model", "charts_for", "exponential_model",
+        "fisher_rao_distance", "get_chart", "get_model", "identity_chart",
+        "interior_grid", "metric_in_chart", "poisson_model", "reciprocal_chart",
+    ), "manifold"),
+    **dict.fromkeys((
+        "ModeResult", "beta_mode_analytic", "map_estimate", "mapi_estimate",
+    ), "mode"),
+    **dict.fromkeys((
+        "NonFiniteVolumeError", "QuadratureConvergenceError", "QuadratureResult",
+        "expectation", "integrate_chart", "integrate_manifold", "interval_probability",
+        "normalization_check", "volume", "volume_result",
+    ), "quadrature"),
+}
 
-__all__ = [
-    "BetaParams",
-    "Chart",
-    "ChartDensity",
-    "ChartModelMismatchError",
-    "CurveRow",
-    "DensityCurve",
-    "DomainError",
-    "Interval",
-    "IntrinsicDensity",
-    "ManifoldModel",
-    "ModeResult",
-    "NonFiniteVolumeError",
-    "QuadratureConvergenceError",
-    "QuadratureResult",
-    "arclength_chart",
-    "arcsin_chart",
-    "beta_chart_density",
-    "beta_intrinsic_density",
-    "beta_mode_analytic",
-    "bernoulli_model",
-    "chart_from_intrinsic",
-    "charts_for",
-    "expectation",
-    "exponential_model",
-    "fisher_rao_distance",
-    "get_chart",
-    "get_model",
-    "identity_chart",
-    "integrate_chart",
-    "integrate_manifold",
-    "interior_grid",
-    "interval_probability",
-    "intrinsic_from_chart",
-    "map_estimate",
-    "mapi_estimate",
-    "metric_in_chart",
-    "normalization_check",
-    "poisson_model",
-    "pushforward",
-    "reciprocal_chart",
-    "sample_curve",
-    "volume",
-    "volume_result",
-]
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES})

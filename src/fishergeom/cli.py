@@ -8,12 +8,12 @@ for a fixed request apart from the version header.
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature or
 optimizer, with the achieved error estimate on stderr, or any other
 arithmetic error), 2 usage error, an unwritable ``--output`` included
-(nothing is written).
+(nothing is written). ``argparse`` and the ``mode`` and ``quadrature``
+modules are imported where a call first needs them, not with this module.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -21,14 +21,15 @@ import re
 import sys
 from functools import cache, lru_cache
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .density import (BetaParams, CurveRow, DensityCurve, beta_chart_density,
                       intrinsic_from_chart, pushforward, sample_curve)
 from .manifold import Interval, _chart_samples, fisher_rao_distance, get_chart, get_model
-from .mode import map_estimate, mapi_estimate
-from .quadrature import (NonFiniteVolumeError, _require_converged, expectation,
-                         interval_probability, volume_result)
+
+if TYPE_CHECKING:
+    import argparse
 
 _FORMATS = ("csv", "json", "svg")
 _CURVES = ("density", "embed")
@@ -310,6 +311,7 @@ def run(req: argparse.Namespace) -> int:
             rho = beta_chart_density(_require_beta(req, 0.5 if req.subcommand == "embed" else None))
 
         if req.subcommand == "volume":
+            from .quadrature import NonFiniteVolumeError, _require_converged, volume_result
             res = _require_converged(volume_result(model), f"volume integral for '{model.name}'",
                                      NonFiniteVolumeError)
             _emit_scalar(req, {"value": res.value}, res.error_estimate)
@@ -326,6 +328,7 @@ def run(req: argparse.Namespace) -> int:
             _emit_curve(req, sample_curve(d, chart, req.samples), model, chart)
 
         elif req.subcommand == "mode":
+            from .mode import map_estimate, mapi_estimate
             chart = get_chart(model, req.chart)
             if req.kind == "map":
                 r = map_estimate(pushforward(rho, chart))
@@ -334,6 +337,7 @@ def run(req: argparse.Namespace) -> int:
             _emit_scalar(req, dataclasses.asdict(r), None)
 
         elif req.subcommand == "expect":
+            from .quadrature import _require_converged, expectation
             k = req.power
             res = _require_converged(expectation(intrinsic_from_chart(rho), lambda t: t ** k),
                                      "expectation")
@@ -342,6 +346,7 @@ def run(req: argparse.Namespace) -> int:
         elif req.subcommand == "prob":
             if req.lo is None or req.hi is None:
                 raise UsageError("'prob' requires --from and --to (canonical coordinates)")
+            from .quadrature import _require_converged, interval_probability
             res = _require_converged(
                 interval_probability(intrinsic_from_chart(rho), Interval(req.lo, req.hi)),
                 "interval probability")
@@ -359,6 +364,8 @@ def run(req: argparse.Namespace) -> int:
 
 @cache     # parse_args fills a new Namespace on every call
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fishergeom",
         description="Chart and intrinsic densities over one-parameter statistical manifolds.",

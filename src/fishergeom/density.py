@@ -24,13 +24,17 @@ Two rules read a density at canonical points, for mode searches and curves:
 with ``chart.from_canonical_offset`` for a chart density in a chart other
 than theta; and :func:`_column` over a whole sample table
 (``manifold._chart_samples``), an ``Evaluator``'s ``column`` (bit for bit
-its core over the table's canonical points) where that core is what
-:func:`_canonical` reads, else :func:`_canonical` once a point. The Beta
-columns read the table's cached logs of each point's distances to both
-ends. A conversion's column is its source's per-theta column over the
-table's ``sqrt(G)`` (``intrinsic_from_chart``) or times its ``|dtheta/dx|``
-(a chart view, which reads its own chart's tables); whole-domain integrals
-read it over tables of the quadrature nodes where it makes no call a point.
+its core over a table of its chart's points). That column reads the table
+itself where its core is what :func:`_canonical` reads, and for a chart
+density whose ``tables`` name its own chart, the table's image in that chart
+(:func:`_images`, the chart's points at the table's canonical points, built
+once), which is :func:`_canonical`'s round trip bit for bit; else
+:func:`_canonical` is called once a point. The Beta columns read the
+table's cached logs of each point's distances to both ends. A conversion's
+column is its source's per-theta column over the table's ``sqrt(G)``
+(``intrinsic_from_chart``) or times its ``|dtheta/dx|`` (a chart view,
+which reads its own chart's tables); whole-domain integrals read it over
+tables of the quadrature nodes where it makes no call a point.
 
 Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
@@ -51,6 +55,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -63,6 +68,7 @@ from .manifold import (
     ManifoldModel,
     _chart_samples,
     _require_model,
+    _sample_table,
     bernoulli_model,
     identity_chart,
     naive_offset,
@@ -150,12 +156,49 @@ def _canonical(d):
 def _column(d):
     """The one rule for reading ``d`` over a whole sample table: its
     ``Evaluator``'s ``column`` where one is set and :func:`_canonical` reads
-    that ``Evaluator``'s core, else :func:`_canonical` mapped over the table's
-    canonical points, one call a point."""
+    that ``Evaluator``'s core; for a chart density whose ``tables`` name its
+    own (non-identity) chart, that column over the table's :func:`_images`
+    (``_canonical``'s round trip); else :func:`_canonical` mapped over the
+    table's canonical points, one call a point."""
     f, read = d.value_offset, _canonical(d)
-    if type(f) is Evaluator and f.column is not None and read is f.core:
-        return f.column
+    if type(f) is Evaluator and f.column is not None:
+        if read is f.core:
+            return f.column
+        if f.tables == (d.model, d.chart):
+            return lambda samples: f.column(_images(_Same(samples), *f.tables)[0])
     return lambda samples: list(map(read, samples.thetas, samples.cos))
+
+
+class _Same:
+    """A cache key that hashes and compares by the identity of ``obj``."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return self.obj is other.obj
+
+
+# Keyed by identity like manifold._chart_samples; the bound holds the images of
+# the mode scan's four tables in each of the three shipped charts but theta.
+@lru_cache(maxsize=12)
+def _images(key: _Same, model: ManifoldModel, chart: Chart) -> tuple[ChartSamples, ChartSamples]:
+    """Image tables of ``key.obj``'s canonical points in ``chart``: its points
+    ``chart.from_canonical_offset(theta, co)``, with their offsets as given
+    and checked in ``chart.domain``; one object where the check returns every
+    offset itself."""
+    samples = key.obj
+    xs, xcs = zip(*map(chart.from_canonical_offset, samples.thetas, samples.cos))
+    checked = tuple(map(verify_offset, repeat(chart.domain), xs, xcs))
+    image = _sample_table(model, chart, xs, xcs)
+    if all(map(operator.is_, checked, xcs)):
+        return image, image
+    return image, _sample_table(model, chart, xs, checked)
 
 
 def _evaluators(core, interval: Interval, column=None, tables=None) -> dict:
@@ -300,12 +343,21 @@ def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, fl
     return exponent, math.inf if exponent < 0.0 else 0.0
 
 
+def _quotients(qs: list[float], divisors: tuple[float, ...]) -> list[float]:
+    """``q / g`` a row, inf where ``g`` is 0."""
+    if 0.0 not in divisors:
+        return list(map(operator.truediv, qs, divisors))
+    return [q / g if g else math.inf for q, g in zip(qs, divisors)]
+
+
 def _per_theta(d: ChartDensity | IntrinsicDensity):
     """``(q, column, tables)``: the trusted ``(theta, co)`` core ``q`` of ``d``
     per unit theta, ``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` with
     the chart map's output checked where it enters the chart's domain (in the
     identity chart, ``rho``'s core); ``q``'s column over a table's canonical
-    points; and ``d``'s ``tables`` where that column reads ``d``'s own, else None."""
+    points (in another chart, ``d``'s own column over the table's checked
+    image over its ``|dtheta/dx|``, where ``d`` has one); and ``d``'s
+    ``tables`` where that column reads ``d``'s own over the table itself, else None."""
     model, source, f, own = d.model, _core(d), d.value_offset, _column(d)
     tables = f.tables if type(f) is Evaluator and own is f.column else None
     if isinstance(d, IntrinsicDensity):
@@ -321,7 +373,13 @@ def _per_theta(d: ChartDensity | IntrinsicDensity):
         xc = verify_offset(chart.domain, x, xc)
         jacobian = abs(chart.d_canonical_offset(x, xc))
         return source(x, xc) / jacobian if jacobian else math.inf
-    return per_theta, lambda s: list(map(per_theta, s.thetas, s.cos)), None
+    if type(f) is not Evaluator or f.tables != (model, chart):
+        return per_theta, lambda s: list(map(per_theta, s.thetas, s.cos)), None
+
+    def column(s: ChartSamples) -> list[float]:
+        image = _images(_Same(s), model, chart)[1]
+        return _quotients(f.column(image), image.jacobians)
+    return per_theta, column, None
 
 
 def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
@@ -360,7 +418,7 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
         return per_theta(theta, co) / root_g if root_g else math.inf
 
     def column(samples: ChartSamples) -> list[float]:
-        return [q / g if g else math.inf for q, g in zip(q_column(samples), samples.root_gs)]
+        return _quotients(q_column(samples), samples.root_gs)
     return IntrinsicDensity(model=model, label=rho.label,
                             **_evaluators(core, model.canonical_domain, column, tables))
 
@@ -411,25 +469,28 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     values. One evaluation of ``d`` a row gives its per-theta value ``q``:
     ``rho = q * |dtheta/dx|`` (``q`` in the identity chart) and ``p = q /
     sqrt(G)`` (inf where ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p *
-    sqrt(G)``. An intrinsic or theta-chart density is read by :func:`_column`.
-    In its own non-identity chart a chart density gives ``rho`` from its core,
-    and ``q`` where ``sqrt(G)`` is not 0.
+    sqrt(G)``. An intrinsic density is read by :func:`_column`, a chart density
+    by its per-theta column; in its own non-identity chart it gives ``rho``
+    from its own column (or its core, one call a row).
     """
     model = d.model
     _require_model(chart, model)
     s = _chart_samples(model, chart, n)
-    identity, root_gs, rhos = identity_chart(model), s.root_gs, None
+    f = d.value_offset
     if isinstance(d, IntrinsicDensity):
         ps = _column(d)(s)
-        qs = list(map(operator.mul, ps, root_gs))
-    elif chart is d.chart and chart is not identity:
-        per_theta, rhos = _per_theta(d)[0], list(map(_core(d), s.xs, s.xcs))
-        ps = [per_theta(t, c) / g if g else math.inf for t, c, g in zip(s.thetas, s.cos, root_gs)]
+        qs = list(map(operator.mul, ps, s.root_gs))
     else:
         qs = _per_theta(d)[1](s)
-        ps = [q / g if g else math.inf for q, g in zip(qs, root_gs)]
-    if rhos is None:
-        rhos = qs if chart is identity else list(map(operator.mul, qs, s.jacobians))
+        ps = _quotients(qs, s.root_gs)
+    if chart is identity_chart(model):
+        rhos = qs
+    elif chart is not getattr(d, "chart", None):
+        rhos = list(map(operator.mul, qs, s.jacobians))
+    elif type(f) is Evaluator and f.tables == (model, chart):
+        rhos = f.column(s)
+    else:
+        rhos = list(map(_core(d), s.xs, s.xcs))
     rows = map(tuple.__new__, repeat(CurveRow), zip(s.xs, s.thetas, rhos, ps, s.exs, s.eys))
     return DensityCurve(model_name=model.name, chart_name=chart.name, label=d.label,
                         samples=n, rows=tuple(rows))

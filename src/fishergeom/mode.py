@@ -78,6 +78,17 @@ def _flat(value: float) -> ModeResult:
     return ModeResult(math.nan, math.nan, value, False, (), flat=True)
 
 
+def _is_flat(levels: list[float]) -> bool:
+    """Whether ``levels`` are positive, finite and within ``_FLAT_REL`` of their
+    maximum: one ``max``, and a full ``min`` only where the first and the last
+    level already fit that window. Finiteness is tested last: a nan or inf
+    fails the window or that test."""
+    top = max(levels)
+    window = _FLAT_REL * max(abs(top), 1e-300)
+    return (top > 0.0 and top - levels[0] <= window and top - levels[-1] <= window
+            and top - min(levels) <= window and all(map(math.isfinite, levels)))
+
+
 def _golden_max(f, a: float, b: float, tol: float) -> float:
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
@@ -138,11 +149,7 @@ def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None
             if limit > 0.0:
                 boundary.append((theta_b, limit))
 
-    # finiteness is tested last: a nan or inf fails the flat test or that one
-    levels = vals + [v for _, v in boundary]
-    vmax, vmin = max(levels), min(levels)
-    if (vmax > 0.0 and vmax - vmin <= _FLAT_REL * max(abs(vmax), 1e-300)
-            and all(map(math.isfinite, levels))):
+    if _is_flat(vals + [v for _, v in boundary]):
         # valued from the scan alone: a limit read at a tiny offset
         # carries more rounding than an interior value
         return _flat(0.5 * (max(vals) + min(vals)))

@@ -374,10 +374,14 @@ def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel
     s_interval = Interval(s_lo, s_hi)
     s_chart = model.arclength
 
-    # Over the whole domain no check can change an offset. Offsets anchored
-    # at an interior region boundary fail the chart's check and fall back
-    # to naive ones, which are well conditioned there. Either way the map's
-    # canonical offsets are anchored at the canonical domain's ends.
+    # Over the whole domain the map's offsets go unchecked. On the coin family
+    # no check changes one; on the Poisson family one would past s ~ 2.6e154,
+    # where the map returns (inf, inf) and a side table's checked offset is
+    # nan, but no rate-family density carries ``tables``, so no column is read
+    # there. Offsets anchored at an interior region boundary fail the chart's
+    # check and fall back to naive ones, which are well conditioned there.
+    # Either way the map's canonical offsets are anchored at the canonical
+    # domain's ends.
     core = _trusted(f, domain)
     to_canonical = (s_chart.canonical_offset if region == domain
                     else partial(chart_canonical_offset, s_chart))

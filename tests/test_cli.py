@@ -23,7 +23,7 @@ from fishergeom import (
     get_model,
     sample_curve,
 )
-from fishergeom import cli
+from fishergeom import cli, quadrature
 from fishergeom.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -247,13 +247,13 @@ class TestSvgOutput:
         assert err.startswith("error: SVG output is only available for curve subcommands")
 
     def test_svg_rejected_before_the_mode_search(self, monkeypatch, capsys):
-        import fishergeom.cli as cli
+        import fishergeom.mode as mode
 
         def searched(*args, **kwargs):
             raise AssertionError("the mode search ran")
 
-        monkeypatch.setattr(cli, "map_estimate", searched)
-        monkeypatch.setattr(cli, "mapi_estimate", searched)
+        monkeypatch.setattr(mode, "map_estimate", searched)
+        monkeypatch.setattr(mode, "mapi_estimate", searched)
         for kind in ("map", "mapi"):
             rc = main(["mode", "--alpha", "2", "--beta", "3", "--kind", kind, "--format", "svg"])
             out, err = capsys.readouterr()
@@ -374,7 +374,7 @@ class TestExitCodes:
         def unconverged(*args, **kwargs):
             return QuadratureResult(0.25, 1e-3, False, 45)
 
-        monkeypatch.setattr(cli, "interval_probability", unconverged)
+        monkeypatch.setattr(quadrature, "interval_probability", unconverged)
         assert main(["prob", "--alpha", "2", "--beta", "2", "--from", "0", "--to", "0.5"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -382,12 +382,12 @@ class TestExitCodes:
                        "(best estimate 0.25, error estimate 0.001)\n")
 
     def test_mode_search_failure_is_numerical_failure(self, monkeypatch, capsys):
-        import fishergeom.cli as cli
+        import fishergeom.mode as mode
 
         def no_values(*args, **kwargs):
             raise ArithmeticError("mode search found no usable density values on the scan grid")
 
-        monkeypatch.setattr(cli, "mapi_estimate", no_values)
+        monkeypatch.setattr(mode, "mapi_estimate", no_values)
         assert main(["mode", "--alpha", "2", "--beta", "2"]) == 1
         assert capsys.readouterr().err.startswith("numerical failure: mode search")
 
@@ -662,3 +662,35 @@ class TestParserBuiltOnce:
         argv = ["density", "--alpha", "2", "--beta", "3", "--samples", "3"]
         rc = main(argv)
         assert (rc, *capsys.readouterr()) == fresh_process(argv)
+
+
+class TestLazyImports:
+    @staticmethod
+    def fresh_python(code: str) -> str:
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        return proc.stdout
+
+    def test_cli_import_loads_no_search_quadrature_or_parser(self):
+        # each is imported by the subcommand (or the parse) that needs it
+        out = self.fresh_python(
+            "import sys, fishergeom.cli\n"
+            "print([m for m in ('fishergeom.mode', 'fishergeom.quadrature', 'argparse')"
+            " if m in sys.modules])")
+        assert out == "[]\n"
+
+    def test_every_public_name_resolves(self):
+        # each name is its module's object, star-imports, and is listed by dir()
+        out = self.fresh_python(
+            "import importlib, fishergeom\n"
+            "from fishergeom import *\n"
+            "names = fishergeom.__all__\n"
+            "print(len(names), [n for n in names if n not in dir(fishergeom) or globals()[n]"
+            " is not getattr(importlib.import_module('fishergeom.' + fishergeom._MODULES[n]), n)])\n"
+            "try:\n"
+            "    fishergeom.no_such_name\n"
+            "except AttributeError as e:\n"
+            "    print(e)")
+        assert out == "43 []\nmodule 'fishergeom' has no attribute 'no_such_name'\n"

@@ -34,7 +34,9 @@ from fishergeom import (
     pushforward,
 )
 from fishergeom import mode, quadrature
-from fishergeom.density import IntrinsicDensity, _canonical, _column, _core, endpoint_behaviour
+from fishergeom import density
+from fishergeom.density import (IntrinsicDensity, _canonical, _column, _core, _images,
+                                _per_theta, _Same, endpoint_behaviour)
 from fishergeom.manifold import _chart_samples, interior_grid
 
 BERNOULLI = bernoulli_model()
@@ -529,7 +531,7 @@ class TestColumn:
         for a, b in self.SHAPES:
             for kind, d in self.densities(a, b).items():
                 # each carries a column; a pushed one's reads its own chart's tables, so
-                # _column reads it through _canonical, one call a point
+                # _column reads it over the table's image in that chart
                 pushed, f = kind.startswith("pushed"), d.value_offset
                 assert f.tables == (BERNOULLI, d.chart if pushed else CHARTS["theta"]), kind
                 assert (_column(d) is f.column) != pushed, kind
@@ -606,3 +608,77 @@ class TestColumn:
                     points = (s.thetas, s.cos) if f.tables[1] is theta else (s.xs, s.xcs)
                     assert repr(f.column(s)) == repr(list(map(f.core, *points))), (kind, a, b)
             assert read == (5 if chart is theta else 6)
+
+    @staticmethod
+    def converted(a, b):
+        """The chart densities in each chart but theta that read image tables:
+        ``rho`` pushed there and the intrinsic density expressed there."""
+        rho, p = beta_chart_density(BetaParams(a, b)), beta_intrinsic_density(BetaParams(a, b))
+        return {f"{kind} {name}": convert(chart)
+                for name, chart in CHARTS.items() if name != "theta"
+                for kind, convert in (("pushed to", lambda c: pushforward(rho, c)),
+                                      ("from intrinsic to", lambda c: chart_from_intrinsic(p, c)))}
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    @pytest.mark.parametrize("n", [257, 1001, 1024])
+    def test_image_tables(self, name, n):
+        """A chart density in its own chart but theta is read over image
+        tables: its column, its per-theta column and its intrinsic density's
+        column are each bit for bit the one-call-a-point reads."""
+        samples = _chart_samples(BERNOULLI, CHARTS[name], n)
+        for a, b in self.SHAPES:
+            for kind, d in self.converted(a, b).items():
+                assert d.value_offset.tables == (BERNOULLI, d.chart), kind
+                self.assert_column_is_core(d, samples)
+                q, q_column, tables = _per_theta(d)
+                assert tables is None, kind
+                assert repr(q_column(samples)) == repr(list(map(q, samples.thetas, samples.cos)))
+                self.assert_column_is_core(intrinsic_from_chart(d), samples)
+
+    def test_one_image_table_a_scan_table_and_chart(self, monkeypatch):
+        """Each image table is built once per (scan table, chart), by
+        ``_sample_table``; one serves both reads where checking the chart
+        offsets moves none, as on every shipped table; the cache is bounded."""
+        built = []
+        sample_table = density._sample_table
+        monkeypatch.setattr(density, "_sample_table",
+                            lambda model, chart, *a: built.append(chart) or sample_table(model, chart, *a))
+        _images.cache_clear()
+        scans = [_chart_samples(BERNOULLI, chart, 1024) for chart in CHARTS.values()]
+        for a, b in self.SHAPES:
+            for d in self.converted(a, b).values():
+                for s in scans:
+                    _column(d)(s)
+                    _per_theta(d)[1](s)
+                    _column(intrinsic_from_chart(d))(s)
+        assert sorted(map(id, built)) == sorted(id(c) for c in CHARTS.values()
+                                                if c.name != "theta" for _ in scans)
+        for s in scans:
+            for name in ("arclength", "arcsin", "reciprocal"):
+                unchecked, checked = _images(_Same(s), BERNOULLI, CHARTS[name])
+                assert unchecked is checked
+        bound = _images.cache_info().maxsize
+        for n in range(300, 300 + bound + 3):
+            _column(pushforward(beta_chart_density(BetaParams(2.0, 3.0)), CHARTS["arcsin"]))(
+                _chart_samples(BERNOULLI, CHARTS["theta"], n))
+        assert _images.cache_info().currsize == bound
+
+    def test_a_moved_offset_gets_a_checked_image_table(self):
+        """Where checking the chart offsets moves one, the per-theta column
+        reads a second, checked image table; each read stays bit for bit its
+        one-call-a-point form."""
+        arcsin = CHARTS["arcsin"]
+
+        def from_canonical_offset(theta, co):     # an offset that fails its check
+            y, yc = arcsin.from_canonical_offset(theta, co)
+            return y, yc * (1.0 + 1e-9)
+
+        chart = dataclasses.replace(arcsin, from_canonical_offset=from_canonical_offset)
+        samples = _chart_samples(BERNOULLI, CHARTS["arclength"], 257)
+        unchecked, checked = _images(_Same(samples), BERNOULLI, chart)
+        assert unchecked is not checked and unchecked.xcs != checked.xcs
+        for a, b in self.SHAPES:
+            d = pushforward(beta_chart_density(BetaParams(a, b)), chart)
+            self.assert_column_is_core(d, samples)
+            q, q_column, _ = _per_theta(d)
+            assert repr(q_column(samples)) == repr(list(map(q, samples.thetas, samples.cos)))

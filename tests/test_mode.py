@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishergeom import (
     BetaParams,
@@ -12,6 +15,8 @@ from fishergeom import (
     beta_chart_density,
     beta_mode_analytic,
     bernoulli_model,
+    beta_intrinsic_density,
+    chart_from_intrinsic,
     charts_for,
     intrinsic_from_chart,
     map_estimate,
@@ -21,6 +26,7 @@ from fishergeom import (
     sample_curve,
 )
 from fishergeom import manifold, mode
+from fishergeom.density import _canonical
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -452,3 +458,60 @@ class TestScanCache:
         p = intrinsic(1.05, 2.05)
         assert (repr(mapi_estimate(p, CHARTS["theta"], search_chart=chart))
                 == repr(mapi_estimate(p, CHARTS["theta"], search_chart=arcsin)))
+
+
+def _one_call_a_point(d):
+    """``d`` read over a table by one :func:`density._canonical` call a
+    point: the reference every column equals bit for bit."""
+    read = _canonical(d)
+    return lambda samples: list(map(read, samples.thetas, samples.cos))
+
+
+def _outcome(search):
+    try:
+        return repr(search())
+    except ArithmeticError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+class TestConvertedScans:
+    """MAP and MAPI of converted densities read their scan over image tables
+    and find, by repr, what a scan of one call a point finds."""
+
+    @given(log_a=st.floats(-3.0, 9.0), log_b=st.floats(-3.0, 9.0),
+           chart=st.sampled_from(CHART_NAMES[1:]), search=st.sampled_from(CHART_NAMES))
+    @settings(max_examples=40, deadline=None)
+    def test_same_result_as_one_call_a_point(self, log_a, log_b, chart, search):
+        params = BetaParams(10.0 ** log_a, 10.0 ** log_b)
+        rho = pushforward(beta_chart_density(params), CHARTS[chart])
+        chart_view = chart_from_intrinsic(beta_intrinsic_density(params), CHARTS[chart])
+        searches = [
+            lambda: map_estimate(rho, search_chart=CHARTS[search]),
+            lambda: map_estimate(chart_view, search_chart=CHARTS[search]),
+            lambda: mapi_estimate(intrinsic_from_chart(rho), CHARTS["theta"],
+                                  search_chart=CHARTS[search]),
+        ]
+        for run in searches:
+            got = _outcome(run)
+            with mock.patch.object(mode, "_column", _one_call_a_point):
+                assert got == _outcome(run)
+
+
+FLAT_LEVELS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e-300, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(-4, 4).map(lambda k: 1.0 + k * 3e-10),
+    st.integers(-4, 4).map(lambda k: 1e-300 * (1.0 + k * 3e-10)),
+    st.integers(-4, 4).map(lambda k: 1e-310 + k * 5e-324),
+)
+
+
+class TestFlatTest:
+    @given(st.lists(FLAT_LEVELS, min_size=1, max_size=8))
+    @settings(max_examples=2000, deadline=None)
+    def test_agrees_with_max_and_min(self, levels):
+        top, bottom = max(levels), min(levels)
+        want = (top > 0.0 and top - bottom <= mode._FLAT_REL * max(abs(top), 1e-300)
+                and all(map(math.isfinite, levels)))
+        assert mode._is_flat(levels) == want
