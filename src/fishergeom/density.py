@@ -30,11 +30,14 @@ density whose ``tables`` name its own chart, the table's image in that chart
 (:func:`_images`, the chart's points at the table's canonical points, built
 once), which is :func:`_canonical`'s round trip bit for bit; else
 :func:`_canonical` is called once a point. The Beta columns read the
-table's cached logs of each point's distances to both ends. A conversion's
-column is its source's per-theta column over the table's ``sqrt(G)``
-(``intrinsic_from_chart``) or times its ``|dtheta/dx|`` (a chart view,
-which reads its own chart's tables); whole-domain integrals read it over
-tables of the quadrature nodes where it makes no call a point.
+table's cached logs of each point's distances to both ends; they call the
+core only at a point with a log that is not finite on a side whose exponent
+is exactly 0 (the arc-length node tables' end nodes round onto theta = 0 or
+1, where a log is -inf). A conversion's column is its source's per-theta
+column over the table's ``sqrt(G)`` (``intrinsic_from_chart``) or times its
+``|dtheta/dx|`` (a chart view, which reads its own chart's tables);
+whole-domain integrals read it over tables of the quadrature nodes where it
+makes no call a point.
 
 Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
@@ -252,9 +255,15 @@ def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
     exactly from the trusted offset. Exact zeros are endpoint evaluations
     and return the one-sided limit (0, the finite value, or inf); a value
     above the largest double is inf. The column reads the logs of both
-    distances from the sample table, in the core's operand order; a point
-    with a distance that is not positive is evaluated by the core, and so is
-    every point of a table with a value that overflows.
+    distances from the sample table, in the core's operand order. A log is
+    -inf only at a point on an end, whose other distance is positive and
+    finite, so there a nonzero exponent turns the -inf into the core's
+    limit, ``exp(-inf) = 0`` or ``exp(inf) = inf``; only an exponent of
+    exactly 0 gives ``0 * -inf = nan`` (a nan point has nan logs and a nan
+    core value). So the formula reads every point where each exponent is
+    nonzero or its side's logs are all finite; else the core reads the
+    points with a log that is not finite, and it reads every point of a
+    table with a value that overflows.
     """
 
     def core(theta: float, co: float) -> float:
@@ -280,8 +289,7 @@ def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
     def column(samples: ChartSamples) -> list[float]:
         los, his = samples.log_los, samples.log_his
         try:
-            # each finite log lies in [-745, 710], so a sum is finite iff every log in it is
-            if isfinite(sum(los) + sum(his)):
+            if (a_exp or isfinite(sum(los))) and (b_exp or isfinite(sum(his))):
                 return [exp(a_exp * lo + b_exp * hi - log_norm) for lo, hi in zip(los, his)]
             return [exp(a_exp * lo + b_exp * hi - log_norm) if isfinite(lo + hi) else core(t, c)
                     for lo, hi, t, c in zip(los, his, samples.thetas, samples.cos)]

@@ -440,13 +440,13 @@ class ChartSamples(NamedTuple):
     root_gs: tuple[float, ...]      # sqrt(G)
     jacobians: tuple[float, ...]    # |dtheta/dx|
     # log of the exact distance to each canonical end, co or theta - lo and
-    # -co or hi - theta; -inf where it is not positive
+    # -co or hi - theta; -inf where it is not positive, nan where it is nan
     log_los: tuple[float, ...]
     log_his: tuple[float, ...]
 
 
 def _log_distance(d: float) -> float:
-    return math.log(d) if d > 0.0 else -math.inf
+    return math.log(d) if d > 0.0 else -math.inf if d <= 0.0 else d
 
 
 def _sample_table(model: ManifoldModel, chart: Chart, xs: tuple, xcs: tuple,

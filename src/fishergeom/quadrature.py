@@ -236,8 +236,10 @@ def _columns(column, model: ManifoldModel, chart: Chart, weight=None):
     def side(level: int, sign: int):
         s = _side_samples(model, chart, level, sign)
         values = column(s)
-        return values.__getitem__ if weight is None else (
-            lambda i: weight(s.thetas[i], s.cos[i], values[i]))
+        if weight is None:
+            return values.__getitem__
+        thetas, cos = s.thetas, s.cos
+        return lambda i: weight(thetas[i], cos[i], values[i])
     return side
 
 

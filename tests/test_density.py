@@ -508,7 +508,10 @@ class TestColumn:
     the core."""
 
     SHAPES = [(1e-3, 1e-3), (1e-3, 1.0), (1e-3, 2000.0), (0.5, 0.5), (1.0, 1.0), (1.05, 2.05),
-              (0.49, 7.0), (30.0, 1e-3), (60.0, 2000.0), (1e5, 2e5), (3e7, 1e7), (1e9, 1e9)]
+              (0.49, 7.0), (30.0, 1e-3), (60.0, 2000.0), (1e5, 2e5), (3e7, 1e7), (1e9, 1e9),
+              # an exponent of exactly 0 beside a huge one: the chart density's, then
+              # the intrinsic one's
+              (1.0, 1e9), (1e9, 1.0), (0.5, 1e9)]
 
     @staticmethod
     def densities(a, b):
@@ -560,6 +563,15 @@ class TestColumn:
             for d in self.densities(a, b).values():
                 self.assert_column_is_core(d, samples)
 
+    def test_nan_point_reads_nan(self):
+        # a nan canonical point has nan logs, not -inf ones, so the formula
+        # reads the core's nan there whatever the exponents
+        samples = self.table_with_ends((math.nan, math.nan), (0.5, 0.5))
+        assert all(map(math.isnan, (samples.log_los[0], samples.log_his[0])))
+        for a, b in self.SHAPES:
+            for d in self.densities(a, b).values():
+                self.assert_column_is_core(d, samples)
+
     def test_overflow_falls_back(self):
         samples = self.table_with_ends((5e-324, 5e-324), (0.5, 0.5))
         assert _column(beta_chart_density(BetaParams(1e-3, 1.0)))(samples)[0] == math.inf
@@ -592,8 +604,13 @@ class TestColumn:
         tables, levels 0 to 6 and both sides, is its core at each row: at the
         canonical points for a column on them, else at the chart's points."""
         chart, theta = CHARTS[name], CHARTS["theta"]
-        tables = [quadrature._side_samples(BERNOULLI, chart, level, sign)
-                  for level in range(quadrature._TABLE_LEVELS + 1) for sign in (1, -1)]
+        tables = {(level, sign): quadrature._side_samples(BERNOULLI, chart, level, sign)
+                  for level in range(quadrature._TABLE_LEVELS + 1) for sign in (1, -1)}
+        if name == "arclength":
+            # the end nodes round onto theta = 1 on side +1 and onto 0 on side -1, so
+            # every table has a -inf log there, where a zero exponent reads the core
+            for (level, sign), s in tables.items():
+                assert -math.inf in (s.log_his if sign > 0 else s.log_los), (level, sign)
         for a, b in self.SHAPES:
             p = beta_intrinsic_density(BetaParams(a, b))
             densities = {**self.densities(a, b), "from intrinsic": chart_from_intrinsic(p, chart),
@@ -604,7 +621,7 @@ class TestColumn:
                 if f.tables not in ((BERNOULLI, chart), (BERNOULLI, theta)):
                     continue
                 read += 1
-                for s in tables:
+                for s in tables.values():
                     points = (s.thetas, s.cos) if f.tables[1] is theta else (s.xs, s.xcs)
                     assert repr(f.column(s)) == repr(list(map(f.core, *points))), (kind, a, b)
             assert read == (5 if chart is theta else 6)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from fishergeom import (
     BetaParams,
+    ChartDensity,
     ChartModelMismatchError,
+    DomainError,
     IntrinsicDensity,
     beta_chart_density,
     beta_mode_analytic,
@@ -357,6 +359,37 @@ class TestFlatScanWithAnInfiniteValue:
         assert not r.flat
         assert (r.density_value, r.at_boundary) == (1.0, True)
         assert spike not in r.all_modes
+
+
+class TestValueOnlyEnds:
+    """A value-only density carries no offset, so the boundary probes near
+    theta = 1 call it at 1.0 itself: a probe that raises there is a
+    DomainError naming the end and the density, and a search whose probes
+    do not raise keeps its result."""
+
+    @pytest.mark.parametrize("search,d,cause", [
+        (map_estimate, ChartDensity(BERNOULLI, CHARTS["theta"],
+                                    lambda t: 1 / (math.pi * math.sqrt(t * (1 - t))), "arcsine"),
+         ZeroDivisionError),
+        (lambda p: mapi_estimate(p, CHARTS["theta"]),
+         IntrinsicDensity(BERNOULLI, lambda t: 0 * math.log(1 - t) + 1 / math.pi, "log flat"),
+         ValueError),
+    ], ids=["map", "mapi"])
+    def test_a_probe_that_raises_is_a_domain_error(self, search, d, cause):
+        with pytest.raises(DomainError, match=f"'{d.label}'.* end theta = 1.0; a value-only "
+                                              "density cannot be read there") as info:
+            search(d)
+        assert type(info.value.__cause__) is cause
+
+    def test_probes_that_do_not_raise_keep_the_result(self):
+        parabola = ChartDensity(BERNOULLI, CHARTS["theta"], lambda t: 6 * t * (1 - t), "6t(1-t)")
+        assert repr(map_estimate(parabola)) == (
+            "ModeResult(canonical_point=0.5000000000005104, chart_point=0.5000000000005104, "
+            "density_value=1.5, at_boundary=False, all_modes=(0.5000000000005104,), flat=False)")
+        flat = IntrinsicDensity(BERNOULLI, lambda t: 1 / math.pi, "flat")
+        assert repr(mapi_estimate(flat, CHARTS["theta"])) == (
+            "ModeResult(canonical_point=nan, chart_point=nan, density_value=0.3183098861837907, "
+            "at_boundary=False, all_modes=(), flat=True)")
 
 
 class TestChartOfAnotherModel:
