@@ -20,24 +20,25 @@ the interval integrated for a whole-domain integral. Any other
 ``value_offset``, a wrapper of an ``Evaluator`` included, is called as given.
 
 Two rules read a density at canonical points, for mode searches and curves:
-:func:`_canonical` at one point ``(theta, co)``, the trusted core, composed
-with ``chart.from_canonical_offset`` for a chart density in a chart other
-than theta; and :func:`_column` over a whole sample table
-(``manifold._chart_samples``), an ``Evaluator``'s ``column`` (bit for bit
-its core over a table of its chart's points). That column reads the table
-itself where its core is what :func:`_canonical` reads, and for a chart
-density whose ``tables`` name its own chart, the table's image in that chart
-(:func:`_images`, the chart's points at the table's canonical points, built
-once), which is :func:`_canonical`'s round trip bit for bit; else
-:func:`_canonical` is called once a point. The Beta columns read the
+:func:`_canonical` at one point ``(theta, co)``, the trusted core, for a
+chart density in a chart but theta at the point's chart image
+(``chart.from_canonical_offset``), its offset checked; and :func:`_column`
+over a whole sample table (``manifold._chart_samples``), an ``Evaluator``'s
+``column`` (bit for bit its core over a table of its chart's points). That
+column reads the table itself where its core is what :func:`_canonical`
+reads, and for a chart density whose ``tables`` name its own chart, the
+table's one image table in that chart (:func:`_images`, built once, with the
+offsets :func:`_canonical` checks), so it is :func:`_canonical` bit for bit;
+else :func:`_canonical` is called once a point. The Beta columns read the
 table's cached logs of each point's distances to both ends; they call the
 core only at a point with a log that is not finite on a side whose exponent
 is exactly 0 (the arc-length node tables' end nodes round onto theta = 0 or
 1, where a log is -inf). A conversion's column is its source's per-theta
-column over the table's ``sqrt(G)`` (``intrinsic_from_chart``) or times its
-``|dtheta/dx|`` (a chart view, which reads its own chart's tables);
-whole-domain integrals read it over tables of the quadrature nodes where it
-makes no call a point.
+column (in a chart but theta, the source's :func:`_column` over the image
+table's ``|dtheta/dx|``) over the table's ``sqrt(G)`` (``intrinsic_from_chart``)
+or times its ``|dtheta/dx|`` (a chart view, which reads its own chart's
+tables); whole-domain integrals read it over tables of the quadrature nodes
+where it makes no call a point.
 
 Conversions are built from one per-theta core, the density per unit theta
 (``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
@@ -148,12 +149,17 @@ def _core(d):
 def _canonical(d):
     """The one rule for reading ``d`` at a canonical point ``(theta, co)``:
     :func:`_core` of an intrinsic or theta-chart density; of a chart density
-    in another chart, that core at ``chart.from_canonical_offset(theta, co)``."""
+    in another chart, that core at ``chart.from_canonical_offset(theta, co)``,
+    the offset checked where it enters the chart's domain."""
     core = _core(d)
     if isinstance(d, IntrinsicDensity) or d.chart is identity_chart(d.model):
         return core
     chart = d.chart
-    return lambda theta, co: core(*chart.from_canonical_offset(theta, co))
+
+    def read(theta: float, co: float) -> float:
+        x, xc = chart.from_canonical_offset(theta, co)
+        return core(x, verify_offset(chart.domain, x, xc))
+    return read
 
 
 def _column(d):
@@ -161,47 +167,26 @@ def _column(d):
     ``Evaluator``'s ``column`` where one is set and :func:`_canonical` reads
     that ``Evaluator``'s core; for a chart density whose ``tables`` name its
     own (non-identity) chart, that column over the table's :func:`_images`
-    (``_canonical``'s round trip); else :func:`_canonical` mapped over the
-    table's canonical points, one call a point."""
+    (``_canonical``'s checked round trip); else :func:`_canonical` mapped
+    over the table's canonical points, one call a point."""
     f, read = d.value_offset, _canonical(d)
     if type(f) is Evaluator and f.column is not None:
         if read is f.core:
             return f.column
         if f.tables == (d.model, d.chart):
-            return lambda samples: f.column(_images(_Same(samples), *f.tables)[0])
+            return lambda samples: f.column(_images(samples, *f.tables))
     return lambda samples: list(map(read, samples.thetas, samples.cos))
 
 
-class _Same:
-    """A cache key that hashes and compares by the identity of ``obj``."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other) -> bool:
-        return self.obj is other.obj
-
-
-# Keyed by identity like manifold._chart_samples; the bound holds the images of
-# the mode scan's four tables in each of the three shipped charts but theta.
+# Keyed by identity, as a ChartSamples table compares by it; the bound holds the
+# images of the mode scan's four tables in each of the three shipped charts but theta.
 @lru_cache(maxsize=12)
-def _images(key: _Same, model: ManifoldModel, chart: Chart) -> tuple[ChartSamples, ChartSamples]:
-    """Image tables of ``key.obj``'s canonical points in ``chart``: its points
-    ``chart.from_canonical_offset(theta, co)``, with their offsets as given
-    and checked in ``chart.domain``; one object where the check returns every
-    offset itself."""
-    samples = key.obj
+def _images(samples: ChartSamples, model: ManifoldModel, chart: Chart) -> ChartSamples:
+    """The image table of ``samples``' canonical points in ``chart``: its points
+    ``chart.from_canonical_offset(theta, co)``, their offsets checked in
+    ``chart.domain``, as :func:`_canonical` checks them."""
     xs, xcs = zip(*map(chart.from_canonical_offset, samples.thetas, samples.cos))
-    checked = tuple(map(verify_offset, repeat(chart.domain), xs, xcs))
-    image = _sample_table(model, chart, xs, xcs)
-    if all(map(operator.is_, checked, xcs)):
-        return image, image
-    return image, _sample_table(model, chart, xs, checked)
+    return _sample_table(model, chart, xs, tuple(map(verify_offset, repeat(chart.domain), xs, xcs)))
 
 
 def _evaluators(core, interval: Interval, column=None, tables=None) -> dict:
@@ -363,9 +348,9 @@ def _per_theta(d: ChartDensity | IntrinsicDensity):
     per unit theta, ``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` with
     the chart map's output checked where it enters the chart's domain (in the
     identity chart, ``rho``'s core); ``q``'s column over a table's canonical
-    points (in another chart, ``d``'s own column over the table's checked
-    image over its ``|dtheta/dx|``, where ``d`` has one); and ``d``'s
-    ``tables`` where that column reads ``d``'s own over the table itself, else None."""
+    points (in another chart, ``d``'s :func:`_column` over the ``|dtheta/dx|``
+    of the table's :func:`_images`); and ``d``'s ``tables`` where that column
+    reads ``d``'s own over the table itself, else None."""
     model, source, f, own = d.model, _core(d), d.value_offset, _column(d)
     tables = f.tables if type(f) is Evaluator and own is f.column else None
     if isinstance(d, IntrinsicDensity):
@@ -381,13 +366,7 @@ def _per_theta(d: ChartDensity | IntrinsicDensity):
         xc = verify_offset(chart.domain, x, xc)
         jacobian = abs(chart.d_canonical_offset(x, xc))
         return source(x, xc) / jacobian if jacobian else math.inf
-    if type(f) is not Evaluator or f.tables != (model, chart):
-        return per_theta, lambda s: list(map(per_theta, s.thetas, s.cos)), None
-
-    def column(s: ChartSamples) -> list[float]:
-        image = _images(_Same(s), model, chart)[1]
-        return _quotients(f.column(image), image.jacobians)
-    return per_theta, column, None
+    return per_theta, lambda s: _quotients(own(s), _images(s, model, chart).jacobians), None
 
 
 def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:

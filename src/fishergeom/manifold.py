@@ -23,8 +23,8 @@ An offset is checked (:func:`verify_offset`) once, where it enters an
 interval: the public ``chart_*_offset`` functions check the caller's offset,
 then call the chart's maps, which trust it. Code that built an offset itself
 or has checked it calls the maps directly; a map's output is checked in its
-new interval, except the cached identity chart's own: it moves no offset
-there.
+new interval, a chart density's read at a canonical point's chart image
+too, except the cached identity chart's own, which moves no offset there.
 
 A model is data: its metric, its arc-length chart, its extra charts and its
 planar embedding (NaN off the coin family). Each shipped map is total: at a
@@ -443,6 +443,8 @@ class ChartSamples(NamedTuple):
     # -co or hi - theta; -inf where it is not positive, nan where it is nan
     log_los: tuple[float, ...]
     log_his: tuple[float, ...]
+    # compared and hashed by identity, so a table is its own cache key
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _log_distance(d: float) -> float:

@@ -23,11 +23,12 @@ boundary rules flatness out.
 
 The engine takes the density and reads it by two rules of the density
 module, ``density._canonical`` at one canonical point and ``density._column``
-over the scan table, so MAP and MAPI are one argmax, of a chart density and
-of an intrinsic one. The scan's points and their exact canonical offsets,
-checked once when the table is built, come from the sample table that
-curves share (``manifold._chart_samples``); the default search chart, the
-model's arc-length chart, is the same object on every call. A search or
+over the scan table (at its chart image, the offset checked, for a chart
+density in a chart but theta), so MAP and MAPI are one argmax, of a chart
+density and of an intrinsic one. The scan's points and their exact canonical
+offsets, checked once when the table is built, come from the sample table
+that curves share (``manifold._chart_samples``); the default search chart,
+the model's arc-length chart, is the same object on every call. A search or
 report chart of another model raises ``ChartModelMismatchError``. A scan
 value of 0 (a tail that underflowed) is never refined, and a scan that is 0
 everywhere raises ``ArithmeticError`` rather than reporting ``flat``.

@@ -36,8 +36,8 @@ from fishergeom import (
 from fishergeom import mode, quadrature
 from fishergeom import density
 from fishergeom.density import (IntrinsicDensity, _canonical, _column, _core, _images,
-                                _per_theta, _Same, endpoint_behaviour)
-from fishergeom.manifold import _chart_samples, interior_grid
+                                _per_theta, endpoint_behaviour)
+from fishergeom.manifold import _chart_samples, _sample_table, interior_grid, verify_offset
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -654,48 +654,68 @@ class TestColumn:
 
     def test_one_image_table_a_scan_table_and_chart(self, monkeypatch):
         """Each image table is built once per (scan table, chart), by
-        ``_sample_table``; one serves both reads where checking the chart
-        offsets moves none, as on every shipped table; the cache is bounded."""
+        ``_sample_table``, and ``_column``, ``_per_theta`` and
+        ``intrinsic_from_chart`` all read that one table. A table is a cache
+        key by identity, so two with equal columns are distinct keys; the
+        cache is bounded."""
         built = []
         sample_table = density._sample_table
         monkeypatch.setattr(density, "_sample_table",
-                            lambda model, chart, *a: built.append(chart) or sample_table(model, chart, *a))
+                            lambda *a: built.append(sample_table(*a)) or built[-1])
         _images.cache_clear()
         scans = [_chart_samples(BERNOULLI, chart, 1024) for chart in CHARTS.values()]
+        charts = [c for c in CHARTS.values() if c.name != "theta"]
         for a, b in self.SHAPES:
             for d in self.converted(a, b).values():
                 for s in scans:
                     _column(d)(s)
                     _per_theta(d)[1](s)
                     _column(intrinsic_from_chart(d))(s)
-        assert sorted(map(id, built)) == sorted(id(c) for c in CHARTS.values()
-                                                if c.name != "theta" for _ in scans)
-        for s in scans:
-            for name in ("arclength", "arcsin", "reciprocal"):
-                unchecked, checked = _images(_Same(s), BERNOULLI, CHARTS[name])
-                assert unchecked is checked
+        assert len(built) == len(scans) * len(charts)
+        # the cached tables are the ones built, and none is built anew
+        images = [_images(s, BERNOULLI, c) for s in scans for c in charts]
+        assert sorted(map(id, images)) == sorted(map(id, built))
+        assert len(built) == len(scans) * len(charts)
+        s = _chart_samples(BERNOULLI, CHARTS["theta"], 1024)
+        twin = _sample_table(BERNOULLI, CHARTS["theta"], s.xs, s.xcs, True)
+        assert tuple(twin) == tuple(s) and twin != s and len({s, twin}) == 2
+        assert _images(twin, BERNOULLI, charts[0]) is not _images(s, BERNOULLI, charts[0])
         bound = _images.cache_info().maxsize
         for n in range(300, 300 + bound + 3):
             _column(pushforward(beta_chart_density(BetaParams(2.0, 3.0)), CHARTS["arcsin"]))(
                 _chart_samples(BERNOULLI, CHARTS["theta"], n))
         assert _images.cache_info().currsize == bound
 
-    def test_a_moved_offset_gets_a_checked_image_table(self):
-        """Where checking the chart offsets moves one, the per-theta column
-        reads a second, checked image table; each read stays bit for bit its
-        one-call-a-point form."""
+    @staticmethod
+    def moved_arcsin(moved):
+        """The arcsin chart but for its inverse map's offset, moved by a factor
+        ``1 + moved`` so that it fails its check."""
         arcsin = CHARTS["arcsin"]
 
-        def from_canonical_offset(theta, co):     # an offset that fails its check
+        def from_canonical_offset(theta, co):
             y, yc = arcsin.from_canonical_offset(theta, co)
-            return y, yc * (1.0 + 1e-9)
+            return y, yc * (1.0 + moved)
+        return dataclasses.replace(arcsin, from_canonical_offset=from_canonical_offset)
 
-        chart = dataclasses.replace(arcsin, from_canonical_offset=from_canonical_offset)
-        samples = _chart_samples(BERNOULLI, CHARTS["arclength"], 257)
-        unchecked, checked = _images(_Same(samples), BERNOULLI, chart)
-        assert unchecked is not checked and unchecked.xcs != checked.xcs
-        for a, b in self.SHAPES:
-            d = pushforward(beta_chart_density(BetaParams(a, b)), chart)
-            self.assert_column_is_core(d, samples)
-            q, q_column, _ = _per_theta(d)
-            assert repr(q_column(samples)) == repr(list(map(q, samples.thetas, samples.cos)))
+    def test_a_moved_offset_gets_a_checked_image_table(self):
+        """Where checking the chart offsets moves one, the image table holds
+        the checked offsets, so every read of a chart density at canonical
+        points is its checked ``value_offset`` at the chart image, bit for bit
+        its one-call-a-point form, and the mode search finds the MAP."""
+        samples = _chart_samples(BERNOULLI, CHARTS["arclength"], mode._SCAN_POINTS)
+        for moved in (1e-9, 1e-3):
+            chart = self.moved_arcsin(moved)
+            image = _images(samples, BERNOULLI, chart)
+            raw = list(map(chart.from_canonical_offset, samples.thetas, samples.cos))
+            assert image.xs == tuple(x for x, _ in raw)
+            assert image.xcs == tuple(verify_offset(chart.domain, x, xc) for x, xc in raw)
+            assert image.xcs != tuple(xc for _, xc in raw)
+            for a, b in self.SHAPES:
+                d = pushforward(beta_chart_density(BetaParams(a, b)), chart)
+                self.assert_column_is_core(d, samples)
+                assert repr(_column(d)(samples)) == repr([d.value_offset(*p) for p in raw])
+                q, q_column, _ = _per_theta(d)
+                assert repr(q_column(samples)) == repr(list(map(q, samples.thetas, samples.cos)))
+            d = pushforward(beta_chart_density(BetaParams(2.0, 3.0)), chart)
+            assert map_estimate(d).canonical_point == pytest.approx(
+                (math.sqrt(5.0) - 1.0) / 4.0, rel=0.0, abs=1e-9), moved

@@ -448,9 +448,21 @@ def counted_source(d):
 
 
 class TestTrustBoundary:
-    """Whole-domain integrals and mode searches call trusted cores, and
-    conversions check an offset only where a chart map moves it to a new
-    interval; sub-intervals stay checked."""
+    """Whole-domain integrals and mode searches call trusted cores, and each
+    chart map's output is checked where it enters its new interval, whether
+    a conversion or a read at canonical points makes it; sub-intervals stay
+    checked."""
+
+    @staticmethod
+    def warm_scan_tables(verify_calls):
+        # a cold scan table, or a cold image of one in a chart, checks each of its
+        # offsets once, when built: build them first, so what is counted is per evaluation
+        scan = manifold_module._chart_samples(BERNOULLI, CHARTS["arclength"],
+                                              mode_module._SCAN_POINTS)
+        for chart in CHARTS.values():
+            if chart is not CHARTS["theta"]:
+                density_module._images(scan, BERNOULLI, chart)
+        verify_calls[0] = 0
 
     def test_mapi_of_a_theta_chart_density_makes_no_checks(self, verify_calls):
         # the identity chart moves no offset, so its conversion checks none;
@@ -467,13 +479,17 @@ class TestTrustBoundary:
         assert verify_calls[0] == 0
 
     def test_pushforward_from_the_theta_chart_checks_once_per_evaluation(self, verify_calls):
-        # the arcsin map's canonical offset is checked where it enters (0, 1)
+        self.warm_scan_tables(verify_calls)
+        # the search reads the pushed density at the arcsin images of canonical
+        # points: the arcsin map's output is checked where it enters the arcsin
+        # domain, and the inverse map's where it enters (0, 1)
         rho, evaluations = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
         map_estimate(pushforward(rho, CHARTS["arcsin"]))
         assert evaluations[0] > 1000
-        assert verify_calls[0] == evaluations[0]
+        assert verify_calls[0] == 2 * evaluations[0]
 
     def test_conversions_from_the_arcsin_chart_keep_every_check(self, verify_calls):
+        self.warm_scan_tables(verify_calls)
         # cos(y) is Beta(1, 1) in the arcsin chart, given here without checks
         src, evaluations = counted_source(ChartDensity(
             BERNOULLI, CHARTS["arcsin"], math.cos, "cos", lambda y, yc: math.cos(y)))
@@ -481,9 +497,10 @@ class TestTrustBoundary:
         searches = [
             # the arcsin map's output, checked in the arcsin domain
             (1, lambda: mapi_estimate(p, CHARTS["theta"])),
-            # that output, and the reciprocal map's output in (0, 1)
-            (2, lambda: map_estimate(pushforward(src, CHARTS["reciprocal"]))),
-            (2, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["reciprocal"]))),
+            # that output, the reciprocal map's output in the reciprocal domain
+            # where the search reads at canonical points, and the inverse map's in (0, 1)
+            (3, lambda: map_estimate(pushforward(src, CHARTS["reciprocal"]))),
+            (3, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["reciprocal"]))),
         ]
         for per_evaluation, search in searches:
             verify_calls[0] = evaluations[0] = 0
@@ -492,6 +509,7 @@ class TestTrustBoundary:
             assert verify_calls[0] == per_evaluation * evaluations[0]
 
     def test_each_chart_map_output_is_checked_once(self, verify_calls):
+        self.warm_scan_tables(verify_calls)
         arcsin_src, arcsin_evals = counted_source(ChartDensity(
             BERNOULLI, CHARTS["arcsin"], math.cos, "cos", lambda y, yc: math.cos(y)))
         theta_src, theta_evals = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
@@ -499,8 +517,9 @@ class TestTrustBoundary:
         searches = [
             # the arcsin map's output in the arcsin domain; theta moves nothing
             (1, arcsin_evals, lambda: map_estimate(pushforward(arcsin_src, CHARTS["theta"]))),
-            # the arcsin map's output in (0, 1)
-            (1, theta_evals, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["arcsin"]))),
+            # the arcsin map's output in the arcsin domain where the search reads
+            # at canonical points, and the inverse map's in (0, 1)
+            (2, theta_evals, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["arcsin"]))),
             (0, theta_evals, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["theta"]))),
         ]
         for per_evaluation, evaluations, search in searches:
