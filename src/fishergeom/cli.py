@@ -8,25 +8,26 @@ for a fixed request apart from the version header.
 Exit codes: 0 success, 1 numerical failure (non-convergent quadrature or
 optimizer, with the achieved error estimate on stderr, or any other
 arithmetic error), 2 usage error, an unwritable ``--output`` included
-(nothing is written). ``argparse`` and the ``mode`` and ``quadrature``
-modules are imported where a call first needs them, not with this module.
+(nothing is written). ``argparse``, ``json`` and the ``mode`` and
+``quadrature`` modules are imported where a call first needs them, not with
+this module. CSV and JSON curves are written from the density's ``rho`` and
+``p`` columns through one cached body template per sample table (model,
+chart, sample count) and format; only SVG reads ``sample_curve`` rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import re
 import sys
 from functools import cache, lru_cache
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .density import (BetaParams, CurveRow, DensityCurve, beta_chart_density,
+from .density import (BetaParams, CurveRow, _curve_columns, beta_chart_density,
                       intrinsic_from_chart, pushforward, sample_curve)
-from .manifold import Interval, _chart_samples, fisher_rao_distance, get_chart, get_model
+from .manifold import Interval, fisher_rao_distance, get_chart, get_model
 
 if TYPE_CHECKING:
     import argparse
@@ -34,13 +35,14 @@ if TYPE_CHECKING:
 _FORMATS = ("csv", "json", "svg")
 _CURVES = ("density", "embed")
 _CURVE_COLUMNS = CurveRow._fields
-_RHO_P = itemgetter(2, 3)   # the two columns that depend on the density
-# One curve row as text, rho and p escaped to fill per call: CSV as f"{v:.17g}"
-# per value writes it; JSON as json.dumps(indent=2) writes a finite row at the
-# depth of doc["result"]["rows"] (%r on a float is float.__repr__, as json's).
+# One curve row as text, rho and p escaped to fill per call, and the text
+# between two rows: CSV as f"{v:.17g}" per value writes it; JSON as
+# json.dumps(indent=2) writes a finite row at the depth of doc["result"]["rows"]
+# (%r on a float is float.__repr__, as json's).
 _ROW_FORMS = {
-    "csv": ",".join(["%.17g"] * 2 + ["%%.17g"] * 2 + ["%.17g"] * 2),
-    "json": "[\n        " + ",\n        ".join(["%r"] * 2 + ["%%r"] * 2 + ["%r"] * 2) + "\n      ]",
+    "csv": (",".join(["%.17g"] * 2 + ["%%.17g"] * 2 + ["%.17g"] * 2), "\n"),
+    "json": ("[\n        " + ",\n        ".join(["%r"] * 2 + ["%%r"] * 2 + ["%r"] * 2)
+             + "\n      ]", ",\n      "),
 }
 # A JSON row's non-finite reprs, as _jsonable and json.dumps write them. The
 # rows' text holds only float reprs and punctuation, and a finite float's repr
@@ -152,22 +154,20 @@ def _scalar_csv(req: argparse.Namespace, fields: dict, error_estimate: float | N
     return "\n".join(lines) + "\n"
 
 
-def _row_templates(fmt: str, xs, thetas, exs, eys) -> tuple[str, ...]:
-    """One template per curve row with its chart-only columns (chart and
-    canonical coordinate, embedding) written in, so that the writer formats
-    only rho and p; a formatted float holds no %."""
-    return tuple(map(_ROW_FORMS[fmt].__mod__, zip(xs, thetas, exs, eys)))
-
-
-# Keyed by identity, as the sample table the columns come from.
+# Keyed by identity, as a ChartSamples table compares by it.
 @lru_cache(maxsize=8)
-def _chart_row_templates(model, chart, n: int, fmt: str) -> tuple[str, ...]:
-    """The row templates of every curve ``sample_curve(d, chart, n)`` draws."""
-    s = _chart_samples(model, chart, n)
-    return _row_templates(fmt, s.xs, s.thetas, s.exs, s.eys)
+def _body(samples, fmt: str) -> str:
+    """The rows of every curve over a sample table as one template: each row's
+    chart-only columns (chart and canonical coordinate, embedding) written in
+    and its rho and p left to fill, the rows joined by the format's separator;
+    a formatted float holds no %."""
+    form, sep = _ROW_FORMS[fmt]
+    return sep.join(map(form.__mod__, zip(samples.xs, samples.thetas, samples.exs, samples.eys)))
 
 
 def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> str:
+    import json
+
     doc = {
         "request": {k: _jsonable(v) for k, v in _request_meta(req).items()},
         "result": result,
@@ -177,35 +177,25 @@ def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _curve_text(req: argparse.Namespace, curve: DensityCurve, fmt: str,
-                templates: tuple[str, ...]) -> str:
-    """The curve as CSV, or as the JSON document json.dumps(indent=2) writes;
-    the rows, which are nearly all of it, are written from their templates."""
-    rows = map(str.__mod__, templates, map(_RHO_P, curve.rows))
+def _curve_text(req: argparse.Namespace, meta: dict, fmt: str, body: str,
+                rhos: list[float], ps: list[float]) -> str:
+    """The curve with metadata ``meta`` (model, chart, label, samples) as CSV,
+    or as the JSON document json.dumps(indent=2) writes. The rows, which are
+    nearly all of it, are ``body`` filled by one % with each row's rho and p."""
+    vals = rhos + ps    # interleaved in place: rho, p of the first row, ...
+    vals[0::2], vals[1::2] = rhos, ps
+    rows = body % tuple(vals)
     if fmt == "csv":
         return "\n".join([
             f"# fishergeom {req.subcommand}",
             f"# version: {__version__}",
-            f"# model: {curve.model_name}",
-            f"# chart: {curve.chart_name}",
-            f"# label: {curve.label}",
-            f"# samples: {curve.samples}",
+            *[f"# {k}: {v}" for k, v in meta.items()],
             ",".join(_CURVE_COLUMNS),
-            *rows,
+            rows,
         ]) + "\n"
-    rows = ",\n      ".join(rows)
     if "n" in rows:     # a non-finite value; the scan is far cheaper than the pass
         rows = _NON_FINITE.sub(lambda m: _JSON_TOKENS[m[0]], rows)
-    result = {
-        "metadata": {
-            "model": curve.model_name,
-            "chart": curve.chart_name,
-            "label": curve.label,
-            "samples": curve.samples,
-        },
-        "columns": list(_CURVE_COLUMNS),
-        "rows": [],
-    }
+    result = {"metadata": meta, "columns": list(_CURVE_COLUMNS), "rows": []}
     # an encoded string escapes its quotes, so this is the structural key
     head, tail = _json_doc(req, result, None).split('"rows": []', 1)
     return f'{head}"rows": [\n      {rows}\n    ]{tail}'
@@ -280,22 +270,25 @@ def _emit_scalar(req: argparse.Namespace, fields: dict, error_estimate: float | 
         _emit(req, _scalar_csv(req, fields, error_estimate))
 
 
-def _emit_curve(req: argparse.Namespace, curve: DensityCurve, model, chart) -> None:
-    if req.fmt != "svg":
-        templates = _chart_row_templates(model, chart, curve.samples, req.fmt)
-        _emit(req, _curve_text(req, curve, req.fmt, templates))
+def _emit_curve(req: argparse.Namespace, d, chart) -> None:
+    model, n = d.model, req.samples
+    if req.fmt != "svg":    # CSV and JSON read the columns; only SVG reads rows
+        samples, rhos, ps = _curve_columns(d, chart, n)
+        meta = {"model": model.name, "chart": chart.name, "label": d.label, "samples": n}
+        _emit(req, _curve_text(req, meta, req.fmt, _body(samples, req.fmt), rhos, ps))
+        return
+    curve = sample_curve(d, chart, n)
+    if req.subcommand == "embed":
+        pts = [(r.embed_x, r.embed_y) for r in curve.rows]
+        svg = _svg_plot([("manifold", "steelblue", pts)],
+                        f"{curve.label} on the embedded manifold", "x", "y")
     else:
-        if req.subcommand == "embed":
-            pts = [(r.embed_x, r.embed_y) for r in curve.rows]
-            svg = _svg_plot([("manifold", "steelblue", pts)],
-                            f"{curve.label} on the embedded manifold", "x", "y")
-        else:
-            rho_pts = [(r.chart_coord, r.rho) for r in curve.rows]
-            p_pts = [(r.chart_coord, r.p) for r in curve.rows]
-            svg = _svg_plot(
-                [("chart density", "steelblue", rho_pts), ("intrinsic density", "firebrick", p_pts)],
-                f"{curve.label} in chart '{curve.chart_name}'", curve.chart_name, "density")
-        _emit(req, svg)
+        rho_pts = [(r.chart_coord, r.rho) for r in curve.rows]
+        p_pts = [(r.chart_coord, r.p) for r in curve.rows]
+        svg = _svg_plot(
+            [("chart density", "steelblue", rho_pts), ("intrinsic density", "firebrick", p_pts)],
+            f"{curve.label} in chart '{curve.chart_name}'", curve.chart_name, "density")
+    _emit(req, svg)
 
 
 def run(req: argparse.Namespace) -> int:
@@ -324,8 +317,7 @@ def run(req: argparse.Namespace) -> int:
 
         elif req.subcommand in _CURVES:     # embed draws the intrinsic density
             d = intrinsic_from_chart(rho) if req.subcommand == "embed" else rho
-            chart = get_chart(model, req.chart)
-            _emit_curve(req, sample_curve(d, chart, req.samples), model, chart)
+            _emit_curve(req, d, get_chart(model, req.chart))
 
         elif req.subcommand == "mode":
             from .mode import map_estimate, mapi_estimate

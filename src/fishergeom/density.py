@@ -447,18 +447,18 @@ class DensityCurve:
     rows: tuple[CurveRow, ...]
 
 
-def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> DensityCurve:
-    """Tabulate a density over ``n`` interior grid points of ``chart``.
+def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart,
+                   n: int) -> tuple[ChartSamples, list[float], list[float]]:
+    """The sample table of a curve of ``d`` over ``n`` interior grid points of
+    ``chart``, and its ``rho`` and ``p`` columns, bit for bit the scalar
+    conversions' values.
 
-    Rows are strictly increasing in the chart coordinate and hold the chart
-    density ``rho``, the intrinsic density ``p`` and the embedded point (NaN
-    for a model without an embedding), bit for bit the scalar conversions'
-    values. One evaluation of ``d`` a row gives its per-theta value ``q``:
-    ``rho = q * |dtheta/dx|`` (``q`` in the identity chart) and ``p = q /
-    sqrt(G)`` (inf where ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p *
-    sqrt(G)``. An intrinsic density is read by :func:`_column`, a chart density
-    by its per-theta column; in its own non-identity chart it gives ``rho``
-    from its own column (or its core, one call a row).
+    One evaluation of ``d`` a row gives its per-theta value ``q``: ``rho = q *
+    |dtheta/dx|`` (``q`` in the identity chart) and ``p = q / sqrt(G)`` (inf
+    where ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p * sqrt(G)``. An
+    intrinsic density is read by :func:`_column`, a chart density by its
+    per-theta column; in its own non-identity chart it gives ``rho`` from its
+    own column (or its core, one call a row).
     """
     model = d.model
     _require_model(chart, model)
@@ -478,6 +478,14 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
         rhos = f.column(s)
     else:
         rhos = list(map(_core(d), s.xs, s.xcs))
+    return s, rhos, ps
+
+
+def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> DensityCurve:
+    """Tabulate a density over ``n`` interior grid points of ``chart``: rows
+    strictly increasing in the chart coordinate, with the :func:`_curve_columns`
+    ``rho`` and ``p`` and the embedded point (NaN for a model without one)."""
+    s, rhos, ps = _curve_columns(d, chart, n)
     rows = map(tuple.__new__, repeat(CurveRow), zip(s.xs, s.thetas, rhos, ps, s.exs, s.eys))
-    return DensityCurve(model_name=model.name, chart_name=chart.name, label=d.label,
+    return DensityCurve(model_name=d.model.name, chart_name=chart.name, label=d.label,
                         samples=n, rows=tuple(rows))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -21,10 +22,12 @@ from fishergeom import (
     beta_chart_density,
     charts_for,
     get_model,
+    intrinsic_from_chart,
     sample_curve,
 )
 from fishergeom import cli, quadrature
 from fishergeom.cli import main
+from fishergeom.manifold import _chart_samples
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -550,33 +553,55 @@ def special_curve():
 FIXED = ("chart_coord", "canonical_coord", "embed_x", "embed_y")
 
 
-def own_templates(curve):
-    """Per format, the row templates built over the curve's own chart-only
-    columns, as for a curve that no chart produced."""
-    columns = [[getattr(r, c) for r in curve.rows] for c in FIXED]
-    return lambda fmt: cli._row_templates(fmt, *columns)
+class OwnColumns(NamedTuple):
+    """The chart-only columns a body reads from a sample table."""
+    xs: tuple
+    thetas: tuple
+    exs: tuple
+    eys: tuple
 
 
-def chart_templates(model, chart, n):
-    """Per format, the cached row templates of ``chart`` at ``n`` samples."""
-    return lambda fmt: cli._chart_row_templates(model, chart, n, fmt)
+def own_bodies(curve):
+    """Per format, the body built over the curve's own chart-only columns, as
+    for a curve that no chart produced."""
+    columns = OwnColumns(*[tuple(getattr(r, c) for r in curve.rows) for c in FIXED])
+    return lambda fmt: cli._body(columns, fmt)
 
 
-def assert_writers_match(req, curve, templates):
-    assert cli._curve_text(req, curve, "csv", templates("csv")) == reference_csv(req, curve)
-    assert cli._curve_text(req, curve, "json", templates("json")) == reference_json(req, curve)
+def chart_body(model, chart, n, fmt):
+    """The cached body of ``chart``'s sample table at ``n`` samples."""
+    return cli._body(_chart_samples(model, chart, n), fmt)
+
+
+def chart_bodies(model, chart, n):
+    """Per format, :func:`chart_body`."""
+    return lambda fmt: chart_body(model, chart, n, fmt)
+
+
+def writer_text(req, curve, fmt, body):
+    """The curve written by cli._curve_text from its rho and p columns."""
+    meta = {"model": curve.model_name, "chart": curve.chart_name, "label": curve.label,
+            "samples": curve.samples}
+    return cli._curve_text(req, meta, fmt, body, [r.rho for r in curve.rows],
+                           [r.p for r in curve.rows])
+
+
+def assert_writers_match(req, curve, bodies):
+    assert writer_text(req, curve, "csv", bodies("csv")) == reference_csv(req, curve)
+    assert writer_text(req, curve, "json", bodies("json")) == reference_json(req, curve)
 
 
 class TestCurveWriters:
-    """Curve rows are written as text from per-chart row templates; each
-    writer must give the bytes of the construction it replaced."""
+    """Curve rows are written as text from a per-chart body template filled
+    with the rho and p columns; each writer must give the bytes of the
+    construction it replaced."""
 
     @pytest.mark.parametrize("subcommand", ["density", "embed"])
     def test_special_values(self, subcommand):
         curve = special_curve()
         assert any(not math.isfinite(getattr(r, c)) for r in curve.rows for c in COLUMNS)
         req = cli._build_parser().parse_args([subcommand, "--alpha", "2", "--beta", "3"])
-        assert_writers_match(req, curve, own_templates(curve))
+        assert_writers_match(req, curve, own_bodies(curve))
 
     @pytest.mark.parametrize("chart", ["theta", "arcsin", "reciprocal", "arclength"])
     def test_sampled_curves(self, chart):
@@ -585,7 +610,7 @@ class TestCurveWriters:
         model = get_model("bernoulli")
         c = charts_for(model)[chart]
         curve = sample_curve(beta_chart_density(BetaParams(1.05, 2.05)), c, 301)
-        assert_writers_match(req, curve, chart_templates(model, c, 301))
+        assert_writers_match(req, curve, chart_bodies(model, c, 301))
 
     def test_curve_without_embedding(self):
         # NaN embedding columns
@@ -594,7 +619,7 @@ class TestCurveWriters:
         chart = charts_for(model)["arclength"]
         curve = sample_curve(p, chart, 21)
         req = cli._build_parser().parse_args(["embed", "--model", "exponential"])
-        assert_writers_match(req, curve, chart_templates(model, chart, 21))
+        assert_writers_match(req, curve, chart_bodies(model, chart, 21))
 
     def test_chart_made_anew_writes_the_shipped_bytes(self):
         model = get_model("bernoulli")
@@ -604,12 +629,10 @@ class TestCurveWriters:
         req = cli._build_parser().parse_args(["density", "--alpha", "0.7", "--beta", "3.5",
                                              "--chart", "arcsin", "--samples", "101"])
         for fmt in ("csv", "json"):
-            texts = [cli._curve_text(req, sample_curve(rho, c, 101), fmt,
-                                     cli._chart_row_templates(model, c, 101, fmt))
-                     for c in (shipped, anew)]
+            texts = [writer_text(req, sample_curve(rho, c, 101), fmt,
+                                 chart_body(model, c, 101, fmt)) for c in (shipped, anew)]
             assert texts[0] == texts[1]
-        assert (cli._chart_row_templates(model, anew, 101, "csv")
-                is not cli._chart_row_templates(model, shipped, 101, "csv"))
+        assert chart_body(model, anew, 101, "csv") is not chart_body(model, shipped, 101, "csv")
 
     def test_sample_counts_do_not_share_text(self):
         model = get_model("bernoulli")
@@ -618,8 +641,44 @@ class TestCurveWriters:
         for n in (51, 101):
             req = cli._build_parser().parse_args(["density", "--alpha", "2", "--beta", "5",
                                                  "--chart", "reciprocal", "--samples", str(n)])
-            assert len(cli._chart_row_templates(model, chart, n, "json")) == n
-            assert_writers_match(req, sample_curve(rho, chart, n), chart_templates(model, chart, n))
+            # the body holds n rows, each with rho and p left to fill
+            csv = chart_body(model, chart, n, "csv") % ((0.5,) * 2 * n)
+            assert len(csv.split("\n")) == n
+            assert len(json.loads("[" + chart_body(model, chart, n, "json") % ((0.5,) * 2 * n)
+                                  + "]")) == n
+            assert_writers_match(req, sample_curve(rho, chart, n), chart_bodies(model, chart, n))
+
+
+GOLDEN_COMMANDS = [
+    ["density", "--alpha", "0.5", "--beta", "0.5", "--chart", "theta"],
+    ["density", "--alpha", "0.5", "--beta", "0.5", "--chart", "arcsin"],
+    ["density", "--alpha", "0.5", "--beta", "0.5", "--chart", "reciprocal"],
+    ["density", "--alpha", "0.49", "--beta", "0.49", "--chart", "theta"],
+    ["density", "--alpha", "0.51", "--beta", "0.51", "--chart", "theta"],
+    ["density", "--alpha", "0.99", "--beta", "0.99", "--chart", "theta"],
+    ["density", "--alpha", "1.01", "--beta", "1.01", "--chart", "theta"],
+    ["density", "--alpha", "1.05", "--beta", "2.05", "--chart", "theta"],
+]
+EMBED_COMMANDS = [["embed", "--chart", c] for c in ("theta", "arcsin", "reciprocal", "arclength")]
+
+
+class TestCurveFilesMatchReference:
+    """What cli.main writes to a file is the reference writers' text over
+    sample_curve's rows, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", GOLDEN_COMMANDS + EMBED_COMMANDS,
+                             ids=lambda argv: "-".join(a for a in argv if a[0] != "-"))
+    def test_file_output(self, tmp_path, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        rc, text = run_cli(tmp_path, *argv)
+        assert rc == 0
+        req = cli._build_parser().parse_args(argv)
+        model = get_model(req.model)
+        rho = beta_chart_density(BetaParams(req.alpha or 0.5, req.beta or 0.5))
+        d = intrinsic_from_chart(rho) if req.subcommand == "embed" else rho
+        curve = sample_curve(d, charts_for(model)[req.chart], req.samples)
+        assert text == (reference_csv if fmt == "csv" else reference_json)(req, curve)
 
 
 def fresh_process(argv):
@@ -680,6 +739,11 @@ class TestLazyImports:
             "print([m for m in ('fishergeom.mode', 'fishergeom.quadrature', 'argparse')"
             " if m in sys.modules])")
         assert out == "[]\n"
+
+    def test_cli_import_loads_no_json(self):
+        # the JSON writer imports it on its first document
+        out = self.fresh_python("import sys, fishergeom.cli\nprint('json' in sys.modules)")
+        assert out == "False\n"
 
     def test_every_public_name_resolves(self):
         # each name is its module's object, star-imports, and is listed by dir()
