@@ -18,6 +18,8 @@ One rule, :func:`_trusted`, lets conversions, integrals, mode searches and
 curves call the core: ``value_offset`` is exactly an ``Evaluator``, one on
 the interval integrated for a whole-domain integral. Any other
 ``value_offset``, a wrapper of an ``Evaluator`` included, is called as given.
+A value-only density's ``value_offset`` is an ``offsetless`` one, as its conversions'
+are: it reads ``value`` :func:`_clamped`, to the digits its ``1 - theta`` keeps.
 
 Two rules read a density at canonical points, for mode searches and curves:
 :func:`_canonical` at one point ``(theta, co)``, the trusted core, for a
@@ -116,12 +118,14 @@ class Evaluator(NamedTuple):
     optional ``column`` is ``core`` over a sample table (``manifold.ChartSamples``)
     of its chart, bit for bit ``map(core, xs, xcs)``, or of any chart's canonical
     points for a core on them; ``tables``, ``(model, chart)``, names the chart
-    (identity for canonical points) it reads with no call a point, else None."""
+    (identity for canonical points) it reads with no call a point, else None;
+    ``offsetless`` marks a core that ignores ``xc``."""
 
     core: Callable[[float, float], float]
     domain: Interval
     column: Callable[[ChartSamples], list[float]] | None = None
     tables: tuple[ManifoldModel, Chart] | None = None
+    offsetless: bool = False
 
     def __call__(self, x: float, xc: float) -> float:
         return self.core(x, verify_offset(self.domain, x, xc))
@@ -131,7 +135,7 @@ class Evaluator(NamedTuple):
         if not self.domain.in_closure(x):
             raise DomainError(f"coordinate {x!r} is outside the closure of [{lo}, {hi}]")
         if (x == lo or x == hi) and math.isfinite(x):
-            return endpoint_behaviour(self.core, self.domain, x == lo)[1]
+            return endpoint_behaviour(self.core, self.domain, x == lo, self.offsetless)[1]
         return self.core(x, naive_offset(self.domain, x))
 
 
@@ -189,24 +193,36 @@ def _images(samples: ChartSamples, model: ManifoldModel, chart: Chart) -> ChartS
     return _sample_table(model, chart, xs, tuple(map(verify_offset, repeat(chart.domain), xs, xcs)))
 
 
-def _evaluators(core, interval: Interval, column=None, tables=None) -> dict:
+def _evaluators(core, interval: Interval, column=None, tables=None, offsetless=False) -> dict:
     """Constructor keywords ``value`` and ``value_offset`` of a trusted ``core`` on
-    ``interval``, with its ``column`` and ``tables``, if any."""
-    evaluator = Evaluator(core, interval, column, tables)
+    ``interval``, with its ``column``, ``tables`` and ``offsetless`` mark, if any."""
+    evaluator = Evaluator(core, interval, column, tables, offsetless)
     return {"value": evaluator.value, "value_offset": evaluator}
 
 
-def _value_only(d) -> None:
-    """A value-only density's ``value_offset``: one positional parameter, so integrals
-    skip endpoints; conversions call it with ``(x, xc)`` and may reach theta = 1.0."""
+def _clamped(fn: Callable[[float], float], interval: Interval) -> Evaluator:
+    """``fn`` as an offsetless :class:`Evaluator`, the one rule for an offsetless callable: its
+    core reads ``fn`` at ``x`` clamped into the open ``interval``; nan if no double lies inside."""
+    lo, hi = math.nextafter(interval.lo, interval.hi), math.nextafter(interval.hi, interval.lo)
+    return Evaluator(lambda x, xc: fn(min(max(x, lo), hi)) if lo <= hi else math.nan,
+                     interval, offsetless=True)
+
+
+def _value_only(d, domain: Interval) -> None:
+    """A value-only density's ``value_offset``: its ``value`` :func:`_clamped` to ``domain``."""
     if d.value_offset is None:
-        fn = d.value
-        object.__setattr__(d, "value_offset", lambda x, *_: fn(x))
+        object.__setattr__(d, "value_offset", _clamped(d.value, domain))
+
+
+def _offsetless(d) -> bool:
+    """Whether ``d``'s trusted core ignores offsets: value-only, or converted from one."""
+    return type(d.value_offset) is Evaluator and d.value_offset.offsetless
 
 
 @dataclass(frozen=True)
 class ChartDensity:
-    """A density over one chart coordinate (the integration form)."""
+    """A density over one chart coordinate (the integration form). Built from
+    ``value`` alone, it reads ``value`` :func:`_clamped` into the chart's domain."""
 
     model: ManifoldModel
     chart: Chart
@@ -216,12 +232,13 @@ class ChartDensity:
 
     def __post_init__(self):
         _require_model(self.chart, self.model)
-        _value_only(self)
+        _value_only(self, self.chart.domain)
 
 
 @dataclass(frozen=True)
 class IntrinsicDensity:
-    """A density with respect to the Riemannian measure; chart-free."""
+    """A density with respect to the Riemannian measure; chart-free. Built from
+    ``value`` alone, it reads ``value`` :func:`_clamped` into the canonical domain."""
 
     model: ManifoldModel
     value: Callable[[float], float]
@@ -229,7 +246,7 @@ class IntrinsicDensity:
     value_offset: Callable[[float, float], float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        _value_only(self)
+        _value_only(self, self.model.canonical_domain)
 
 
 def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
@@ -309,7 +326,8 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
                                           (model, identity_chart(model))))
 
 
-def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, float]:
+def endpoint_behaviour(core, interval: Interval, at_lo: bool,
+                       offsetless: bool = False) -> tuple[float, float]:
     """``(exponent, limit)`` of a trusted ``(x, xc)`` core at a finite
     endpoint of ``interval``.
 
@@ -320,18 +338,21 @@ def endpoint_behaviour(core, interval: Interval, at_lo: bool) -> tuple[float, fl
     slope is within 1e-15 of the exact exponent for every shipped chart and
     view at shapes from 1e-3 to 20. A probe of inf, or of 0 at ``_FAR``
     alone, diverges; 0 at ``_NEAR`` vanishes; nan gives ``(nan, nan)``.
+    Where ``ulp(end) > _NEAR``, an offsetless core is read at ``ulp(end)`` and 1e-8, tolerance 1e-6.
     """
     end, sign = (interval.lo, 1.0) if at_lo else (interval.hi, -1.0)
-    near = core(end + sign * _NEAR, sign * _NEAR)
-    far = core(end + sign * _FAR, sign * _FAR)
+    h_near, h_far, tol = ((math.ulp(end), 1e-8, 1e-6) if offsetless and math.ulp(end) > _NEAR
+                          else (_NEAR, _FAR, _EXPONENT_TOL))
+    near = core(end + sign * h_near, sign * h_near)
+    far = core(end + sign * h_far, sign * h_far)
     if math.isnan(near) or math.isnan(far):
         return math.nan, math.nan
     if near == 0.0 and not math.isinf(far):
         return math.inf, 0.0
     if far == 0.0 or math.isinf(near) or math.isinf(far):
         return -math.inf, math.inf
-    exponent = (math.log(near) - math.log(far)) / math.log(_NEAR / _FAR)
-    if abs(exponent) <= _EXPONENT_TOL:
+    exponent = (math.log(near) - math.log(far)) / math.log(h_near / h_far)
+    if abs(exponent) <= tol:
         return exponent, near
     return exponent, math.inf if exponent < 0.0 else 0.0
 
@@ -388,7 +409,7 @@ def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
             return list(map(operator.mul, q_column(samples), samples.jacobians))
         tables = tables and (model, chart)
     return ChartDensity(model=model, chart=chart, label=d.label,
-                        **_evaluators(core, chart.domain, column, tables))
+                        **_evaluators(core, chart.domain, column, tables, _offsetless(d)))
 
 
 def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
@@ -407,7 +428,8 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     def column(samples: ChartSamples) -> list[float]:
         return _quotients(q_column(samples), samples.root_gs)
     return IntrinsicDensity(model=model, label=rho.label,
-                            **_evaluators(core, model.canonical_domain, column, tables))
+                            **_evaluators(core, model.canonical_domain, column, tables,
+                                          _offsetless(rho)))
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:

@@ -13,10 +13,8 @@ endpoint ``value``: the density's local power-law exponent there, read from
 two exact canonical offsets. A negative exponent is a divergent boundary
 mode (its value is ``math.inf``), an exponent of 0 a candidate valued at
 the finite limit, and a positive one a vanishing boundary, which is no
-candidate. A probe that raises an arithmetic or value error is re-raised as
-``DomainError``: a value-only density carries no offset, so its probes near
-theta = 1 call it at 1.0 itself (theta is not clamped, which would lose a
-mode there). A density whose scan and finite boundary limits all agree to
+candidate. An offsetless density (value-only) is probed at offsets theta
+can hold. A density whose scan and finite boundary limits all agree to
 within the tie tolerance is reported as flat — a distinguished result,
 since returning one arbitrary argmax would be misleading; only a divergent
 boundary rules flatness out.
@@ -45,11 +43,12 @@ from .density import (
     IntrinsicDensity,
     _canonical,
     _column,
+    _offsetless,
     beta_chart_density,
     beta_intrinsic_density,
     endpoint_behaviour,
 )
-from .manifold import Chart, DomainError, _chart_samples, _require_model, naive_offset
+from .manifold import Chart, _chart_samples, _require_model, naive_offset
 
 _SCAN_POINTS = 1024
 _GOLDEN_TOL = 1e-10
@@ -146,17 +145,10 @@ def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None
 
     # the limit at each boundary a finite arc length away; one that vanishes
     # (or cannot be classified) is no candidate
-    boundary = []
+    boundary, offsetless = [], _offsetless(d)
     for theta_b, s_end in ((dom.lo, s_chart.domain.lo), (dom.hi, s_chart.domain.hi)):
         if math.isfinite(theta_b) and math.isfinite(s_end):
-            try:
-                limit = endpoint_behaviour(eval_canonical, dom, theta_b == dom.lo)[1]
-            except (ArithmeticError, ValueError) as e:
-                raise DomainError(
-                    f"density '{d.label}' raised {type(e).__name__} ({e}) where the mode search "
-                    f"probes its end theta = {theta_b!r}; a value-only density cannot be read "
-                    "there, as it carries no offset and a probe near theta = 1 rounds to 1.0"
-                ) from e
+            limit = endpoint_behaviour(eval_canonical, dom, theta_b == dom.lo, offsetless)[1]
             if limit > 0.0:
                 boundary.append((theta_b, limit))
 

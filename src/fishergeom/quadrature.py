@@ -18,8 +18,8 @@ therefore accept a second argument: ``f(x, xc)`` is called with ``xc`` the
 exact signed offset of the node from the nearest finite endpoint
 (``x = lo + xc`` when ``xc > 0``, ``x = hi + xc`` when ``xc < 0``, NaN when
 no finite endpoint exists). Plain single-argument integrands work too, are
-only called on the open interior, and are accurate whenever their singular
-endpoints sit at zero or nowhere.
+only called on the open interior (``density._clamped``), and are accurate
+whenever their singular endpoints sit at zero or nowhere.
 
 Divergence
 ----------
@@ -30,7 +30,7 @@ tolerance and the finite term before it. The result is then
 completed level. A convergent transformed integrand decays
 double-exponentially in |t| (Mori & Sugihara, J. Comput. Appl. Math. 127,
 2001), so one still growing at the end of the representable range cannot
-converge at any step size. Skipped nodes (rounded onto an endpoint, past the
+converge at any step size. Skipped nodes (an exact offset of 0, past the
 map's range, or where the integrand is not finite, overflows or divides by
 zero) are not terms, so divergence at a finite endpoint, such as ``1/x`` on
 (0, 1), is caught as well. A divergent volume stops at about 40 evaluations
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
-from .density import ChartDensity, Evaluator, _trusted
+from .density import ChartDensity, Evaluator, _clamped, _trusted
 from .manifold import (Chart, ChartSamples, DomainError, Interval, ManifoldModel, _sample_table,
                        chart_canonical_offset, identity_chart)
 
@@ -212,9 +212,8 @@ def _table(row, level: int, sign: int) -> tuple[tuple, int]:
 # Keyed by identity like manifold._chart_samples, and bounded to the tables of four charts.
 @lru_cache(maxsize=4 * 2 * (_TABLE_LEVELS + 1))
 def _side_samples(model: ManifoldModel, chart: Chart, level: int, sign: int) -> ChartSamples:
-    """One side's nodes of one level over ``chart.domain`` as a sample table;
-    a row an offset-aware sweep never evaluates (no node, x not finite, or
-    ``xc == 0``) holds the node at t = 0 instead."""
+    """One side's nodes of one level over ``chart.domain`` as a sample table; a row
+    the sweep never reads (no node, x not finite, or ``xc == 0``) holds the t = 0 node."""
     row, w_scale, off_scale, sides = _node_map(chart.domain)
     anchor, sx, sxc = sides[sign]
 
@@ -243,7 +242,7 @@ def _columns(column, model: ManifoldModel, chart: Chart, weight=None):
     return side
 
 
-def _de_integrate(call, offset_aware: bool, interval: Interval, columns=None) -> QuadratureResult:
+def _de_integrate(call, interval: Interval, columns=None) -> QuadratureResult:
     """Trapezoid sums of the transformed integrand with step halving.
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
@@ -252,11 +251,10 @@ def _de_integrate(call, offset_aware: bool, interval: Interval, columns=None) ->
     consecutive terms fall below ``term_tol``, the last at or past the
     table's stop index (the double-exponential tail then contributes less
     than a couple of ``term_tol``); the row index ``i`` is where it stopped.
-    Skipped nodes (no node, a node rounding onto an endpoint, an integrand
-    that is not finite, overflows or divides by zero) are not terms. An
-    offset-aware integrand is evaluated where its node rounds onto a finite
-    endpoint, as its exact offset is nonzero; plain ones only see the open
-    interior. The level-to-level difference is the error estimate. From
+    Skipped nodes (no node, an exact offset of 0, an integrand that is not
+    finite, overflows or divides by zero) are not terms; a node whose x rounds
+    onto a finite endpoint is read, as its exact offset is nonzero. The
+    level-to-level difference is the error estimate. From
     level 2 on, a side whose tail grows (its last finite term exceeds
     ``term_tol`` and the finite term before it) ends the integration
     unconverged before the other side is swept, and so does no finite term
@@ -265,7 +263,6 @@ def _de_integrate(call, offset_aware: bool, interval: Interval, columns=None) ->
     row ``i``: what ``call`` returns at that row's node.
     """
     row, w_scale, off_scale, sides = _node_map(interval)
-    lo, hi = interval.lo, interval.hi
     isfinite = math.isfinite
     evaluations = skipped = 0
 
@@ -288,7 +285,7 @@ def _de_integrate(call, offset_aware: bool, interval: Interval, columns=None) ->
                     off = off_scale / m if div else off_scale * m
                     x = anchor + sx * off
                     xc = sxc * off
-                    if isfinite(x) and (xc != 0.0 if offset_aware else lo < x < hi):
+                    if isfinite(x) and xc != 0.0:
                         try:
                             v = read(i) if read else call(x, xc)
                         except (OverflowError, ZeroDivisionError):
@@ -330,11 +327,10 @@ def integrate_chart(f: Callable, interval: Interval) -> QuadratureResult:
     precision. On non-convergence the best estimate is returned with
     ``converged=False``.
     """
-    if wants_offset(f):
-        core = _trusted(f, interval)
-        columns = _columns(f.column, *f.tables) if core is not f and f.tables else None
-        return _de_integrate(core, True, interval, columns)
-    return _de_integrate(lambda x, xc: f(x), False, interval)
+    f = f if wants_offset(f) else _clamped(f, interval)
+    core = _trusted(f, interval)
+    columns = _columns(f.column, *f.tables) if core is not f and f.tables else None
+    return _de_integrate(core, interval, columns)
 
 
 def integrate_manifold(f: Callable, model: ManifoldModel,
@@ -348,15 +344,8 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     interior: at a node whose theta rounds onto an end it is called at the
     nearest interior double.
     """
-    return _integrate_manifold(f if wants_offset(f) else _interior(f, model), model, region)
-
-
-def _interior(f: Callable[[float], float], model: ManifoldModel) -> Callable:
-    """A plain ``f(theta)`` as ``(theta, co)``, called at the nearest interior
-    double where theta rounds onto an end of the canonical domain."""
-    dom = model.canonical_domain
-    lo, hi = math.nextafter(dom.lo, dom.hi), math.nextafter(dom.hi, dom.lo)
-    return lambda theta, co: f(min(max(theta, lo), hi))
+    return _integrate_manifold(f if wants_offset(f) else _clamped(f, model.canonical_domain),
+                               model, region)
 
 
 def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel,
@@ -398,7 +387,7 @@ def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel
     columns = None
     if core is not f and f.tables == (model, identity_chart(model)) and s_interval == s_chart.domain:
         columns = _columns(f.column, model, s_chart, weight)
-    return _de_integrate(g, True, s_interval, columns)
+    return _de_integrate(g, s_interval, columns)
 
 
 def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
@@ -409,17 +398,12 @@ def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
     other error (``ValueError`` from ``log(1 - t)``) is raised. A node whose
     canonical offset underflows to 0.0 sits on an endpoint in theta: the
     density is still evaluated there, once like at every node, but the node
-    is skipped as if its value were not finite. A value-only density, like a
-    plain integrand of :func:`integrate_manifold`, sees only the open interior.
+    is skipped as if its value were not finite.
     """
-    density = p.value_offset
-    if type(density) is not Evaluator and not wants_offset(density):
-        density = _interior(density, p.model)
-
     def weight(theta: float, co: float, v: float) -> float:
         return math.nan if co == 0.0 else f(theta) * v
 
-    return _integrate_manifold(density, p.model, None, weight)
+    return _integrate_manifold(p.value_offset, p.model, None, weight)
 
 
 def interval_probability(p, region: Interval) -> QuadratureResult:

@@ -12,7 +12,6 @@ from fishergeom import (
     BetaParams,
     ChartDensity,
     ChartModelMismatchError,
-    DomainError,
     IntrinsicDensity,
     beta_chart_density,
     beta_mode_analytic,
@@ -362,24 +361,24 @@ class TestFlatScanWithAnInfiniteValue:
 
 
 class TestValueOnlyEnds:
-    """A value-only density carries no offset, so the boundary probes near
-    theta = 1 call it at 1.0 itself: a probe that raises there is a
-    DomainError naming the end and the density, and a search whose probes
-    do not raise keeps its result."""
+    """A value-only density carries no offset, so its value is read clamped
+    into the open domain and its ends are probed at offsets theta can hold:
+    a value that raises or divides by zero at theta = 1 gives the closed-form
+    mode structure, and a search that never reached an end keeps its result."""
 
-    @pytest.mark.parametrize("search,d,cause", [
+    @pytest.mark.parametrize("search,d,want", [
         (map_estimate, ChartDensity(BERNOULLI, CHARTS["theta"],
                                     lambda t: 1 / (math.pi * math.sqrt(t * (1 - t))), "arcsine"),
-         ZeroDivisionError),
+         beta_mode_analytic(BetaParams(0.5, 0.5), intrinsic=False)),
         (lambda p: mapi_estimate(p, CHARTS["theta"]),
          IntrinsicDensity(BERNOULLI, lambda t: 0 * math.log(1 - t) + 1 / math.pi, "log flat"),
-         ValueError),
+         beta_mode_analytic(BetaParams(0.5, 0.5), intrinsic=True)),
     ], ids=["map", "mapi"])
-    def test_a_probe_that_raises_is_a_domain_error(self, search, d, cause):
-        with pytest.raises(DomainError, match=f"'{d.label}'.* end theta = 1.0; a value-only "
-                                              "density cannot be read there") as info:
-            search(d)
-        assert type(info.value.__cause__) is cause
+    def test_singular_ends_give_the_closed_form(self, search, d, want):
+        got = search(d)
+        assert (got.all_modes, got.at_boundary, got.flat) == (want.all_modes, want.at_boundary,
+                                                              want.flat)
+        assert got.density_value == pytest.approx(want.density_value, rel=1e-12)
 
     def test_probes_that_do_not_raise_keep_the_result(self):
         parabola = ChartDensity(BERNOULLI, CHARTS["theta"], lambda t: 6 * t * (1 - t), "6t(1-t)")

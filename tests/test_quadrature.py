@@ -408,9 +408,19 @@ class TestNonfiniteSkipped:
         assert res.evaluations == res.nonfinite_skipped > 0
 
     def test_no_evaluation_is_not_converged(self):
-        # no double lies strictly inside, so a plain integrand is never called
-        res = integrate_chart(lambda x: 1.0, Interval(0.3, math.nextafter(0.3, 1.0)))
-        assert (res.error_estimate, res.converged, res.evaluations) == (math.inf, False, 0)
+        # no double lies strictly inside, so a plain integrand, or a value-only
+        # density on that domain, is never called: its clamp reads nan at every node
+        region = Interval(0.3, math.nextafter(0.3, 1.0))
+        calls = []
+        res = integrate_chart(lambda x: calls.append(x) or 1.0, region)
+        assert (res.error_estimate, res.converged) == (math.inf, False)
+        assert res.evaluations == res.nonfinite_skipped > 0
+        tiny = dataclasses.replace(CHARTS["theta"], name="tiny", domain=region)
+        rho = ChartDensity(BERNOULLI, tiny, lambda x: calls.append(x) or 1.0, "tiny")
+        assert integrate_chart(rho.value_offset, region) == res
+        with pytest.raises(QuadratureConvergenceError):
+            normalization_check(rho)
+        assert calls == []
 
     def test_normalization_with_no_finite_term_raises(self):
         with pytest.raises(QuadratureConvergenceError):
@@ -759,7 +769,7 @@ class TestNodeTables:
                 seen.append(bits(x, xc))
                 return f(x)
 
-            res = quadrature._de_integrate(call, True, interval)
+            res = quadrature._de_integrate(call, interval)
             expected, value = [], 0.0
             for level in range(top + 1):
                 odd = 0.0
