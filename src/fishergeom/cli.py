@@ -137,10 +137,15 @@ def _emit(req: argparse.Namespace, text: str) -> None:
         raise UsageError(f"cannot write '{req.output}': {e.strerror}") from None
 
 
+def _csv_header(req: argparse.Namespace, meta: dict) -> list[str]:
+    """The comment lines a CSV document opens with: subcommand, version, and
+    one ``# key: value`` line per item of ``meta``."""
+    return [f"# fishergeom {req.subcommand}", f"# version: {__version__}",
+            *[f"# {k}: {v}" for k, v in meta.items()]]
+
+
 def _scalar_csv(req: argparse.Namespace, fields: dict, error_estimate: float | None) -> str:
-    lines = [f"# fishergeom {req.subcommand}", f"# version: {__version__}"]
-    for k, v in _request_meta(req).items():
-        lines.append(f"# {k}: {v}")
+    lines = _csv_header(req, _request_meta(req))
     lines.append("field,value")
     for k, v in fields.items():
         if isinstance(v, float):
@@ -154,15 +159,17 @@ def _scalar_csv(req: argparse.Namespace, fields: dict, error_estimate: float | N
     return "\n".join(lines) + "\n"
 
 
-# Keyed by identity, as a ChartSamples table compares by it.
+# Keyed by identity, as a model and a ChartSamples table compare by it.
 @lru_cache(maxsize=8)
-def _body(samples, fmt: str) -> str:
-    """The rows of every curve over a sample table as one template: each row's
-    chart-only columns (chart and canonical coordinate, embedding) written in
-    and its rho and p left to fill, the rows joined by the format's separator;
-    a formatted float holds no %."""
+def _body(model, samples, fmt: str) -> str:
+    """The rows of every curve over a sample table of ``model`` as one
+    template: each row's chart-only columns (chart and canonical coordinate,
+    and the embedding, computed here once) written in and its rho and p left
+    to fill, the rows joined by the format's separator; a formatted float
+    holds no %."""
     form, sep = _ROW_FORMS[fmt]
-    return sep.join(map(form.__mod__, zip(samples.xs, samples.thetas, samples.exs, samples.eys)))
+    exs, eys = zip(*map(model.embedding, samples.thetas))
+    return sep.join(map(form.__mod__, zip(samples.xs, samples.thetas, exs, eys)))
 
 
 def _json_doc(req: argparse.Namespace, result, error_estimate: float | None) -> str:
@@ -186,13 +193,7 @@ def _curve_text(req: argparse.Namespace, meta: dict, fmt: str, body: str,
     vals[0::2], vals[1::2] = rhos, ps
     rows = body % tuple(vals)
     if fmt == "csv":
-        return "\n".join([
-            f"# fishergeom {req.subcommand}",
-            f"# version: {__version__}",
-            *[f"# {k}: {v}" for k, v in meta.items()],
-            ",".join(_CURVE_COLUMNS),
-            rows,
-        ]) + "\n"
+        return "\n".join([*_csv_header(req, meta), ",".join(_CURVE_COLUMNS), rows]) + "\n"
     if "n" in rows:     # a non-finite value; the scan is far cheaper than the pass
         rows = _NON_FINITE.sub(lambda m: _JSON_TOKENS[m[0]], rows)
     result = {"metadata": meta, "columns": list(_CURVE_COLUMNS), "rows": []}
@@ -275,7 +276,7 @@ def _emit_curve(req: argparse.Namespace, d, chart) -> None:
     if req.fmt != "svg":    # CSV and JSON read the columns; only SVG reads rows
         samples, rhos, ps = _curve_columns(d, chart, n)
         meta = {"model": model.name, "chart": chart.name, "label": d.label, "samples": n}
-        _emit(req, _curve_text(req, meta, req.fmt, _body(samples, req.fmt), rhos, ps))
+        _emit(req, _curve_text(req, meta, req.fmt, _body(model, samples, req.fmt), rhos, ps))
         return
     curve = sample_curve(d, chart, n)
     if req.subcommand == "embed":

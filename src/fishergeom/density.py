@@ -8,50 +8,50 @@ densities move between charts by the usual change-of-variables rule with the
 absolute Jacobian.
 
 Densities are carried as evaluation functions plus metadata, never as sample
-arrays; only a sampled curve holds columns of values. A built density's
-``value_offset`` is an :class:`Evaluator` ``(core, domain)``: called as
-``(x, xc)`` (the quadrature module's exact-offset convention) it checks the
-offset once and calls the trusted core, and its ``value`` method, the
-density's ``value``, returns at a finite endpoint the one-sided limit
-(``math.inf`` where the density diverges) from :func:`endpoint_behaviour`.
-One rule, :func:`_trusted`, lets conversions, integrals, mode searches and
-curves call the core: ``value_offset`` is exactly an ``Evaluator``, one on
-the interval integrated for a whole-domain integral. Any other
-``value_offset``, a wrapper of an ``Evaluator`` included, is called as given.
-A value-only density's ``value_offset`` is an ``offsetless`` one, as its conversions'
-are: it reads ``value`` :func:`_clamped`, to the digits its ``1 - theta`` keeps.
+arrays; only a sampled curve holds columns of values. Every density is read
+through one type, :class:`Evaluator` ``(core, domain)``: a density's
+``value_offset`` is always one, on the density's domain, as its constructor
+makes it (:func:`_evaluator`). A missing ``value_offset`` becomes ``value``
+:func:`_clamped` into the open domain, an ``offsetless`` core read to the
+digits its ``1 - theta`` keeps; any other callable becomes the core of an
+``Evaluator``. Called as ``(x, xc)`` (the quadrature module's exact-offset
+convention), an ``Evaluator`` checks the offset once and calls its core;
+conversions, integrals, mode searches and curves call the core at offsets
+anchored at the ends of its domain. Its ``value`` method, the density's
+``value``, returns at a finite endpoint the one-sided limit (``math.inf``
+where the density diverges) from :func:`endpoint_behaviour`.
 
-Two rules read a density at canonical points, for mode searches and curves:
-:func:`_canonical` at one point ``(theta, co)``, the trusted core, for a
-chart density in a chart but theta at the point's chart image
-(``chart.from_canonical_offset``), its offset checked; and :func:`_column`
-over a whole sample table (``manifold._chart_samples``), an ``Evaluator``'s
-``column`` (bit for bit its core over a table of its chart's points). That
-column reads the table itself where its core is what :func:`_canonical`
-reads, and for a chart density whose ``tables`` name its own chart, the
-table's one image table in that chart (:func:`_images`, built once, with the
-offsets :func:`_canonical` checks), so it is :func:`_canonical` bit for bit;
-else :func:`_canonical` is called once a point. The Beta columns read the
-table's cached logs of each point's distances to both ends; they call the
-core only at a point with a log that is not finite on a side whose exponent
-is exactly 0 (the arc-length node tables' end nodes round onto theta = 0 or
-1, where a log is -inf). A conversion's column is its source's per-theta
-column (in a chart but theta, the source's :func:`_column` over the image
-table's ``|dtheta/dx|``) over the table's ``sqrt(G)`` (``intrinsic_from_chart``)
-or times its ``|dtheta/dx|`` (a chart view, which reads its own chart's
-tables); whole-domain integrals read it over tables of the quadrature nodes
+One rule reads a density at canonical points ``(theta, co)``, for mode
+searches, curves and conversions: :func:`_canonical`, an ``Evaluator`` on the
+canonical domain whose ``column`` is always set, bit for bit its core over a
+sample table's canonical points (``manifold._chart_samples``). For an
+intrinsic or theta-chart density it is the density's own ``Evaluator``, with
+a column of one core call a point where it has none. For a chart density in
+another chart its core reads the density's core at the point's chart image
+(``chart.from_canonical_offset``), the offset checked where it enters the
+chart's domain; its column reads the density's own column over the table's
+one image table in that chart (:func:`_images`, built once, with the same
+checked offsets) where the density's ``tables`` name that chart, else one
+call a point. The Beta columns read the table's cached logs of each point's
+distances to both ends; they call the core only at a point with a log that
+is not finite on a side whose exponent is exactly 0 (the arc-length node
+tables' end nodes round onto theta = 0 or 1, where a log is -inf).
+Whole-domain integrals read a column over tables of the quadrature nodes
 where it makes no call a point.
 
-Conversions are built from one per-theta core, the density per unit theta
-(``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` for a chart density),
-and one chart view of it, ``q(theta(x)) * |dtheta/dx|``. Each checks an
-offset only where a chart map moves it to another interval; the identity
-chart adds no map. :func:`sample_curve` applies the same rules column-wise,
-one value of ``q`` a point, bit for bit, over the sample table the mode scan
-shares. Conversions catch nothing: the maps return their limits, a quotient
-by a zero Jacobian or ``sqrt(G)`` is ``inf``, and below endpoint offsets of
-about 1e-200 a converted value may read ``inf`` or ``nan``, neither right.
-Charts are told apart by identity; a density on a chart of another model raises
+Conversions are built from one per-theta ``Evaluator`` (:func:`_per_theta`),
+the density per unit theta (``p * sqrt(G)``, or ``rho(x(theta)) /
+|dtheta/dx|`` for a chart density), and one chart view of it,
+``q(theta(x)) * |dtheta/dx|``. Each builds its ``Evaluator`` from the
+per-theta one with ``_replace``, so a field it does not compute, such as the
+``offsetless`` mark, is carried over. Each checks an offset only where a
+chart map moves it to another interval; the identity chart adds no map.
+:func:`sample_curve` applies the same rules column-wise, one value of ``q``
+a point, bit for bit, over the sample table the mode scan shares.
+Conversions catch nothing: the maps return their limits, a quotient by a
+zero Jacobian or ``sqrt(G)`` is ``inf``, and below endpoint offsets of about
+1e-200 a converted value may read ``inf`` or ``nan``, neither right. Charts
+are told apart by identity; a density on a chart of another model raises
 ``ChartModelMismatchError``. Beta arithmetic runs through log-gamma and
 ``exp``; a closed-form value above the largest double is ``inf``.
 """
@@ -112,13 +112,14 @@ class BetaParams:
 
 
 class Evaluator(NamedTuple):
-    """A built density's ``value_offset``: its trusted ``core`` and the ``domain``
-    whose endpoint offsets the core takes as given. A call ``(x, xc)`` checks the
-    offset once, then calls ``core``; ``value`` is the density's ``value``. An
-    optional ``column`` is ``core`` over a sample table (``manifold.ChartSamples``)
-    of its chart, bit for bit ``map(core, xs, xcs)``, or of any chart's canonical
-    points for a core on them; ``tables``, ``(model, chart)``, names the chart
-    (identity for canonical points) it reads with no call a point, else None;
+    """The one type a density is read through, a density's ``value_offset``:
+    its trusted ``core`` and the ``domain`` whose endpoint offsets the core
+    takes as given. A call ``(x, xc)`` checks the offset once, then calls
+    ``core``; ``value`` is the density's ``value``. An optional ``column`` is
+    ``core`` over a sample table (``manifold.ChartSamples``) of its chart, bit
+    for bit ``map(core, xs, xcs)``, or of any chart's canonical points for a
+    core on them; ``tables``, ``(model, chart)``, names the chart (identity for
+    canonical points) it reads with no call a point, else None;
     ``offsetless`` marks a core that ignores ``xc``."""
 
     core: Callable[[float, float], float]
@@ -135,51 +136,41 @@ class Evaluator(NamedTuple):
         if not self.domain.in_closure(x):
             raise DomainError(f"coordinate {x!r} is outside the closure of [{lo}, {hi}]")
         if (x == lo or x == hi) and math.isfinite(x):
-            return endpoint_behaviour(self.core, self.domain, x == lo, self.offsetless)[1]
+            return endpoint_behaviour(self, x == lo)[1]
         return self.core(x, naive_offset(self.domain, x))
 
 
-def _trusted(f, interval: Interval | None = None):
-    """The one rule for trusting a core: ``f.core`` if ``f`` is exactly an
-    :class:`Evaluator` (on ``interval``, if given), else ``f`` as given."""
-    return f.core if type(f) is Evaluator and (interval is None or f.domain == interval) else f
+def _evaluator(fn: Callable[[float, float], float], domain: Interval) -> Evaluator:
+    """The one rule for reading an ``(x, xc)`` callable on ``domain``: ``fn``
+    itself if it is exactly an :class:`Evaluator` on ``domain``, else an
+    ``Evaluator`` with ``fn`` as its core, so each offset is checked before
+    ``fn`` sees it."""
+    return fn if type(fn) is Evaluator and fn.domain == domain else Evaluator(fn, domain)
 
 
-def _core(d):
-    """Trusted evaluator of ``d``, by :func:`_trusted`."""
-    return _trusted(d.value_offset)
-
-
-def _canonical(d):
-    """The one rule for reading ``d`` at a canonical point ``(theta, co)``:
-    :func:`_core` of an intrinsic or theta-chart density; of a chart density
-    in another chart, that core at ``chart.from_canonical_offset(theta, co)``,
-    the offset checked where it enters the chart's domain."""
-    core = _core(d)
-    if isinstance(d, IntrinsicDensity) or d.chart is identity_chart(d.model):
-        return core
-    chart = d.chart
-
-    def read(theta: float, co: float) -> float:
-        x, xc = chart.from_canonical_offset(theta, co)
-        return core(x, verify_offset(chart.domain, x, xc))
-    return read
-
-
-def _column(d):
-    """The one rule for reading ``d`` over a whole sample table: its
-    ``Evaluator``'s ``column`` where one is set and :func:`_canonical` reads
-    that ``Evaluator``'s core; for a chart density whose ``tables`` name its
-    own (non-identity) chart, that column over the table's :func:`_images`
-    (``_canonical``'s checked round trip); else :func:`_canonical` mapped
-    over the table's canonical points, one call a point."""
-    f, read = d.value_offset, _canonical(d)
-    if type(f) is Evaluator and f.column is not None:
-        if read is f.core:
-            return f.column
-        if f.tables == (d.model, d.chart):
-            return lambda samples: f.column(_images(samples, *f.tables))
-    return lambda samples: list(map(read, samples.thetas, samples.cos))
+def _canonical(d) -> Evaluator:
+    """The one rule for reading ``d`` at canonical points ``(theta, co)``: an
+    :class:`Evaluator` on the canonical domain, its ``column`` set. For an
+    intrinsic or theta-chart density, its own (a column of one core call a
+    point where it has none); else its core at the chart image
+    ``chart.from_canonical_offset``, the offset checked in the chart's domain,
+    its column over the table's :func:`_images` where its ``tables`` name that
+    chart, else one call a point, and no ``tables``."""
+    f, model = d.value_offset, d.model
+    chart = getattr(d, "chart", identity_chart(model))
+    if chart is identity_chart(model):
+        if f.column is not None:
+            return f
+        read = f.core
+    else:
+        def read(theta: float, co: float) -> float:
+            x, xc = chart.from_canonical_offset(theta, co)
+            return f.core(x, verify_offset(chart.domain, x, xc))
+        if f.tables == (model, chart):
+            return f._replace(core=read, domain=model.canonical_domain, tables=None,
+                              column=lambda samples: f.column(_images(samples, model, chart)))
+    return f._replace(core=read, domain=model.canonical_domain, tables=None,
+                      column=lambda samples: list(map(read, samples.thetas, samples.cos)))
 
 
 # Keyed by identity, as a ChartSamples table compares by it; the bound holds the
@@ -193,10 +184,8 @@ def _images(samples: ChartSamples, model: ManifoldModel, chart: Chart) -> ChartS
     return _sample_table(model, chart, xs, tuple(map(verify_offset, repeat(chart.domain), xs, xcs)))
 
 
-def _evaluators(core, interval: Interval, column=None, tables=None, offsetless=False) -> dict:
-    """Constructor keywords ``value`` and ``value_offset`` of a trusted ``core`` on
-    ``interval``, with its ``column``, ``tables`` and ``offsetless`` mark, if any."""
-    evaluator = Evaluator(core, interval, column, tables, offsetless)
+def _fields(evaluator: Evaluator) -> dict:
+    """Constructor keywords ``value`` and ``value_offset`` of ``evaluator``."""
     return {"value": evaluator.value, "value_offset": evaluator}
 
 
@@ -208,21 +197,19 @@ def _clamped(fn: Callable[[float], float], interval: Interval) -> Evaluator:
                      interval, offsetless=True)
 
 
-def _value_only(d, domain: Interval) -> None:
-    """A value-only density's ``value_offset``: its ``value`` :func:`_clamped` to ``domain``."""
-    if d.value_offset is None:
-        object.__setattr__(d, "value_offset", _clamped(d.value, domain))
-
-
-def _offsetless(d) -> bool:
-    """Whether ``d``'s trusted core ignores offsets: value-only, or converted from one."""
-    return type(d.value_offset) is Evaluator and d.value_offset.offsetless
+def _set_evaluator(d, domain: Interval) -> None:
+    """Set ``d``'s ``value_offset`` to an :class:`Evaluator` on ``domain``: its
+    ``value`` :func:`_clamped` where none is given, else :func:`_evaluator` of it."""
+    f = d.value_offset
+    object.__setattr__(d, "value_offset",
+                       _clamped(d.value, domain) if f is None else _evaluator(f, domain))
 
 
 @dataclass(frozen=True)
 class ChartDensity:
-    """A density over one chart coordinate (the integration form). Built from
-    ``value`` alone, it reads ``value`` :func:`_clamped` into the chart's domain."""
+    """A density over one chart coordinate (the integration form). Its
+    ``value_offset`` is an :class:`Evaluator` on the chart's domain; built
+    from ``value`` alone, it reads ``value`` :func:`_clamped` into it."""
 
     model: ManifoldModel
     chart: Chart
@@ -232,13 +219,14 @@ class ChartDensity:
 
     def __post_init__(self):
         _require_model(self.chart, self.model)
-        _value_only(self, self.chart.domain)
+        _set_evaluator(self, self.chart.domain)
 
 
 @dataclass(frozen=True)
 class IntrinsicDensity:
-    """A density with respect to the Riemannian measure; chart-free. Built from
-    ``value`` alone, it reads ``value`` :func:`_clamped` into the canonical domain."""
+    """A density with respect to the Riemannian measure; chart-free. Its
+    ``value_offset`` is an :class:`Evaluator` on the canonical domain; built
+    from ``value`` alone, it reads ``value`` :func:`_clamped` into it."""
 
     model: ManifoldModel
     value: Callable[[float], float]
@@ -246,7 +234,7 @@ class IntrinsicDensity:
     value_offset: Callable[[float, float], float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        _value_only(self, self.model.canonical_domain)
+        _set_evaluator(self, self.model.canonical_domain)
 
 
 def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
@@ -310,7 +298,7 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
     chart = identity_chart(model)
     core, column = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
     return ChartDensity(model=model, chart=chart, label=f"Beta({params.alpha:g},{params.beta:g})",
-                        **_evaluators(core, chart.domain, column, (model, chart)))
+                        **_fields(Evaluator(core, chart.domain, column, (model, chart))))
 
 
 def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
@@ -322,14 +310,13 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
     model = bernoulli_model()
     core, column = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
     return IntrinsicDensity(model=model, label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
-                            **_evaluators(core, model.canonical_domain, column,
-                                          (model, identity_chart(model))))
+                            **_fields(Evaluator(core, model.canonical_domain, column,
+                                                (model, identity_chart(model)))))
 
 
-def endpoint_behaviour(core, interval: Interval, at_lo: bool,
-                       offsetless: bool = False) -> tuple[float, float]:
-    """``(exponent, limit)`` of a trusted ``(x, xc)`` core at a finite
-    endpoint of ``interval``.
+def endpoint_behaviour(f: Evaluator, at_lo: bool) -> tuple[float, float]:
+    """``(exponent, limit)`` of an :class:`Evaluator`'s core at a finite
+    endpoint of its domain.
 
     The core is taken as ``c * h**exponent`` in the endpoint offset ``h``,
     the exponent read as its log-slope between the exact offsets ``_NEAR``
@@ -338,13 +325,14 @@ def endpoint_behaviour(core, interval: Interval, at_lo: bool,
     slope is within 1e-15 of the exact exponent for every shipped chart and
     view at shapes from 1e-3 to 20. A probe of inf, or of 0 at ``_FAR``
     alone, diverges; 0 at ``_NEAR`` vanishes; nan gives ``(nan, nan)``.
-    Where ``ulp(end) > _NEAR``, an offsetless core is read at ``ulp(end)`` and 1e-8, tolerance 1e-6.
+    Where ``ulp(end) > _NEAR``, an ``offsetless`` core is read at ``ulp(end)``
+    and 1e-8, tolerance 1e-6.
     """
-    end, sign = (interval.lo, 1.0) if at_lo else (interval.hi, -1.0)
-    h_near, h_far, tol = ((math.ulp(end), 1e-8, 1e-6) if offsetless and math.ulp(end) > _NEAR
+    end, sign = (f.domain.lo, 1.0) if at_lo else (f.domain.hi, -1.0)
+    h_near, h_far, tol = ((math.ulp(end), 1e-8, 1e-6) if f.offsetless and math.ulp(end) > _NEAR
                           else (_NEAR, _FAR, _EXPONENT_TOL))
-    near = core(end + sign * h_near, sign * h_near)
-    far = core(end + sign * h_far, sign * h_far)
+    near = f.core(end + sign * h_near, sign * h_near)
+    far = f.core(end + sign * h_far, sign * h_far)
     if math.isnan(near) or math.isnan(far):
         return math.nan, math.nan
     if near == 0.0 and not math.isinf(far):
@@ -364,42 +352,43 @@ def _quotients(qs: list[float], divisors: tuple[float, ...]) -> list[float]:
     return [q / g if g else math.inf for q, g in zip(qs, divisors)]
 
 
-def _per_theta(d: ChartDensity | IntrinsicDensity):
-    """``(q, column, tables)``: the trusted ``(theta, co)`` core ``q`` of ``d``
-    per unit theta, ``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` with
-    the chart map's output checked where it enters the chart's domain (in the
-    identity chart, ``rho``'s core); ``q``'s column over a table's canonical
-    points (in another chart, ``d``'s :func:`_column` over the ``|dtheta/dx|``
-    of the table's :func:`_images`); and ``d``'s ``tables`` where that column
-    reads ``d``'s own over the table itself, else None."""
-    model, source, f, own = d.model, _core(d), d.value_offset, _column(d)
-    tables = f.tables if type(f) is Evaluator and own is f.column else None
+def _per_theta(d: ChartDensity | IntrinsicDensity) -> Evaluator:
+    """``d`` per unit theta, :func:`_canonical` of ``d`` with ``_replace``d core
+    and column: ``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` with the
+    chart map's output checked where it enters the chart's domain (in the
+    identity chart, ``rho`` itself); the column over the table's ``sqrt(G)``
+    or the ``|dtheta/dx|`` of its :func:`_images`."""
+    model, source = d.model, _canonical(d)
+    read, own = source.core, source.column
     if isinstance(d, IntrinsicDensity):
         def per_theta(theta: float, co: float) -> float:
-            return source(theta, co) * math.sqrt(model.fisher_metric_offset(theta, co))
-        return per_theta, lambda s: list(map(operator.mul, own(s), s.root_gs)), tables
-    chart = d.chart
+            return read(theta, co) * math.sqrt(model.fisher_metric_offset(theta, co))
+        return source._replace(core=per_theta,
+                               column=lambda s: list(map(operator.mul, own(s), s.root_gs)))
+    chart, core = d.chart, d.value_offset.core
     if chart is identity_chart(model):
-        return source, own, tables
+        return source
 
     def per_theta(theta: float, co: float) -> float:
         x, xc = chart.from_canonical_offset(theta, co)
         xc = verify_offset(chart.domain, x, xc)
         jacobian = abs(chart.d_canonical_offset(x, xc))
-        return source(x, xc) / jacobian if jacobian else math.inf
-    return per_theta, lambda s: _quotients(own(s), _images(s, model, chart).jacobians), None
+        return core(x, xc) / jacobian if jacobian else math.inf
+    return source._replace(core=per_theta,
+                           column=lambda s: _quotients(own(s), _images(s, model, chart).jacobians))
 
 
 def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
     """``d`` as a chart density in ``chart``: ``q(theta(x)) * |dtheta/dx|``
-    for its per-theta core ``q``, with the chart map's output checked as it
-    enters the canonical domain. In the model's identity chart it is ``q``.
-    Its column over ``chart``'s tables is ``q``'s times their ``|dtheta/dx|``.
+    for its per-theta :class:`Evaluator` ``q``, with the chart map's output
+    checked as it enters the canonical domain. In the model's identity chart
+    it is ``q``. Its column over ``chart``'s tables is ``q``'s times their
+    ``|dtheta/dx|``.
     """
-    model, (per_theta, q_column, tables) = d.model, _per_theta(d)
-    if chart is identity_chart(model):
-        core, column = per_theta, q_column
-    else:
+    model, q = d.model, _per_theta(d)
+    if chart is not identity_chart(model):
+        per_theta, q_column = q.core, q.column
+
         def core(x: float, xc: float) -> float:
             theta, co = chart.canonical_offset(x, xc)
             co = verify_offset(model.canonical_domain, theta, co)
@@ -407,9 +396,9 @@ def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
 
         def column(samples: ChartSamples) -> list[float]:
             return list(map(operator.mul, q_column(samples), samples.jacobians))
-        tables = tables and (model, chart)
-    return ChartDensity(model=model, chart=chart, label=d.label,
-                        **_evaluators(core, chart.domain, column, tables, _offsetless(d)))
+        q = q._replace(core=core, domain=chart.domain, column=column,
+                       tables=q.tables and (model, chart))
+    return ChartDensity(model=model, chart=chart, label=d.label, **_fields(q))
 
 
 def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
@@ -419,7 +408,8 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     the point of the construction. Its column is its per-theta column over
     the table's ``sqrt(G)``.
     """
-    model, (per_theta, q_column, tables) = rho.model, _per_theta(rho)
+    model, q = rho.model, _per_theta(rho)
+    per_theta, q_column = q.core, q.column
 
     def core(theta: float, co: float) -> float:
         root_g = math.sqrt(model.fisher_metric_offset(theta, co))
@@ -428,8 +418,7 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     def column(samples: ChartSamples) -> list[float]:
         return _quotients(q_column(samples), samples.root_gs)
     return IntrinsicDensity(model=model, label=rho.label,
-                            **_evaluators(core, model.canonical_domain, column, tables,
-                                          _offsetless(rho)))
+                            **_fields(q._replace(core=core, column=column)))
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:
@@ -478,28 +467,29 @@ def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart,
     One evaluation of ``d`` a row gives its per-theta value ``q``: ``rho = q *
     |dtheta/dx|`` (``q`` in the identity chart) and ``p = q / sqrt(G)`` (inf
     where ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p * sqrt(G)``. An
-    intrinsic density is read by :func:`_column`, a chart density by its
-    per-theta column; in its own non-identity chart it gives ``rho`` from its
-    own column (or its core, one call a row).
+    intrinsic density is read by :func:`_canonical`'s column, a chart density
+    by its per-theta one; in its own non-identity chart it gives ``rho`` from
+    its own column where its ``tables`` name that chart, else its core, one
+    call a row.
     """
     model = d.model
     _require_model(chart, model)
     s = _chart_samples(model, chart, n)
     f = d.value_offset
     if isinstance(d, IntrinsicDensity):
-        ps = _column(d)(s)
+        ps = _canonical(d).column(s)
         qs = list(map(operator.mul, ps, s.root_gs))
     else:
-        qs = _per_theta(d)[1](s)
+        qs = _per_theta(d).column(s)
         ps = _quotients(qs, s.root_gs)
     if chart is identity_chart(model):
         rhos = qs
     elif chart is not getattr(d, "chart", None):
         rhos = list(map(operator.mul, qs, s.jacobians))
-    elif type(f) is Evaluator and f.tables == (model, chart):
+    elif f.tables == (model, chart):
         rhos = f.column(s)
     else:
-        rhos = list(map(_core(d), s.xs, s.xcs))
+        rhos = list(map(f.core, s.xs, s.xcs))
     return s, rhos, ps
 
 
@@ -508,6 +498,7 @@ def sample_curve(d: ChartDensity | IntrinsicDensity, chart: Chart, n: int) -> De
     strictly increasing in the chart coordinate, with the :func:`_curve_columns`
     ``rho`` and ``p`` and the embedded point (NaN for a model without one)."""
     s, rhos, ps = _curve_columns(d, chart, n)
-    rows = map(tuple.__new__, repeat(CurveRow), zip(s.xs, s.thetas, rhos, ps, s.exs, s.eys))
+    exs, eys = zip(*map(d.model.embedding, s.thetas))
+    rows = map(tuple.__new__, repeat(CurveRow), zip(s.xs, s.thetas, rhos, ps, exs, eys))
     return DensityCurve(model_name=d.model.name, chart_name=chart.name, label=d.label,
                         samples=n, rows=tuple(rows))

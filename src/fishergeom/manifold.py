@@ -435,8 +435,6 @@ class ChartSamples(NamedTuple):
     xcs: tuple[float, ...]          # and their offsets
     thetas: tuple[float, ...]       # their canonical points
     cos: tuple[float, ...]          # and offsets, checked in the canonical domain
-    exs: tuple[float, ...]          # the embedding
-    eys: tuple[float, ...]
     root_gs: tuple[float, ...]      # sqrt(G)
     jacobians: tuple[float, ...]    # |dtheta/dx|
     # log of the exact distance to each canonical end, co or theta - lo and
@@ -451,11 +449,9 @@ def _log_distance(d: float) -> float:
     return math.log(d) if d > 0.0 else -math.inf if d <= 0.0 else d
 
 
-def _sample_table(model: ManifoldModel, chart: Chart, xs: tuple, xcs: tuple,
-                  embed: bool = False) -> ChartSamples:
+def _sample_table(model: ManifoldModel, chart: Chart, xs: tuple, xcs: tuple) -> ChartSamples:
     """The :class:`ChartSamples` table of the chart points ``xs`` with their
-    offsets ``xcs``, each column computed once; the embedding columns are
-    empty unless ``embed``."""
+    offsets ``xcs``, each column computed once."""
     dom = model.canonical_domain
     thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
     cos = tuple(map(verify_offset, [dom] * len(xs), thetas, cos))
@@ -464,8 +460,7 @@ def _sample_table(model: ManifoldModel, chart: Chart, xs: tuple, xcs: tuple,
     points = list(zip(thetas, cos))
     log_los = tuple(_log_distance(co if co > 0 else theta - dom.lo) for theta, co in points)
     log_his = tuple(_log_distance(-co if co < 0 else dom.hi - theta) for theta, co in points)
-    exs, eys = zip(*map(model.embedding, thetas)) if embed else ((), ())
-    return ChartSamples(xs, xcs, thetas, cos, exs, eys, root_gs, jacobians, log_los, log_his)
+    return ChartSamples(xs, xcs, thetas, cos, root_gs, jacobians, log_los, log_his)
 
 
 # Keyed by model and chart identity: the shipped charts are built once, so
@@ -476,7 +471,7 @@ def _chart_samples(model: ManifoldModel, chart: Chart, n: int) -> ChartSamples:
     """The ``n``-point interior grid of ``chart`` as a :func:`_sample_table`:
     the points of the mode scan and of every sampled curve."""
     xs = tuple(interior_grid(chart.domain, n))
-    return _sample_table(model, chart, xs, tuple(naive_offset(chart.domain, x) for x in xs), True)
+    return _sample_table(model, chart, xs, tuple(naive_offset(chart.domain, x) for x in xs))
 
 
 def get_chart(model: ManifoldModel, name: str) -> Chart:

@@ -19,14 +19,14 @@ within the tie tolerance is reported as flat — a distinguished result,
 since returning one arbitrary argmax would be misleading; only a divergent
 boundary rules flatness out.
 
-The engine takes the density and reads it by two rules of the density
-module, ``density._canonical`` at one canonical point and ``density._column``
-over the scan table (at its chart image, the offset checked, for a chart
-density in a chart but theta), so MAP and MAPI are one argmax, of a chart
-density and of an intrinsic one. The scan's points and their exact canonical
-offsets, checked once when the table is built, come from the sample table
-that curves share (``manifold._chart_samples``); the default search chart,
-the model's arc-length chart, is the same object on every call. A search or
+The engine reads the density through one ``Evaluator``, ``density._canonical``
+(at its chart image, the offset checked, for a chart density in a chart but
+theta): its core at one canonical point, its column over the scan table, and
+its ``offsetless`` mark at the boundaries, so MAP and MAPI are one argmax, of
+a chart density and of an intrinsic one. The scan's points and their exact
+canonical offsets, checked once when the table is built, come from the
+sample table that curves share (``manifold._chart_samples``); the default
+search chart, the model's arc-length chart, is the same object on every call. A search or
 report chart of another model raises ``ChartModelMismatchError``. A scan
 value of 0 (a tail that underflowed) is never refined, and a scan that is 0
 everywhere raises ``ArithmeticError`` rather than reporting ``flat``.
@@ -42,8 +42,6 @@ from .density import (
     ChartDensity,
     IntrinsicDensity,
     _canonical,
-    _column,
-    _offsetless,
     beta_chart_density,
     beta_intrinsic_density,
     endpoint_behaviour,
@@ -129,7 +127,7 @@ def _parabolic_polish(f, x: float, lo: float, hi: float) -> float:
 
 def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None,
                   report_chart: Chart) -> ModeResult:
-    model, eval_canonical = d.model, _canonical(d)
+    model, canonical = d.model, _canonical(d)
     s_chart = model.arclength    # the default search chart
     search_chart = search_chart or s_chart
     _require_model(search_chart, model)
@@ -137,18 +135,18 @@ def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None
     sdom, dom = search_chart.domain, model.canonical_domain
 
     def obj(x: float) -> float:
-        return eval_canonical(*search_chart.canonical_offset(x, naive_offset(sdom, x)))
+        return canonical.core(*search_chart.canonical_offset(x, naive_offset(sdom, x)))
 
     samples = _chart_samples(model, search_chart, _SCAN_POINTS)
     grid, thetas = samples.xs, samples.thetas
-    vals = _column(d)(samples)
+    vals = canonical.column(samples)
 
     # the limit at each boundary a finite arc length away; one that vanishes
     # (or cannot be classified) is no candidate
-    boundary, offsetless = [], _offsetless(d)
+    boundary = []
     for theta_b, s_end in ((dom.lo, s_chart.domain.lo), (dom.hi, s_chart.domain.hi)):
         if math.isfinite(theta_b) and math.isfinite(s_end):
-            limit = endpoint_behaviour(eval_canonical, dom, theta_b == dom.lo, offsetless)[1]
+            limit = endpoint_behaviour(canonical, theta_b == dom.lo)[1]
             if limit > 0.0:
                 boundary.append((theta_b, limit))
 

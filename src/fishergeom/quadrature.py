@@ -59,14 +59,15 @@ without a lock (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 6 are
 not kept); the one loop of ``_de_integrate`` reads them and finishes each node
 in the per-node arithmetic order, so results are bit-identical. Node offsets
 are exact and anchored at the endpoints of the interval integrated over, so
-where the integrand is a density's :class:`~fishergeom.density.Evaluator` on
-that interval (``density._trusted``, the one rule) its trusted ``core`` is
-called; any other integrand, a wrapper included, is called as given. A manifold
-integral checks each offset once, where it enters: a sub-region's arc-length
-offset as it enters the chart's domain. The chart map's canonical offsets are
-anchored at the canonical domain's ends, so a density's core trusts them.
-Where that ``Evaluator`` has ``tables`` (a column with no call a point), levels
-to 6 read its column over a cached sample table of each side's nodes in its
+each integral calls the trusted ``core`` of its integrand as a
+:class:`~fishergeom.density.Evaluator` on that interval (:func:`_integrand`,
+the one rule): a density's own on its domain, and on a sub-interval one whose
+core is the density's, which checks each offset. A manifold integral checks
+each offset once, where it enters: a sub-region's arc-length offset as it
+enters the chart's domain. The chart map's canonical offsets are anchored at
+the canonical domain's ends, so a density's core trusts them. Where that
+``Evaluator`` has ``tables`` (a column with no call a point), levels to 6
+read its column over a cached sample table of each side's nodes in its
 chart, checked once a row when built: ``integrate_chart`` over its chart's
 domain, ``integrate_manifold`` and ``expectation`` over the whole domain (in
 the arc-length chart) for a core on canonical points. ``evaluations`` still
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
-from .density import ChartDensity, Evaluator, _clamped, _trusted
+from .density import ChartDensity, Evaluator, _clamped, _evaluator
 from .manifold import (Chart, ChartSamples, DomainError, Interval, ManifoldModel, _sample_table,
                        chart_canonical_offset, identity_chart)
 
@@ -126,9 +127,9 @@ def _require_converged(res: QuadratureResult, what: str,
 
 
 def wants_offset(f) -> bool:
-    """Whether ``f`` is ``f(x, xc)``: a density's :class:`Evaluator`, or two
-    positional parameters without a default."""
-    if type(f) is Evaluator:
+    """Whether ``f`` is ``f(x, xc)``: an :class:`Evaluator`, or two positional
+    parameters without a default."""
+    if isinstance(f, Evaluator):
         return True
     try:
         params = inspect.signature(f).parameters.values()
@@ -137,6 +138,12 @@ def wants_offset(f) -> bool:
     required = [p for p in params if p.default is p.empty
                 and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
     return len(required) >= 2
+
+
+def _integrand(f: Callable, interval: Interval) -> Evaluator:
+    """The one rule for an integrand: ``f(x, xc)`` :func:`density._evaluator`
+    on ``interval``, a plain ``f(x)`` :func:`density._clamped` into it."""
+    return _evaluator(f, interval) if wants_offset(f) else _clamped(f, interval)
 
 
 def _finite_row(t: float) -> tuple:
@@ -327,10 +334,8 @@ def integrate_chart(f: Callable, interval: Interval) -> QuadratureResult:
     precision. On non-convergence the best estimate is returned with
     ``converged=False``.
     """
-    f = f if wants_offset(f) else _clamped(f, interval)
-    core = _trusted(f, interval)
-    columns = _columns(f.column, *f.tables) if core is not f and f.tables else None
-    return _de_integrate(core, interval, columns)
+    f = _integrand(f, interval)
+    return _de_integrate(f.core, interval, _columns(f.column, *f.tables) if f.tables else None)
 
 
 def integrate_manifold(f: Callable, model: ManifoldModel,
@@ -344,14 +349,14 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     interior: at a node whose theta rounds onto an end it is called at the
     nearest interior double.
     """
-    return _integrate_manifold(f if wants_offset(f) else _clamped(f, model.canonical_domain),
-                               model, region)
+    return _integrate_manifold(_integrand(f, model.canonical_domain), model, region)
 
 
-def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel,
+def _integrate_manifold(f: Evaluator, model: ManifoldModel,
                         region: Interval | None = None, weight=None) -> QuadratureResult:
-    """:func:`integrate_manifold` of an offset-aware ``f(theta, co)``, or of
-    ``weight(theta, co, f(theta, co))`` where ``weight`` is given."""
+    """:func:`integrate_manifold` of an :class:`Evaluator` ``f`` on the
+    canonical domain, or of ``weight(theta, co, f(theta, co))`` where
+    ``weight`` is given."""
     domain = model.canonical_domain
     if region is None:
         region = domain
@@ -373,7 +378,7 @@ def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel
     # check and fall back to naive ones, which are well conditioned there.
     # Either way the map's canonical offsets are anchored at the canonical
     # domain's ends.
-    core = _trusted(f, domain)
+    core = f.core
     to_canonical = (s_chart.canonical_offset if region == domain
                     else partial(chart_canonical_offset, s_chart))
 
@@ -385,7 +390,7 @@ def _integrate_manifold(f: Callable[[float, float], float], model: ManifoldModel
 
     # over the whole domain, the column of a core on canonical points
     columns = None
-    if core is not f and f.tables == (model, identity_chart(model)) and s_interval == s_chart.domain:
+    if f.tables == (model, identity_chart(model)) and s_interval == s_chart.domain:
         columns = _columns(f.column, model, s_chart, weight)
     return _de_integrate(g, s_interval, columns)
 
@@ -424,7 +429,8 @@ def normalization_check(d) -> float:
 def volume_result(model: ManifoldModel, region: Interval | None = None) -> QuadratureResult:
     """Riemannian volume ``integral of sqrt(G) d theta`` over ``region``
     (default the whole canonical domain), flagged if it does not converge."""
-    return _integrate_manifold(lambda theta, co: 1.0, model, region)
+    return _integrate_manifold(Evaluator(lambda theta, co: 1.0, model.canonical_domain),
+                               model, region)
 
 
 def volume(model: ManifoldModel, region: Interval | None = None) -> float:

@@ -550,27 +550,33 @@ def special_curve():
                         label='Beta "q" \\ "rows": [] \u00e9', samples=len(rows), rows=tuple(rows))
 
 
-FIXED = ("chart_coord", "canonical_coord", "embed_x", "embed_y")
+FIXED = ("chart_coord", "canonical_coord")
 
 
 class OwnColumns(NamedTuple):
     """The chart-only columns a body reads from a sample table."""
     xs: tuple
     thetas: tuple
-    exs: tuple
-    eys: tuple
+
+
+class OwnEmbedding:
+    """A model whose embedding gives a curve's own embedded points, one a call."""
+
+    def __init__(self, curve):
+        points = iter([(r.embed_x, r.embed_y) for r in curve.rows])
+        self.embedding = lambda theta: next(points)
 
 
 def own_bodies(curve):
     """Per format, the body built over the curve's own chart-only columns, as
     for a curve that no chart produced."""
     columns = OwnColumns(*[tuple(getattr(r, c) for r in curve.rows) for c in FIXED])
-    return lambda fmt: cli._body(columns, fmt)
+    return lambda fmt: cli._body(OwnEmbedding(curve), columns, fmt)
 
 
 def chart_body(model, chart, n, fmt):
     """The cached body of ``chart``'s sample table at ``n`` samples."""
-    return cli._body(_chart_samples(model, chart, n), fmt)
+    return cli._body(model, _chart_samples(model, chart, n), fmt)
 
 
 def chart_bodies(model, chart, n):

@@ -35,8 +35,8 @@ from fishergeom import (
 )
 from fishergeom import mode, quadrature
 from fishergeom import density
-from fishergeom.density import (IntrinsicDensity, _canonical, _column, _core, _images,
-                                _per_theta, endpoint_behaviour)
+from fishergeom.density import (Evaluator, IntrinsicDensity, _canonical, _images, _per_theta,
+                                endpoint_behaviour)
 from fishergeom.manifold import _chart_samples, _sample_table, interior_grid, verify_offset
 
 BERNOULLI = bernoulli_model()
@@ -149,23 +149,25 @@ class TestEndpointBehaviour:
         # Beta(1 + d, 1) in theta behaves as theta**d at 0, and so does its
         # intrinsic density converted through any chart, shifted by -1/2
         rho = beta_chart_density(BetaParams(1.0 + sign * 1e-9, 1.0))
-        exponent, value = endpoint_behaviour(_core(rho), BERNOULLI.canonical_domain, True)
+        exponent, value = endpoint_behaviour(rho.value_offset, True)
         assert exponent == pytest.approx(sign * 1e-9, rel=1e-6)
         assert value == limit
         view = chart_from_intrinsic(intrinsic_from_chart(pushforward(rho, CHARTS[chart])),
                                     CHARTS["theta"])
-        exponent, value = endpoint_behaviour(_core(view), BERNOULLI.canonical_domain, True)
+        exponent, value = endpoint_behaviour(view.value_offset, True)
         assert exponent == pytest.approx(sign * 1e-9, rel=1e-6)
         assert value == limit
 
     def test_probe_values_classified_without_logarithm(self):
-        unit = Interval(0.0, 1.0)
-        assert endpoint_behaviour(lambda x, xc: 0.0, unit, True) == (math.inf, 0.0)
-        assert endpoint_behaviour(lambda x, xc: math.inf, unit, True) == (-math.inf, math.inf)
-        exponent, value = endpoint_behaviour(lambda x, xc: math.nan, unit, False)
+        def unit(core):
+            return Evaluator(core, Interval(0.0, 1.0))
+        assert endpoint_behaviour(unit(lambda x, xc: 0.0), True) == (math.inf, 0.0)
+        assert endpoint_behaviour(unit(lambda x, xc: math.inf), True) == (-math.inf, math.inf)
+        exponent, value = endpoint_behaviour(unit(lambda x, xc: math.nan), False)
         assert math.isnan(exponent) and math.isnan(value)
         # 0 at the farther probe only: growth toward the endpoint
-        assert endpoint_behaviour(lambda x, xc: float(xc < 1e-60), unit, True) == (-math.inf, math.inf)
+        growth = unit(lambda x, xc: float(xc < 1e-60))
+        assert endpoint_behaviour(growth, True) == (-math.inf, math.inf)
 
 
 class TestChartFromIntrinsic:
@@ -524,8 +526,9 @@ class TestColumn:
 
     @staticmethod
     def assert_column_is_core(d, samples):
-        want = list(map(_canonical(d), samples.thetas, samples.cos))
-        assert repr(_column(d)(samples)) == repr(want)
+        read = _canonical(d)
+        want = list(map(read.core, samples.thetas, samples.cos))
+        assert repr(read.column(samples)) == repr(want)
 
     @pytest.mark.parametrize("name", sorted(CHARTS))
     @pytest.mark.parametrize("n", [257, 1001, 1024])
@@ -534,10 +537,10 @@ class TestColumn:
         for a, b in self.SHAPES:
             for kind, d in self.densities(a, b).items():
                 # each carries a column; a pushed one's reads its own chart's tables, so
-                # _column reads it over the table's image in that chart
+                # _canonical reads it over the table's image in that chart
                 pushed, f = kind.startswith("pushed"), d.value_offset
                 assert f.tables == (BERNOULLI, d.chart if pushed else CHARTS["theta"]), kind
-                assert (_column(d) is f.column) != pushed, kind
+                assert (_canonical(d).column is f.column) != pushed, kind
                 self.assert_column_is_core(d, samples)
 
     @staticmethod
@@ -574,7 +577,7 @@ class TestColumn:
 
     def test_overflow_falls_back(self):
         samples = self.table_with_ends((5e-324, 5e-324), (0.5, 0.5))
-        assert _column(beta_chart_density(BetaParams(1e-3, 1.0)))(samples)[0] == math.inf
+        assert _canonical(beta_chart_density(BetaParams(1e-3, 1.0))).column(samples)[0] == math.inf
         for a, b in self.SHAPES:
             for d in self.densities(a, b).values():
                 self.assert_column_is_core(d, samples)
@@ -588,7 +591,7 @@ class TestColumn:
             return rho.value_offset(x, xc)
 
         wrapped = dataclasses.replace(rho, value_offset=value_offset)
-        # the converted density's column reads the wrapper through _column
+        # the converted density's column reads the wrapper through _canonical
         converted = intrinsic_from_chart(wrapped)
         assert converted.value_offset.column is not None
         value_only = IntrinsicDensity(BERNOULLI, lambda t: calls.append(t) or 1.0, "flat")
@@ -647,14 +650,15 @@ class TestColumn:
             for kind, d in self.converted(a, b).items():
                 assert d.value_offset.tables == (BERNOULLI, d.chart), kind
                 self.assert_column_is_core(d, samples)
-                q, q_column, tables = _per_theta(d)
-                assert tables is None, kind
-                assert repr(q_column(samples)) == repr(list(map(q, samples.thetas, samples.cos)))
+                q = _per_theta(d)
+                assert q.tables is None, kind
+                assert repr(q.column(samples)) == repr(list(map(q.core, samples.thetas,
+                                                                samples.cos)))
                 self.assert_column_is_core(intrinsic_from_chart(d), samples)
 
     def test_one_image_table_a_scan_table_and_chart(self, monkeypatch):
         """Each image table is built once per (scan table, chart), by
-        ``_sample_table``, and ``_column``, ``_per_theta`` and
+        ``_sample_table``, and ``_canonical``, ``_per_theta`` and
         ``intrinsic_from_chart`` all read that one table. A table is a cache
         key by identity, so two with equal columns are distinct keys; the
         cache is bounded."""
@@ -668,22 +672,22 @@ class TestColumn:
         for a, b in self.SHAPES:
             for d in self.converted(a, b).values():
                 for s in scans:
-                    _column(d)(s)
-                    _per_theta(d)[1](s)
-                    _column(intrinsic_from_chart(d))(s)
+                    _canonical(d).column(s)
+                    _per_theta(d).column(s)
+                    _canonical(intrinsic_from_chart(d)).column(s)
         assert len(built) == len(scans) * len(charts)
         # the cached tables are the ones built, and none is built anew
         images = [_images(s, BERNOULLI, c) for s in scans for c in charts]
         assert sorted(map(id, images)) == sorted(map(id, built))
         assert len(built) == len(scans) * len(charts)
         s = _chart_samples(BERNOULLI, CHARTS["theta"], 1024)
-        twin = _sample_table(BERNOULLI, CHARTS["theta"], s.xs, s.xcs, True)
+        twin = _sample_table(BERNOULLI, CHARTS["theta"], s.xs, s.xcs)
         assert tuple(twin) == tuple(s) and twin != s and len({s, twin}) == 2
         assert _images(twin, BERNOULLI, charts[0]) is not _images(s, BERNOULLI, charts[0])
         bound = _images.cache_info().maxsize
         for n in range(300, 300 + bound + 3):
-            _column(pushforward(beta_chart_density(BetaParams(2.0, 3.0)), CHARTS["arcsin"]))(
-                _chart_samples(BERNOULLI, CHARTS["theta"], n))
+            pushed = pushforward(beta_chart_density(BetaParams(2.0, 3.0)), CHARTS["arcsin"])
+            _canonical(pushed).column(_chart_samples(BERNOULLI, CHARTS["theta"], n))
         assert _images.cache_info().currsize == bound
 
     @staticmethod
@@ -713,9 +717,11 @@ class TestColumn:
             for a, b in self.SHAPES:
                 d = pushforward(beta_chart_density(BetaParams(a, b)), chart)
                 self.assert_column_is_core(d, samples)
-                assert repr(_column(d)(samples)) == repr([d.value_offset(*p) for p in raw])
-                q, q_column, _ = _per_theta(d)
-                assert repr(q_column(samples)) == repr(list(map(q, samples.thetas, samples.cos)))
+                assert (repr(_canonical(d).column(samples))
+                        == repr([d.value_offset(*p) for p in raw]))
+                q = _per_theta(d)
+                assert repr(q.column(samples)) == repr(list(map(q.core, samples.thetas,
+                                                                samples.cos)))
             d = pushforward(beta_chart_density(BetaParams(2.0, 3.0)), chart)
             assert map_estimate(d).canonical_point == pytest.approx(
                 (math.sqrt(5.0) - 1.0) / 4.0, rel=0.0, abs=1e-9), moved

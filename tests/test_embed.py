@@ -209,22 +209,22 @@ class TestCurveCache:
     @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
     def test_miss_and_hit_call_each_core_once_per_row(self, name, monkeypatch):
         column_rows = []
-        column_of = density._column
+        canonical_of = density._canonical
 
-        def counting_column(d):
-            column = column_of(d)
+        def counting_canonical(d):
+            read = canonical_of(d)
 
             def counted_column(samples):
-                values = column(samples)
+                values = read.column(samples)
                 column_rows.append(len(values))
                 return values
 
-            return counted_column
+            return read._replace(column=counted_column)
 
-        monkeypatch.setattr(density, "_column", counting_column)
+        monkeypatch.setattr(density, "_canonical", counting_canonical)
         rho = beta_chart_density(BetaParams(1.05, 2.05))
         wrapped, n = counted(rho)
-        assert column_of(rho) is rho.value_offset.column
+        assert canonical_of(rho) is rho.value_offset
         curves = []
         for hit in (False, True):
             if not hit:
@@ -270,14 +270,15 @@ def _reference_rows(d, chart, n):
         rho, p = chart_from_intrinsic(d, chart), d
     else:
         rho, p = pushforward(d, chart), intrinsic_from_chart(d)
-    rho_core, p_core = density._core(rho), density._core(p)
+    rho_core, p_core = rho.value_offset.core, p.value_offset.core
     s = manifold._chart_samples(d.model, chart, n)
-    return [(x, theta, rho_core(x, xc), p_core(theta, co), ex, ey)
-            for x, xc, theta, co, ex, ey in zip(s.xs, s.xcs, s.thetas, s.cos, s.exs, s.eys)]
+    return [(x, theta, rho_core(x, xc), p_core(theta, co), *d.model.embedding(theta))
+            for x, xc, theta, co in zip(s.xs, s.xcs, s.thetas, s.cos)]
 
 
 def _without_core(d):
-    """``d`` with a replaced ``value_offset``, which has no trusted core."""
+    """``d`` with its ``value_offset`` replaced by a function, which becomes
+    the core of an ``Evaluator`` with no column."""
     inner = d.value_offset
     return dataclasses.replace(d, value_offset=lambda x, xc: inner(x, xc))
 

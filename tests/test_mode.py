@@ -493,10 +493,10 @@ class TestScanCache:
 
 
 def _one_call_a_point(d):
-    """``d`` read over a table by one :func:`density._canonical` call a
-    point: the reference every column equals bit for bit."""
+    """:func:`density._canonical` of ``d`` with a column of one call of its
+    core a point: the reference every column equals bit for bit."""
     read = _canonical(d)
-    return lambda samples: list(map(read, samples.thetas, samples.cos))
+    return read._replace(column=lambda samples: list(map(read.core, samples.thetas, samples.cos)))
 
 
 def _outcome(search):
@@ -525,7 +525,7 @@ class TestConvertedScans:
         ]
         for run in searches:
             got = _outcome(run)
-            with mock.patch.object(mode, "_column", _one_call_a_point):
+            with mock.patch.object(mode, "_canonical", _one_call_a_point):
                 assert got == _outcome(run)
 
 
