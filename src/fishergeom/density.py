@@ -21,23 +21,22 @@ anchored at the ends of its domain. Its ``value`` method, the density's
 ``value``, returns at a finite endpoint the one-sided limit (``math.inf``
 where the density diverges) from :func:`endpoint_behaviour`.
 
-One rule reads a density at canonical points ``(theta, co)``, for mode
-searches, curves and conversions: :func:`_canonical`, an ``Evaluator`` on the
-canonical domain whose ``column`` is always set, bit for bit its core over a
-sample table's canonical points (``manifold._chart_samples``). For an
-intrinsic or theta-chart density it is the density's own ``Evaluator``, with
-a column of one core call a point where it has none. For a chart density in
-another chart its core reads the density's core at the point's chart image
+Every density's ``Evaluator`` has a ``column``, bit for bit its core over a
+sample table (``manifold._chart_samples``); a density built with none gets
+one of a core call a point. One rule reads a density at canonical points
+``(theta, co)``, for mode searches, curves and conversions: :func:`_canonical`.
+For an intrinsic density, or one on the model's identity chart itself, it is
+the density's own ``Evaluator``. For a chart density in any other chart its
+core reads the density's core at the point's chart image
 (``chart.from_canonical_offset``), the offset checked where it enters the
-chart's domain; its column reads the density's own column over the table's
-one image table in that chart (:func:`_images`, built once, with the same
-checked offsets) where the density's ``tables`` name that chart, else one
-call a point. The Beta columns read the table's cached logs of each point's
+chart's domain, and its column the density's column over the table's one
+image table in that chart (:func:`_images`, built once, with the same checked
+offsets). The Beta columns read the table's cached logs of each point's
 distances to both ends; they call the core only at a point with a log that
 is not finite on a side whose exponent is exactly 0 (the arc-length node
 tables' end nodes round onto theta = 0 or 1, where a log is -inf).
-Whole-domain integrals read a column over tables of the quadrature nodes
-where it makes no call a point.
+Whole-domain integrals read a column over tables of the quadrature nodes of
+the chart its ``tables`` name.
 
 Conversions are built from one per-theta ``Evaluator`` (:func:`_per_theta`),
 the density per unit theta (``p * sqrt(G)``, or ``rho(x(theta)) /
@@ -115,12 +114,13 @@ class Evaluator(NamedTuple):
     """The one type a density is read through, a density's ``value_offset``:
     its trusted ``core`` and the ``domain`` whose endpoint offsets the core
     takes as given. A call ``(x, xc)`` checks the offset once, then calls
-    ``core``; ``value`` is the density's ``value``. An optional ``column`` is
-    ``core`` over a sample table (``manifold.ChartSamples``) of its chart, bit
-    for bit ``map(core, xs, xcs)``, or of any chart's canonical points for a
-    core on them; ``tables``, ``(model, chart)``, names the chart (identity for
-    canonical points) it reads with no call a point, else None;
-    ``offsetless`` marks a core that ignores ``xc``."""
+    ``core``; ``value`` is the density's ``value``. ``column``, which every
+    density's has, is ``core`` over a sample table (``manifold.ChartSamples``)
+    of its chart, bit for bit ``map(core, xs, xcs)``, or of any chart's
+    canonical points for a core on them; ``tables``, ``(model, chart)``, names
+    the chart (identity for canonical points) whose quadrature node tables a
+    whole-domain integral may read it over, else None; ``offsetless`` marks a
+    core that ignores ``xc``."""
 
     core: Callable[[float, float], float]
     domain: Interval
@@ -150,31 +150,25 @@ def _evaluator(fn: Callable[[float, float], float], domain: Interval) -> Evaluat
 
 def _canonical(d) -> Evaluator:
     """The one rule for reading ``d`` at canonical points ``(theta, co)``: an
-    :class:`Evaluator` on the canonical domain, its ``column`` set. For an
-    intrinsic or theta-chart density, its own (a column of one core call a
-    point where it has none); else its core at the chart image
-    ``chart.from_canonical_offset``, the offset checked in the chart's domain,
-    its column over the table's :func:`_images` where its ``tables`` name that
-    chart, else one call a point, and no ``tables``."""
+    :class:`Evaluator` on the canonical domain. For an intrinsic density or one
+    on ``identity_chart(model)`` itself, its own; else its core at the chart
+    image ``chart.from_canonical_offset``, the offset checked in the chart's
+    domain, its column over the table's :func:`_images`, and no ``tables``."""
     f, model = d.value_offset, d.model
     chart = getattr(d, "chart", identity_chart(model))
     if chart is identity_chart(model):
-        if f.column is not None:
-            return f
-        read = f.core
-    else:
-        def read(theta: float, co: float) -> float:
-            x, xc = chart.from_canonical_offset(theta, co)
-            return f.core(x, verify_offset(chart.domain, x, xc))
-        if f.tables == (model, chart):
-            return f._replace(core=read, domain=model.canonical_domain, tables=None,
-                              column=lambda samples: f.column(_images(samples, model, chart)))
+        return f
+
+    def read(theta: float, co: float) -> float:
+        x, xc = chart.from_canonical_offset(theta, co)
+        return f.core(x, verify_offset(chart.domain, x, xc))
     return f._replace(core=read, domain=model.canonical_domain, tables=None,
-                      column=lambda samples: list(map(read, samples.thetas, samples.cos)))
+                      column=lambda samples: f.column(_images(samples, model, chart)))
 
 
-# Keyed by identity, as a ChartSamples table compares by it; the bound holds the
-# images of the mode scan's four tables in each of the three shipped charts but theta.
+# Keyed by identity, as a ChartSamples table compares by it. MAP and MAPI of a density
+# converted twice, in all four search charts, build 8 (an image and its image for
+# each scan table); one pass of the modes benchmark builds 2.
 @lru_cache(maxsize=12)
 def _images(samples: ChartSamples, model: ManifoldModel, chart: Chart) -> ChartSamples:
     """The image table of ``samples``' canonical points in ``chart``: its points
@@ -197,12 +191,18 @@ def _clamped(fn: Callable[[float], float], interval: Interval) -> Evaluator:
                      interval, offsetless=True)
 
 
-def _set_evaluator(d, domain: Interval) -> None:
-    """Set ``d``'s ``value_offset`` to an :class:`Evaluator` on ``domain``: its
-    ``value`` :func:`_clamped` where none is given, else :func:`_evaluator` of it."""
+def _set_evaluator(d, chart: Chart) -> None:
+    """Set ``d``'s ``value_offset`` to an :class:`Evaluator` on ``chart``'s domain:
+    its ``value`` :func:`_clamped` where none is given, else :func:`_evaluator` of
+    it, with a column of a core call a point where it has none, at a table's
+    canonical points on the identity chart itself, else at its chart points."""
     f = d.value_offset
-    object.__setattr__(d, "value_offset",
-                       _clamped(d.value, domain) if f is None else _evaluator(f, domain))
+    f = _clamped(d.value, chart.domain) if f is None else _evaluator(f, chart.domain)
+    if f.column is None:
+        own = chart is identity_chart(d.model)
+        points = operator.attrgetter(*(("thetas", "cos") if own else ("xs", "xcs")))
+        f = f._replace(column=lambda samples, core=f.core: list(map(core, *points(samples))))
+    object.__setattr__(d, "value_offset", f)
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class ChartDensity:
 
     def __post_init__(self):
         _require_model(self.chart, self.model)
-        _set_evaluator(self, self.chart.domain)
+        _set_evaluator(self, self.chart)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ class IntrinsicDensity:
     value_offset: Callable[[float, float], float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        _set_evaluator(self, self.model.canonical_domain)
+        _set_evaluator(self, identity_chart(self.model))
 
 
 def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
@@ -468,14 +468,11 @@ def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart,
     |dtheta/dx|`` (``q`` in the identity chart) and ``p = q / sqrt(G)`` (inf
     where ``sqrt(G)`` is 0); an intrinsic ``p`` gives ``q = p * sqrt(G)``. An
     intrinsic density is read by :func:`_canonical`'s column, a chart density
-    by its per-theta one; in its own non-identity chart it gives ``rho`` from
-    its own column where its ``tables`` name that chart, else its core, one
-    call a row.
+    by its per-theta one; in its own chart but theta, ``rho`` is its own column.
     """
     model = d.model
     _require_model(chart, model)
     s = _chart_samples(model, chart, n)
-    f = d.value_offset
     if isinstance(d, IntrinsicDensity):
         ps = _canonical(d).column(s)
         qs = list(map(operator.mul, ps, s.root_gs))
@@ -484,12 +481,10 @@ def _curve_columns(d: ChartDensity | IntrinsicDensity, chart: Chart,
         ps = _quotients(qs, s.root_gs)
     if chart is identity_chart(model):
         rhos = qs
-    elif chart is not getattr(d, "chart", None):
-        rhos = list(map(operator.mul, qs, s.jacobians))
-    elif f.tables == (model, chart):
-        rhos = f.column(s)
+    elif chart is getattr(d, "chart", None):
+        rhos = d.value_offset.column(s)
     else:
-        rhos = list(map(f.core, s.xs, s.xcs))
+        rhos = list(map(operator.mul, qs, s.jacobians))
     return s, rhos, ps
 
 

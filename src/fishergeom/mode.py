@@ -7,23 +7,22 @@ coordinate, golden-section refinement of each local maximum, a parabolic
 polish, and explicit probing of the domain boundaries, where the densities
 of interest routinely diverge.
 
-Each boundary a finite arc length away is classified by
-``density.endpoint_behaviour``, the classifier behind every density's
-endpoint ``value``: the density's local power-law exponent there, read from
-two exact canonical offsets. A negative exponent is a divergent boundary
-mode (its value is ``math.inf``), an exponent of 0 a candidate valued at
-the finite limit, and a positive one a vanishing boundary, which is no
-candidate. An offsetless density (value-only) is probed at offsets theta
-can hold. A density whose scan and finite boundary limits all agree to
-within the tie tolerance is reported as flat — a distinguished result,
-since returning one arbitrary argmax would be misleading; only a divergent
-boundary rules flatness out.
+Each boundary a finite arc length away is read as the endpoint ``value``
+there, by the rule of every density's (``density.endpoint_behaviour``): the
+density's local power-law exponent, read from two exact canonical offsets.
+A negative exponent is a divergent boundary mode (its value is
+``math.inf``), an exponent of 0 a candidate valued at the finite limit, and
+a positive one a vanishing boundary, which is no candidate. An offsetless
+density (value-only) is probed at offsets theta can hold. A density whose
+scan and finite boundary limits all agree to within the tie tolerance is
+reported as flat — a distinguished result, since returning one arbitrary
+argmax would be misleading; only a divergent boundary rules flatness out.
 
 The engine reads the density through one ``Evaluator``, ``density._canonical``
 (at its chart image, the offset checked, for a chart density in a chart but
 theta): its core at one canonical point, its column over the scan table, and
-its ``offsetless`` mark at the boundaries, so MAP and MAPI are one argmax, of
-a chart density and of an intrinsic one. The scan's points and their exact
+its ``value`` at the boundaries, so MAP and MAPI are one argmax, of a chart
+density and of an intrinsic one. The scan's points and their exact
 canonical offsets, checked once when the table is built, come from the
 sample table that curves share (``manifold._chart_samples``); the default
 search chart, the model's arc-length chart, is the same object on every call. A search or
@@ -44,7 +43,6 @@ from .density import (
     _canonical,
     beta_chart_density,
     beta_intrinsic_density,
-    endpoint_behaviour,
 )
 from .manifold import Chart, _chart_samples, _require_model, naive_offset
 
@@ -146,7 +144,7 @@ def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None
     boundary = []
     for theta_b, s_end in ((dom.lo, s_chart.domain.lo), (dom.hi, s_chart.domain.hi)):
         if math.isfinite(theta_b) and math.isfinite(s_end):
-            limit = endpoint_behaviour(canonical, theta_b == dom.lo)[1]
+            limit = canonical.value(theta_b)
             if limit > 0.0:
                 boundary.append((theta_b, limit))
 

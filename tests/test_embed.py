@@ -278,7 +278,7 @@ def _reference_rows(d, chart, n):
 
 def _without_core(d):
     """``d`` with its ``value_offset`` replaced by a function, which becomes
-    the core of an ``Evaluator`` with no column."""
+    the core of an ``Evaluator`` with a column of one core call a point."""
     inner = d.value_offset
     return dataclasses.replace(d, value_offset=lambda x, xc: inner(x, xc))
 
@@ -313,6 +313,16 @@ class TestCurveReference:
                 for n in (5, 257, 1024):
                     rows = list(map(tuple, sample_curve(d, chart, n).rows))
                     assert repr(rows) == repr(_reference_rows(d, chart, n)), (a, b, kind)
+
+    @pytest.mark.parametrize("first", ["arcsin", "reciprocal", "arclength"])
+    @pytest.mark.parametrize("second", ["arcsin", "reciprocal", "arclength"])
+    def test_composed_density_in_its_own_chart(self, first, second):
+        # its rho column, read over its own chart's table, is its core row by row
+        rho = beta_chart_density(BetaParams(2.0, 3.0))
+        d = pushforward(pushforward(rho, CHARTS[first]), CHARTS[second])
+        s = manifold._chart_samples(BERNOULLI, d.chart, 257)
+        rows = sample_curve(d, d.chart, 257).rows
+        assert repr([row.rho for row in rows]) == repr(list(map(d.value_offset.core, s.xs, s.xcs)))
 
     @pytest.mark.parametrize("model_name", ["poisson", "exponential"])
     def test_rate_families(self, model_name):

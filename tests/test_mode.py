@@ -26,8 +26,9 @@ from fishergeom import (
     pushforward,
     sample_curve,
 )
-from fishergeom import manifold, mode
+from fishergeom import density, manifold, mode
 from fishergeom.density import _canonical
+from fishergeom.manifold import Chart
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -506,6 +507,39 @@ def _outcome(search):
         return f"{type(e).__name__}: {e}"
 
 
+def _square_canonical_offset(y, yc):
+    # theta = sqrt(y); near 1, 1 - sqrt(1 - d) = d / (1 + sqrt(1 - d)), exact in the offset
+    if yc < 0:
+        co = yc / (1.0 + math.sqrt(1.0 + yc))
+        return 1.0 + co, co
+    theta = math.sqrt(y)
+    return theta, theta
+
+
+def _square_from_canonical_offset(theta, co):
+    # y = theta**2; near 1, 1 - (1 - d)**2 = d (2 - d)
+    if co < 0:
+        yc = co * (2.0 + co)
+        return 1.0 + yc, yc
+    return theta * theta, theta * theta
+
+
+# user charts on the model's canonical-domain object itself: y = theta**2, and a
+# copy of the identity chart, which is not the identity chart
+USER_CHARTS = [
+    Chart("square", BERNOULLI.canonical_domain, BERNOULLI.canonical_domain,
+          _square_canonical_offset, _square_from_canonical_offset,
+          lambda y, yc: 0.5 / math.sqrt(y)),
+    dataclasses.replace(CHARTS["theta"]),
+]
+
+
+def _without_column(d):
+    """``d`` with its ``value_offset`` replaced by its core as a plain function."""
+    core = d.value_offset.core
+    return dataclasses.replace(d, value_offset=lambda x, xc: core(x, xc))
+
+
 class TestConvertedScans:
     """MAP and MAPI of converted densities read their scan over image tables
     and find, by repr, what a scan of one call a point finds."""
@@ -523,10 +557,73 @@ class TestConvertedScans:
             lambda: mapi_estimate(intrinsic_from_chart(rho), CHARTS["theta"],
                                   search_chart=CHARTS[search]),
         ]
+        # a conversion of a converted density, and a density with no column of
+        # its own on a user chart whose domain is the canonical one
+        source = beta_chart_density(params)
+        others = [pushforward(pushforward(source, CHARTS[first]), CHARTS[second])
+                  for first in CHART_NAMES[1:] for second in CHART_NAMES[1:] if first != second]
+        others += [_without_column(pushforward(source, user)) for user in USER_CHARTS]
+        for d in others:
+            searches += [
+                lambda d=d: map_estimate(d, search_chart=CHARTS[search]),
+                lambda d=d: mapi_estimate(intrinsic_from_chart(d), CHARTS["theta"],
+                                          search_chart=CHARTS[search]),
+            ]
         for run in searches:
             got = _outcome(run)
             with mock.patch.object(mode, "_canonical", _one_call_a_point):
                 assert got == _outcome(run)
+
+
+class TestComposedScans:
+    """A density converted twice from a Beta one scans by the Beta column over
+    image tables of image tables, built once and then read from the cache."""
+
+    @staticmethod
+    def composed(calls):
+        # Beta(2, 3), its core recording each call, its column and tables kept
+        rho = beta_chart_density(BetaParams(2.0, 3.0))
+        f = rho.value_offset
+        rho = dataclasses.replace(rho, value_offset=f._replace(
+            core=lambda x, xc: calls.append(x) or f.core(x, xc)))
+        return pushforward(pushforward(rho, CHARTS["arcsin"]), CHARTS["reciprocal"])
+
+    @pytest.mark.parametrize("search", CHART_NAMES)
+    def test_warm_search_calls_the_source_only_to_refine(self, search):
+        calls = []
+        d = self.composed(calls)
+        searches = [
+            lambda: map_estimate(d, search_chart=CHARTS[search]),
+            lambda: mapi_estimate(intrinsic_from_chart(d), CHARTS["theta"],
+                                  search_chart=CHARTS[search]),
+        ]
+        for run in searches:
+            cold = repr(run())
+            calls.clear()
+            assert repr(run()) == cold
+            warm = len(calls)
+            calls.clear()
+            with mock.patch.object(mode, "_canonical", _one_call_a_point):
+                assert repr(run()) == cold
+            # one call a scan point fewer than the reference: only refinement and
+            # boundary probes call the core
+            assert warm == len(calls) - mode._SCAN_POINTS
+
+    def test_repeated_search_builds_no_image_table(self):
+        d = self.composed([])
+        p = intrinsic_from_chart(d)
+
+        def run():
+            for chart in CHARTS.values():
+                map_estimate(d, search_chart=chart)
+                mapi_estimate(p, CHARTS["theta"], search_chart=chart)
+
+        density._images.cache_clear()
+        run()
+        # the reciprocal image of each search chart's scan table, and its arcsin image
+        assert density._images.cache_info().misses == 8
+        run()
+        assert density._images.cache_info().misses == 8
 
 
 FLAT_LEVELS = st.one_of(

@@ -446,12 +446,13 @@ def verify_calls(monkeypatch):
 
 
 def counted_source(d):
-    """Copy of ``d`` whose trusted evaluator counts its calls and checks nothing."""
-    calls = [0]
+    """Copy of ``d`` whose trusted evaluator records each ``(x, xc)`` it is
+    called at and checks nothing."""
+    calls = []
     core = d.value_offset.core
 
     def value_offset(x, xc):
-        calls[0] += 1
+        calls.append((x, xc))
         return core(x, xc)
 
     return dataclasses.replace(d, value_offset=value_offset), calls
@@ -467,6 +468,7 @@ class TestTrustBoundary:
     def warm_scan_tables(verify_calls):
         # a cold scan table, or a cold image of one in a chart, checks each of its
         # offsets once, when built: build them first, so what is counted is per evaluation
+        density_module._images.cache_clear()
         scan = manifold_module._chart_samples(BERNOULLI, CHARTS["arclength"],
                                               mode_module._SCAN_POINTS)
         for chart in CHARTS.values():
@@ -474,69 +476,70 @@ class TestTrustBoundary:
                 density_module._images(scan, BERNOULLI, chart)
         verify_calls[0] = 0
 
-    def test_mapi_of_a_theta_chart_density_makes_no_checks(self, verify_calls):
-        # the identity chart moves no offset, so its conversion checks none;
-        # a cold scan table checks each of its canonical offsets once, when built
-        p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
-        manifold_module._chart_samples.cache_clear()
-        for chart in CHARTS.values():
-            verify_calls[0] = 0
-            manifold_module._chart_samples(BERNOULLI, chart, mode_module._SCAN_POINTS)
-            assert verify_calls[0] == 1024
-        verify_calls[0] = 0
-        for chart in CHARTS.values():
-            assert mapi_estimate(p, CHARTS["theta"], search_chart=chart).all_modes
-        assert verify_calls[0] == 0
+    @staticmethod
+    def check_cold_then_warm(verify_calls, calls, searches):
+        # each (per_evaluation, built, search, domain): a source of a chart but theta
+        # scans by its column over image tables, whose rows are checked when built,
+        # once in the chart's domain and once in (0, 1); so, cold, the search builds
+        # ``built`` image tables of 1,024 rows, and, warm, it checks only its other
+        # evaluations, ``per_evaluation`` times each. Its source is called only at
+        # offsets anchored at an end of the source's domain.
+        scan = mode_module._SCAN_POINTS
+        for per_evaluation, built, search, domain in searches:
+            for tables in (built, 0):
+                verify_calls[0] = 0
+                calls.clear()
+                search()
+                assert len(calls) > scan
+                assert verify_calls[0] == per_evaluation * (len(calls) - scan) + 2 * scan * tables
+                assert all(verify_offset(domain, x, xc) == xc for x, xc in calls)
 
     def test_pushforward_from_the_theta_chart_checks_once_per_evaluation(self, verify_calls):
         self.warm_scan_tables(verify_calls)
         # the search reads the pushed density at the arcsin images of canonical
         # points: the arcsin map's output is checked where it enters the arcsin
         # domain, and the inverse map's where it enters (0, 1)
-        rho, evaluations = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
-        map_estimate(pushforward(rho, CHARTS["arcsin"]))
-        assert evaluations[0] > 1000
-        assert verify_calls[0] == 2 * evaluations[0]
+        rho, calls = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
+        self.check_cold_then_warm(verify_calls, calls, [
+            (2, 0, lambda: map_estimate(pushforward(rho, CHARTS["arcsin"])), rho.chart.domain),
+        ])
 
     def test_conversions_from_the_arcsin_chart_keep_every_check(self, verify_calls):
         self.warm_scan_tables(verify_calls)
         # cos(y) is Beta(1, 1) in the arcsin chart, given here without checks
-        src, evaluations = counted_source(ChartDensity(
+        src, calls = counted_source(ChartDensity(
             BERNOULLI, CHARTS["arcsin"], math.cos, "cos", lambda y, yc: math.cos(y)))
         p = intrinsic_from_chart(src)
-        searches = [
+        domain = src.chart.domain
+        self.check_cold_then_warm(verify_calls, calls, [
             # the arcsin map's output, checked in the arcsin domain
-            (1, lambda: mapi_estimate(p, CHARTS["theta"])),
+            (1, 0, lambda: mapi_estimate(p, CHARTS["theta"]), domain),
             # that output, the reciprocal map's output in the reciprocal domain
-            # where the search reads at canonical points, and the inverse map's in (0, 1)
-            (3, lambda: map_estimate(pushforward(src, CHARTS["reciprocal"]))),
-            (3, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["reciprocal"]))),
-        ]
-        for per_evaluation, search in searches:
-            verify_calls[0] = evaluations[0] = 0
-            search()
-            assert evaluations[0] > 1000
-            assert verify_calls[0] == per_evaluation * evaluations[0]
+            # where the search reads at canonical points, and the inverse map's in
+            # (0, 1); the scan reads the image in arcsin of the scan's reciprocal image
+            (3, 1, lambda: map_estimate(pushforward(src, CHARTS["reciprocal"])), domain),
+            (3, 0, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["reciprocal"])), domain),
+        ])
 
     def test_each_chart_map_output_is_checked_once(self, verify_calls):
         self.warm_scan_tables(verify_calls)
-        arcsin_src, arcsin_evals = counted_source(ChartDensity(
+        arcsin_src, arcsin_calls = counted_source(ChartDensity(
             BERNOULLI, CHARTS["arcsin"], math.cos, "cos", lambda y, yc: math.cos(y)))
-        theta_src, theta_evals = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
+        theta_src, theta_calls = counted_source(beta_chart_density(BetaParams(1.05, 2.05)))
         p = intrinsic_from_chart(theta_src)
-        searches = [
-            # the arcsin map's output in the arcsin domain; theta moves nothing
-            (1, arcsin_evals, lambda: map_estimate(pushforward(arcsin_src, CHARTS["theta"]))),
+        # the arcsin map's output in the arcsin domain; theta moves nothing
+        self.check_cold_then_warm(verify_calls, arcsin_calls, [
+            (1, 0, lambda: map_estimate(pushforward(arcsin_src, CHARTS["theta"])),
+             arcsin_src.chart.domain),
+        ])
+        self.check_cold_then_warm(verify_calls, theta_calls, [
             # the arcsin map's output in the arcsin domain where the search reads
             # at canonical points, and the inverse map's in (0, 1)
-            (2, theta_evals, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["arcsin"]))),
-            (0, theta_evals, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["theta"]))),
-        ]
-        for per_evaluation, evaluations, search in searches:
-            verify_calls[0] = evaluations[0] = 0
-            search()
-            assert evaluations[0] > 1000
-            assert verify_calls[0] == per_evaluation * evaluations[0]
+            (2, 0, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["arcsin"])),
+             theta_src.chart.domain),
+            (0, 0, lambda: map_estimate(chart_from_intrinsic(p, CHARTS["theta"])),
+             theta_src.chart.domain),
+        ])
 
     def test_whole_domain_integrals_make_no_checks(self, verify_calls):
         # a cold DE side table checks each of its canonical offsets once, when built
