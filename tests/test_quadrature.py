@@ -494,6 +494,20 @@ class TestTrustBoundary:
                 assert verify_calls[0] == per_evaluation * (len(calls) - scan) + 2 * scan * tables
                 assert all(verify_offset(domain, x, xc) == xc for x, xc in calls)
 
+    def test_mapi_of_a_theta_chart_density_makes_no_checks(self, verify_calls):
+        # the identity chart moves no offset, so its conversion checks none;
+        # a cold scan table checks each of its canonical offsets once, when built
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
+        manifold_module._chart_samples.cache_clear()
+        for chart in CHARTS.values():
+            verify_calls[0] = 0
+            manifold_module._chart_samples(BERNOULLI, chart, mode_module._SCAN_POINTS)
+            assert verify_calls[0] == 1024
+        verify_calls[0] = 0
+        for chart in CHARTS.values():
+            assert mapi_estimate(p, CHARTS["theta"], search_chart=chart).all_modes
+        assert verify_calls[0] == 0
+
     def test_pushforward_from_the_theta_chart_checks_once_per_evaluation(self, verify_calls):
         self.warm_scan_tables(verify_calls)
         # the search reads the pushed density at the arcsin images of canonical
