@@ -22,8 +22,9 @@ anchored at the ends of its domain. Its ``value`` method, the density's
 where the density diverges) from :func:`endpoint_behaviour`.
 
 Every density's ``Evaluator`` has a ``column``, bit for bit its core over a
-sample table (``manifold._chart_samples``); a density built with none gets
-one of a core call a point. One rule reads a density at canonical points
+sample table (``manifold._chart_samples``); a density built with none, or
+with one whose ``tables`` name another chart, gets one of a core call a
+point. One rule reads a density at canonical points
 ``(theta, co)``, for mode searches, curves and conversions: :func:`_canonical`.
 For an intrinsic density, or one on the model's identity chart itself, it is
 the density's own ``Evaluator``. For a chart density in any other chart its
@@ -117,10 +118,10 @@ class Evaluator(NamedTuple):
     ``core``; ``value`` is the density's ``value``. ``column``, which every
     density's has, is ``core`` over a sample table (``manifold.ChartSamples``)
     of its chart, bit for bit ``map(core, xs, xcs)``, or of any chart's
-    canonical points for a core on them; ``tables``, ``(model, chart)``, names
-    the chart (identity for canonical points) whose quadrature node tables a
-    whole-domain integral may read it over, else None; ``offsetless`` marks a
-    core that ignores ``xc``."""
+    canonical points for a core on them; ``tables``, ``(model, chart)`` or None,
+    names the chart (identity for canonical points) a density keeps the column
+    on, and whose node tables a whole-domain integral may read it over;
+    ``offsetless`` marks a core that ignores ``xc``."""
 
     core: Callable[[float, float], float]
     domain: Interval
@@ -178,9 +179,11 @@ def _images(samples: ChartSamples, model: ManifoldModel, chart: Chart) -> ChartS
     return _sample_table(model, chart, xs, tuple(map(verify_offset, repeat(chart.domain), xs, xcs)))
 
 
-def _fields(evaluator: Evaluator) -> dict:
-    """Constructor keywords ``value`` and ``value_offset`` of ``evaluator``."""
-    return {"value": evaluator.value, "value_offset": evaluator}
+def _built(cls, evaluator: Evaluator, **fields):
+    """A ``cls`` density this module builds, read through ``evaluator``, column and all."""
+    d = cls(value=evaluator.value, value_offset=evaluator, **fields)
+    object.__setattr__(d, "value_offset", evaluator)
+    return d
 
 
 def _clamped(fn: Callable[[float], float], interval: Interval) -> Evaluator:
@@ -192,16 +195,18 @@ def _clamped(fn: Callable[[float], float], interval: Interval) -> Evaluator:
 
 
 def _set_evaluator(d, chart: Chart) -> None:
-    """Set ``d``'s ``value_offset`` to an :class:`Evaluator` on ``chart``'s domain:
-    its ``value`` :func:`_clamped` where none is given, else :func:`_evaluator` of
-    it, with a column of a core call a point where it has none, at a table's
-    canonical points on the identity chart itself, else at its chart points."""
+    """Set ``d``'s ``value_offset`` to an :class:`Evaluator` on ``chart``'s domain,
+    ``value`` :func:`_clamped` or else :func:`_evaluator` of it, which keeps its
+    column only where its ``tables`` name ``chart`` (``dataclasses.replace`` may
+    move it) and else gets one of a core call a point: at a table's canonical
+    points on the identity chart itself, else at its chart points; no ``tables``."""
     f = d.value_offset
     f = _clamped(d.value, chart.domain) if f is None else _evaluator(f, chart.domain)
-    if f.column is None:
+    if f.tables != (d.model, chart):
         own = chart is identity_chart(d.model)
         points = operator.attrgetter(*(("thetas", "cos") if own else ("xs", "xcs")))
-        f = f._replace(column=lambda samples, core=f.core: list(map(core, *points(samples))))
+        f = f._replace(column=lambda samples, core=f.core: list(map(core, *points(samples))),
+                       tables=None)
     object.__setattr__(d, "value_offset", f)
 
 
@@ -297,8 +302,8 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
     model = bernoulli_model()
     chart = identity_chart(model)
     core, column = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
-    return ChartDensity(model=model, chart=chart, label=f"Beta({params.alpha:g},{params.beta:g})",
-                        **_fields(Evaluator(core, chart.domain, column, (model, chart))))
+    return _built(ChartDensity, Evaluator(core, chart.domain, column, (model, chart)),
+                  model=model, chart=chart, label=f"Beta({params.alpha:g},{params.beta:g})")
 
 
 def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
@@ -309,9 +314,9 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
     """
     model = bernoulli_model()
     core, column = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
-    return IntrinsicDensity(model=model, label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic",
-                            **_fields(Evaluator(core, model.canonical_domain, column,
-                                                (model, identity_chart(model)))))
+    return _built(IntrinsicDensity, Evaluator(core, model.canonical_domain, column,
+                                              (model, identity_chart(model))),
+                  model=model, label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic")
 
 
 def endpoint_behaviour(f: Evaluator, at_lo: bool) -> tuple[float, float]:
@@ -398,7 +403,7 @@ def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
             return list(map(operator.mul, q_column(samples), samples.jacobians))
         q = q._replace(core=core, domain=chart.domain, column=column,
                        tables=q.tables and (model, chart))
-    return ChartDensity(model=model, chart=chart, label=d.label, **_fields(q))
+    return _built(ChartDensity, q, model=model, chart=chart, label=d.label)
 
 
 def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
@@ -417,8 +422,8 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
 
     def column(samples: ChartSamples) -> list[float]:
         return _quotients(q_column(samples), samples.root_gs)
-    return IntrinsicDensity(model=model, label=rho.label,
-                            **_fields(q._replace(core=core, column=column)))
+    return _built(IntrinsicDensity, q._replace(core=core, column=column),
+                  model=model, label=rho.label)
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:

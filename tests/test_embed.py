@@ -276,6 +276,19 @@ def _reference_rows(d, chart, n):
             for x, xc, theta, co in zip(s.xs, s.xcs, s.thetas, s.cos)]
 
 
+# y = 1 - theta: a user chart on the canonical-domain object, whose maps are not theta's
+FLIP = manifold.Chart("flip", BERNOULLI.canonical_domain, BERNOULLI.canonical_domain,
+                      lambda y, yc: (1.0 - y, -yc), lambda t, co: (1.0 - t, -co),
+                      lambda y, yc: -1.0)
+
+
+def _theta_chart_sources(a, b):
+    """Theta-chart densities whose ``value_offset`` carries a column made for theta."""
+    rho = beta_chart_density(BetaParams(a, b))
+    return {"beta": rho, "plain": ChartDensity(BERNOULLI, CHARTS["theta"], rho.value, "plain"),
+            "converted": pushforward(pushforward(rho, CHARTS["arcsin"]), CHARTS["theta"])}
+
+
 def _without_core(d):
     """``d`` with its ``value_offset`` replaced by a function, which becomes
     the core of an ``Evaluator`` with a column of one core call a point."""
@@ -303,6 +316,8 @@ class TestCurveReference:
             "replaced theta": _without_core(rho),
             "replaced arcsin": _without_core(pushforward(rho, CHARTS["arcsin"])),
             "replaced intrinsic": _without_core(intrinsic_from_chart(rho)),
+            **{f"{kind} moved to flip": dataclasses.replace(d, chart=FLIP)
+               for kind, d in _theta_chart_sources(a, b).items()},
         }
 
     @pytest.mark.parametrize("name", ["theta", "arcsin", "reciprocal", "arclength"])
@@ -323,6 +338,21 @@ class TestCurveReference:
         s = manifold._chart_samples(BERNOULLI, d.chart, 257)
         rows = sample_curve(d, d.chart, 257).rows
         assert repr([row.rho for row in rows]) == repr(list(map(d.value_offset.core, s.xs, s.xcs)))
+
+    def test_column_moved_to_another_chart_is_not_read(self):
+        # dataclasses.replace keeps a value_offset made for the theta chart, its
+        # column with it; in the flip chart, its own, the density is its core
+        for a, b in self.SHAPES:
+            for kind, source in _theta_chart_sources(a, b).items():
+                d = dataclasses.replace(source, chart=FLIP)
+                assert d.value_offset.core is source.value_offset.core, kind
+                assert d.value_offset.tables is None, kind
+                s = manifold._chart_samples(BERNOULLI, FLIP, 257)
+                rows = sample_curve(d, FLIP, 257).rows
+                want = list(map(d.value_offset.core, s.xs, s.xcs))
+                assert repr([r.rho for r in rows]) == repr(want), (a, b, kind)
+                p = intrinsic_from_chart(d).value_offset.core
+                assert repr([r.p for r in rows]) == repr(list(map(p, s.thetas, s.cos)))
 
     @pytest.mark.parametrize("model_name", ["poisson", "exponential"])
     def test_rate_families(self, model_name):

@@ -557,12 +557,16 @@ class TestConvertedScans:
             lambda: mapi_estimate(intrinsic_from_chart(rho), CHARTS["theta"],
                                   search_chart=CHARTS[search]),
         ]
-        # a conversion of a converted density, and a density with no column of
-        # its own on a user chart whose domain is the canonical one
+        # a conversion of a converted density, a density with no column of its
+        # own on a user chart whose domain is the canonical one, and densities
+        # with columns made for the theta chart moved onto such a user chart
         source = beta_chart_density(params)
         others = [pushforward(pushforward(source, CHARTS[first]), CHARTS[second])
                   for first in CHART_NAMES[1:] for second in CHART_NAMES[1:] if first != second]
         others += [_without_column(pushforward(source, user)) for user in USER_CHARTS]
+        theta_chart = [source, ChartDensity(BERNOULLI, CHARTS["theta"], source.value, "plain"),
+                       pushforward(pushforward(source, CHARTS[chart]), CHARTS["theta"])]
+        others += [dataclasses.replace(d, chart=user) for d in theta_chart for user in USER_CHARTS]
         for d in others:
             searches += [
                 lambda d=d: map_estimate(d, search_chart=CHARTS[search]),
