@@ -32,10 +32,10 @@ core reads the density's core at the point's chart image
 (``chart.from_canonical_offset``), the offset checked where it enters the
 chart's domain, and its column the density's column over the table's one
 image table in that chart (:func:`_images`, built once, with the same checked
-offsets). The Beta columns read the table's cached logs of each point's
-distances to both ends; they call the core only at a point with a log that
-is not finite on a side whose exponent is exactly 0 (the arc-length node
-tables' end nodes round onto theta = 0 or 1, where a log is -inf).
+offsets). The Beta reader (:func:`_power_pair`) reads a point by one rule in
+its core and, over the table's cached logs of each point's distances to both
+ends, in its column, which calls the core only where a value overflows (the
+arc-length node tables' end nodes round onto theta = 0 or 1, log -inf).
 Whole-domain integrals read a column over tables of the quadrature nodes of
 the chart its ``tables`` name.
 
@@ -242,56 +242,52 @@ class IntrinsicDensity:
         _set_evaluator(self, identity_chart(self.model))
 
 
-def _power_pair_core(a_exp: float, b_exp: float, log_norm: float):
-    """Trusted core of ``lo**a * hi**b / exp(log_norm)`` on the unit interval,
-    and its column.
+def _power_pair(a_exp: float, b_exp: float, log_norm: float) -> Evaluator:
+    """The :class:`Evaluator` of ``lo**a * hi**b / exp(log_norm)`` on the coin
+    family's canonical domain, its column over the identity chart's tables.
 
     ``lo`` and ``hi`` are the distances to 0 and 1, the near one taken
-    exactly from the trusted offset. Exact zeros are endpoint evaluations
-    and return the one-sided limit (0, the finite value, or inf); a value
-    above the largest double is inf. The column reads the logs of both
-    distances from the sample table, in the core's operand order. A log is
-    -inf only at a point on an end, whose other distance is positive and
-    finite, so there a nonzero exponent turns the -inf into the core's
-    limit, ``exp(-inf) = 0`` or ``exp(inf) = inf``; only an exponent of
-    exactly 0 gives ``0 * -inf = nan`` (a nan point has nan logs and a nan
-    core value). So the formula reads every point where each exponent is
-    nonzero or its side's logs are all finite; else the core reads the
-    points with a log that is not finite, and it reads every point of a
-    table with a value that overflows.
+    exactly from the trusted offset. Core and column read a point by one
+    rule: a side whose exponent is exactly 0 adds nothing, any other adds
+    ``exponent * log(distance)``, a distance of 0 giving log -inf, so an end
+    reads its one-sided limit (0, the finite value, or inf); a nan point
+    reads nan, and a value above the largest double is inf. The column reads
+    the logs of both distances from the sample table, in the core's operand
+    order: both sides, the one side with a nonzero exponent, or the constant
+    at each point that is not nan. It calls the core only where a value
+    overflows.
     """
+    exp, log, inf, nan = math.exp, math.log, math.inf, math.nan
 
     def core(theta: float, co: float) -> float:
         lo_off = co if co > 0 else theta
         hi_off = -co if co < 0 else 1.0 - theta
-        if lo_off <= 0.0:
-            if a_exp != 0.0:
-                return 0.0 if a_exp > 0.0 else math.inf
-            log_v = b_exp * math.log(hi_off)
-        elif hi_off <= 0.0:
-            if b_exp != 0.0:
-                return 0.0 if b_exp > 0.0 else math.inf
-            log_v = a_exp * math.log(lo_off)
+        if lo_off <= 0.0 or hi_off <= 0.0:
+            log_v = ((a_exp and a_exp * (log(lo_off) if lo_off > 0.0 else -inf))
+                     + (b_exp and b_exp * (log(hi_off) if hi_off > 0.0 else -inf)))
         else:
-            log_v = a_exp * math.log(lo_off) + b_exp * math.log(hi_off)
+            log_v = a_exp * log(lo_off) + b_exp * log(hi_off)
         try:
-            return math.exp(log_v - log_norm)
+            return exp(log_v - log_norm)
         except OverflowError:   # above the largest double
-            return math.inf
+            return inf
 
-    exp, isfinite = math.exp, math.isfinite
+    # the nonzero exponent where only one is, bound here so that a column call makes no cell
+    one = a_exp or b_exp
 
     def column(samples: ChartSamples) -> list[float]:
         los, his = samples.log_los, samples.log_his
         try:
-            if (a_exp or isfinite(sum(los))) and (b_exp or isfinite(sum(his))):
+            if a_exp and b_exp:
                 return [exp(a_exp * lo + b_exp * hi - log_norm) for lo, hi in zip(los, his)]
-            return [exp(a_exp * lo + b_exp * hi - log_norm) if isfinite(lo + hi) else core(t, c)
-                    for lo, hi, t, c in zip(los, his, samples.thetas, samples.cos)]
+            if one:
+                return [exp(one * lg - log_norm) for lg in (los if a_exp else his)]
+            return [exp(-log_norm) if lg == lg else nan for lg in los]
         except OverflowError:   # above the largest double
             return list(map(core, samples.thetas, samples.cos))
 
-    return core, column
+    model = bernoulli_model()
+    return Evaluator(core, model.canonical_domain, column, (model, identity_chart(model)))
 
 
 def beta_chart_density(params: BetaParams) -> ChartDensity:
@@ -299,11 +295,10 @@ def beta_chart_density(params: BetaParams) -> ChartDensity:
 
     ``rho(theta) = theta**(alpha-1) (1-theta)**(beta-1) / B(alpha, beta)``.
     """
-    model = bernoulli_model()
-    chart = identity_chart(model)
-    core, column = _power_pair_core(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
-    return _built(ChartDensity, Evaluator(core, chart.domain, column, (model, chart)),
-                  model=model, chart=chart, label=f"Beta({params.alpha:g},{params.beta:g})")
+    f = _power_pair(params.alpha - 1.0, params.beta - 1.0, params.log_norm)
+    model, chart = f.tables
+    return _built(ChartDensity, f, model=model, chart=chart,
+                  label=f"Beta({params.alpha:g},{params.beta:g})")
 
 
 def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
@@ -312,11 +307,9 @@ def beta_intrinsic_density(params: BetaParams) -> IntrinsicDensity:
     Dividing the Beta pdf by ``sqrt(G)`` shifts both exponents by one half:
     ``p(theta) = theta**(alpha-0.5) (1-theta)**(beta-0.5) / B(alpha, beta)``.
     """
-    model = bernoulli_model()
-    core, column = _power_pair_core(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
-    return _built(IntrinsicDensity, Evaluator(core, model.canonical_domain, column,
-                                              (model, identity_chart(model))),
-                  model=model, label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic")
+    f = _power_pair(params.alpha - 0.5, params.beta - 0.5, params.log_norm)
+    return _built(IntrinsicDensity, f, model=f.tables[0],
+                  label=f"Beta({params.alpha:g},{params.beta:g}) intrinsic")
 
 
 def endpoint_behaviour(f: Evaluator, at_lo: bool) -> tuple[float, float]:

@@ -506,14 +506,17 @@ class TestColumn:
     """A density's column over a sample table is, bit for bit, its value at
     each of the table's canonical points (its core, or for a chart density in
     another chart its core at the point's chart image), on the tables the
-    mode scan and the curves read and on tables where it must fall back to
-    the core."""
+    mode scan and the curves read and on tables with a point on an end, a nan
+    point, or a value that overflows."""
 
     SHAPES = [(1e-3, 1e-3), (1e-3, 1.0), (1e-3, 2000.0), (0.5, 0.5), (1.0, 1.0), (1.05, 2.05),
               (0.49, 7.0), (30.0, 1e-3), (60.0, 2000.0), (1e5, 2e5), (3e7, 1e7), (1e9, 1e9),
               # an exponent of exactly 0 beside a huge one: the chart density's, then
               # the intrinsic one's
-              (1.0, 1e9), (1e9, 1.0), (0.5, 1e9)]
+              (1.0, 1e9), (1e9, 1.0), (0.5, 1e9),
+              # an exponent of exactly 0 beside a negative one (the intrinsic form's
+              # 0 beside -0.3 for the last two)
+              (1.0, 0.3), (0.3, 1.0), (0.5, 0.2), (0.2, 0.5)]
 
     @staticmethod
     def densities(a, b):
@@ -567,12 +570,13 @@ class TestColumn:
                 self.assert_column_is_core(d, samples)
 
     def test_nan_point_reads_nan(self):
-        # a nan canonical point has nan logs, not -inf ones, so the formula
-        # reads the core's nan there whatever the exponents
+        # a nan canonical point has nan logs, not -inf ones, so the column
+        # reads nan there whatever the exponents, both 0 included
         samples = self.table_with_ends((math.nan, math.nan), (0.5, 0.5))
         assert all(map(math.isnan, (samples.log_los[0], samples.log_his[0])))
         for a, b in self.SHAPES:
-            for d in self.densities(a, b).values():
+            for kind, d in self.densities(a, b).items():
+                assert math.isnan(_canonical(d).column(samples)[0]), (a, b, kind)
                 self.assert_column_is_core(d, samples)
 
     def test_overflow_falls_back(self):
