@@ -56,8 +56,8 @@ Node tables and trusted offsets
 Each node map's t-only parts are tabulated per map, level and side to the |t|
 cap, built whole once and never changed, so concurrent integrals share them
 without a lock (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005; levels past 6 are
-not kept); the one loop of ``_de_integrate`` reads them and finishes each node
-in the per-node arithmetic order, so results are bit-identical. Node offsets
+not kept); the per-node loop of ``_de_integrate`` reads them and finishes each
+node in the per-node arithmetic order, so results are bit-identical. Node offsets
 are exact and anchored at the endpoints of the interval integrated over, so
 each integral calls the trusted ``core`` of its integrand as a
 :class:`~fishergeom.density.Evaluator` on that interval (:func:`_integrand`,
@@ -68,10 +68,11 @@ enters the chart's domain. The chart map's canonical offsets are anchored at
 the canonical domain's ends, so a density's core trusts them. Where that
 ``Evaluator`` has ``tables`` (a column with no call a point), levels to 6
 read its column over a cached sample table of each side's nodes in its
-chart, checked once a row when built: ``integrate_chart`` over its chart's
-domain, ``integrate_manifold`` and ``expectation`` over the whole domain (in
-the arc-length chart) for a core on canonical points. ``evaluations`` still
-counts the rows the sweep reads, and ``expectation`` calls ``f`` only there.
+chart, checked once a row when built, and the nodes' weights cached with it:
+``integrate_chart`` over its chart's domain, ``integrate_manifold`` and
+``expectation`` over the whole domain (in the arc-length chart) for a core on
+canonical points. ``evaluations`` still counts the rows the sweep reads, and
+``expectation`` calls ``f`` only there. Every other integral runs once a node.
 """
 
 from __future__ import annotations
@@ -218,38 +219,26 @@ def _table(row, level: int, sign: int) -> tuple[tuple, int]:
 
 # Keyed by identity like manifold._chart_samples, and bounded to the tables of four charts.
 @lru_cache(maxsize=4 * 2 * (_TABLE_LEVELS + 1))
-def _side_samples(model: ManifoldModel, chart: Chart, level: int, sign: int) -> ChartSamples:
-    """One side's nodes of one level over ``chart.domain`` as a sample table; a row
-    the sweep never reads (no node, x not finite, or ``xc == 0``) holds the t = 0 node."""
+def _side_samples(model: ManifoldModel, chart: Chart, level: int,
+                  sign: int) -> tuple[ChartSamples, tuple]:
+    """One side's nodes of one level over ``chart.domain`` as a sample table, and
+    their weights ``p1 * w_scale * p2``; a row the sweep never reads (no node, x not
+    finite, or ``xc == 0``) holds the t = 0 node and weight 0.0."""
     row, w_scale, off_scale, sides = _node_map(chart.domain)
     anchor, sx, sxc = sides[sign]
 
     def node(p1, p2, m, div):
         off = off_scale / m if div else off_scale * m
-        x, xc = anchor + sx * off, sxc * off
-        return (x, xc) if p1 * w_scale * p2 > 0.0 and math.isfinite(x) and xc != 0.0 else None
+        x, xc, w = anchor + sx * off, sxc * off, p1 * w_scale * p2
+        return (x, xc, w) if w > 0.0 and math.isfinite(x) and xc != 0.0 else None
 
-    centre = node(*row(0.0))
-    xs, xcs = zip(*(node(*r) or centre for r in _table(row, level, sign)[0]))
-    return _sample_table(model, chart, xs, xcs)
-
-
-def _columns(column, model: ManifoldModel, chart: Chart, weight=None):
-    """``columns`` of :func:`_de_integrate`: ``column`` over a side's
-    :func:`_side_samples` table of ``chart``, its value ``v`` at row ``i``
-    read as ``weight(theta, co, v)`` where ``weight`` is given."""
-
-    def side(level: int, sign: int):
-        s = _side_samples(model, chart, level, sign)
-        values = column(s)
-        if weight is None:
-            return values.__getitem__
-        thetas, cos = s.thetas, s.cos
-        return lambda i: weight(thetas[i], cos[i], values[i])
-    return side
+    x0, xc0, _ = node(*row(0.0))
+    xs, xcs, ws = zip(*(node(*r) or (x0, xc0, 0.0) for r in _table(row, level, sign)[0]))
+    return _sample_table(model, chart, xs, xcs), ws
 
 
-def _de_integrate(call, interval: Interval, columns=None) -> QuadratureResult:
+def _de_integrate(call, interval: Interval, column=None, tables=None,
+                  weight=None) -> QuadratureResult:
     """Trapezoid sums of the transformed integrand with step halving.
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
@@ -266,8 +255,11 @@ def _de_integrate(call, interval: Interval, columns=None) -> QuadratureResult:
     ``term_tol`` and the finite term before it) ends the integration
     unconverged before the other side is swept, and so does no finite term
     yet after both sides (see the module docstring). Up to ``_TABLE_LEVELS``,
-    ``columns(level, sign)(i)``, where given, is read in place of ``call`` at
-    row ``i``: what ``call`` returns at that row's node.
+    where ``tables`` ``(model, chart)`` is given, a loop of its own reads, by
+    the same rules, each side's :func:`_side_samples` weights (0.0 on a row
+    never read) beside ``column`` over its table, what ``call`` returns at each
+    row's node, a value entering as ``weight(theta, co, v)`` where ``weight``
+    is given. Every other level and integral runs once a node.
     """
     row, w_scale, off_scale, sides = _node_map(interval)
     isfinite = math.isfinite
@@ -279,37 +271,61 @@ def _de_integrate(call, interval: Interval, columns=None) -> QuadratureResult:
         term_tol = 0.05 * _ABS_TOL / h
         odd = 0.0
         for sign in (+1, -1):
-            anchor, sx, sxc = sides[sign]
             rows, trunc_from = _table(row, level, sign)
-            read = columns(level, sign) if columns and level <= _TABLE_LEVELS else None
             total = 0.0
             small = 0
             last = prev = math.inf
-            for i, (p1, p2, m, div) in enumerate(rows):
-                w = p1 * w_scale * p2
-                term = 0.0
-                if w > 0.0:
-                    off = off_scale / m if div else off_scale * m
-                    x = anchor + sx * off
-                    xc = sxc * off
-                    if isfinite(x) and xc != 0.0:
-                        try:
-                            v = read(i) if read else call(x, xc)
-                        except (OverflowError, ZeroDivisionError):
-                            v = math.inf
+            if tables and level <= _TABLE_LEVELS:
+                s, weights = _side_samples(*tables, level, sign)
+                thetas, cos = s.thetas, s.cos
+                for i, (w, v) in enumerate(zip(weights, column(s))):
+                    term = 0.0
+                    if w:   # a row the sweep reads
+                        if weight:
+                            try:
+                                v = weight(thetas[i], cos[i], v)
+                            except (OverflowError, ZeroDivisionError):
+                                v = math.inf
                         evaluations += 1
                         if isfinite(v):
                             term = w * v
                             prev, last = last, abs(term)
                         else:
                             skipped += 1
-                total += term
-                if abs(term) <= term_tol:
-                    small += 1
-                    if small >= 3 and i >= trunc_from:
-                        break
-                else:
-                    small = 0
+                    total += term
+                    if abs(term) <= term_tol:
+                        small += 1
+                        if small >= 3 and i >= trunc_from:
+                            break
+                    else:
+                        small = 0
+            else:
+                anchor, sx, sxc = sides[sign]
+                for i, (p1, p2, m, div) in enumerate(rows):
+                    w = p1 * w_scale * p2
+                    term = 0.0
+                    if w > 0.0:
+                        off = off_scale / m if div else off_scale * m
+                        x = anchor + sx * off
+                        xc = sxc * off
+                        if isfinite(x) and xc != 0.0:
+                            try:
+                                v = call(x, xc)
+                            except (OverflowError, ZeroDivisionError):
+                                v = math.inf
+                            evaluations += 1
+                            if isfinite(v):
+                                term = w * v
+                                prev, last = last, abs(term)
+                            else:
+                                skipped += 1
+                    total += term
+                    if abs(term) <= term_tol:
+                        small += 1
+                        if small >= 3 and i >= trunc_from:
+                            break
+                    else:
+                        small = 0
             if level >= 2 and term_tol < last and prev < last:     # the tail grows
                 return QuadratureResult(value, math.inf, False, evaluations, skipped)
             odd += total
@@ -335,7 +351,7 @@ def integrate_chart(f: Callable, interval: Interval) -> QuadratureResult:
     ``converged=False``.
     """
     f = _integrand(f, interval)
-    return _de_integrate(f.core, interval, _columns(f.column, *f.tables) if f.tables else None)
+    return _de_integrate(f.core, interval, f.column, f.tables)
 
 
 def integrate_manifold(f: Callable, model: ManifoldModel,
@@ -389,10 +405,8 @@ def _integrate_manifold(f: Evaluator, model: ManifoldModel,
         return weight(theta, co, core(theta, co))
 
     # over the whole domain, the column of a core on canonical points
-    columns = None
-    if f.tables == (model, identity_chart(model)) and s_interval == s_chart.domain:
-        columns = _columns(f.column, model, s_chart, weight)
-    return _de_integrate(g, s_interval, columns)
+    whole = f.tables == (model, identity_chart(model)) and s_interval == s_chart.domain
+    return _de_integrate(g, s_interval, f.column, (model, s_chart) if whole else None, weight)
 
 
 def expectation(p, f: Callable[[float], float]) -> QuadratureResult:

@@ -611,7 +611,7 @@ class TestColumn:
         tables, levels 0 to 6 and both sides, is its core at each row: at the
         canonical points for a column on them, else at the chart's points."""
         chart, theta = CHARTS[name], CHARTS["theta"]
-        tables = {(level, sign): quadrature._side_samples(BERNOULLI, chart, level, sign)
+        tables = {(level, sign): quadrature._side_samples(BERNOULLI, chart, level, sign)[0]
                   for level in range(quadrature._TABLE_LEVELS + 1) for sign in (1, -1)}
         if name == "arclength":
             # the end nodes round onto theta = 1 on side +1 and onto 0 on side -1, so

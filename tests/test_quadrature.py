@@ -562,7 +562,7 @@ class TestTrustBoundary:
             for level in range(quadrature._TABLE_LEVELS + 1):
                 for sign in (1, -1):
                     verify_calls[0] = 0
-                    rows = len(quadrature._side_samples(BERNOULLI, chart, level, sign).xs)
+                    rows = len(quadrature._side_samples(BERNOULLI, chart, level, sign)[0].xs)
                     assert verify_calls[0] == rows
         verify_calls[0] = 0
         params = BetaParams(1.05, 2.05)
@@ -871,7 +871,10 @@ class TestColumnSweep:
     """A whole-domain integral of a density with a column reads that column
     over cached DE side tables, to the per-node path's result bit for bit."""
 
-    SHAPES = [(0.5, 0.5), (1.05, 2.05), (2.3, 4.1), (0.1, 20.0), (30.0, 1e-3), (1e-3, 1e-3)]
+    # (1, 3) and (1, 1) have theta-chart exponents of 0; (0.05, 2) converges
+    # past the table levels in the reciprocal chart
+    SHAPES = [(0.5, 0.5), (1.05, 2.05), (2.3, 4.1), (0.1, 20.0), (30.0, 1e-3), (1e-3, 1e-3),
+              (1.0, 3.0), (1.0, 1.0), (0.05, 2.0)]
 
     @staticmethod
     def per_node(d):
@@ -881,21 +884,23 @@ class TestColumnSweep:
 
     @pytest.mark.parametrize("name", sorted(CHARTS))
     def test_side_tables_hold_the_sweep_nodes(self, name):
-        # a row the sweep evaluates holds its node; any other an interior point
+        # a row the sweep evaluates holds its node and weight; any other an
+        # interior point and weight 0.0
         domain = CHARTS[name].domain
         ref = reference_node_map(domain)
         for level in range(quadrature._TABLE_LEVELS + 1):
             for sign in (+1, -1):
-                s = quadrature._side_samples(BERNOULLI, CHARTS[name], level, sign)
+                s, weights = quadrature._side_samples(BERNOULLI, CHARTS[name], level, sign)
                 ks = side_ks(level, sign)
-                assert len(s.xs) == len(ks)
-                for k, x, xc in zip(ks, s.xs, s.xcs):
+                assert len(s.xs) == len(weights) == len(ks)
+                for k, x, xc, w in zip(ks, s.xs, s.xcs, weights):
                     node = ref(sign * k * 0.5 ** level)
                     if (node is not None and node[2] > 0.0 and math.isfinite(node[0])
                             and node[1] != 0.0):
-                        assert bits(x, xc) == bits(*node[:2])
+                        assert bits(x, xc, w) == bits(*node)
                     else:
                         assert domain.contains_interior(x)
+                        assert bits(w) == bits(0.0)
 
     @pytest.mark.parametrize("a,b", SHAPES)
     def test_results_are_the_per_node_paths(self, a, b):
@@ -911,6 +916,9 @@ class TestColumnSweep:
             slow = self.per_node(d)
             integrals = [lambda d: integrate_manifold(d.value_offset, d.model)]
             integrals += [lambda d, k=k: expectation(d, lambda t: t ** k) for k in (1, 2, -1)]
+            # f divides by zero where theta rounds onto 1, and overflows near 0
+            integrals += [lambda d: expectation(d, lambda t: 1 / (1 - t)),
+                          lambda d: expectation(d, lambda t: math.exp(1 / t))]
             for integral in integrals:
                 res, reads = side_reads(lambda: integral(d))
                 assert reads > 0
