@@ -345,9 +345,10 @@ def endpoint_behaviour(f: Evaluator, at_lo: bool) -> tuple[float, float]:
 
 def _quotients(qs: list[float], divisors: tuple[float, ...]) -> list[float]:
     """``q / g`` a row, inf where ``g`` is 0."""
-    if 0.0 not in divisors:
+    try:
         return list(map(operator.truediv, qs, divisors))
-    return [q / g if g else math.inf for q, g in zip(qs, divisors)]
+    except ZeroDivisionError:
+        return [q / g if g else math.inf for q, g in zip(qs, divisors)]
 
 
 def _per_theta(d: ChartDensity | IntrinsicDensity) -> Evaluator:
@@ -412,11 +413,8 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     def core(theta: float, co: float) -> float:
         root_g = math.sqrt(model.fisher_metric_offset(theta, co))
         return per_theta(theta, co) / root_g if root_g else math.inf
-
-    def column(samples: ChartSamples) -> list[float]:
-        return _quotients(q_column(samples), samples.root_gs)
-    return _built(IntrinsicDensity, q._replace(core=core, column=column),
-                  model=model, label=rho.label)
+    q = q._replace(core=core, column=lambda s: _quotients(q_column(s), s.root_gs))
+    return _built(IntrinsicDensity, q, model=model, label=rho.label)
 
 
 def chart_from_intrinsic(p: IntrinsicDensity, chart: Chart) -> ChartDensity:

@@ -102,14 +102,11 @@ def verify_offset(interval: Interval, x: float, xc: float) -> float:
     against another (a chart's full domain). The anchor is checked by
     reconstruction; on mismatch the naive offset is used instead.
     """
-    if math.isfinite(xc):
-        tol = 4e-15 * max(1.0, abs(x))
-        if xc > 0 and math.isfinite(interval.lo):
-            if abs((interval.lo + xc) - x) <= tol:
-                return xc
-        elif xc < 0 and math.isfinite(interval.hi):
-            if abs((interval.hi + xc) - x) <= tol:
-                return xc
+    end = interval.lo if xc > 0.0 else interval.hi if xc < 0.0 else math.nan
+    if math.isfinite(xc) and math.isfinite(end):
+        ax = abs(x)
+        if abs((end + xc) - x) <= 4e-15 * (ax if ax > 1.0 else 1.0):   # 4e-15 * max(1, |x|)
+            return xc
     return naive_offset(interval, x)
 
 

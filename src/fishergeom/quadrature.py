@@ -80,12 +80,13 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from types import FunctionType
 from typing import Callable
 
 from .density import ChartDensity, Evaluator, _clamped, _evaluator
 from .manifold import (Chart, ChartSamples, DomainError, Interval, ManifoldModel, _sample_table,
-                       chart_canonical_offset, identity_chart)
+                       identity_chart, verify_offset)
 
 _PI_2 = 0.5 * math.pi
 # |t| beyond which every transform's weight underflows in double precision
@@ -103,7 +104,9 @@ class QuadratureResult:
     error_estimate: float
     converged: bool
     evaluations: int
-    nonfinite_skipped: int = 0  # evaluations zero-weighted: non-finite, overflow, division by 0
+    # evaluations zero-weighted: non-finite, overflow, division by 0, and expectation's
+    # co == 0.0 guard nodes, until ROADMAP item 11 counts them apart
+    nonfinite_skipped: int = 0
 
 
 class QuadratureConvergenceError(ArithmeticError):
@@ -129,9 +132,14 @@ def _require_converged(res: QuadratureResult, what: str,
 
 def wants_offset(f) -> bool:
     """Whether ``f`` is ``f(x, xc)``: an :class:`Evaluator`, or two positional
-    parameters without a default."""
+    parameters without a default, read from a plain function's code (one with no
+    attributes, so no ``__wrapped__``) as ``inspect.signature`` reads them."""
     if isinstance(f, Evaluator):
         return True
+    if type(f) is FunctionType and not f.__dict__:
+        required = f.__code__.co_argcount - len(f.__defaults__ or ())
+        if required >= 0:   # else __defaults__ was set longer than the parameters
+            return required >= 2
     try:
         params = inspect.signature(f).parameters.values()
     except (TypeError, ValueError):
@@ -238,7 +246,7 @@ def _side_samples(model: ManifoldModel, chart: Chart, level: int,
 
 
 def _de_integrate(call, interval: Interval, column=None, tables=None,
-                  weight=None) -> QuadratureResult:
+                  f=None) -> QuadratureResult:
     """Trapezoid sums of the transformed integrand with step halving.
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
@@ -258,8 +266,8 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
     where ``tables`` ``(model, chart)`` is given, a loop of its own reads, by
     the same rules, each side's :func:`_side_samples` weights (0.0 on a row
     never read) beside ``column`` over its table, what ``call`` returns at each
-    row's node, a value entering as ``weight(theta, co, v)`` where ``weight``
-    is given. Every other level and integral runs once a node.
+    row's node, ``v`` at ``(theta, co)`` read as ``nan if co == 0.0 else f(theta) * v``
+    where ``f`` is given. Every other level and integral runs once a node.
     """
     row, w_scale, off_scale, sides = _node_map(interval)
     isfinite = math.isfinite
@@ -281,9 +289,9 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
                 for i, (w, v) in enumerate(zip(weights, column(s))):
                     term = 0.0
                     if w:   # a row the sweep reads
-                        if weight:
+                        if f is not None:
                             try:
-                                v = weight(thetas[i], cos[i], v)
+                                v = math.nan if cos[i] == 0.0 else f(thetas[i]) * v
                             except (OverflowError, ZeroDivisionError):
                                 v = math.inf
                         evaluations += 1
@@ -306,8 +314,7 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
                     term = 0.0
                     if w > 0.0:
                         off = off_scale / m if div else off_scale * m
-                        x = anchor + sx * off
-                        xc = sxc * off
+                        x, xc = anchor + sx * off, sxc * off
                         if isfinite(x) and xc != 0.0:
                             try:
                                 v = call(x, xc)
@@ -368,22 +375,17 @@ def integrate_manifold(f: Callable, model: ManifoldModel,
     return _integrate_manifold(_integrand(f, model.canonical_domain), model, region)
 
 
-def _integrate_manifold(f: Evaluator, model: ManifoldModel,
-                        region: Interval | None = None, weight=None) -> QuadratureResult:
-    """:func:`integrate_manifold` of an :class:`Evaluator` ``f`` on the
-    canonical domain, or of ``weight(theta, co, f(theta, co))`` where
-    ``weight`` is given."""
+def _integrate_manifold(ev: Evaluator, model: ManifoldModel,
+                        region: Interval | None = None, f=None) -> QuadratureResult:
+    """:func:`integrate_manifold` of an :class:`Evaluator` ``ev`` on the
+    canonical domain; where ``f`` is given (by :func:`expectation`, over the
+    whole domain), of ``f(theta) * ev(theta, co)``, nan where ``co == 0.0``."""
     domain = model.canonical_domain
-    if region is None:
-        region = domain
+    region = region or domain
     if region.lo < domain.lo or region.hi > domain.hi:
-        raise DomainError(
-            f"region [{region.lo}, {region.hi}] exceeds the canonical domain "
-            f"closure of '{model.name}'"
-        )
-    s_lo = model.arc_length_from_origin(region.lo)
-    s_hi = model.arc_length_from_origin(region.hi)
-    s_interval = Interval(s_lo, s_hi)
+        raise DomainError(f"region [{region.lo}, {region.hi}] exceeds the canonical domain "
+                          f"closure of '{model.name}'")
+    s_interval = Interval(*map(model.arc_length_from_origin, (region.lo, region.hi)))
     s_chart = model.arclength
 
     # Over the whole domain the map's offsets go unchecked. On the coin family
@@ -393,20 +395,23 @@ def _integrate_manifold(f: Evaluator, model: ManifoldModel,
     # there. Offsets anchored at an interior region boundary fail the chart's
     # check and fall back to naive ones, which are well conditioned there.
     # Either way the map's canonical offsets are anchored at the canonical
-    # domain's ends.
-    core = f.core
-    to_canonical = (s_chart.canonical_offset if region == domain
-                    else partial(chart_canonical_offset, s_chart))
-
-    def g(s: float, sc: float) -> float:
-        if weight is None:
-            return core(*to_canonical(s, sc))
-        theta, co = to_canonical(s, sc)
-        return weight(theta, co, core(theta, co))
+    # domain's ends. The reader is picked once: one closure a node.
+    core, canon, s_dom = ev.core, s_chart.canonical_offset, s_chart.domain
+    if region != domain:
+        def g(s: float, sc: float) -> float:
+            return core(*canon(s, verify_offset(s_dom, s, sc)))
+    elif f is None:
+        def g(s: float, sc: float) -> float:
+            return core(*canon(s, sc))
+    else:   # the core first, then the guard, then f
+        def g(s: float, sc: float) -> float:
+            theta, co = canon(s, sc)
+            v = core(theta, co)
+            return math.nan if co == 0.0 else f(theta) * v
 
     # over the whole domain, the column of a core on canonical points
-    whole = f.tables == (model, identity_chart(model)) and s_interval == s_chart.domain
-    return _de_integrate(g, s_interval, f.column, (model, s_chart) if whole else None, weight)
+    whole = ev.tables == (model, identity_chart(model)) and s_interval == s_chart.domain
+    return _de_integrate(g, s_interval, ev.column, (model, s_chart) if whole else None, f)
 
 
 def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
@@ -417,12 +422,10 @@ def expectation(p, f: Callable[[float], float]) -> QuadratureResult:
     other error (``ValueError`` from ``log(1 - t)``) is raised. A node whose
     canonical offset underflows to 0.0 sits on an endpoint in theta: the
     density is still evaluated there, once like at every node, but the node
-    is skipped as if its value were not finite.
+    is skipped as if its value were not finite, and ``nonfinite_skipped``
+    counts it (E[theta] under Beta(1/2, 1/2) reports 1).
     """
-    def weight(theta: float, co: float, v: float) -> float:
-        return math.nan if co == 0.0 else f(theta) * v
-
-    return _integrate_manifold(p.value_offset, p.model, None, weight)
+    return _integrate_manifold(p.value_offset, p.model, None, f)
 
 
 def interval_probability(p, region: Interval) -> QuadratureResult:

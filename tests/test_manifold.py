@@ -62,6 +62,126 @@ class TestInteriorGrid:
         assert xs[-1] < 2.0
 
 
+def reference_naive_offset(interval, x):
+    """``manifold.naive_offset`` as it was first written, kept as the reference."""
+    lo_off = x - interval.lo if math.isfinite(interval.lo) else math.inf
+    hi_off = interval.hi - x if math.isfinite(interval.hi) else math.inf
+    if math.isinf(lo_off) and math.isinf(hi_off):
+        return math.nan
+    return lo_off if lo_off <= hi_off else -hi_off
+
+
+def reference_accepts(interval, x, xc):
+    """Whether the reference ``verify_offset`` keeps ``xc``."""
+    if math.isfinite(xc):
+        tol = 4e-15 * max(1.0, abs(x))
+        if xc > 0 and math.isfinite(interval.lo):
+            return abs((interval.lo + xc) - x) <= tol
+        if xc < 0 and math.isfinite(interval.hi):
+            return abs((interval.hi + xc) - x) <= tol
+    return False
+
+
+def reference_verify_offset(interval, x, xc):
+    """``manifold.verify_offset`` as it was first written, kept as the reference."""
+    return xc if reference_accepts(interval, x, xc) else reference_naive_offset(interval, x)
+
+
+class TestOffsetChecks:
+    """``verify_offset`` and ``naive_offset`` return, by ``repr``, what the
+    reference bodies return: at signed zeros, subnormals, nan and infinities,
+    at infinite ends, and on both sides of the tolerance boundary."""
+
+    INTERVALS = [Interval(0.0, 1.0), Interval(0.0, math.pi), Interval(1.0, math.inf),
+                 Interval(-math.inf, 0.0), Interval(-math.inf, math.inf)]
+    SPECIALS = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
+
+    @classmethod
+    def points(cls, interval):
+        pts = [*cls.SPECIALS, 0.3, -0.7, 1.0, 1.5, math.pi, 1e10, -1e300, 1.7976931348623157e308]
+        for end in (interval.lo, interval.hi):
+            if math.isfinite(end):
+                pts += [end, math.nextafter(end, math.inf), math.nextafter(end, -math.inf)]
+        return pts
+
+    @classmethod
+    def offsets(cls, interval, x):
+        xcs = [*cls.SPECIALS, 1e-20, -1e-20, 0.5, -0.5, 1e300, -1e300]
+        for end in (interval.lo, interval.hi):
+            if math.isfinite(end) and math.isfinite(x):
+                xc = x - end
+                xcs += [xc, -xc, math.nextafter(xc, math.inf), math.nextafter(xc, -math.inf)]
+        return xcs
+
+    @staticmethod
+    def last_accepted(interval, x, inside, outside):
+        """The adjacent doubles between ``inside`` (kept) and ``outside`` (not)."""
+        while math.nextafter(inside, outside) != outside:
+            mid = 0.5 * inside + 0.5 * outside
+            if mid in (inside, outside):
+                mid = math.nextafter(inside, outside)
+            if reference_accepts(interval, x, mid):
+                inside = mid
+            else:
+                outside = mid
+        return inside, outside
+
+    @classmethod
+    def boundary_cases(cls):
+        """``(interval, x, xc)`` exactly at the last offset the tolerance keeps
+        and one ulp past it, on each side of each finite anchor."""
+        xs = {Interval(0.0, 1.0): [0.0, -0.0, 5e-324, 1e-20, 0.3, 0.999, 1.0, 1.5],
+              Interval(0.0, math.pi): [0.0, 1.0, 2.0, 3.0, math.pi],
+              Interval(1.0, math.inf): [1.0, 1.5, 2.0 ** 30, 1e10, 1e300],
+              Interval(-math.inf, 0.0): [-0.0, -5e-324, -1.0, -1e10, -1e300]}
+        cases = []
+        for interval, points in xs.items():
+            for x in points:
+                for end, sign in ((interval.lo, 1.0), (interval.hi, -1.0)):
+                    if not math.isfinite(end):
+                        continue
+                    tol = 4e-15 * max(1.0, abs(x))
+                    inside = x - end
+                    if not inside * sign > 0.0:
+                        inside = math.copysign(5e-324, sign)
+                    if not reference_accepts(interval, x, inside):
+                        continue
+                    outsides = [inside + sign * 8.0 * tol]
+                    if inside * sign > 8.0 * tol:
+                        outsides.append(inside - sign * 8.0 * tol)
+                    for outside in outsides:
+                        assert not reference_accepts(interval, x, outside)
+                        kept, past = cls.last_accepted(interval, x, inside, outside)
+                        cases += [(interval, x, kept, end), (interval, x, past, end)]
+        return cases
+
+    def test_naive_offset_is_the_reference(self):
+        for interval in self.INTERVALS:
+            for x in self.points(interval):
+                assert repr(manifold.naive_offset(interval, x)) == repr(
+                    reference_naive_offset(interval, x)), (interval, x)
+
+    def test_verify_offset_is_the_reference(self):
+        for interval in self.INTERVALS:
+            for x in self.points(interval):
+                for xc in self.offsets(interval, x):
+                    assert repr(manifold.verify_offset(interval, x, xc)) == repr(
+                        reference_verify_offset(interval, x, xc)), (interval, x, xc)
+
+    def test_verify_offset_at_the_tolerance(self):
+        cases = self.boundary_cases()
+        at = past = 0
+        for interval, x, xc, end in cases:
+            assert repr(manifold.verify_offset(interval, x, xc)) == repr(
+                reference_verify_offset(interval, x, xc)), (interval, x, xc)
+            diff, tol = abs((end + xc) - x), 4e-15 * max(1.0, abs(x))
+            at += diff == tol
+            past += tol < diff
+        # each boundary gives a kept and a dropped offset; some sit exactly on the tolerance
+        assert past == len(cases) // 2 > 20
+        assert at >= 2
+
+
 class TestModels:
     def test_bernoulli_metric_value(self):
         assert BERNOULLI.fisher_metric(0.5) == pytest.approx(4.0, abs=1e-15)

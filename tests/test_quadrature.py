@@ -242,6 +242,126 @@ class TestIntegrateManifold:
         assert calls == []
 
 
+def _two(x, xc):
+    return x
+
+
+def _one(x):
+    return x
+
+
+def _three(k, x, xc):
+    return x
+
+
+def _posonly_default(x, /, xc=0.0):
+    return x
+
+
+def _over_long_defaults(a, b, c, d):
+    return a
+
+
+# as set, inspect reads the first two of four as required
+_over_long_defaults.__defaults__ = (1, 2, 3, 4, 5, 6)
+
+
+def _with_signature(x):
+    return x
+
+
+_with_signature.__signature__ = inspect.signature(_two)
+
+
+def _with_attribute(x, xc):
+    return x
+
+
+_with_attribute.note = "any attribute"
+
+
+class _Methods:
+    def two(self, x, xc):
+        return x
+
+    def one(self, x):
+        return x
+
+
+class _CallTwo:
+    def __call__(self, x, xc):
+        return x
+
+
+class _CallOne:
+    def __call__(self, x):
+        return x
+
+
+def _wrapping(inner):
+    @functools.wraps(inner)
+    def wrapper(*args, **kwargs):
+        return inner(*args, **kwargs)
+    return wrapper
+
+
+# (callable, whether it is f(x, xc)), as inspect.signature reads each
+PLAIN_FUNCTIONS = {
+    "lambda-one": (lambda x: x, False),
+    "lambda-two": (lambda x, xc: x, True),
+    "lambda-three": (lambda x, xc, k: x, True),
+    "lambda-no-parameter": (lambda: 0.0, False),
+    "default": (lambda x, xc=0.0: x, False),
+    "three-one-default": (lambda x, xc, k=2: x, True),
+    "star-args": (lambda *args: 0.0, False),
+    "one-and-star-args": (lambda x, *args: x, False),
+    "two-and-star-args": (lambda x, xc, *args, **kwargs: x, True),
+    "keyword-only": (lambda x, *, xc: x, False),
+    "positional-only": (lambda x, xc, /: x, True),
+    "positional-only-and-default": (_posonly_default, False),
+    "def-two": (_two, True),
+    "def-one": (_one, False),
+}
+OTHER_CALLABLES = {
+    "partial-two-left": (functools.partial(_three, 1), True),
+    "partial-one-left": (functools.partial(_two, 1), False),
+    "partial-keyword": (functools.partial(_two, xc=1.0), False),
+    "wraps-two": (_wrapping(_two), True),
+    "wraps-one": (_wrapping(_one), False),
+    "wraps-builtin": (_wrapping(math.atan2), True),
+    "over-long-defaults": (_over_long_defaults, True),
+    "signature-attribute": (_with_signature, True),
+    "other-attribute": (_with_attribute, True),
+    "bound-method-two": (_Methods().two, True),
+    "bound-method-one": (_Methods().one, False),
+    "builtin-two": (math.atan2, True),
+    "builtin-one": (math.sin, False),
+    "builtin-no-signature": (math.hypot, False),
+    "ufunc": (numpy.sin, False),
+    "instance-two": (_CallTwo(), True),
+    "instance-one": (_CallOne(), False),
+    "class": (_CallOne, False),
+    "evaluator": (Evaluator(lambda x, xc: x, Interval(0.0, 1.0)), True),
+}
+
+
+class TestWantsOffset:
+    """Which integrands are ``f(x, xc)``: pinned on each kind of callable."""
+
+    @pytest.mark.parametrize("f,offset", [*PLAIN_FUNCTIONS.values(), *OTHER_CALLABLES.values()],
+                             ids=[*PLAIN_FUNCTIONS, *OTHER_CALLABLES])
+    def test_dispatch(self, f, offset):
+        assert quadrature.wants_offset(f) is offset
+
+    def test_plain_functions_read_no_signature(self, monkeypatch):
+        def no_signature(f, *args, **kwargs):
+            raise AssertionError(f"signature of {f!r} read")
+
+        monkeypatch.setattr(inspect, "signature", no_signature)
+        for name, (f, offset) in PLAIN_FUNCTIONS.items():
+            assert quadrature.wants_offset(f) is offset, name
+
+
 class TestExpectation:
     def test_symmetric_mean(self):
         p = intrinsic_from_chart(beta_chart_density(BetaParams(0.5, 0.5)))
@@ -433,15 +553,20 @@ class TestNonfiniteSkipped:
 
 @pytest.fixture
 def verify_calls(monkeypatch):
-    """Counts every ``verify_offset`` call, by density cores and chart maps alike."""
+    """Counts every ``verify_offset`` call, by density cores, chart maps and
+    quadrature readers alike: each ``fishergeom`` module that binds it is patched."""
     calls = [0]
 
     def counted(interval, x, xc):
         calls[0] += 1
         return verify_offset(interval, x, xc)
 
-    monkeypatch.setattr(density_module, "verify_offset", counted)
-    monkeypatch.setattr(manifold_module, "verify_offset", counted)
+    patched = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "fishergeom"
+               and vars(module).get("verify_offset") is verify_offset]
+    assert {density_module, manifold_module} <= set(patched)
+    for module in patched:
+        monkeypatch.setattr(module, "verify_offset", counted)
     return calls
 
 
@@ -589,16 +714,43 @@ class TestTrustBoundary:
         assert res.value == pytest.approx(0.5, abs=1e-12)
         assert verify_calls[0] == res.evaluations
 
-    @pytest.mark.parametrize("lo,hi,value,error,evaluations", [
-        (0.0, 0.3, 0.49878807201122644, 0.0, 116),
-        (0.7, 1.0, 0.09025370389206991, 5.551115123125783e-17, 113),
+    @staticmethod
+    def region_integral(density):
+        """The integral of ``density`` over a canonical region: a Beta
+        ``(alpha, beta)`` by ``interval_probability``, a rate family's
+        exp(-lam), read at the offset its core is given, by ``integrate_manifold``."""
+        if density in ("poisson", "exponential"):
+            d = IntrinsicDensity(get_model(density), lambda lam: math.exp(-lam), "exp(-lam)",
+                                 value_offset=lambda lam, co: math.exp(-co))
+            return lambda region: integrate_manifold(d.value_offset, d.model, region)
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(*density)))
+        return lambda region: interval_probability(p, region)
+
+    @pytest.mark.parametrize("density,lo,hi,value,error,evaluations,skipped", [
+        pytest.param((1.05, 2.05), 0.0, 0.3, 0.49878807201122644, 0.0, 116, 0,
+                     id="0.0-0.3-0.49878807201122644-0.0-116"),
+        pytest.param((1.05, 2.05), 0.7, 1.0, 0.09025370389206991, 5.551115123125783e-17, 113, 0,
+                     id="0.7-1.0-0.09025370389206991-5.551115123125783e-17-113"),
+        # both anchors interior: every node's offset falls back to the naive one on one side
+        pytest.param((1.05, 2.05), 0.2, 0.7, 0.5632142734424979, 0.0, 120, 0,
+                     id="beta-1.05-2.05-0.2-0.7"),
+        pytest.param((0.3, 4.0), 0.2, 0.7, 0.10942847199970132, 1.9770990400402866e-11, 68, 0,
+                     id="beta-0.3-4-0.2-0.7"),
+        pytest.param((1.05, 2.05), 0.0, 1e-3, 0.0014882116965632838, 6.472686969738461e-16, 62, 0,
+                     id="beta-1.05-2.05-0-1e-3"),
+        pytest.param((0.3, 4.0), 0.0, 1e-3, 0.2068870363044471, 2.831068712794149e-15, 73, 2,
+                     id="beta-0.3-4-0-1e-3"),
+        # a half-infinite arc-length domain, and a doubly infinite one (nan offsets)
+        pytest.param("poisson", 0.0, 4.0, 1.7641627815248437, 0.0, 121, 0, id="poisson-0-4"),
+        pytest.param("exponential", 0.5, 2.0, 0.5108730840680997, 0.0, 120, 0,
+                     id="exponential-0.5-2"),
     ])
-    def test_sub_interval_results_pinned(self, lo, hi, value, error, evaluations):
-        # the results before whole-domain integrals dropped their checks
-        p = intrinsic_from_chart(beta_chart_density(BetaParams(1.05, 2.05)))
-        res = interval_probability(p, Interval(lo, hi))
-        assert (res.value, res.error_estimate, res.converged, res.evaluations) == (
-            value, error, True, evaluations)
+    def test_sub_interval_results_pinned(self, density, lo, hi, value, error, evaluations,
+                                         skipped):
+        # the results before whole-domain integrals dropped their checks, and before
+        # region integrals read each node through one closure
+        res = self.region_integral(density)(Interval(lo, hi))
+        assert repr(res) == repr(QuadratureResult(value, error, True, evaluations, skipped))
 
 
 def _counting(inner, calls):
