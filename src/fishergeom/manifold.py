@@ -448,9 +448,9 @@ def _log_distance(d: float) -> float:
 
 def _sample_table(model: ManifoldModel, chart: Chart, xs: tuple, xcs: tuple) -> ChartSamples:
     """The :class:`ChartSamples` table of the chart points ``xs`` with their
-    offsets ``xcs``, each column computed once."""
+    offsets ``xcs``, each column computed once; no points make an empty table."""
     dom = model.canonical_domain
-    thetas, cos = zip(*map(chart.canonical_offset, xs, xcs))
+    thetas, cos = tuple(zip(*map(chart.canonical_offset, xs, xcs))) or ((), ())
     cos = tuple(map(verify_offset, [dom] * len(xs), thetas, cos))
     root_gs = tuple(map(math.sqrt, map(model.fisher_metric_offset, thetas, cos)))
     jacobians = tuple(map(abs, map(chart.d_canonical_offset, xs, xcs)))

@@ -30,12 +30,14 @@ tolerance and the finite term before it. The result is then
 completed level. A convergent transformed integrand decays
 double-exponentially in |t| (Mori & Sugihara, J. Comput. Appl. Math. 127,
 2001), so one still growing at the end of the representable range cannot
-converge at any step size. Skipped nodes (an exact offset of 0, past the
-map's range, or where the integrand is not finite, overflows or divides by
-zero) are not terms, so divergence at a finite endpoint, such as ``1/x`` on
-(0, 1), is caught as well. A divergent volume stops at about 40 evaluations
-rather than after the whole 12-level budget (over 40,000). An integral with
-no finite term by level 2, every evaluation skipped or none made, ends so too.
+converge at any step size. A side ends at its first node that cannot be read
+(past the map's range, at weight 0, x not finite, or an exact offset of 0), as
+no later one can be either. Skipped nodes, where the integrand is not finite,
+overflows or divides by zero, are not terms, so divergence at a finite
+endpoint, such as ``1/x`` on (0, 1), is caught as well. A divergent volume
+stops at about 40 evaluations rather than after the whole 12-level budget (over
+40,000). An integral with no finite term by level 2, every evaluation skipped
+or none made, ends so too.
 
 The verdict waits for level 2 because the last nodes of levels 0 and 1,
 |t| = 6 and 6.5 (x near 1e138 and 1e227 on a half line), can still lie
@@ -67,8 +69,8 @@ each offset once, where it enters: a sub-region's arc-length offset as it
 enters the chart's domain. The chart map's canonical offsets are anchored at
 the canonical domain's ends, so a density's core trusts them. Where that
 ``Evaluator`` has ``tables`` (a column with no call a point), levels to 6
-read its column over a cached sample table of each side's nodes in its
-chart, checked once a row when built, and the nodes' weights cached with it:
+read its column over a cached sample table of each side's readable nodes in
+its chart, checked once a row when built, and the nodes' weights cached with it:
 ``integrate_chart`` over its chart's domain, ``integrate_manifold`` and
 ``expectation`` over the whole domain (in the arc-length chart) for a core on
 canonical points. ``evaluations`` still counts the rows the sweep reads, and
@@ -228,46 +230,46 @@ def _table(row, level: int, sign: int) -> tuple[tuple, int]:
 # Keyed by identity like manifold._chart_samples, and bounded to the tables of four charts.
 @lru_cache(maxsize=4 * 2 * (_TABLE_LEVELS + 1))
 def _side_samples(model: ManifoldModel, chart: Chart, level: int,
-                  sign: int) -> tuple[ChartSamples, tuple]:
-    """One side's nodes of one level over ``chart.domain`` as a sample table, and
-    their weights ``p1 * w_scale * p2``; a row the sweep never reads (no node, x not
-    finite, or ``xc == 0``) holds the t = 0 node and weight 0.0."""
+                  sign: int) -> tuple[ChartSamples, tuple, int]:
+    """One side's nodes of one level over ``chart.domain`` to the first the sweep cannot
+    read (see ``_de_integrate``), as a sample table, their weights, and the stop index."""
     row, w_scale, off_scale, sides = _node_map(chart.domain)
     anchor, sx, sxc = sides[sign]
-
-    def node(p1, p2, m, div):
+    rows, trunc_from = _table(row, level, sign)
+    nodes = []
+    for p1, p2, m, div in rows:
         off = off_scale / m if div else off_scale * m
         x, xc, w = anchor + sx * off, sxc * off, p1 * w_scale * p2
-        return (x, xc, w) if w > 0.0 and math.isfinite(x) and xc != 0.0 else None
-
-    x0, xc0, _ = node(*row(0.0))
-    xs, xcs, ws = zip(*(node(*r) or (x0, xc0, 0.0) for r in _table(row, level, sign)[0]))
-    return _sample_table(model, chart, xs, xcs), ws
+        if not (w > 0.0 and math.isfinite(x) and xc != 0.0):
+            break
+        nodes.append((x, xc, w))
+    xs, xcs, ws = zip(*nodes) if nodes else ((), (), ())
+    return _sample_table(model, chart, xs, xcs), ws, trunc_from
 
 
 def _de_integrate(call, interval: Interval, column=None, tables=None,
                   f=None) -> QuadratureResult:
     """Trapezoid sums of the transformed integrand with step halving.
 
-    Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so
-    past level 0 only odd multiples of h are new: side +1, then side -1, each
-    over its whole ``_table``. A side stops at the |t| cap, or once three
-    consecutive terms fall below ``term_tol``, the last at or past the
-    table's stop index (the double-exponential tail then contributes less
+    Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so past
+    level 0 only odd multiples of h are new: side +1, then side -1, each over
+    its ``_table``. A side stops at its first node that cannot be read (no node
+    or weight 0.0, x not finite, or an exact offset of 0), at the |t| cap, or
+    once three consecutive terms fall below ``term_tol``, the last at or past
+    the table's stop index (the double-exponential tail then contributes less
     than a couple of ``term_tol``); the row index ``i`` is where it stopped.
-    Skipped nodes (no node, an exact offset of 0, an integrand that is not
-    finite, overflows or divides by zero) are not terms; a node whose x rounds
-    onto a finite endpoint is read, as its exact offset is nonzero. The
-    level-to-level difference is the error estimate. From
-    level 2 on, a side whose tail grows (its last finite term exceeds
-    ``term_tol`` and the finite term before it) ends the integration
-    unconverged before the other side is swept, and so does no finite term
-    yet after both sides (see the module docstring). Up to ``_TABLE_LEVELS``,
-    where ``tables`` ``(model, chart)`` is given, a loop of its own reads, by
-    the same rules, each side's :func:`_side_samples` weights (0.0 on a row
-    never read) beside ``column`` over its table, what ``call`` returns at each
-    row's node, ``v`` at ``(theta, co)`` read as ``nan if co == 0.0 else f(theta) * v``
-    where ``f`` is given. Every other level and integral runs once a node.
+    Skipped nodes (an integrand that is not finite, overflows or divides by
+    zero) are not terms; a node whose x rounds onto a finite endpoint is read,
+    as its exact offset is nonzero. The level-to-level difference is the error
+    estimate. From level 2 on, a side whose tail grows (its last finite term
+    exceeds ``term_tol`` and the finite term before it) ends the integration
+    unconverged before the other side is swept, and so does no finite term yet
+    after both sides. Up to ``_TABLE_LEVELS``, given ``tables = (model, chart)``,
+    a loop of its own reads each side's :func:`_side_samples` weights beside
+    ``column`` over its table, what ``call`` returns at each row's node, ``v``
+    at ``(theta, co)`` read as ``nan if co == 0.0 else f(theta) * v`` given
+    ``f``, then runs the per-node loop's code to the truncation test. Every
+    other level and integral runs once a node.
     """
     row, w_scale, off_scale, sides = _node_map(interval)
     isfinite = math.isfinite
@@ -279,27 +281,25 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
         term_tol = 0.05 * _ABS_TOL / h
         odd = 0.0
         for sign in (+1, -1):
-            rows, trunc_from = _table(row, level, sign)
             total = 0.0
             small = 0
             last = prev = math.inf
             if tables and level <= _TABLE_LEVELS:
-                s, weights = _side_samples(*tables, level, sign)
+                s, weights, trunc_from = _side_samples(*tables, level, sign)
                 thetas, cos = s.thetas, s.cos
                 for i, (w, v) in enumerate(zip(weights, column(s))):
+                    if f is not None:
+                        try:
+                            v = math.nan if cos[i] == 0.0 else f(thetas[i]) * v
+                        except (OverflowError, ZeroDivisionError):
+                            v = math.inf
+                    evaluations += 1
                     term = 0.0
-                    if w:   # a row the sweep reads
-                        if f is not None:
-                            try:
-                                v = math.nan if cos[i] == 0.0 else f(thetas[i]) * v
-                            except (OverflowError, ZeroDivisionError):
-                                v = math.inf
-                        evaluations += 1
-                        if isfinite(v):
-                            term = w * v
-                            prev, last = last, abs(term)
-                        else:
-                            skipped += 1
+                    if isfinite(v):
+                        term = w * v
+                        prev, last = last, abs(term)
+                    else:
+                        skipped += 1
                     total += term
                     if abs(term) <= term_tol:
                         small += 1
@@ -308,24 +308,24 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
                     else:
                         small = 0
             else:
+                rows, trunc_from = _table(row, level, sign)
                 anchor, sx, sxc = sides[sign]
                 for i, (p1, p2, m, div) in enumerate(rows):
-                    w = p1 * w_scale * p2
+                    off = off_scale / m if div else off_scale * m
+                    x, xc, w = anchor + sx * off, sxc * off, p1 * w_scale * p2
+                    if not (w > 0.0 and isfinite(x) and xc != 0.0):
+                        break   # unreadable, as is every later node of the side
+                    try:
+                        v = call(x, xc)
+                    except (OverflowError, ZeroDivisionError):
+                        v = math.inf
+                    evaluations += 1
                     term = 0.0
-                    if w > 0.0:
-                        off = off_scale / m if div else off_scale * m
-                        x, xc = anchor + sx * off, sxc * off
-                        if isfinite(x) and xc != 0.0:
-                            try:
-                                v = call(x, xc)
-                            except (OverflowError, ZeroDivisionError):
-                                v = math.inf
-                            evaluations += 1
-                            if isfinite(v):
-                                term = w * v
-                                prev, last = last, abs(term)
-                            else:
-                                skipped += 1
+                    if isfinite(v):
+                        term = w * v
+                        prev, last = last, abs(term)
+                    else:
+                        skipped += 1
                     total += term
                     if abs(term) <= term_tol:
                         small += 1

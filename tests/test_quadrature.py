@@ -42,7 +42,7 @@ from fishergeom import manifold as manifold_module
 from fishergeom import mode as mode_module
 from fishergeom import quadrature
 from fishergeom.density import Evaluator
-from fishergeom.manifold import verify_offset
+from fishergeom.manifold import Chart, verify_offset
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -891,6 +891,13 @@ def bits(*values):
     return tuple(float(v).hex() for v in values)
 
 
+def readable(node):
+    """Whether the sweep reads a reference node: in the map's range, x finite,
+    a positive weight and a nonzero offset."""
+    return (node is not None and math.isfinite(node[0]) and node[2] > 0.0
+            and node[1] != 0.0)
+
+
 NODE_INTERVALS = [Interval(0.0, 1.0), Interval(-2.5, 7.25), Interval(1.0, math.inf),
                   Interval(-math.inf, 2.0), Interval(-math.inf, math.inf)]
 
@@ -916,6 +923,18 @@ class TestNodeTables:
                         continue
                     off = off_scale / m if div else off_scale * m
                     assert bits(anchor + sx * off, sxc * off, w) == bits(*expected)
+
+    @pytest.mark.parametrize("interval", NODE_INTERVALS + [
+        Interval(5e-324, 1e-323), Interval(1.0, 1.0 + 2.0 ** -52), Interval(1e300, math.inf),
+        Interval(-math.inf, -1e300), Interval(-1.7e308, 1.7e308), Interval(0.0, 1e308)])
+    def test_unreadable_nodes_end_each_side(self, interval):
+        # the sweeps end a side at its first unreadable node, reading no node past it:
+        # none may be readable, on the widest and narrowest intervals and far out too
+        ref = reference_node_map(interval)
+        for level in range(13):
+            for sign in (+1, -1):
+                flags = [readable(ref(sign * k * 0.5 ** level)) for k in side_ks(level, sign)]
+                assert flags == sorted(flags, reverse=True), (level, sign)
 
     @pytest.mark.parametrize("interval", NODE_INTERVALS)
     def test_sweep_visits_reference_nodes(self, interval, monkeypatch):
@@ -985,10 +1004,13 @@ class TestNodeTables:
         def run():
             return [repr(call()) for call in calls]
 
+        # the column path reads no _table once its side tables are cached: clear them too
         quadrature._TABLES.clear()
+        quadrature._side_samples.cache_clear()
         want = run()
         want_tables = dict(quadrature._TABLES)
         quadrature._TABLES.clear()
+        quadrature._side_samples.cache_clear()
         start = threading.Barrier(8)
         got = [None] * 8
 
@@ -1036,23 +1058,37 @@ class TestColumnSweep:
 
     @pytest.mark.parametrize("name", sorted(CHARTS))
     def test_side_tables_hold_the_sweep_nodes(self, name):
-        # a row the sweep evaluates holds its node and weight; any other an
-        # interior point and weight 0.0
-        domain = CHARTS[name].domain
-        ref = reference_node_map(domain)
+        # each table is the readable prefix of its side's nodes, each row its node and
+        # weight; no node past it is readable, and it stops where its _table stops
+        chart = CHARTS[name]
+        row = quadrature._node_map(chart.domain)[0]
+        ref = reference_node_map(chart.domain)
         for level in range(quadrature._TABLE_LEVELS + 1):
             for sign in (+1, -1):
-                s, weights = quadrature._side_samples(BERNOULLI, CHARTS[name], level, sign)
-                ks = side_ks(level, sign)
-                assert len(s.xs) == len(weights) == len(ks)
-                for k, x, xc, w in zip(ks, s.xs, s.xcs, weights):
-                    node = ref(sign * k * 0.5 ** level)
-                    if (node is not None and node[2] > 0.0 and math.isfinite(node[0])
-                            and node[1] != 0.0):
-                        assert bits(x, xc, w) == bits(*node)
-                    else:
-                        assert domain.contains_interior(x)
-                        assert bits(w) == bits(0.0)
+                s, weights, trunc_from = quadrature._side_samples(BERNOULLI, chart, level, sign)
+                nodes = [ref(sign * k * 0.5 ** level) for k in side_ks(level, sign)]
+                n = len(weights)
+                assert len(s.xs) == len(s.xcs) == n
+                assert [bits(*node) for node in nodes[:n]] == list(map(bits, s.xs, s.xcs, weights))
+                assert all(map(readable, nodes[:n]))
+                assert not any(map(readable, nodes[n:]))
+                assert trunc_from == quadrature._table(row, level, sign)[1]
+
+    def test_a_side_with_no_readable_node_reads_nothing(self):
+        # on (0, 5e-324) half the width rounds to 0.0, so every weight is 0.0 and
+        # each side table is empty: the column sweep reads no row, as the per-node one
+        tiny_width = 5e-324
+        tiny = Chart("tiny", Interval(0.0, tiny_width), BERNOULLI.canonical_domain,
+                     lambda x, xc: (x / tiny_width, xc / tiny_width),
+                     lambda t, co: (t * tiny_width, co * tiny_width),
+                     lambda x, xc: 1.0 / tiny_width)
+        d = pushforward(beta_chart_density(BetaParams(2.0, 3.0)), tiny)
+        res, reads = side_reads(lambda: integrate_chart(d.value_offset, tiny.domain))
+        assert reads > 0
+        assert repr(res) == repr(integrate_chart(self.per_node(d).value_offset, tiny.domain))
+        assert repr(res) == repr(QuadratureResult(0.0, math.inf, False, 0, 0))
+        with pytest.raises(QuadratureConvergenceError):
+            normalization_check(d)
 
     @pytest.mark.parametrize("a,b", SHAPES)
     def test_results_are_the_per_node_paths(self, a, b):
