@@ -24,18 +24,12 @@ where the density diverges) from :func:`endpoint_behaviour`.
 Every density's ``Evaluator`` has a ``column``, bit for bit its core over a
 sample table (``manifold._chart_samples``); a density built with none, or
 with one whose ``tables`` name another chart, gets one of a core call a
-point. One rule reads a density at canonical points
-``(theta, co)``, for mode searches, curves and conversions: :func:`_canonical`.
-For an intrinsic density, or one on the model's identity chart itself, it is
-the density's own ``Evaluator``. For a chart density in any other chart its
-core reads the density's core at the point's chart image
-(``chart.from_canonical_offset``), the offset checked where it enters the
-chart's domain, and its column the density's column over the table's one
-image table in that chart (:func:`_images`, built once, with the same checked
-offsets). The Beta reader (:func:`_power_pair`) reads a point by one rule in
-its core and, over the table's cached logs of each point's distances to both
-ends, in its column, which calls the core only where a value overflows (the
-arc-length node tables' end nodes round onto theta = 0 or 1, log -inf).
+point. Mode searches, curves and conversions read a density at canonical
+points ``(theta, co)`` by one rule, :func:`_canonical`: a chart density in
+a chart but theta at each point's chart image, its column over the table's
+one image table in that chart (:func:`_images`). The Beta reader
+(:func:`_power_pair`) reads a point by one rule in its core and, over the
+table's cached logs of each point's distances to both ends, in its column.
 Whole-domain integrals read a column over tables of the quadrature nodes of
 the chart its ``tables`` name.
 
@@ -45,9 +39,12 @@ the density per unit theta (``p * sqrt(G)``, or ``rho(x(theta)) /
 ``q(theta(x)) * |dtheta/dx|``. Each builds its ``Evaluator`` from the
 per-theta one with ``_replace``, so a field it does not compute, such as the
 ``offsetless`` mark, is carried over. Each checks an offset only where a
-chart map moves it to another interval; the identity chart adds no map.
-:func:`sample_curve` applies the same rules column-wise, one value of ``q``
-a point, bit for bit, over the sample table the mode scan shares.
+chart map moves it to another interval; the identity chart adds no map. A
+conversion's column takes its factor (``sqrt(G)`` or ``|dtheta/dx|``) from
+the sample table in a bare Beta law's own pass, else in a second one
+(:func:`_scaled`). :func:`sample_curve` applies the same rules column-wise,
+one value of ``q`` a point, bit for bit, over the sample table the mode scan
+shares.
 Conversions catch nothing: the maps return their limits, a quotient by a
 zero Jacobian or ``sqrt(G)`` is ``inf``, and below endpoint offsets of about
 1e-200 a converted value may read ``inf`` or ``nan``, neither right. Charts
@@ -118,8 +115,9 @@ class Evaluator(NamedTuple):
     ``core``; ``value`` is the density's ``value``. ``column``, which every
     density's has, is ``core`` over a sample table (``manifold.ChartSamples``)
     of its chart, bit for bit ``map(core, xs, xcs)``, or of any chart's
-    canonical points for a core on them; ``tables``, ``(model, chart)`` or None,
-    names the chart (identity for canonical points) a density keeps the column
+    canonical points for a core on them (a bare Beta law's also takes a
+    factor column of the table, times or over it: :func:`_scaled`);
+    ``tables``, ``(model, chart)`` or None, names the chart (identity for canonical points) a density keeps the column
     on, and whose node tables a whole-domain integral may read it over;
     ``offsetless`` marks a core that ignores ``xc``."""
 
@@ -253,9 +251,12 @@ def _power_pair(a_exp: float, b_exp: float, log_norm: float) -> Evaluator:
     reads its one-sided limit (0, the finite value, or inf); a nan point
     reads nan, and a value above the largest double is inf. The column reads
     the logs of both distances from the sample table, in the core's operand
-    order: both sides, the one side with a nonzero exponent, or the constant
-    at each point that is not nan. It calls the core only where a value
-    overflows.
+    order, a side with a zero exponent as a log of 0.0, or the constant at
+    each point that is not nan where both are 0. It calls the core only where
+    a value overflows. Marked ``reads_factors`` unless both exponents are 0,
+    it also reads a column of the table as ``factors`` in the same pass, times
+    or over each value, and then raises where a value overflows or a divisor
+    is 0.
     """
     exp, log, inf, nan = math.exp, math.log, math.inf, math.nan
 
@@ -272,19 +273,23 @@ def _power_pair(a_exp: float, b_exp: float, log_norm: float) -> Evaluator:
         except OverflowError:   # above the largest double
             return inf
 
-    # the nonzero exponent where only one is, bound here so that a column call makes no cell
-    one = a_exp or b_exp
-
-    def column(samples: ChartSamples) -> list[float]:
-        los, his = samples.log_los, samples.log_his
+    def column(samples: ChartSamples, factors=None, divide=False) -> list[float]:
+        # a side whose exponent is 0 reads a log of 0.0: x + 0.0 rounds as x, and exp
+        # reads the -0.0 it may lose as 0.0
+        los = samples.log_los if a_exp else repeat(0.0)
+        his = samples.log_his if b_exp else repeat(0.0)
+        if factors is not None:
+            rows = zip(los, his, factors)
+            if divide:
+                return [exp(a_exp * lo + b_exp * hi - log_norm) / g for lo, hi, g in rows]
+            return [exp(a_exp * lo + b_exp * hi - log_norm) * g for lo, hi, g in rows]
         try:
-            if a_exp and b_exp:
+            if a_exp or b_exp:
                 return [exp(a_exp * lo + b_exp * hi - log_norm) for lo, hi in zip(los, his)]
-            if one:
-                return [exp(one * lg - log_norm) for lg in (los if a_exp else his)]
-            return [exp(-log_norm) if lg == lg else nan for lg in los]
+            return [exp(-log_norm) if lg == lg else nan for lg in samples.log_los]
         except OverflowError:   # above the largest double
             return list(map(core, samples.thetas, samples.cos))
+    column.reads_factors = bool(a_exp or b_exp)     # else that pass would not read nan at nan
 
     model = bernoulli_model()
     return Evaluator(core, model.canonical_domain, column, (model, identity_chart(model)))
@@ -351,6 +356,23 @@ def _quotients(qs: list[float], divisors: tuple[float, ...]) -> list[float]:
         return [q / g if g else math.inf for q, g in zip(qs, divisors)]
 
 
+def _scaled(column, factor: str, divide: bool = False):
+    """``column`` times, or over (:func:`_quotients`), the table's ``factor``
+    column: in a Beta law's own pass (``reads_factors``, :func:`_power_pair`),
+    else, or where that pass overflows or divides by 0, in a second one."""
+    factors, fused = operator.attrgetter(factor), getattr(column, "reads_factors", False)
+
+    def scaled(samples: ChartSamples) -> list[float]:
+        if fused:
+            try:
+                return column(samples, factors(samples), divide)
+            except (OverflowError, ZeroDivisionError):
+                pass
+        qs, gs = column(samples), factors(samples)
+        return _quotients(qs, gs) if divide else list(map(operator.mul, qs, gs))
+    return scaled
+
+
 def _per_theta(d: ChartDensity | IntrinsicDensity) -> Evaluator:
     """``d`` per unit theta, :func:`_canonical` of ``d`` with ``_replace``d core
     and column: ``p * sqrt(G)``, or ``rho(x(theta)) / |dtheta/dx|`` with the
@@ -362,8 +384,7 @@ def _per_theta(d: ChartDensity | IntrinsicDensity) -> Evaluator:
     if isinstance(d, IntrinsicDensity):
         def per_theta(theta: float, co: float) -> float:
             return read(theta, co) * math.sqrt(model.fisher_metric_offset(theta, co))
-        return source._replace(core=per_theta,
-                               column=lambda s: list(map(operator.mul, own(s), s.root_gs)))
+        return source._replace(core=per_theta, column=_scaled(own, "root_gs"))
     chart, core = d.chart, d.value_offset.core
     if chart is identity_chart(model):
         return source
@@ -386,16 +407,13 @@ def _in_chart(d: ChartDensity | IntrinsicDensity, chart: Chart) -> ChartDensity:
     """
     model, q = d.model, _per_theta(d)
     if chart is not identity_chart(model):
-        per_theta, q_column = q.core, q.column
+        per_theta = q.core
 
         def core(x: float, xc: float) -> float:
             theta, co = chart.canonical_offset(x, xc)
             co = verify_offset(model.canonical_domain, theta, co)
             return per_theta(theta, co) * abs(chart.d_canonical_offset(x, xc))
-
-        def column(samples: ChartSamples) -> list[float]:
-            return list(map(operator.mul, q_column(samples), samples.jacobians))
-        q = q._replace(core=core, domain=chart.domain, column=column,
+        q = q._replace(core=core, domain=chart.domain, column=_scaled(q.column, "jacobians"),
                        tables=q.tables and (model, chart))
     return _built(ChartDensity, q, model=model, chart=chart, label=d.label)
 
@@ -408,12 +426,12 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
     the table's ``sqrt(G)``.
     """
     model, q = rho.model, _per_theta(rho)
-    per_theta, q_column = q.core, q.column
+    per_theta = q.core
 
     def core(theta: float, co: float) -> float:
         root_g = math.sqrt(model.fisher_metric_offset(theta, co))
         return per_theta(theta, co) / root_g if root_g else math.inf
-    q = q._replace(core=core, column=lambda s: _quotients(q_column(s), s.root_gs))
+    q = q._replace(core=core, column=_scaled(q.column, "root_gs", divide=True))
     return _built(IntrinsicDensity, q, model=model, label=rho.label)
 
 

@@ -16,7 +16,8 @@ a positive one a vanishing boundary, which is no candidate. An offsetless
 density (value-only) is probed at offsets theta can hold. A density whose
 scan and finite boundary limits all agree to within the tie tolerance is
 reported as flat — a distinguished result, since returning one arbitrary
-argmax would be misleading; only a divergent boundary rules flatness out.
+argmax would be misleading; only a divergent boundary rules flatness out,
+and first and last levels far enough apart rule it out before any pass.
 
 The engine reads the density through one ``Evaluator``, ``density._canonical``
 (at its chart image, the offset checked, for a chart density in a chart but
@@ -79,9 +80,14 @@ def _flat(value: float) -> ModeResult:
 
 def _is_flat(levels: list[float]) -> bool:
     """Whether ``levels`` are positive, finite and within ``_FLAT_REL`` of their
-    maximum: one ``max``, and a full ``min`` only where the first and the last
-    level already fit that window. Finiteness is tested last: a nan or inf
-    fails the window or that test."""
+    maximum. Not where the first and the last level lie more than twice that
+    window apart (two in it lie ``_FLAT_REL / (1 - _FLAT_REL)`` of the larger,
+    or ``_FLAT_REL * 1e-300``, apart at most); else one ``max``, and a full
+    ``min`` only where the first and the last level fit the window. Finiteness
+    is tested last: a nan or inf fails the window or that test."""
+    first, last = levels[0], levels[-1]
+    if abs(first - last) > 2.0 * _FLAT_REL * max(abs(first), abs(last), 1e-300):
+        return False
     top = max(levels)
     window = _FLAT_REL * max(abs(top), 1e-300)
     return (top > 0.0 and top - levels[0] <= window and top - levels[-1] <= window

@@ -1,8 +1,11 @@
-"""The same-bits corpus: named groups of integral results, pinned by digest.
+"""The same-bits corpus: named groups of results, pinned by digest.
 
 Each group enumerates named outputs of the public API, each the ``repr`` of a
-``QuadratureResult`` or of the error its call raised, over Beta shapes from
-1e-3 to 300 in all four charts, regions, expectations and raw integrands.
+``QuadratureResult``, a ``ModeResult``, a curve's rows or of the error its
+call raised, over Beta shapes from 1e-3 to 300: integrals in all four charts,
+regions, expectations and raw integrands; MAP and MAPI searches in the four
+charts and two user charts (``y = theta**2`` and a copy of the identity
+chart); and sampled curves in each of those charts.
 ``tests/golden/corpus.sha256`` holds one sha256 a group over its
 ``name repr`` lines. The digests were recorded on CPython 3.11, as
 ``seed_results.txt`` was; bits may differ with the Python version or libm.
@@ -20,6 +23,7 @@ that moves a group on purpose rewrites its digest and names it in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -34,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "golden" / "corpus.sha256"
 ALPHAS = (1e-3, 0.02369, 0.05, 0.1, 0.3, 0.5, 0.7, 1.0, 1.05, 2.0, 3.7, 20.0, 300.0)
 BETAS = (1e-3, 0.05, 0.5, 1.0, 2.05, 4.1, 60.0)
+CURVE_SAMPLES = 101
 REGIONS = ((0.0, 0.3), (0.2, 0.7), (0.6, 1.0), (0.0, 1e-3), (1e-300, 0.5), (0.5, 1.0 - 1e-16))
 
 
@@ -129,6 +134,62 @@ def groups() -> dict:
                 yield f"{name} on [{lo!r}, {hi!r}]", lambda f=f, i=interval: (
                     fg.integrate_chart(f, i))
 
+    # the search and curve charts: the shipped ones, y = theta**2 on the canonical
+    # domain object itself, and a copy of the identity chart, which is not it
+    def square_canonical_offset(y, yc):
+        if yc < 0:      # 1 - sqrt(1 - d) = d / (1 + sqrt(1 - d)), exact in the offset
+            co = yc / (1.0 + math.sqrt(1.0 + yc))
+            return 1.0 + co, co
+        theta = math.sqrt(y)
+        return theta, theta
+
+    def square_from_canonical_offset(theta, co):
+        if co < 0:      # 1 - (1 - d)**2 = d (2 - d)
+            yc = co * (2.0 + co)
+            return 1.0 + yc, yc
+        return theta * theta, theta * theta
+
+    search_charts = dict(charts)
+    search_charts["square"] = fg.Chart(
+        "square", coin.canonical_domain, coin.canonical_domain, square_canonical_offset,
+        square_from_canonical_offset, lambda y, yc: 0.5 / math.sqrt(y))
+    search_charts["theta-copy"] = dataclasses.replace(charts["theta"])
+
+    def map_searches():
+        for name, chart in search_charts.items():
+            for a, b in shapes:
+                params, label = beta(a, b)
+                rho = fg.beta_chart_density(params)
+                yield f"{name} {label}", lambda rho=rho, c=chart: fg.map_estimate(
+                    rho, search_chart=c)
+
+    def mapi_searches():
+        for name, chart in search_charts.items():
+            for a, b in shapes:
+                params, label = beta(a, b)
+                for kind, p in intrinsics(params).items():
+                    yield f"{name} {kind} {label}", lambda p=p, c=chart: fg.mapi_estimate(
+                        p, c, search_chart=c)
+
+    def pushed_searches():
+        for name, chart in search_charts.items():
+            for a, b in shapes:
+                params, label = beta(a, b)
+                rho = fg.beta_chart_density(params)
+                pushed = {"pushed": fg.pushforward(rho, chart),
+                          "composed": fg.pushforward(fg.pushforward(rho, charts["arcsin"]), chart)}
+                for kind, d in pushed.items():
+                    yield f"{name} {kind} {label}", lambda d=d: fg.map_estimate(d)
+
+    def curves():
+        for name, chart in search_charts.items():
+            for a, b in shapes:
+                params, label = beta(a, b)
+                ds = {"theta-chart": fg.beta_chart_density(params), **intrinsics(params)}
+                for kind, d in ds.items():
+                    yield f"{name} {kind} {label}", lambda d=d, c=chart: fg.sample_curve(
+                        d, c, CURVE_SAMPLES).rows
+
     return {
         "chart-beta": lambda: chart_normalisations(
             lambda params, chart: fg.pushforward(fg.beta_chart_density(params), chart)),
@@ -143,6 +204,10 @@ def groups() -> dict:
         "plain-intrinsic": plain_intrinsic,
         "volumes": volumes,
         "raw": raw,
+        "modes-map": map_searches,
+        "modes-mapi": mapi_searches,
+        "modes-pushed": pushed_searches,
+        "curves": curves,
     }
 
 

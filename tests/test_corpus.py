@@ -2,15 +2,16 @@
 
 ``tests/corpus.py`` enumerates the groups and ``tests/golden/corpus.sha256``
 pins each by one sha256; ``python tests/corpus.py --check`` runs all of them
-(about 11 s) and names the first output of a moved group. The groups here
-take about 3 s together.
+(about 13 s) and names the first output of a moved group. The groups here
+take about 5 s together.
 """
 
 import pytest
 
 import corpus
 
-QUICK = ("chart-beta", "manifold", "expectations", "volumes", "raw")
+QUICK = ("chart-beta", "manifold", "expectations", "volumes", "raw", "modes-map", "modes-mapi",
+         "modes-pushed", "curves")
 
 
 def test_digest_file_pins_every_group():

@@ -38,6 +38,7 @@ from fishergeom import density
 from fishergeom.density import (Evaluator, IntrinsicDensity, _canonical, _images, _per_theta,
                                 endpoint_behaviour)
 from fishergeom.manifold import _chart_samples, _sample_table, interior_grid, verify_offset
+from test_mode import USER_CHARTS
 
 BERNOULLI = bernoulli_model()
 CHARTS = charts_for(BERNOULLI)
@@ -729,3 +730,101 @@ class TestColumn:
             d = pushforward(beta_chart_density(BetaParams(2.0, 3.0)), chart)
             assert map_estimate(d).canonical_point == pytest.approx(
                 (math.sqrt(5.0) - 1.0) / 4.0, rel=0.0, abs=1e-9), moved
+
+
+# the user chart y = theta**2 on the canonical domain object itself
+SQUARE = USER_CHARTS[0]
+
+
+class TestFusedColumn:
+    """A conversion of a bare Beta law reads the sample table's factor column in
+    the law's own pass: ``intrinsic_from_chart`` over ``sqrt(G)``, ``_in_chart``
+    times ``|dtheta/dx|``, and an intrinsic law's ``_per_theta`` times
+    ``sqrt(G)``. Each equals, by repr, row for row, the two passes it replaces:
+    the law's column, then the factor (a quotient by 0 reading inf)."""
+
+    # an exponent exactly 0 in theta (1, b) and intrinsic (1/2, b), both 0, a
+    # shape of 1e-3 (its column overflows near theta = 0) and one of 300
+    SHAPES = [(1.0, 2.05), (2.05, 1.0), (0.5, 2.05), (2.05, 0.5), (1.0, 1.0), (0.5, 0.5),
+              (1.0, 0.5), (1e-3, 1e-3), (1e-3, 2.05), (2.05, 1e-3), (300.0, 300.0),
+              (300.0, 1e-3), (2.3, 4.1)]
+    CHARTS = {**CHARTS, "square": SQUARE}
+
+    @classmethod
+    def tables(cls):
+        """Each chart's 1,024-point scan table and its DE side tables, levels 0 to 6."""
+        for name, chart in cls.CHARTS.items():
+            yield name, _chart_samples(BERNOULLI, chart, mode._SCAN_POINTS)
+            for level in range(quadrature._TABLE_LEVELS + 1):
+                for sign in (1, -1):
+                    yield name, quadrature._side_samples(BERNOULLI, chart, level, sign)[0]
+
+    @staticmethod
+    def two_passes(values, factors, divide):
+        if divide:
+            return [v / g if g else math.inf for v, g in zip(values, factors)]
+        return [v * g for v, g in zip(values, factors)]
+
+    @staticmethod
+    def overflows(params, samples):
+        """Whether the theta law's column in one pass overflows on ``samples``."""
+        a, b, log_norm = params.alpha - 1.0, params.beta - 1.0, params.log_norm
+        try:
+            [math.exp(a * lo + b * hi - log_norm) for lo, hi in zip(samples.log_los,
+                                                                     samples.log_his)]
+        except OverflowError:
+            return True
+        return False
+
+    def assert_fused(self, a, b):
+        rho, p = beta_chart_density(BetaParams(a, b)), beta_intrinsic_density(BetaParams(a, b))
+        law, intrinsic_law = rho.value_offset, p.value_offset
+        converted = intrinsic_from_chart(rho).value_offset.column
+        per_theta = _per_theta(p).column
+        for name, s in self.tables():
+            laws = law.column(s)
+            assert repr(converted(s)) == repr(self.two_passes(laws, s.root_gs, True)), (a, b, name)
+            assert repr(per_theta(s)) == repr(
+                self.two_passes(intrinsic_law.column(s), s.root_gs, False)), (a, b, name)
+            if name != "theta":
+                pushed = pushforward(rho, self.CHARTS[name]).value_offset.column
+                assert repr(pushed(s)) == repr(self.two_passes(laws, s.jacobians, False)), (
+                    a, b, name)
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_shapes(self, a, b):
+        self.assert_fused(a, b)
+
+    @given(log_a=st.floats(-3.0, 2.5), log_b=st.floats(-3.0, 2.5))
+    @settings(max_examples=15, deadline=None)
+    def test_log_shapes(self, log_a, log_b):
+        self.assert_fused(10.0 ** log_a, 10.0 ** log_b)
+
+    def test_each_law_marks_its_column_and_no_conversion_does(self):
+        rho = beta_chart_density(BetaParams(2.0, 3.0))
+        p = beta_intrinsic_density(BetaParams(2.0, 3.0))
+        assert rho.value_offset.column.reads_factors and p.value_offset.column.reads_factors
+        # both exponents 0: a nan point reads nan, which one pass would not keep
+        for law in (beta_chart_density(BetaParams(1.0, 1.0)),
+                    beta_intrinsic_density(BetaParams(0.5, 0.5))):
+            assert not law.value_offset.column.reads_factors
+        converted = [intrinsic_from_chart(rho), _per_theta(p), pushforward(rho, CHARTS["arcsin"]),
+                     chart_from_intrinsic(p, CHARTS["arcsin"]), dataclasses.replace(rho, chart=SQUARE)]
+        for d in converted:
+            column = getattr(d, "value_offset", d).column
+            assert not getattr(column, "reads_factors", False)
+
+    def test_the_overflow_path_is_read(self):
+        # a shape of 1e-3 overflows the one-pass column on some tables, which
+        # then read the two passes, the core a point where the law overflows
+        assert any(self.overflows(BetaParams(1e-3, 2.05), s) for _, s in self.tables())
+
+    def test_a_zero_factor_reads_inf(self):
+        s = _chart_samples(BERNOULLI, CHARTS["arcsin"], mode._SCAN_POINTS)
+        zeroed = s._replace(root_gs=(0.0, *s.root_gs[1:-1], 0.0))
+        for a, b in self.SHAPES:
+            rho = beta_chart_density(BetaParams(a, b))
+            column = intrinsic_from_chart(rho).value_offset.column(zeroed)
+            assert column[0] == column[-1] == math.inf, (a, b)
+            assert repr(column) == repr(self.two_passes(rho.value_offset.column(zeroed),
+                                                        zeroed.root_gs, True)), (a, b)

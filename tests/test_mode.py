@@ -637,14 +637,47 @@ FLAT_LEVELS = st.one_of(
     st.integers(-4, 4).map(lambda k: 1.0 + k * 3e-10),
     st.integers(-4, 4).map(lambda k: 1e-300 * (1.0 + k * 3e-10)),
     st.integers(-4, 4).map(lambda k: 1e-310 + k * 5e-324),
+    # about twice the window apart, where the first and the last level decide
+    st.integers(-5, 5).map(lambda k: 1.0 + k * 1e-9),
+    st.integers(-5, 5).map(lambda k: 1e-300 * (1.0 + k * 1e-9)),
 )
+# a perturbation of one end of a flat scan, in units of the window
+END_SHIFTS = st.one_of(st.integers(-5, 5).map(float), st.floats(-3.0, 3.0),
+                       st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _flat_by_max_and_min(levels):
+    top, bottom = max(levels), min(levels)
+    return (top > 0.0 and top - bottom <= mode._FLAT_REL * max(abs(top), 1e-300)
+            and all(map(math.isfinite, levels)))
 
 
 class TestFlatTest:
     @given(st.lists(FLAT_LEVELS, min_size=1, max_size=8))
     @settings(max_examples=2000, deadline=None)
     def test_agrees_with_max_and_min(self, levels):
-        top, bottom = max(levels), min(levels)
-        want = (top > 0.0 and top - bottom <= mode._FLAT_REL * max(abs(top), 1e-300)
-                and all(map(math.isfinite, levels)))
-        assert mode._is_flat(levels) == want
+        assert mode._is_flat(levels) == _flat_by_max_and_min(levels)
+
+    @given(scale=st.sampled_from([1.0, 1e-300, 1e-310, 1e300, -1.0]),
+           interior=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+           first=END_SHIFTS, last=END_SHIFTS)
+    @settings(max_examples=1000, deadline=None)
+    def test_scan_lengths_agree_with_max_and_min(self, scale, interior, first, last):
+        # 1,026 levels, a scan and two boundary limits: an interior within the
+        # window, and ends moved by up to five windows, or nan or +-inf
+        window = mode._FLAT_REL * max(abs(scale), 1e-300)
+        levels = [scale + interior[i % 8] * window / 4.0 for i in range(mode._SCAN_POINTS + 2)]
+        for i, shift in ((0, first), (-1, last)):
+            levels[i] = shift if not math.isfinite(shift) else scale + shift * window
+        assert mode._is_flat(levels) == _flat_by_max_and_min(levels)
+
+    def test_scan_ends_decide_before_a_pass(self):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("a pass over the levels")
+
+        levels = [1.0] * (mode._SCAN_POINTS + 2)
+        assert mode._is_flat(levels)
+        levels[-1] = 1.0 + 3e-9
+        assert not _flat_by_max_and_min(levels)
+        assert not mode._is_flat(Unread(levels))
