@@ -64,10 +64,12 @@ are exact and anchored at the endpoints of the interval integrated over, so
 each integral calls the trusted ``core`` of its integrand as a
 :class:`~fishergeom.density.Evaluator` on that interval (:func:`_integrand`,
 the one rule): a density's own on its domain, and on a sub-interval one whose
-core is the density's, which checks each offset. A manifold integral checks
-each offset once, where it enters: a sub-region's arc-length offset as it
-enters the chart's domain. The chart map's canonical offsets are anchored at
-the canonical domain's ends, so a density's core trusts them. Where that
+core is the density's, which checks each offset. A manifold integral over a
+sub-region gives each side's arc-length offsets the chart's check, decided once
+a side as it would fall at every node: none where the side is anchored at the
+chart domain's end, the naive offset where that end is infinite or far from
+the anchor, else one check a node. The chart map's canonical offsets are
+anchored at the canonical domain's ends, so a density's core trusts them. Where that
 ``Evaluator`` has ``tables`` (a column with no call a point), levels to 6
 read its column over a cached sample table of each side's readable nodes in
 its chart, checked once a row when built, and the nodes' weights cached with it:
@@ -88,7 +90,7 @@ from typing import Callable
 
 from .density import ChartDensity, Evaluator, _clamped, _evaluator
 from .manifold import (Chart, ChartSamples, DomainError, Interval, ManifoldModel, _sample_table,
-                       identity_chart, verify_offset)
+                       identity_chart, naive_offset, verify_offset)
 
 _PI_2 = 0.5 * math.pi
 # |t| beyond which every transform's weight underflows in double precision
@@ -253,26 +255,28 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
 
     Level L uses step ``h = 2**-L`` and reuses all previous evaluations, so past
     level 0 only odd multiples of h are new: side +1, then side -1, each over
-    its ``_table``. A side stops at its first node that cannot be read (no node
-    or weight 0.0, x not finite, or an exact offset of 0), at the |t| cap, or
-    once three consecutive terms fall below ``term_tol``, the last at or past
-    the table's stop index (the double-exponential tail then contributes less
-    than a couple of ``term_tol``); the row index ``i`` is where it stopped.
+    its ``_table``, read by ``call`` or by ``call[sign]``, one reader a side. A
+    side stops at its first node that cannot be read (no node or weight 0.0, x
+    not finite, or an exact offset of 0), at the |t| cap, or once three
+    consecutive terms fall below ``term_tol``, the last at or past the table's
+    stop index (the double-exponential tail then contributes less than a couple
+    of ``term_tol``); the row index ``i`` where it stopped counts its reads.
     Skipped nodes (an integrand that is not finite, overflows or divides by
-    zero) are not terms; a node whose x rounds onto a finite endpoint is read,
-    as its exact offset is nonzero. The level-to-level difference is the error
-    estimate. From level 2 on, a side whose tail grows (its last finite term
-    exceeds ``term_tol`` and the finite term before it) ends the integration
-    unconverged before the other side is swept, and so does no finite term yet
-    after both sides. Up to ``_TABLE_LEVELS``, given ``tables = (model, chart)``,
-    a loop of its own reads each side's :func:`_side_samples` weights beside
-    ``column`` over its table, what ``call`` returns at each row's node, ``v``
-    at ``(theta, co)`` read as ``nan if co == 0.0 else f(theta) * v`` given
-    ``f``, then runs the per-node loop's code to the truncation test. Every
-    other level and integral runs once a node.
+    zero) add no term, and a nan term counts as large; a node whose x rounds
+    onto a finite endpoint is read, as its exact offset is nonzero. The
+    level-to-level difference is the error estimate. From level 2 on, a side
+    whose tail grows (its last finite term exceeds ``term_tol`` and the finite
+    term before it) ends the integration unconverged before the other side is
+    swept, and so does no finite term yet after both sides. Up to
+    ``_TABLE_LEVELS``, given ``tables = (model, chart)``, a loop of its own
+    reads each side's :func:`_side_samples` weights beside ``column`` over its
+    table, what ``call`` returns at each row's node, ``v`` at ``(theta, co)``
+    read as ``nan if co == 0.0 else f(theta) * v`` given ``f``, then runs the
+    per-node loop's row body. Every other level and integral runs once a node.
     """
     row, w_scale, off_scale, sides = _node_map(interval)
     isfinite = math.isfinite
+    calls = call if type(call) is dict else dict.fromkeys((1, -1), call)
     evaluations = skipped = 0
 
     h, value = 2.0, 0.0     # level 0's value is then 0.0 + odd == odd: no side sums to -0.0
@@ -284,6 +288,7 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
             total = 0.0
             small = 0
             last = prev = math.inf
+            i = -1
             if tables and level <= _TABLE_LEVELS:
                 s, weights, trunc_from = _side_samples(*tables, level, sign)
                 thetas, cos = s.thetas, s.cos
@@ -293,46 +298,45 @@ def _de_integrate(call, interval: Interval, column=None, tables=None,
                             v = math.nan if cos[i] == 0.0 else f(thetas[i]) * v
                         except (OverflowError, ZeroDivisionError):
                             v = math.inf
-                    evaluations += 1
-                    term = 0.0
-                    if isfinite(v):
+                    if v - v == 0.0:    # finite
                         term = w * v
+                        total += term
                         prev, last = last, abs(term)
+                        if not last <= term_tol:
+                            small = 0
+                            continue
                     else:
                         skipped += 1
-                    total += term
-                    if abs(term) <= term_tol:
-                        small += 1
-                        if small >= 3 and i >= trunc_from:
-                            break
-                    else:
-                        small = 0
+                    small += 1
+                    if small >= 3 and i >= trunc_from:
+                        break
             else:
                 rows, trunc_from = _table(row, level, sign)
                 anchor, sx, sxc = sides[sign]
+                side_call = calls[sign]
                 for i, (p1, p2, m, div) in enumerate(rows):
                     off = off_scale / m if div else off_scale * m
                     x, xc, w = anchor + sx * off, sxc * off, p1 * w_scale * p2
                     if not (w > 0.0 and isfinite(x) and xc != 0.0):
-                        break   # unreadable, as is every later node of the side
+                        i -= 1  # unread, as is every later node of the side
+                        break
                     try:
-                        v = call(x, xc)
+                        v = side_call(x, xc)
                     except (OverflowError, ZeroDivisionError):
                         v = math.inf
-                    evaluations += 1
-                    term = 0.0
-                    if isfinite(v):
+                    if v - v == 0.0:    # finite
                         term = w * v
+                        total += term
                         prev, last = last, abs(term)
+                        if not last <= term_tol:
+                            small = 0
+                            continue
                     else:
                         skipped += 1
-                    total += term
-                    if abs(term) <= term_tol:
-                        small += 1
-                        if small >= 3 and i >= trunc_from:
-                            break
-                    else:
-                        small = 0
+                    small += 1
+                    if small >= 3 and i >= trunc_from:
+                        break
+            evaluations += i + 1
             if level >= 2 and term_tol < last and prev < last:     # the tail grows
                 return QuadratureResult(value, math.inf, False, evaluations, skipped)
             odd += total
@@ -392,22 +396,40 @@ def _integrate_manifold(ev: Evaluator, model: ManifoldModel,
     # no check changes one; on the Poisson family one would past s ~ 2.6e154,
     # where the map returns (inf, inf) and a side table's checked offset is
     # nan, but no rate-family density carries ``tables``, so no column is read
-    # there. Offsets anchored at an interior region boundary fail the chart's
-    # check and fall back to naive ones, which are well conditioned there.
-    # Either way the map's canonical offsets are anchored at the canonical
-    # domain's ends. The reader is picked once: one closure a node.
+    # there. Over a sub-region a side anchored at the chart domain's end on its
+    # offsets' side reads them unchecked too: ``end + sc`` is the node, bit for
+    # bit. Where that end is infinite, or more than ``bound`` from the anchor,
+    # the check would replace every offset, as its tolerance is below 0.41 of
+    # ``bound`` and the rounding of ``end + sc`` and of the node below 0.03 of it
+    # plus 2**-52 |end - anchor|; so the naive one is taken. Any other side is
+    # checked once a node. The map's canonical offsets are anchored at the canonical
+    # domain's ends either way. The readers are picked once: one closure a node.
     core, canon, s_dom = ev.core, s_chart.canonical_offset, s_chart.domain
-    if region != domain:
-        def g(s: float, sc: float) -> float:
-            return core(*canon(s, verify_offset(s_dom, s, sc)))
-    elif f is None:
-        def g(s: float, sc: float) -> float:
-            return core(*canon(s, sc))
-    else:   # the core first, then the guard, then f
+
+    def exact(s: float, sc: float) -> float:
+        return core(*canon(s, sc))
+
+    def naive(s: float, sc: float) -> float:
+        return core(*canon(s, naive_offset(s_dom, s)))
+
+    def checked(s: float, sc: float) -> float:
+        return core(*canon(s, verify_offset(s_dom, s, sc)))
+
+    if f is not None:   # over the whole domain: the core first, then the guard, then f
         def g(s: float, sc: float) -> float:
             theta, co = canon(s, sc)
             v = core(theta, co)
             return math.nan if co == 0.0 else f(theta) * v
+    elif region == domain:
+        g = exact
+    else:
+        lo, hi = s_interval.lo, s_interval.hi
+        bound = 1e-14 * (hi - lo + max(1.0, abs(lo), abs(hi)))     # inf unless s is finite
+        g = {}
+        for sign, (anchor, sx, sxc) in _node_map(s_interval)[3].items():
+            end = s_dom.lo if sxc > 0 else s_dom.hi if sxc < 0 else math.nan
+            g[sign] = (exact if anchor == end and sx == sxc else naive
+                       if not math.isfinite(end) or abs(end - anchor) > bound else checked)
 
     # over the whole domain, the column of a core on canonical points
     whole = ev.tables == (model, identity_chart(model)) and s_interval == s_chart.domain

@@ -699,13 +699,66 @@ class TestTrustBoundary:
         assert interval_probability(p, BERNOULLI.canonical_domain).value == pytest.approx(1.0)
         assert verify_calls[0] == 0
 
-    @pytest.mark.parametrize("lo,hi", [(0.0, 0.3), (0.7, 1.0)])
-    def test_sub_interval_checks_every_node(self, verify_calls, lo, hi):
-        # each node: the arc-length chart map's check; the canonical offset it
-        # makes is anchored at an end of (0, 1), so the density trusts it
-        p = beta_intrinsic_density(BetaParams(1.05, 2.05))
-        res = interval_probability(p, Interval(lo, hi))
-        assert verify_calls[0] == res.evaluations
+    @staticmethod
+    def region_evaluator(density):
+        """``(model, Evaluator)`` of ``region_integral``'s density, as its region
+        integral reads it."""
+        if density in ("poisson", "exponential"):
+            return get_model(density), Evaluator(lambda lam, co: math.exp(-co),
+                                                 get_model(density).canonical_domain)
+        p = intrinsic_from_chart(beta_chart_density(BetaParams(*density)))
+        return p.model, p.value_offset
+
+    @pytest.mark.parametrize("density,lo,hi,checked", [
+        pytest.param((1.05, 2.05), 0.0, 0.3, (), id="0.0-0.3"),
+        pytest.param((1.05, 2.05), 0.7, 1.0, (), id="0.7-1.0"),
+        pytest.param((2.5, 4.0), 0.2, 0.7, (), id="beta-2.5-4-0.2-0.7"),
+        pytest.param((2.5, 4.0), 0.5, 1.0 - 1e-16, (), id="beta-2.5-4-0.5-1-1e-16"),
+        # s_lo ~ 2e-150 lies within the check's tolerance of s = 0: the check keeps
+        # the offsets of side -1, anchored there
+        pytest.param((2.5, 4.0), 1e-300, 0.5, (-1,), id="beta-2.5-4-1e-300-0.5"),
+        # both sides anchored at s = 2: the check keeps the far nodes' offsets
+        pytest.param("poisson", 1.0, math.inf, (1, -1), id="poisson-1-inf"),
+        pytest.param("poisson", 0.0, 4.0, (), id="poisson-0-4"),
+        pytest.param("exponential", 0.5, 2.0, (), id="exponential-0.5-2"),
+        pytest.param("exponential", 1.0, math.inf, (), id="exponential-1-inf"),
+    ])
+    def test_sub_interval_checks_every_node(self, verify_calls, monkeypatch, density, lo, hi,
+                                            checked):
+        # every offset the density's core is given is anchored at an end of the
+        # canonical domain; the arc-length map's check runs at each node of a side
+        # whose offsets it may keep, and at no node of a side where it replaces
+        # every one (an anchor at the chart domain's own end, or far from it)
+        model, ev = self.region_evaluator(density)
+        seen = []
+
+        def core(theta, co):
+            seen.append((theta, co))
+            return ev.core(theta, co)
+
+        reads = {1: 0, -1: 0}
+        sweep = quadrature._de_integrate
+
+        def counted_sweep(call, interval, *args):
+            def side(sign):
+                def read(s, sc):
+                    reads[sign] += 1
+                    return call[sign](s, sc)
+                return read
+            return sweep({sign: side(sign) for sign in (1, -1)}, interval, *args)
+
+        monkeypatch.setattr(quadrature, "_de_integrate", counted_sweep)
+        region = Interval(lo, hi)
+        res = integrate_manifold(Evaluator(core, model.canonical_domain), model, region)
+        assert res.converged
+        assert len(seen) == res.evaluations == reads[1] + reads[-1]
+        assert reads[1] > 0 and reads[-1] > 0
+        assert verify_calls[0] == sum(reads[sign] for sign in checked)
+        # far out on a half line the map returns its limit (inf, inf), which no check keeps
+        assert all(verify_offset(model.canonical_domain, theta, co) == co
+                   or theta == co == math.inf for theta, co in seen)
+        monkeypatch.undo()
+        assert repr(res) == repr(self.region_integral(density)(region))
 
     def test_chart_sub_interval_checks_every_node(self, verify_calls):
         # offsets anchored at 0.5 would read as distances from 1 unchecked
@@ -1124,3 +1177,199 @@ class TestColumnSweep:
         assert seen[0] == seen[1]
         assert results[0] == results[1]
         assert ("converged=False" in results[0]) == (k < 0)
+
+
+def reference_de_integrate(call, interval, column=None, tables=None, f=None):
+    """``quadrature._de_integrate`` as it was when each row paid a count, an
+    ``isfinite`` call, two ``abs`` calls and a 0.0 term at a skipped node, and
+    one ``call`` read both sides; kept as the reference for its results."""
+    q = quadrature
+    row, w_scale, off_scale, sides = q._node_map(interval)
+    isfinite = math.isfinite
+    evaluations = skipped = 0
+
+    h, value = 2.0, 0.0
+    for level in range(q._MAX_LEVEL + 1):
+        h *= 0.5
+        term_tol = 0.05 * q._ABS_TOL / h
+        odd = 0.0
+        for sign in (+1, -1):
+            total = 0.0
+            small = 0
+            last = prev = math.inf
+            if tables and level <= q._TABLE_LEVELS:
+                s, weights, trunc_from = q._side_samples(*tables, level, sign)
+                thetas, cos = s.thetas, s.cos
+                for i, (w, v) in enumerate(zip(weights, column(s))):
+                    if f is not None:
+                        try:
+                            v = math.nan if cos[i] == 0.0 else f(thetas[i]) * v
+                        except (OverflowError, ZeroDivisionError):
+                            v = math.inf
+                    evaluations += 1
+                    term = 0.0
+                    if isfinite(v):
+                        term = w * v
+                        prev, last = last, abs(term)
+                    else:
+                        skipped += 1
+                    total += term
+                    if abs(term) <= term_tol:
+                        small += 1
+                        if small >= 3 and i >= trunc_from:
+                            break
+                    else:
+                        small = 0
+            else:
+                rows, trunc_from = q._table(row, level, sign)
+                anchor, sx, sxc = sides[sign]
+                for i, (p1, p2, m, div) in enumerate(rows):
+                    off = off_scale / m if div else off_scale * m
+                    x, xc, w = anchor + sx * off, sxc * off, p1 * w_scale * p2
+                    if not (w > 0.0 and isfinite(x) and xc != 0.0):
+                        break
+                    try:
+                        v = call(x, xc)
+                    except (OverflowError, ZeroDivisionError):
+                        v = math.inf
+                    evaluations += 1
+                    term = 0.0
+                    if isfinite(v):
+                        term = w * v
+                        prev, last = last, abs(term)
+                    else:
+                        skipped += 1
+                    total += term
+                    if abs(term) <= term_tol:
+                        small += 1
+                        if small >= 3 and i >= trunc_from:
+                            break
+                    else:
+                        small = 0
+            if level >= 2 and term_tol < last and prev < last:
+                return QuadratureResult(value, math.inf, False, evaluations, skipped)
+            odd += total
+        if level >= 2 and skipped == evaluations:
+            return QuadratureResult(value, math.inf, False, evaluations, skipped)
+        new_value = 0.5 * value + h * odd
+        err = abs(new_value - value)
+        value = new_value
+        if level >= 2 and err <= max(q._ABS_TOL, q._REL_TOL * abs(value)):
+            return QuadratureResult(value, err, True, evaluations, skipped)
+
+    return QuadratureResult(value, err, False, evaluations, skipped)
+
+
+def outcome(sweep, *args):
+    """The ``repr`` of ``sweep(*args)``, or of the error it raised."""
+    try:
+        return repr(sweep(*args))
+    except Exception as exc:    # noqa: BLE001 - the error is the outcome compared
+        return f"raises {exc!r}"
+
+
+def one_reader(call):
+    """One ``(x, xc)`` reader for both sides from a sweep's ``call``. A dict of
+    one reader a side reads with side +1's at the negative offsets of a finite
+    interval and with side -1's at the positive ones; a half line's two sides
+    share one reader."""
+    if type(call) is not dict or call[1] is call[-1]:
+        return call[1] if type(call) is dict else call
+    return lambda x, xc: call[1 if xc < 0 else -1](x, xc)
+
+
+class TestSweepRowBody:
+    """Each sweep returns, by ``repr``, what the reference sweep returns on the
+    same integrand, and each region integral what one check a node gives."""
+
+    INTERVALS = {"unit": Interval(0.0, 1.0), "shifted": Interval(-2.5, 7.25), "half": Interval(1.0, math.inf),
+                 "mirrored": Interval(-math.inf, 2.0), "line": Interval(-math.inf, math.inf),
+                 # inf weights, where a value of 0 makes a nan term
+                 "inf-weights": Interval(0.0, 1e308),
+                 # sides ending at a node whose x overflows or whose offset is 0
+                 "far": Interval(1e300, math.inf), "narrow": Interval(1.0, 1.0 + 2.0 ** -52)}
+    INTEGRANDS = {
+        "int": lambda x, xc: 1, "int-zero": lambda x, xc: 0, "huge-int": lambda x, xc: 10 ** 400,
+        "minus-zero": lambda x, xc: -0.0, "nan": lambda x, xc: math.nan,
+        "inf": lambda x, xc: math.inf, "minus-inf": lambda x, xc: -math.inf,
+        # w * v overflows wherever w > 1 (at the middle nodes of shifted)
+        "overflow": lambda x, xc: 1.7e308,
+        "lorentz": lambda x, xc: 1.0 / (1.0 + x * x), "gauss": lambda x, xc: math.exp(-x * x),
+        "numpy": lambda x, xc: numpy.float64(1.0) / (1.0 + x * x),
+        "reciprocal": lambda x, xc: 1.0 / x, "log-abs": lambda x, xc: math.log(abs(x)),
+        "mixed": lambda x, xc: (math.nan if 0.25 < x < 0.5 else -0.0 if x > 0.75
+                               else math.inf if x < 1e-4 else 3),
+        "eq2": lambda x, xc: eq2_integrand(x, xc) if 0.0 < x < 1.0 else math.nan,
+    }
+
+    @pytest.mark.parametrize("integrand", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("interval", sorted(INTERVALS))
+    def test_raw_sweeps_are_the_reference(self, interval, integrand):
+        interval, call = self.INTERVALS[interval], self.INTEGRANDS[integrand]
+        assert (outcome(quadrature._de_integrate, call, interval)
+                == outcome(reference_de_integrate, call, interval))
+
+    def test_column_and_reader_sweeps_are_the_reference(self, monkeypatch):
+        # every sweep the public calls make, over cached side tables or once a node,
+        # with expectation's guard nodes, an f that overflows or divides by 0, and
+        # regions read by one reader a side
+        sweep, compared = quadrature._de_integrate, []
+
+        def both(call, interval, column=None, tables=None, f=None):
+            res = sweep(call, interval, column, tables, f)
+            want = reference_de_integrate(one_reader(call), interval, column, tables, f)
+            assert repr(res) == repr(want)
+            compared.append(tables is not None)
+            return res
+
+        monkeypatch.setattr(quadrature, "_de_integrate", both)
+        for a, b in [(0.5, 0.5), (2.3, 4.1), (1e-3, 1e-3), (1.0, 3.0), (0.05, 2.0)]:
+            rho = beta_chart_density(BetaParams(a, b))
+            p = beta_intrinsic_density(BetaParams(a, b))
+            for chart in CHARTS.values():
+                integrate_chart(pushforward(rho, chart).value_offset, chart.domain)
+            for d in (p, intrinsic_from_chart(rho)):
+                integrate_manifold(d.value_offset, BERNOULLI)
+                for f in (lambda t: t, lambda t: 1 / t, lambda t: 1 / (1 - t),
+                          lambda t: math.exp(1 / t), lambda t: 10 ** 400 if t < 0.5 else 1):
+                    outcome(expectation, d, f)
+                for lo, hi in [(0.0, 0.37), (0.3, 1.0), (0.2, 0.7), (1e-300, 0.5)]:
+                    interval_probability(d, Interval(lo, hi))
+        for name in ("bernoulli", "poisson", "exponential"):
+            volume_result(get_model(name))
+            volume_result(get_model(name), Interval(1.0 if name != "bernoulli" else 0.5,
+                                                    math.inf if name != "bernoulli" else 1.0))
+        assert True in compared and False in compared
+
+    @staticmethod
+    def checked_reader(ev, model):
+        """The region reader that checks every node's arc-length offset."""
+        canon, s_dom = model.arclength.canonical_offset, model.arclength.domain
+        return lambda s, sc: ev.core(*canon(s, verify_offset(s_dom, s, sc)))
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 0.3), (0.0, 0.37), (0.0, 1e-3), (0.6, 1.0), (0.3, 1.0), (1e-27, 1.0), (1e-28, 1.0),
+        (0.2, 0.7), (1e-300, 0.5), (0.5, 1.0 - 1e-16), (0.0, 1.0 - 1e-16), (1e-300, 1e-299),
+        # s_lo ~ 2e-15, within the check's tolerance of s = 0 at every node
+        (1e-30, 0.5), (1e-30, 1.0)])
+    def test_region_readers_are_the_checked_reader(self, lo, hi):
+        region = Interval(lo, hi)
+        s_interval = Interval(*map(BERNOULLI.arc_length_from_origin, (lo, hi)))
+        for a, b in [(2.5, 4.0), (0.3, 4.0), (1.05, 2.05), (1e-3, 0.5), (300.0, 60.0)]:
+            for d in (beta_intrinsic_density(BetaParams(a, b)),
+                      intrinsic_from_chart(beta_chart_density(BetaParams(a, b)))):
+                want = reference_de_integrate(self.checked_reader(d.value_offset, BERNOULLI),
+                                              s_interval)
+                assert repr(interval_probability(d, region)) == repr(want), (a, b)
+
+    @pytest.mark.parametrize("name", ["poisson", "exponential"])
+    @pytest.mark.parametrize("lo,hi", [(1.0, math.inf), (1e-300, math.inf), (1e10, math.inf),
+                                       (0.0, 4.0), (0.5, 2.0), (1e-300, 1.0)])
+    def test_rate_family_regions_are_the_checked_reader(self, name, lo, hi):
+        model = get_model(name)
+        region = Interval(lo, hi)
+        s_interval = Interval(*map(model.arc_length_from_origin, (lo, hi)))
+        for ev in (Evaluator(lambda lam, co: math.exp(-co), model.canonical_domain),
+                   Evaluator(lambda lam, co: 1.0, model.canonical_domain)):
+            want = reference_de_integrate(self.checked_reader(ev, model), s_interval)
+            assert repr(integrate_manifold(ev, model, region)) == repr(want)
