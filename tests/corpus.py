@@ -1,11 +1,13 @@
 """The same-bits corpus: named groups of results, pinned by digest.
 
 Each group enumerates named outputs of the public API, each the ``repr`` of a
-``QuadratureResult``, a ``ModeResult``, a curve's rows or of the error its
-call raised, over Beta shapes from 1e-3 to 300: integrals in all four charts,
-regions, expectations and raw integrands; MAP and MAPI searches in the four
-charts and two user charts (``y = theta**2`` and a copy of the identity
-chart); and sampled curves in each of those charts.
+``QuadratureResult``, a ``ModeResult``, a curve's rows, a list of core values
+or of the error its call raised, over Beta shapes from 1e-3 to 300: integrals
+in all four charts, regions, expectations and raw integrands; MAP and MAPI
+searches in the four charts and two user charts (``y = theta**2`` and a copy
+of the identity chart); sampled curves in each of those charts; and the cores
+of the Beta law, its intrinsic forms and its pushforwards read one point at a
+time over the DE node tables, the scan grids and the ends of their domains.
 ``tests/golden/corpus.sha256`` holds one sha256 a group over its
 ``name repr`` lines. The digests were recorded on CPython 3.11, as
 ``seed_results.txt`` was; bits may differ with the Python version or libm.
@@ -39,6 +41,9 @@ DIGESTS = ROOT / "tests" / "golden" / "corpus.sha256"
 ALPHAS = (1e-3, 0.02369, 0.05, 0.1, 0.3, 0.5, 0.7, 1.0, 1.05, 2.0, 3.7, 20.0, 300.0)
 BETAS = (1e-3, 0.05, 0.5, 1.0, 2.05, 4.1, 60.0)
 CURVE_SAMPLES = 101
+SCAN_POINTS = 1024
+# the core-reads group's shapes: chart exponents of 0 at 1, intrinsic ones at 0.5
+CORE_SHAPES = tuple((a, b) for a in (1e-3, 0.5, 1.0, 2.0, 300.0) for b in (0.05, 0.5, 1.0, 4.1))
 REGIONS = ((0.0, 0.3), (0.2, 0.7), (0.6, 1.0), (0.0, 1e-3), (1e-300, 0.5), (0.5, 1.0 - 1e-16))
 
 
@@ -190,6 +195,59 @@ def groups() -> dict:
                     yield f"{name} {kind} {label}", lambda d=d, c=chart: fg.sample_curve(
                         d, c, CURVE_SAMPLES).rows
 
+    def core_reads():
+        from fishergeom.manifold import _chart_samples
+        from fishergeom.quadrature import _side_samples
+
+        # each chart's DE side-table nodes of levels 0-6 and its scan grid, as
+        # (chart points and offsets, canonical points and offsets)
+        tables = {}
+        for name, chart in charts.items():
+            nodes = [_side_samples(coin, chart, level, sign)[0]
+                     for level in range(7) for sign in (1, -1)]
+            scan = _chart_samples(coin, chart, SCAN_POINTS)
+            tables[name] = {
+                "nodes": ((sum((s.xs for s in nodes), ()), sum((s.xcs for s in nodes), ())),
+                          (sum((s.thetas for s in nodes), ()), sum((s.cos for s in nodes), ()))),
+                "scan": ((scan.xs, scan.xcs), (scan.thetas, scan.cos))}
+
+        def edges(domain):
+            # each finite end exactly, and ulp, 1e-300 and 5e-324 in from it and
+            # out of it (offsets of both signs); then nan
+            points = []
+            for end, inward in ((domain.lo, 1.0), (domain.hi, -1.0)):
+                if math.isfinite(end):
+                    points.append((end, 0.0))
+                    for h in (math.ulp(end), 1e-300, 5e-324):
+                        points += [(end + inward * h, inward * h), (end - inward * h, -inward * h)]
+            return points + [(math.nan, math.nan)]
+
+        def read(core, points):
+            out = []
+            for x, xc in points:
+                try:
+                    out.append(core(x, xc))
+                except Exception as exc:
+                    out.append(f"raised {exc!r}")
+            return out
+
+        for a, b in CORE_SHAPES:
+            params, label = beta(a, b)
+            rho = fg.beta_chart_density(params)
+            ds = {"theta-chart": (rho, None), "from-chart": (fg.intrinsic_from_chart(rho), None),
+                  "closed": (fg.beta_intrinsic_density(params), None)}
+            for name in ("arcsin", "reciprocal", "arclength"):
+                ds[f"pushed-{name}"] = (fg.pushforward(rho, charts[name]), name)
+            for kind, (d, own) in ds.items():
+                core = d.value_offset.core
+                for name in [own] if own else charts:
+                    for what, (chart_points, canonical) in tables[name].items():
+                        points = chart_points if own else canonical
+                        yield f"{kind} {label} {name} {what}", lambda c=core, p=points: list(
+                            map(c, *p))
+                yield f"{kind} {label} edges", lambda c=core, d=d: read(
+                    c, edges(d.value_offset.domain))
+
     return {
         "chart-beta": lambda: chart_normalisations(
             lambda params, chart: fg.pushforward(fg.beta_chart_density(params), chart)),
@@ -208,6 +266,7 @@ def groups() -> dict:
         "modes-mapi": mapi_searches,
         "modes-pushed": pushed_searches,
         "curves": curves,
+        "core-reads": core_reads,
     }
 
 

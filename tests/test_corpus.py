@@ -2,8 +2,8 @@
 
 ``tests/corpus.py`` enumerates the groups and ``tests/golden/corpus.sha256``
 pins each by one sha256; ``python tests/corpus.py --check`` runs all of them
-(about 13 s) and names the first output of a moved group. The groups here
-take about 5 s together.
+(about 14 s) and names the first output of a moved group. The groups here
+take about 6 s together.
 """
 
 import pytest
@@ -11,7 +11,7 @@ import pytest
 import corpus
 
 QUICK = ("chart-beta", "manifold", "expectations", "volumes", "raw", "modes-map", "modes-mapi",
-         "modes-pushed", "curves")
+         "modes-pushed", "curves", "core-reads")
 
 
 def test_digest_file_pins_every_group():
