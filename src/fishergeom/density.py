@@ -42,7 +42,10 @@ per-theta one with ``_replace``, so a field it does not compute, such as the
 chart map moves it to another interval; the identity chart adds no map. A
 conversion's column takes its factor (``sqrt(G)`` or ``|dtheta/dx|``) from
 the sample table in a bare Beta law's own pass, else in a second one
-(:func:`_scaled`). :func:`sample_curve` applies the same rules column-wise,
+(:func:`_scaled`). The intrinsic form of a bare Beta law reads a point in one
+frame too, ``sqrt(G)`` taken from the law's own two distances; every other
+per-theta ``Evaluator`` is read in three, the conversion's, the metric's and
+its own. :func:`sample_curve` applies the same rules column-wise,
 one value of ``q`` a point, bit for bit, over the sample table the mode scan
 shares.
 Conversions catch nothing: the maps return their limits, a quotient by a
@@ -256,22 +259,34 @@ def _power_pair(a_exp: float, b_exp: float, log_norm: float) -> Evaluator:
     a value overflows. Marked ``reads_factors`` unless both exponents are 0,
     it also reads a column of the table as ``factors`` in the same pass, times
     or over each value, and then raises where a value overflows or a divisor
-    is 0.
+    is 0. Its core is marked with ``over_root_g``, the core over ``sqrt(G)``
+    read in one frame (inf where ``sqrt(G)`` is 0), G the coin metric
+    ``1/(lo*hi)`` at the core's own two distances, which
+    :func:`intrinsic_from_chart` reads for a bare law.
     """
-    exp, log, inf, nan = math.exp, math.log, math.inf, math.nan
+    exp, log, sqrt, inf, nan = math.exp, math.log, math.sqrt, math.inf, math.nan
 
-    def core(theta: float, co: float) -> float:
-        lo_off = co if co > 0 else theta
-        hi_off = -co if co < 0 else 1.0 - theta
-        if lo_off <= 0.0 or hi_off <= 0.0:
-            log_v = ((a_exp and a_exp * (log(lo_off) if lo_off > 0.0 else -inf))
-                     + (b_exp and b_exp * (log(hi_off) if hi_off > 0.0 else -inf)))
-        else:
-            log_v = a_exp * log(lo_off) + b_exp * log(hi_off)
-        try:
-            return exp(log_v - log_norm)
-        except OverflowError:   # above the largest double
-            return inf
+    def reader(over_root_g: bool):
+        def read(theta: float, co: float) -> float:
+            lo_off = co if co > 0 else theta
+            hi_off = -co if co < 0 else 1.0 - theta
+            if lo_off <= 0.0 or hi_off <= 0.0:
+                log_v = ((a_exp and a_exp * (log(lo_off) if lo_off > 0.0 else -inf))
+                         + (b_exp and b_exp * (log(hi_off) if hi_off > 0.0 else -inf)))
+            else:
+                log_v = a_exp * log(lo_off) + b_exp * log(hi_off)
+            try:
+                v = exp(log_v - log_norm)
+            except OverflowError:   # above the largest double
+                v = inf
+            if over_root_g:     # the coin metric's arithmetic, then the quotient's
+                d = lo_off * hi_off
+                root_g = sqrt(1.0 / d if d else inf)
+                return v / root_g if root_g else inf
+            return v
+        return read
+    core = reader(False)
+    core.over_root_g = reader(True)
 
     def column(samples: ChartSamples, factors=None, divide=False) -> list[float]:
         # a side whose exponent is 0 reads a log of 0.0: x + 0.0 rounds as x, and exp
@@ -423,14 +438,16 @@ def intrinsic_from_chart(rho: ChartDensity) -> IntrinsicDensity:
 
     The result is the same whichever chart ``rho`` was expressed in; that is
     the point of the construction. Its column is its per-theta column over
-    the table's ``sqrt(G)``.
+    the table's ``sqrt(G)``. A bare Beta law (per theta, the law itself) is
+    read by its core's ``over_root_g``, in one frame.
     """
     model, q = rho.model, _per_theta(rho)
     per_theta = q.core
-
-    def core(theta: float, co: float) -> float:
-        root_g = math.sqrt(model.fisher_metric_offset(theta, co))
-        return per_theta(theta, co) / root_g if root_g else math.inf
+    core = getattr(per_theta, "over_root_g", None)
+    if core is None:
+        def core(theta: float, co: float) -> float:
+            root_g = math.sqrt(model.fisher_metric_offset(theta, co))
+            return per_theta(theta, co) / root_g if root_g else math.inf
     q = q._replace(core=core, column=_scaled(q.column, "root_gs", divide=True))
     return _built(IntrinsicDensity, q, model=model, label=rho.label)
 

@@ -94,6 +94,34 @@ def naive_offset(interval: Interval, x: float) -> float:
     return lo_off if lo_off <= hi_off else -hi_off
 
 
+def _naive_reader(core: Callable[[float, float], float], interval: Interval,
+                  to_canonical: Callable[[float, float], tuple[float, float]] | None = None):
+    """``core`` at ``(x, naive_offset(interval, x))``, or at its image under
+    ``to_canonical`` (a chart's ``canonical_offset``) where that is given, as
+    one function of ``x`` (a second argument is ignored) whose offset rule is
+    picked once from ``interval``: :func:`naive_offset`'s own comparison on a
+    finite interval, the offset from the finite end of a half line, nan with
+    no finite end. Its offset is ``naive_offset``'s, bit for bit, at every
+    finite ``x`` whose offset from a finite end does not overflow; it may not
+    be at an infinite or nan ``x``, which no mode search or region node reads."""
+    lo, hi = interval.lo, interval.hi
+    if math.isfinite(lo) and math.isfinite(hi):
+        if to_canonical is None:
+            def read(x: float, xc: float = math.nan) -> float:
+                lo_off, hi_off = x - lo, hi - x
+                return core(x, lo_off if lo_off <= hi_off else -hi_off)
+        else:
+            def read(x: float, xc: float = math.nan) -> float:
+                lo_off, hi_off = x - lo, hi - x
+                return core(*to_canonical(x, lo_off if lo_off <= hi_off else -hi_off))
+        return read
+    offset = ((lambda x: x - lo) if math.isfinite(lo) else (lambda x: -(hi - x))
+              if math.isfinite(hi) else (lambda x: math.nan))
+    if to_canonical is None:
+        return lambda x, xc=math.nan: core(x, offset(x))
+    return lambda x, xc=math.nan: core(*to_canonical(x, offset(x)))
+
+
 def verify_offset(interval: Interval, x: float, xc: float) -> float:
     """Accept ``xc`` only if it is anchored at an endpoint of ``interval``.
 

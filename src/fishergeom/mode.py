@@ -23,8 +23,12 @@ The engine reads the density through one ``Evaluator``, ``density._canonical``
 (at its chart image, the offset checked, for a chart density in a chart but
 theta): its core at one canonical point, its column over the scan table, and
 its ``value`` at the boundaries, so MAP and MAPI are one argmax, of a chart
-density and of an intrinsic one. The scan's points and their exact
-canonical offsets, checked once when the table is built, come from the
+density and of an intrinsic one. The refinements read one objective, built
+once a search (``manifold._naive_reader``): the core at the search chart's
+canonical image of each point and its naive offset, whose rule (two ends,
+one, or none) is picked once from the search domain, and in the identity
+chart the core at the point itself, with no map. The scan's points and their
+exact canonical offsets, checked once when the table is built, come from the
 sample table that curves share (``manifold._chart_samples``); the default
 search chart, the model's arc-length chart, is the same object on every call. A search or
 report chart of another model raises ``ChartModelMismatchError``. A scan
@@ -45,7 +49,8 @@ from .density import (
     beta_chart_density,
     beta_intrinsic_density,
 )
-from .manifold import Chart, _chart_samples, _require_model, naive_offset
+from .manifold import (Chart, _chart_samples, _naive_reader, _require_model, identity_chart,
+                       naive_offset)
 
 _SCAN_POINTS = 1024
 _GOLDEN_TOL = 1e-10
@@ -137,9 +142,8 @@ def _numeric_mode(d: ChartDensity | IntrinsicDensity, search_chart: Chart | None
     _require_model(search_chart, model)
     _require_model(report_chart, model)
     sdom, dom = search_chart.domain, model.canonical_domain
-
-    def obj(x: float) -> float:
-        return canonical.core(*search_chart.canonical_offset(x, naive_offset(sdom, x)))
+    obj = _naive_reader(canonical.core, sdom, None if search_chart is identity_chart(model)
+                        else search_chart.canonical_offset)
 
     samples = _chart_samples(model, search_chart, _SCAN_POINTS)
     grid, thetas = samples.xs, samples.thetas

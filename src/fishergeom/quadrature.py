@@ -68,15 +68,16 @@ core is the density's, which checks each offset. A manifold integral over a
 sub-region gives each side's arc-length offsets the chart's check, decided once
 a side as it would fall at every node: none where the side is anchored at the
 chart domain's end, the naive offset where that end is infinite or far from
-the anchor, else one check a node. The chart map's canonical offsets are
-anchored at the canonical domain's ends, so a density's core trusts them. Where that
-``Evaluator`` has ``tables`` (a column with no call a point), levels to 6
-read its column over a cached sample table of each side's readable nodes in
-its chart, checked once a row when built, and the nodes' weights cached with it:
-``integrate_chart`` over its chart's domain, ``integrate_manifold`` and
-``expectation`` over the whole domain (in the arc-length chart) for a core on
-canonical points. ``evaluations`` still counts the rows the sweep reads, and
-``expectation`` calls ``f`` only there. Every other integral runs once a node.
+the anchor (its rule picked once, ``manifold._naive_reader``), else one check
+a node. The chart map's canonical offsets are anchored at the canonical
+domain's ends, so a density's core trusts them. Where that ``Evaluator`` has
+``tables`` (a column with no call a point), levels to 6 read its column over
+a cached sample table of each side's readable nodes in its chart, checked once
+a row when built, and the nodes' weights cached with it: ``integrate_chart``
+over its chart's domain, ``integrate_manifold`` and ``expectation`` over the
+whole domain (in the arc-length chart) for a core on canonical points.
+``evaluations`` still counts the rows the sweep reads, and ``expectation``
+calls ``f`` only there. Every other integral runs once a node.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ from types import FunctionType
 from typing import Callable
 
 from .density import ChartDensity, Evaluator, _clamped, _evaluator
-from .manifold import (Chart, ChartSamples, DomainError, Interval, ManifoldModel, _sample_table,
-                       identity_chart, naive_offset, verify_offset)
+from .manifold import (Chart, ChartSamples, DomainError, Interval, ManifoldModel, _naive_reader,
+                       _sample_table, identity_chart, verify_offset)
 
 _PI_2 = 0.5 * math.pi
 # |t| beyond which every transform's weight underflows in double precision
@@ -409,8 +410,7 @@ def _integrate_manifold(ev: Evaluator, model: ManifoldModel,
     def exact(s: float, sc: float) -> float:
         return core(*canon(s, sc))
 
-    def naive(s: float, sc: float) -> float:
-        return core(*canon(s, naive_offset(s_dom, s)))
+    naive = _naive_reader(core, s_dom, canon)
 
     def checked(s: float, sc: float) -> float:
         return core(*canon(s, verify_offset(s_dom, s, sc)))

@@ -828,3 +828,84 @@ class TestFusedColumn:
             assert column[0] == column[-1] == math.inf, (a, b)
             assert repr(column) == repr(self.two_passes(rho.value_offset.column(zeroed),
                                                         zeroed.root_gs, True)), (a, b)
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return f"raised {exc!r}"
+
+
+def _law_over_root_g(law, theta, co):
+    """The three-frame read of a law's intrinsic form: the metric, the law, the quotient."""
+    root_g = math.sqrt(BERNOULLI.fisher_metric_offset(theta, co))
+    return law(theta, co) / root_g if root_g else math.inf
+
+
+# shapes with exponents exactly 0 (1 and 1/2), small ones whose law overflows near
+# an end, and large ones; any in [1e-3, 1e3]
+FUSED_SHAPES = st.one_of(st.sampled_from([1e-3, 0.05, 0.5, 1.0, 1.5, 2.0, 300.0, 1e6]),
+                         st.floats(1e-3, 1e3))
+# offsets of both signs, exact ends and nan: from 0 where positive, from 1 where negative
+FUSED_OFFSETS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-300, -1e-300,
+                     2.2250738585072014e-308, 1e-16, -1e-16, 0.5, -0.5, 1.0, -1.0, math.nan]),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def fused_points(draw):
+    """``(theta, co)``: a point and its exact offset, an exact end, or a nan."""
+    co = draw(FUSED_OFFSETS)
+    kind = draw(st.sampled_from(["anchored", "end", "nan"]))
+    if kind == "end":
+        return draw(st.sampled_from([0.0, 1.0])), co if co == 0.0 else 0.0
+    if kind == "nan":
+        return draw(st.sampled_from([(math.nan, math.nan), (math.nan, 0.25), (0.25, math.nan)]))
+    return (co if co > 0 else 1.0 + co if co < 0 else draw(st.floats(0.0, 1.0))), co
+
+
+class TestFusedIntrinsicRead:
+    """``intrinsic_from_chart`` of a bare Beta law reads a point by the law core's
+    ``over_root_g``, in one frame, and equals by repr the law over ``sqrt(G)``
+    read in three (inf where ``sqrt(G)`` is 0); every other per-theta evaluator
+    keeps the three-frame read."""
+
+    @given(a=FUSED_SHAPES, b=FUSED_SHAPES, point=fused_points())
+    @settings(max_examples=1500, deadline=None)
+    def test_is_the_law_over_root_g(self, a, b, point):
+        law = beta_chart_density(BetaParams(a, b)).value_offset.core
+        fused = intrinsic_from_chart(beta_chart_density(BetaParams(a, b))).value_offset.core
+        assert fused is not law and fused.__code__ is law.over_root_g.__code__
+        assert _outcome(fused, *point) == _outcome(_law_over_root_g, law, *point), (a, b, point)
+
+    @pytest.mark.parametrize("a,b", [(1e-3, 2.0), (2.0, 1e-3), (1e-3, 1e-3)])
+    def test_overflowing_laws_are_read(self, a, b):
+        # the law overflows to inf at the far subnormal offsets, where sqrt(G) is
+        # inf too, and reads nan there both ways
+        law = beta_chart_density(BetaParams(a, b)).value_offset.core
+        fused = intrinsic_from_chart(beta_chart_density(BetaParams(a, b))).value_offset.core
+        points = [(5e-324, 5e-324), (1.0, -5e-324), (1e-300, 1e-300)]
+        assert any(law(*point) == math.inf for point in points)
+        for point in points:
+            assert _outcome(fused, *point) == _outcome(_law_over_root_g, law, *point)
+
+    def test_only_a_bare_law_is_fused(self):
+        rho = beta_chart_density(BetaParams(2.0, 3.0))
+        core = rho.value_offset.core
+        assert intrinsic_from_chart(rho).value_offset.core is core.over_root_g
+        # a copy with another label is still the bare law
+        relabelled = dataclasses.replace(rho, label="again")
+        assert intrinsic_from_chart(relabelled).value_offset.core is core.over_root_g
+        # wrapped, replaced, moved to a user chart, composed, or the chart view of an
+        # intrinsic law: the per-theta evaluator is not the law, and reads in three frames
+        others = [dataclasses.replace(rho, value_offset=lambda x, xc: core(x, xc)),
+                  dataclasses.replace(rho, chart=SQUARE),
+                  pushforward(pushforward(rho, CHARTS["arcsin"]), CHARTS["theta"]),
+                  chart_from_intrinsic(beta_intrinsic_density(BetaParams(2.0, 3.0)),
+                                       CHARTS["theta"])]
+        for d in others:
+            read = intrinsic_from_chart(d).value_offset.core
+            assert read is not core.over_root_g and read.__code__ is not core.__code__, d.label

@@ -182,6 +182,66 @@ class TestOffsetChecks:
         assert at >= 2
 
 
+def _passing_map(x, xc):
+    return x, xc
+
+
+def _offset_of(x, xc):
+    return xc
+
+
+# every shipped chart domain of the three models (finite, half line, whole line),
+# and user chart domains: a half line open below and an off-centre finite interval
+READER_DOMAINS = [chart.domain for model in (BERNOULLI, poisson_model(), exponential_model())
+                  for chart in charts_for(model).values()]
+READER_DOMAINS += [Interval(-math.inf, -1.0), Interval(-2.5, 7.25)]
+OFFSET_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+
+
+@st.composite
+def reader_points(draw):
+    """A domain and a point at or around one of its ends (or 0 on the whole line),
+    a subnormal or tiny offset or some ulps away, or any double, inf and nan too."""
+    domain = draw(st.sampled_from(READER_DOMAINS))
+    end = draw(st.sampled_from([e for e in (domain.lo, domain.hi) if math.isfinite(e)] or [0.0]))
+    x = draw(st.one_of(
+        st.sampled_from([end, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.sampled_from(OFFSET_SPECIALS).map(lambda h: end + h),
+        st.floats(-1e-300, 1e-300).map(lambda h: end + h),
+        st.integers(-4, 4).map(lambda k: end + k * math.ulp(end)),
+        st.floats(allow_nan=True, allow_infinity=True)))
+    return domain, x
+
+
+class TestNaiveReader:
+    """``manifold._naive_reader`` picks ``naive_offset``'s rule once a domain and
+    reads its offset by ``repr`` at every finite point, through a chart map or
+    none. At inf and nan it never gives a finite offset, and no search or region
+    node reads such a point (``test_mode.py``, ``test_quadrature.py``)."""
+
+    @given(reader_points())
+    @settings(max_examples=1500, deadline=None)
+    def test_offset_is_naive_offset(self, case):
+        domain, x = case
+        want = manifold.naive_offset(domain, x)
+        for reader in (manifold._naive_reader(_offset_of, domain),
+                       manifold._naive_reader(_offset_of, domain, _passing_map)):
+            got = reader(x)
+            if math.isfinite(x):
+                assert repr(got) == repr(want), (domain, x)
+            else:
+                assert not math.isfinite(got), (domain, x)
+
+    def test_second_argument_is_ignored(self):
+        for domain in READER_DOMAINS:
+            reader = manifold._naive_reader(_offset_of, domain, _passing_map)
+            assert repr(reader(0.5, -7.0)) == repr(manifold.naive_offset(domain, 0.5))
+
+    def test_every_rule_is_covered(self):
+        kinds = {(math.isfinite(d.lo), math.isfinite(d.hi)) for d in READER_DOMAINS}
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestModels:
     def test_bernoulli_metric_value(self):
         assert BERNOULLI.fisher_metric(0.5) == pytest.approx(4.0, abs=1e-15)

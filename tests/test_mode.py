@@ -19,6 +19,7 @@ from fishergeom import (
     beta_intrinsic_density,
     chart_from_intrinsic,
     charts_for,
+    exponential_model,
     intrinsic_from_chart,
     map_estimate,
     mapi_estimate,
@@ -628,6 +629,103 @@ class TestComposedScans:
         assert density._images.cache_info().misses == 8
         run()
         assert density._images.cache_info().misses == 8
+
+
+def _negative_reciprocal_canonical_offset(y, yc):
+    # y = -1/theta on (-inf, -1); 1 - theta = (y + 1)/y, exact in the offset from -1
+    return -1.0 / y, -(yc / y)
+
+
+def _negative_reciprocal_from_canonical_offset(theta, co):
+    y = -1.0 / theta if theta else -math.inf
+    return (y, co / theta) if co < 0 and theta else (y, y + 1.0)
+
+
+def _logit_canonical_offset(y, yc):
+    # y = log(theta / (1 - theta)) on the whole line, theta anchored at its nearer end
+    if y < 0:
+        e = math.exp(y)
+        theta = e / (1.0 + e)
+        return theta, theta
+    e = math.exp(-y)
+    return 1.0 / (1.0 + e), -(e / (1.0 + e))
+
+
+def _logit_d_canonical_offset(y, yc):
+    theta, co = _logit_canonical_offset(y, yc)
+    return theta * (-co if co < 0 else 1.0 - theta)
+
+
+def _logit_from_canonical_offset(theta, co):
+    lo, hi = (co, 1.0 - co) if co > 0 else (1.0 + co, -co) if co < 0 else (theta, 1.0 - theta)
+    return math.log(lo) - math.log(hi) if lo and hi else math.copysign(math.inf, hi - lo), math.nan
+
+
+# user charts on domains no shipped coin chart has: a half line open below, the whole line
+OPEN_CHARTS = [
+    Chart("negative-reciprocal", manifold.Interval(-math.inf, -1.0), BERNOULLI.canonical_domain,
+          _negative_reciprocal_canonical_offset, _negative_reciprocal_from_canonical_offset,
+          lambda y, yc: 1.0 / (y * y)),
+    Chart("logit", manifold.Interval(-math.inf, math.inf), BERNOULLI.canonical_domain,
+          _logit_canonical_offset, _logit_from_canonical_offset, _logit_d_canonical_offset),
+]
+
+
+class TestObjective:
+    """Every search reads its objective, ``manifold._naive_reader`` of the search
+    domain, only at finite points of the domain's closure, where the reader's
+    offset is ``naive_offset``'s bit for bit (``test_manifold.py``)."""
+
+    SHAPES = [(0.5, 0.5), (2.0, 3.0), (1.0001, 80.0), (80.0, 1.0001), (0.3, 2.0), (1.0, 1.0),
+              (300.0, 0.05), (5.0, 1.7), (1.0, 3.0)]
+
+    @staticmethod
+    def searches():
+        for chart in (*CHARTS.values(), *USER_CHARTS, *OPEN_CHARTS):
+            for a, b in TestObjective.SHAPES:
+                rho = beta_chart_density(BetaParams(a, b))
+                yield chart, lambda rho=rho, c=chart: map_estimate(rho, search_chart=c)
+                yield chart, lambda rho=rho, c=chart: mapi_estimate(
+                    intrinsic_from_chart(rho), CHARTS["theta"], search_chart=c)
+        for model in (poisson_model(), exponential_model()):
+            # lam**k exp(-lam) per unit of the Riemannian measure, a mode inside, and one
+            # at lam = 0 where k = 0
+            for k in (0.0, 0.5, 3.0):
+                def value(lam, co=None, k=k):
+                    if not 0.0 < lam < math.inf:
+                        return float(k == 0.0 and lam == 0.0)
+                    return math.exp(k * math.log(lam) - lam)
+                p = IntrinsicDensity(model, value, f"k={k}", value_offset=value)
+                for chart in charts_for(model).values():
+                    yield chart, lambda p=p, c=chart: mapi_estimate(p, c, search_chart=c)
+
+    def test_reads_only_finite_points_of_the_closure(self, monkeypatch):
+        seen = []
+        build = mode._naive_reader
+
+        def recording(core, domain, to_canonical=None):
+            read = build(core, domain, to_canonical)
+
+            def recorded(x):
+                seen.append((domain, x))
+                return read(x)
+            return recorded
+        monkeypatch.setattr(mode, "_naive_reader", recording)
+        kinds = set()
+        for chart, search in self.searches():
+            seen.clear()
+            search()
+            for domain, x in seen:
+                assert domain is chart.domain
+                assert math.isfinite(x) and domain.lo <= x <= domain.hi, (chart.name, x)
+                kinds.add((math.isfinite(domain.lo), math.isfinite(domain.hi)))
+        # refinements read a finite domain, a half line each way and the whole line
+        assert len(kinds) == 4
+
+    @pytest.mark.parametrize("chart", OPEN_CHARTS, ids=lambda c: c.name)
+    def test_open_charts_find_the_invariant_mode(self, chart):
+        got = mapi_estimate(intrinsic(2.0, 3.0), CHARTS["theta"], search_chart=chart)
+        assert got.canonical_point == pytest.approx(1.5 / 4.0, abs=1e-6)
 
 
 FLAT_LEVELS = st.one_of(

@@ -760,6 +760,38 @@ class TestTrustBoundary:
         monkeypatch.undo()
         assert repr(res) == repr(self.region_integral(density)(region))
 
+    @pytest.mark.parametrize("density,lo,hi", [
+        ((2.5, 4.0), 0.2, 0.7), ((2.5, 4.0), 0.0, 0.37), ((0.3, 4.0), 0.6, 1.0),
+        ((2.5, 4.0), 0.5, 1.0 - 1e-16), ((0.3, 0.3), 1e-300, 1e-3),
+        ("poisson", 0.0, 4.0), ("poisson", 0.5, 2.0), ("exponential", 0.5, 2.0),
+        ("exponential", 1.0, math.inf), ("exponential", 1e-300, 1e-3),
+    ])
+    def test_naive_sides_read_finite_nodes_only(self, monkeypatch, density, lo, hi):
+        # a side read by the naive offset reads its rule, picked once, only at finite
+        # arc lengths of the region's closure, where it is naive_offset's bit for bit
+        # (test_manifold.py's TestNaiveReader)
+        model, _ = self.region_evaluator(density)
+        seen = []
+        build = quadrature._naive_reader
+
+        def recording(core, domain, to_canonical=None):
+            read = build(core, domain, to_canonical)
+
+            def recorded(s, sc):
+                seen.append((domain, s))
+                return read(s, sc)
+            return recorded
+
+        monkeypatch.setattr(quadrature, "_naive_reader", recording)
+        res = self.region_integral(density)(Interval(lo, hi))
+        monkeypatch.undo()
+        assert repr(res) == repr(self.region_integral(density)(Interval(lo, hi)))
+        s_lo, s_hi = map(model.arc_length_from_origin, (lo, hi))
+        assert seen
+        for domain, s in seen:
+            assert domain is model.arclength.domain
+            assert math.isfinite(s) and s_lo <= s <= s_hi, s
+
     def test_chart_sub_interval_checks_every_node(self, verify_calls):
         # offsets anchored at 0.5 would read as distances from 1 unchecked
         rho = beta_chart_density(BetaParams(2.0, 2.0))
